@@ -19,11 +19,9 @@ from .analytic_stats import (
     rho_x_approx,
 )
 from .channel_geom import (
-    ChannelSet,
     PortGeometry,
     SystemConfig,
     correlation_matrix,
-    generate_channel_set,
     geometry_for_config,
     mu_vector,
     port_displacements,
@@ -37,23 +35,13 @@ from .mc_engine import (
     ks_distance,
     marginal_model_sample,
     pearson_correlation,
-    physical_sir_per_port,
     run_cdf_experiment,
     run_correlation_experiment,
     run_outage_experiment,
-    select_best_port,
     simulate_sir_batch,
     surrogate_gain_sample,
 )
-from .precoding import PrecoderSet, mrt_precoders, zf_precoders
-from .randlin import (
-    RngStream,
-    SingularGramError,
-    hermitian_inner,
-    sample_cgauss_vec,
-    sample_gamma_int,
-    solve_gram,
-)
+from .randlin import RngStream
 from .specialfn import (
     RealInterval,
     bessel_j0,

@@ -1,5 +1,4 @@
-"""Fluid-antenna port geometry, spatial correlation, and correlated channel
-generation.
+"""Fluid-antenna port geometry, spatial correlation, and the scenario config.
 
 Distances are stored in wavelengths (the carrier wavelength only ever enters
 through d/lambda ratios).  Port 1 is the CSI reference; every other port is a
@@ -8,7 +7,8 @@ correlated version of it:
     h_{u,1} = sqrt(beta_u) x_{u,0}
     h_{u,k} = sqrt(beta_u) (mu_k x_{u,0} + sqrt(1 - mu_k^2) x_{u,k})
 
-with mu_k = J0(2 pi d_k).  Note the constructive model gives inter-port
+with mu_k = J0(2 pi d_k).  The chunk kernels of mc_engine draw these
+channels in batches.  Note the constructive model gives inter-port
 correlation mu_k mu_l for k, l >= 2, which differs from the J0(2 pi |d_k -
 d_l|) kernel for non-adjacent ports; the model is applied verbatim and the
 kernel is exposed separately via correlation_matrix.
@@ -17,22 +17,19 @@ kernel is exposed separately via correlation_matrix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .randlin import RngStream, sample_cgauss_matrix
 from .specialfn import bessel_j0
 
 __all__ = [
     "SystemConfig",
     "PortGeometry",
-    "ChannelSet",
     "port_displacements",
     "mu_vector",
     "correlation_matrix",
     "geometry_for_config",
-    "generate_channel_set",
 ]
 
 _SCHEMES = ("MRT", "ZF")
@@ -131,32 +128,6 @@ class PortGeometry:
         return len(self.displacements)
 
 
-@dataclass
-class ChannelSet:
-    """One realization of all users' per-port channels.
-
-    reference[u] is x_{u,0}; innovations[u, k-2] is x_{u,k}; channels[u, k-1]
-    is the assembled h_{u,k}.
-    """
-
-    reference: np.ndarray     # (U, M) complex
-    innovations: np.ndarray   # (U, P-1, M) complex
-    channels: np.ndarray      # (U, P, M) complex
-    beta: tuple[float, ...] = field(default=())
-
-    @property
-    def num_users(self) -> int:
-        return self.channels.shape[0]
-
-    @property
-    def num_ports(self) -> int:
-        return self.channels.shape[1]
-
-    def reference_matrix(self) -> np.ndarray:
-        """Aggregated M x U reference-port channel matrix (one column per user)."""
-        return self.channels[:, 0, :].T.copy()
-
-
 def port_displacements(N: int, W: float) -> np.ndarray:
     """Uniform port displacements d_k = (k-1)/(N-1) * W over the aperture."""
     if N < 1:
@@ -212,25 +183,3 @@ def selectable_port_indices(config: SystemConfig) -> np.ndarray:
             "member mode with the reference excluded needs N >= 2 selectable ports"
         )
     return np.arange(1, config.N)
-
-
-def generate_channel_set(
-    stream: RngStream, config: SystemConfig, geometry: PortGeometry
-) -> ChannelSet:
-    """Draw one realization of every user's per-port channel vectors."""
-    U, M = config.U, config.M
-    P = geometry.num_ports
-    mu = geometry.mu
-    x0 = sample_cgauss_matrix(stream, (U, M))
-    xk = sample_cgauss_matrix(stream, (U, max(P - 1, 0), M))
-    channels = np.empty((U, P, M), dtype=complex)
-    root_beta = np.sqrt(np.asarray(config.beta))
-    for u in range(U):
-        channels[u, 0] = root_beta[u] * x0[u]
-        for k in range(1, P):
-            channels[u, k] = root_beta[u] * (
-                mu[k] * x0[u] + math.sqrt(max(0.0, 1.0 - mu[k] ** 2)) * xk[u, k - 1]
-            )
-    return ChannelSet(
-        reference=x0, innovations=xk, channels=channels, beta=config.beta
-    )

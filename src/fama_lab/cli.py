@@ -17,7 +17,8 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field, fields
+from collections.abc import Iterator
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -175,26 +176,26 @@ def _empirical_rows(grid, p, n, curve_id):
     ]
 
 
-def _config_for_scheme(config: SystemConfig, scheme: str) -> SystemConfig:
-    if config.scheme == scheme:
-        return config
-    if scheme == "ZF" and config.M < config.U:
-        return None
-    return SystemConfig(
-        M=config.M, U=config.U, N=config.N, W=config.W, scheme=scheme,
-        beta=config.beta, powers=config.powers,
-        reference_mode=config.reference_mode,
-        include_reference_in_selection=config.include_reference_in_selection,
-        seed=config.seed, realizations=config.realizations,
-    )
+def _scheme_configs(config: SystemConfig) -> Iterator[SystemConfig]:
+    """The config under MRT, then under ZF; ZF is skipped when M < U."""
+    for scheme in ("MRT", "ZF"):
+        if scheme == "ZF" and config.M < config.U:
+            continue
+        yield replace(config, scheme=scheme)
+
+
+def _per_user(values: tuple, U: int, name: str) -> tuple:
+    """A per-user tuple resized to U users; only equal entries resize."""
+    if len(values) == U:
+        return values
+    if len(set(values)) > 1:
+        raise ConfigError(f"cannot resize unequal {name} {values} to U={U}")
+    return values[:1] * U
 
 
 def run_fig2(config: SystemConfig, out_dir: str, workers: int,
              manifest: RunManifest) -> None:
-    for scheme in ("MRT", "ZF"):
-        cfg = _config_for_scheme(config, scheme)
-        if cfg is None:
-            continue
+    for cfg in _scheme_configs(config):
         rows = []
         marginal = run_cdf_experiment(cfg, mode="marginal", workers=workers)
         physical = run_cdf_experiment(cfg, mode="physical_reference", workers=workers)
@@ -203,26 +204,23 @@ def run_fig2(config: SystemConfig, out_dir: str, workers: int,
                                 marginal.realizations, "empirical_marginal")
         rows += _empirical_rows(physical.gamma_grid, physical.empirical.values(),
                                 physical.realizations, "empirical_physical_reference")
-        name = f"fig2_{scheme.lower()}.csv"
+        name = f"fig2_{cfg.scheme.lower()}.csv"
         write_curve_csv(os.path.join(out_dir, name), rows)
         manifest.outputs.append(name)
-        tag = f"fig2_{scheme.lower()}"
+        tag = f"fig2_{cfg.scheme.lower()}"
         manifest.experiments += [
             (tag, "marginal_realizations", marginal.realizations),
             (tag, "physical_realizations", physical.realizations),
             (tag, "resampled", physical.resampled_count),
             (tag, "infinite", physical.infinite_count),
         ]
-        print(f"fig2 {scheme}: KS marginal={marginal.ks:.5f} "
+        print(f"fig2 {cfg.scheme}: KS marginal={marginal.ks:.5f} "
               f"physical_reference={physical.ks:.5f}")
 
 
 def run_fig3(config: SystemConfig, out_dir: str, workers: int,
              manifest: RunManifest) -> None:
-    for scheme in ("MRT", "ZF"):
-        cfg = _config_for_scheme(config, scheme)
-        if cfg is None:
-            continue
+    for cfg in _scheme_configs(config):
         res = run_correlation_experiment(cfg, workers=workers)
         rows = []
         p = len(res.ports)
@@ -233,17 +231,17 @@ def run_fig3(config: SystemConfig, out_dir: str, workers: int,
                 rows.append((k, l, v, v, v, "empirical_rho_x"))
                 o = res.overlay[i, j]
                 rows.append((k, l, o, o, o, "analytic_rho_x"))
-        name = f"fig3_{scheme.lower()}.csv"
+        name = f"fig3_{cfg.scheme.lower()}.csv"
         write_pair_csv(os.path.join(out_dir, name), rows)
         manifest.outputs.append(name)
-        tag = f"fig3_{scheme.lower()}"
+        tag = f"fig3_{cfg.scheme.lower()}"
         manifest.experiments += [
             (tag, "realizations", res.realizations),
             (tag, "reference_mode", res.reference_mode),
             (tag, "dropped_rows", res.empirical.n_dropped),
             (tag, "resampled", res.resampled_count),
         ]
-        print(f"fig3 {scheme}: max |empirical - analytic| = "
+        print(f"fig3 {cfg.scheme}: max |empirical - analytic| = "
               f"{res.max_abs_deviation:.4f} ({res.reference_mode} mode)")
 
 
@@ -263,15 +261,12 @@ def _outage_rows(res) -> list[tuple]:
 
 def run_fig4(config: SystemConfig, out_dir: str, workers: int,
              manifest: RunManifest, name_suffix: str = "") -> None:
-    for scheme in ("MRT", "ZF"):
-        cfg = _config_for_scheme(config, scheme)
-        if cfg is None:
-            continue
+    for cfg in _scheme_configs(config):
         res = run_outage_experiment(cfg, workers=workers)
-        name = f"fig4_{scheme.lower()}{name_suffix}.csv"
+        name = f"fig4_{cfg.scheme.lower()}{name_suffix}.csv"
         write_curve_csv(os.path.join(out_dir, name), _outage_rows(res))
         manifest.outputs.append(name)
-        tag = f"fig4_{scheme.lower()}{name_suffix}"
+        tag = f"fig4_{cfg.scheme.lower()}{name_suffix}"
         ports = [int(p) for p in res.selection_ports]
         manifest.experiments += [
             (tag, "realizations", res.realizations),
@@ -280,17 +275,14 @@ def run_fig4(config: SystemConfig, out_dir: str, workers: int,
             (tag, "resampled", res.resampled_count),
             (tag, "infinite", res.infinite_count),
         ]
-        print(f"fig4 {scheme}: {res.reference_mode} mode, "
+        print(f"fig4 {cfg.scheme}: {res.reference_mode} mode, "
               f"selection ports {ports}, infinite SIRs {res.infinite_count}")
 
 
 def run_fig5(config: SystemConfig, out_dir: str, workers: int,
              manifest: RunManifest) -> None:
     grid = _FIG5_GRID
-    for scheme in ("MRT", "ZF"):
-        cfg = _config_for_scheme(config, scheme)
-        if cfg is None:
-            continue
+    for cfg in _scheme_configs(config):
         params = betaprime_params(cfg.scheme, cfg.M, cfg.U)
         emp = run_cdf_experiment(cfg, mode="marginal", gamma_grid=grid,
                                  workers=workers)
@@ -307,18 +299,20 @@ def run_fig5(config: SystemConfig, out_dir: str, workers: int,
         rows += _analytic_rows(grid, tail, "tail_asymptote")
         rows += _empirical_rows(grid, 1.0 - emp.empirical.values(),
                                 emp.realizations, "empirical_sf")
-        name = f"fig5_{scheme.lower()}.csv"
+        name = f"fig5_{cfg.scheme.lower()}.csv"
         write_curve_csv(os.path.join(out_dir, name), rows)
         manifest.outputs.append(name)
         manifest.experiments.append(
-            (f"fig5_{scheme.lower()}", "realizations", emp.realizations)
+            (f"fig5_{cfg.scheme.lower()}", "realizations", emp.realizations)
         )
-        print(f"fig5 {scheme}: grid {len(grid)} points, "
+        print(f"fig5 {cfg.scheme}: grid {len(grid)} points, "
               f"marginal n={emp.realizations}")
 
 
 def run_sweep(config: SystemConfig, out_dir: str, workers: int,
               manifest: RunManifest, grids: dict) -> None:
+    per_user = {U: {name: _per_user(getattr(config, name), U, name)
+                    for name in ("beta", "powers")} for U in grids["U"]}
     for scheme in grids["scheme"]:
         for M in grids["M"]:
             for U in grids["U"]:
@@ -327,11 +321,8 @@ def run_sweep(config: SystemConfig, out_dir: str, workers: int,
                     continue
                 for N in grids["N"]:
                     for W in grids["W"]:
-                        cfg = SystemConfig(
-                            M=M, U=U, N=N, W=W, scheme=scheme,
-                            seed=config.seed, realizations=config.realizations,
-                            reference_mode=config.reference_mode,
-                        )
+                        cfg = replace(config, M=M, U=U, N=N, W=W,
+                                      scheme=scheme, **per_user[U])
                         res = run_outage_experiment(cfg, workers=workers)
                         name = (f"sweep_{scheme.lower()}_M{M}_U{U}_N{N}_"
                                 f"W{W:g}.csv")
@@ -391,7 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="plain-text key = value config file")
         p.add_argument("--seed", type=int)
         p.add_argument("--realizations", type=int)
-        p.add_argument("--scheme", choices=["MRT", "ZF"])
         p.add_argument("--M", type=int)
         p.add_argument("--U", type=int)
         p.add_argument("--N", type=int)
@@ -400,6 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
                        dest="reference_mode")
         p.add_argument("--out", default="fama_lab_out", help="output directory")
         if name == "sweep":
+            p.add_argument("--scheme", choices=["MRT", "ZF"],
+                           help="default of --sweep-scheme")
             for flag in ("M", "U", "N", "W", "scheme"):
                 p.add_argument(f"--sweep-{flag}", dest=f"sweep_{flag}",
                                help=f"comma list of {flag} values")
@@ -453,7 +445,7 @@ def main(argv: list[str] | None = None) -> int:
             if os.path.exists(path):
                 os.remove(path)
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ConfigError) else 1
     manifest.wall_seconds = time.monotonic() - start
     manifest.write(os.path.join(out_dir, "manifest.txt"))
     print(f"wrote {len(manifest.outputs)} file(s) + manifest.txt to {out_dir}")

@@ -23,13 +23,7 @@ from .analytic_stats import (
     outage_envelope,
     rho_x_approx,
 )
-from .channel_geom import (
-    ChannelSet,
-    SystemConfig,
-    geometry_for_config,
-    selectable_port_indices,
-)
-from .precoding import PrecoderSet
+from .channel_geom import SystemConfig, geometry_for_config, selectable_port_indices
 from .randlin import RngStream, gamma_variates
 from .specialfn import RealInterval
 
@@ -42,8 +36,6 @@ __all__ = [
     "CdfExperimentResult",
     "CorrelationExperimentResult",
     "OutageExperimentResult",
-    "physical_sir_per_port",
-    "select_best_port",
     "marginal_model_sample",
     "surrogate_gain_sample",
     "pearson_correlation",
@@ -205,50 +197,7 @@ class OutageExperimentResult:
 
 
 # ---------------------------------------------------------------------------
-# Core per-realization operations
-
-
-def physical_sir_per_port(
-    channels: ChannelSet, precoders: PrecoderSet, powers
-) -> np.ndarray:
-    """Per-port SIR X_{u,k} = P_u |h_{u,k}^H w_u|^2 / sum_i P_i |h_{u,k}^H w_i|^2.
-
-    Returns a (U, P) array; ports whose interference sum is at the nulling
-    floor come back as np.inf.
-    """
-    powers = np.asarray(powers, dtype=float)
-    h = channels.channels  # (U, P, M)
-    W = precoders.vectors  # (M, U)
-    if h.shape[2] != W.shape[0] or h.shape[0] != W.shape[1]:
-        raise ValueError("channel/precoder dimension mismatch")
-    proj = np.abs(np.einsum("upm,mi->upi", h.conj(), W)) ** 2  # (U, P, U)
-    weighted = proj * powers[None, None, :]
-    U = h.shape[0]
-    out = np.empty(h.shape[:2])
-    for u in range(U):
-        num = weighted[u, :, u]
-        den = weighted[u].sum(axis=1) - weighted[u, :, u]
-        with np.errstate(divide="ignore"):
-            out[u] = np.where(den > INTERFERENCE_FLOOR, num / den, np.inf)
-    return out
-
-
-def select_best_port(sirs, selection_set) -> tuple[int, float]:
-    """Strongest-SIR port over the selection set (1-based port numbers).
-
-    Ties break toward the smallest port number; the INFINITE sentinel
-    dominates every finite value.
-    """
-    sirs = np.asarray(sirs, dtype=float)
-    ports = np.asarray(list(selection_set), dtype=int)
-    if ports.size == 0:
-        raise ValueError("selection set must be nonempty")
-    if np.any(ports < 1) or np.any(ports > sirs.shape[-1]):
-        raise ValueError(f"selection set {ports} out of range for {sirs.shape[-1]} ports")
-    ports = np.sort(ports)
-    vals = sirs[..., ports - 1]
-    best = int(np.argmax(vals))
-    return int(ports[best]), float(vals[best])
+# Samplers and estimators
 
 
 def marginal_model_sample(
@@ -332,8 +281,13 @@ def _reference_matrix(gen, n: int, M: int, U: int, beta) -> np.ndarray:
     return np.transpose(h, (0, 2, 1))
 
 
-def _zf_weights(gen, H: np.ndarray, beta) -> tuple[np.ndarray, int]:
-    """Batched unit-norm ZF beams with discard-and-resample on singular Grams."""
+def _zf_weights(gen, H: np.ndarray, beta) -> tuple[np.ndarray, int, np.ndarray]:
+    """Batched unit-norm ZF beams with discard-and-resample on singular Grams.
+
+    Returns (W, resampled, H): rows whose Gram fails the condition test are
+    redrawn into a copy, so the caller's array is left alone and the beams
+    pair with the returned H.
+    """
     n, M, U = H.shape
     resampled = 0
     for _ in range(_MAX_RESAMPLE_ROUNDS):
@@ -343,17 +297,57 @@ def _zf_weights(gen, H: np.ndarray, beta) -> tuple[np.ndarray, int]:
         if not np.any(bad):
             break
         resampled += int(bad.sum())
+        H = H.copy()
         H[bad] = _reference_matrix(gen, int(bad.sum()), M, U, beta)
     else:
         raise RuntimeError("ZF Gram resampling failed to converge")
     raw = np.conj(np.transpose(np.linalg.solve(gram, np.conj(np.transpose(H, (0, 2, 1)))), (0, 2, 1)))
-    return raw / np.linalg.norm(raw, axis=1, keepdims=True), resampled
+    return raw / np.linalg.norm(raw, axis=1, keepdims=True), resampled, H
 
 
-def _weights_for_scheme(gen, H: np.ndarray, scheme: str, beta) -> tuple[np.ndarray, int]:
+def _weights_for_scheme(gen, H: np.ndarray, scheme: str,
+                        beta) -> tuple[np.ndarray, int, np.ndarray]:
+    """Unit-norm beams (n, M, U) for the reference channels H (n, M, U).
+
+    Returns (W, resampled, H); only ZF resamples, and then H is a new array.
+    """
     if scheme == "MRT":
-        return H / np.linalg.norm(H, axis=1, keepdims=True), 0
+        return H / np.linalg.norm(H, axis=1, keepdims=True), 0, H
     return _zf_weights(gen, H, beta)
+
+
+def _port_channels(gen, h0: np.ndarray, beta0: float, mu) -> np.ndarray:
+    """User 0's channel at every port, (n, P, M), from its reference h0 (n, M).
+
+    Port k is sqrt(beta0) (mu_k x0 + sqrt(1 - mu_k^2) x_k), with the
+    innovations x_k for ports 2..P drawn here, after the reference.
+    """
+    mu = np.asarray(mu, dtype=float)
+    n, M = h0.shape
+    P = len(mu)
+    innov = _cgauss(gen, (n, P - 1, M)) if P > 1 else None
+    root_b0 = math.sqrt(beta0)
+    x00 = h0 / root_b0  # user-0 reference gaussian
+    ports = np.empty((n, P, M), dtype=complex)
+    ports[:, 0, :] = h0
+    for k in range(1, P):
+        sigma = math.sqrt(max(0.0, 1.0 - mu[k] ** 2))
+        ports[:, k, :] = root_b0 * (mu[k] * x00 + sigma * innov[:, k - 1, :])
+    return ports
+
+
+def _sir(num, den):
+    """num / den, or np.inf where the interference den is at the nulling floor."""
+    with np.errstate(divide="ignore"):
+        return np.where(den > INTERFERENCE_FLOOR, num / den, np.inf)
+
+
+def _port_sirs(ports: np.ndarray, W: np.ndarray, powers) -> np.ndarray:
+    """User-0 SIR X_k = P_0 |h_k^H w_0|^2 / sum_{i>=1} P_i |h_k^H w_i|^2 at
+    every port: (n, P) from ports (n, P, M) and beams W (n, M, U)."""
+    proj = np.abs(np.einsum("npm,nmu->npu", ports.conj(), W)) ** 2
+    weighted = proj * np.asarray(powers)[None, None, :]
+    return _sir(weighted[:, :, 0], weighted[:, :, 1:].sum(axis=2))
 
 
 def _chunk_marginal_counts(stream: RngStream, n: int, a: int, b: int, grid):
@@ -382,15 +376,13 @@ def _chunk_physref_mrt(stream: RngStream, n: int, M: int, U: int, beta, powers, 
     """
     gen = stream.generator()
     H = _reference_matrix(gen, n, M, U, beta)
-    W, _ = _weights_for_scheme(gen, H, "MRT", beta)
+    W, _, _ = _weights_for_scheme(gen, H, "MRT", beta)
     h0 = H[:, :, 0]
     desired = np.linalg.norm(h0, axis=1) ** 2
     h_indep = math.sqrt(float(np.asarray(beta)[0])) * _cgauss(gen, (n, M))
     powers = np.asarray(powers)
     terms = np.abs(np.einsum("nm,nmu->nu", h_indep.conj(), W[:, :, 1:])) ** 2
-    den = (terms * powers[None, 1:]).sum(axis=1)
-    with np.errstate(divide="ignore"):
-        x = np.where(den > INTERFERENCE_FLOOR, powers[0] * desired / den, np.inf)
+    x = _sir(powers[0] * desired, (terms * powers[None, 1:]).sum(axis=1))
     inf_count = int(np.count_nonzero(~np.isfinite(x)))
     return EmpiricalCdf.bin_samples(np.asarray(grid), x), inf_count, 0
 
@@ -408,7 +400,7 @@ def _chunk_physref_zf(stream: RngStream, n: int, M: int, U: int, beta, powers, g
     """
     gen = stream.generator()
     H = _reference_matrix(gen, n, M, U, beta)
-    W, resampled = _weights_for_scheme(gen, H, "ZF", beta)
+    W, resampled, H = _weights_for_scheme(gen, H, "ZF", beta)
     h0 = H[:, :, 0]
     desired = np.abs(np.einsum("nm,nm->n", h0.conj(), W[:, :, 0])) ** 2
     L = U - 1
@@ -416,51 +408,23 @@ def _chunk_physref_zf(stream: RngStream, n: int, M: int, U: int, beta, powers, g
     fresh = _cgauss(gen, (n, L, M))
     terms = np.abs(np.einsum("nlm,nlm->nl", fresh.conj(), dirs)) ** 2
     powers = np.asarray(powers)
-    den = (terms * powers[None, 1:]).sum(axis=1)
-    with np.errstate(divide="ignore"):
-        x = np.where(den > INTERFERENCE_FLOOR, powers[0] * desired / den, np.inf)
+    x = _sir(powers[0] * desired, (terms * powers[None, 1:]).sum(axis=1))
     inf_count = int(np.count_nonzero(~np.isfinite(x)))
     return EmpiricalCdf.bin_samples(np.asarray(grid), x), inf_count, resampled
 
 
-def _chunk_ports_sir(
-    stream: RngStream,
-    n: int,
-    M: int,
-    U: int,
-    scheme: str,
-    beta,
-    powers,
-    mu,
-    keep_draws: bool = False,
-):
+def _chunk_ports_sir(stream: RngStream, n: int, M: int, U: int, scheme: str,
+                     beta, powers, mu):
     """User-0 SIR at every geometry port: (n, P) array plus resample count.
 
     Draw order: reference gaussians for all users, then (after any Gram
     resampling) user-0 innovations for ports 2..P.
     """
     gen = stream.generator()
-    mu = np.asarray(mu, dtype=float)
-    P = len(mu)
     H = _reference_matrix(gen, n, M, U, beta)
-    W, resampled = _weights_for_scheme(gen, H, scheme, beta)
-    innov = _cgauss(gen, (n, P - 1, M)) if P > 1 else np.zeros((n, 0, M), complex)
-    root_b0 = math.sqrt(float(np.asarray(beta)[0]))
-    x00 = H[:, :, 0] / root_b0  # user-0 reference gaussian
-    ports = np.empty((n, P, M), dtype=complex)
-    ports[:, 0, :] = H[:, :, 0]
-    for k in range(1, P):
-        sigma = math.sqrt(max(0.0, 1.0 - mu[k] ** 2))
-        ports[:, k, :] = root_b0 * (mu[k] * x00 + sigma * innov[:, k - 1, :])
-    proj = np.abs(np.einsum("npm,nmu->npu", ports.conj(), W)) ** 2
-    weighted = proj * np.asarray(powers)[None, None, :]
-    num = weighted[:, :, 0]
-    den = weighted[:, :, 1:].sum(axis=2)
-    with np.errstate(divide="ignore"):
-        sirs = np.where(den > INTERFERENCE_FLOOR, num / den, np.inf)
-    if keep_draws:
-        return sirs, resampled, (H, innov)
-    return sirs, resampled
+    W, resampled, H = _weights_for_scheme(gen, H, scheme, beta)
+    ports = _port_channels(gen, H[:, :, 0], float(np.asarray(beta)[0]), mu)
+    return _port_sirs(ports, W, powers), resampled
 
 
 def _chunk_outage_physical(

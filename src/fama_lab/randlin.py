@@ -1,35 +1,21 @@
-"""Reproducible random sampling and the small dense complex linear algebra
-behind precoding.
+"""Reproducible random streams and the integer-shape Gamma sampler.
 
 Streams are counter-based: a (seed, stream_id) pair keys a Philox generator,
 so chunked Monte-Carlo runs produce identical numbers regardless of how many
-workers consume the chunks.
+workers consume the chunks.  Channels, beams and SIRs are drawn in batches
+by the chunk kernels of mc_engine.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = [
-    "RngStream",
-    "SingularGramError",
-    "sample_cgauss_vec",
-    "sample_cgauss_matrix",
-    "sample_gamma_int",
-    "gamma_variates",
-    "hermitian_inner",
-    "solve_gram",
-]
+__all__ = ["RngStream", "gamma_variates"]
 
 _GAMMA_SUM_LIMIT = 32
 _MASK64 = (1 << 64) - 1
-
-
-class SingularGramError(ArithmeticError):
-    """Gram matrix too ill-conditioned to invert at the requested tolerance."""
 
 
 @dataclass
@@ -54,25 +40,6 @@ class RngStream:
         return self._gen
 
 
-def sample_cgauss_vec(stream: RngStream, dim: int) -> np.ndarray:
-    """i.i.d. circularly symmetric complex Gaussian entries, unit variance.
-
-    Real and imaginary parts each carry variance 1/2.
-    """
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
-    g = stream.generator()
-    z = g.standard_normal(2 * dim)
-    return np.sqrt(0.5) * (z[:dim] + 1j * z[dim:])
-
-
-def sample_cgauss_matrix(stream: RngStream, shape: tuple[int, ...]) -> np.ndarray:
-    """Array of i.i.d. CN(0,1) entries with the given shape."""
-    g = stream.generator()
-    z = g.standard_normal(shape + (2,))
-    return np.sqrt(0.5) * (z[..., 0] + 1j * z[..., 1])
-
-
 def gamma_variates(gen: np.random.Generator, shape: int, size: int) -> np.ndarray:
     """Gamma(shape, 1) batch: summed unit exponentials for small integer shape."""
     if shape != int(shape) or shape < 1:
@@ -81,48 +48,3 @@ def gamma_variates(gen: np.random.Generator, shape: int, size: int) -> np.ndarra
     if shape <= _GAMMA_SUM_LIMIT:
         return gen.standard_exponential((size, shape)).sum(axis=1)
     return gen.gamma(shape, 1.0, size=size)
-
-
-def sample_gamma_int(stream: RngStream, shape: int, size: int | None = None):
-    """Gamma(shape, 1) variates for integer shape >= 1.
-
-    Small shapes are summed unit exponentials; larger shapes defer to the
-    generator's gamma sampler.
-    """
-    out = gamma_variates(stream.generator(), shape, 1 if size is None else int(size))
-    return float(out[0]) if size is None else out
-
-
-def hermitian_inner(x: np.ndarray, y: np.ndarray) -> complex:
-    """Inner product conjugate-linear in the first argument: sum conj(x) y."""
-    x = np.asarray(x)
-    y = np.asarray(y)
-    if x.shape != y.shape:
-        raise ValueError(f"length mismatch: {x.shape} vs {y.shape}")
-    return complex(np.vdot(x, y))
-
-
-def solve_gram(H: np.ndarray, tolerance: float = 1e-12) -> np.ndarray:
-    """Solve for W with H^H W = I, i.e. W = H (H^H H)^{-1}.
-
-    Cholesky on the (tiny) Gram matrix; raises SingularGramError when the
-    Gram condition number exceeds 1/tolerance so the caller can resample.
-    """
-    H = np.asarray(H)
-    if H.ndim != 2 or H.shape[0] < H.shape[1]:
-        raise ValueError(f"H must be M x U with M >= U, got shape {H.shape}")
-    if tolerance <= 0.0:
-        raise ValueError("tolerance must be positive")
-    gram = H.conj().T @ H
-    eig = np.linalg.eigvalsh(gram)
-    if eig[0] <= 0.0 or eig[-1] / eig[0] > 1.0 / tolerance:
-        cond = math.inf if eig[0] <= 0.0 else eig[-1] / eig[0]
-        raise SingularGramError(
-            f"Gram condition estimate {cond:.3e} exceeds {1.0 / tolerance:.3e}"
-        )
-    chol = np.linalg.cholesky(gram)
-    u = H.shape[1]
-    inv = np.linalg.solve(
-        chol.conj().T, np.linalg.solve(chol, np.eye(u, dtype=complex))
-    )
-    return H @ inv

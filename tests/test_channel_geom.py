@@ -1,4 +1,5 @@
-"""Port geometry, spatial correlation coefficients, and channel generation."""
+"""Port geometry, spatial correlation coefficients, and the batched channel
+draw."""
 
 import math
 
@@ -9,12 +10,12 @@ import pytest
 from fama_lab.channel_geom import (
     SystemConfig,
     correlation_matrix,
-    generate_channel_set,
     geometry_for_config,
     mu_vector,
     port_displacements,
     selectable_port_indices,
 )
+from fama_lab.mc_engine import _port_channels, _reference_matrix
 from fama_lab.randlin import RngStream
 
 mp.mp.dps = 30
@@ -111,36 +112,50 @@ class TestSelectablePorts:
 
 
 class TestGenerateChannelSet:
+    """The batched channel draw: reference matrix, then user-0 ports."""
+
     def test_fully_correlated_limit(self):
-        cfg = SystemConfig(N=4, W=0.0)
-        geo = geometry_for_config(cfg)
-        cs = generate_channel_set(RngStream(3, 0), cfg, geo)
+        geo = geometry_for_config(SystemConfig(N=4, W=0.0))
+        gen = RngStream(3, 0).generator()
+        H = _reference_matrix(gen, 16, 8, 4, (1.0,) * 4)
+        ports = _port_channels(gen, H[:, :, 0], 1.0, geo.mu)
         for k in range(1, 4):
-            assert np.allclose(cs.channels[:, k, :], cs.channels[:, 0, :])
+            assert np.allclose(ports[:, k, :], ports[:, 0, :])
 
     def test_beta_scaling(self):
-        cfg = SystemConfig(U=4, beta=(4.0, 1.0, 1.0, 1.0))
-        geo = geometry_for_config(cfg)
-        cs = generate_channel_set(RngStream(4, 0), cfg, geo)
-        assert np.allclose(cs.channels[0, 0, :], 2.0 * cs.reference[0])
+        beta = (4.0, 1.0, 1.0, 1.0)
+        H = _reference_matrix(RngStream(4, 0).generator(), 16, 8, 4, beta)
+        unit = _reference_matrix(RngStream(4, 0).generator(), 16, 8, 4, (1.0,) * 4)
+        assert np.allclose(H[:, :, 0], 2.0 * unit[:, :, 0])
+        assert np.array_equal(H[:, :, 1:], unit[:, :, 1:])
 
     def test_reference_consistency(self):
         cfg = SystemConfig()
-        geo = geometry_for_config(cfg)
-        cs = generate_channel_set(RngStream(5, 0), cfg, geo)
-        assert np.allclose(cs.channels[:, 0, :], cs.reference)
-        H1 = cs.reference_matrix()
-        assert H1.shape == (cfg.M, cfg.U)
-        assert np.allclose(H1[:, 2], cs.channels[2, 0, :])
+        gen = RngStream(5, 0).generator()
+        H = _reference_matrix(gen, 16, cfg.M, cfg.U, cfg.beta)
+        assert H.shape == (16, cfg.M, cfg.U)
+        # Replay: the (n, U, M) reference gaussians, one column per user.
+        z = RngStream(5, 0).generator().standard_normal((16, cfg.U, cfg.M, 2))
+        x0 = np.sqrt(0.5) * (z[..., 0] + 1j * z[..., 1])
+        assert np.array_equal(H[:, :, 2], x0[:, 2, :])
+        ports = _port_channels(gen, H[:, :, 0], 1.0, geometry_for_config(cfg).mu)
+        assert np.array_equal(ports[:, 0, :], H[:, :, 0])
 
     def test_exact_mixing_identity(self):
         cfg = SystemConfig(N=6, W=0.8)
         geo = geometry_for_config(cfg)
-        cs = generate_channel_set(RngStream(6, 0), cfg, geo)
+        gen = RngStream(6, 0).generator()
+        H = _reference_matrix(gen, 16, cfg.M, cfg.U, cfg.beta)
+        ports = _port_channels(gen, H[:, :, 0], 1.0, geo.mu)
+        # Replay: the innovations follow the reference gaussians.
+        replay = RngStream(6, 0).generator()
+        replay.standard_normal((16, cfg.U, cfg.M, 2))
+        z = replay.standard_normal((16, 5, cfg.M, 2))
+        innov = np.sqrt(0.5) * (z[..., 0] + 1j * z[..., 1])
         for k in range(1, 6):
             sigma = math.sqrt(max(0.0, 1.0 - geo.mu[k] ** 2))
-            expect = geo.mu[k] * cs.reference + sigma * cs.innovations[:, k - 1, :]
-            assert np.allclose(cs.channels[:, k, :], expect)
+            expect = geo.mu[k] * H[:, :, 0] + sigma * innov[:, k - 1, :]
+            assert np.allclose(ports[:, k, :], expect)
 
     def test_empirical_port_correlation(self):
         cfg = SystemConfig(N=8, W=0.25)
@@ -161,11 +176,9 @@ class TestGenerateChannelSet:
         cfg = SystemConfig(M=2, U=1, N=3, W=0.4, beta=(2.0,), powers=(1.0,))
         geo = geometry_for_config(cfg)
         n = 60_000
-        ent = np.empty((n, 3), dtype=complex)
-        stream = RngStream(8, 0)
-        for i in range(n):
-            cs = generate_channel_set(stream, cfg, geo)
-            ent[i] = cs.channels[0, :, 0]
+        gen = RngStream(8, 0).generator()
+        H = _reference_matrix(gen, n, cfg.M, cfg.U, cfg.beta)
+        ent = _port_channels(gen, H[:, :, 0], 2.0, geo.mu)[:, :, 0]
         var = np.mean(np.abs(ent[:, 0]) ** 2)
         assert var == pytest.approx(2.0, abs=3 * 2.0 * math.sqrt(2.0 / n))
         got = np.corrcoef(ent[:, 1].real, ent[:, 2].real)[0, 1]

@@ -111,7 +111,7 @@ class TestFig4:
     def test_single_port_envelope_collapses(self, tmp_path):
         out = str(tmp_path / "f4")
         assert main(["fig4", "--realizations", "2000", "--N", "1",
-                     "--W", "0.0", "--scheme", "MRT", "--out", out]) == 0
+                     "--W", "0.0", "--out", out]) == 0
         header, rows = _read_csv(os.path.join(out, "fig4_mrt.csv"))
         assert header == CURVE_HEADER
         by_curve = {}
@@ -143,6 +143,13 @@ class TestFig4:
             assert all(ci_low < 1.0 for _, ci_low, _ in ones)
             assert all(ci_high > 0.0 for _, _, ci_high in zeros)
 
+    def test_scheme_flag_refused(self, tmp_path, capsys):
+        # fig4 always runs both schemes, so --scheme is not one of its flags.
+        with pytest.raises(SystemExit) as exc:
+            main(["fig4", "--scheme", "MRT", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "--scheme" in capsys.readouterr().err
+
 
 class TestFig5:
     def test_tail_asymptote_row_at_hundred(self, tmp_path):
@@ -163,6 +170,31 @@ class TestSweep:
                      "--sweep-scheme", "MRT", "--out", out]) == 0
         assert os.path.exists(os.path.join(out, "sweep_mrt_M4_U4_N2_W0.25.csv"))
         assert os.path.exists(os.path.join(out, "sweep_mrt_M8_U4_N2_W0.25.csv"))
+
+    def test_matches_fig4_under_unequal_powers(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("powers = 4,1,1,1\nbeta = 2,1,1,1\n")
+        common = ["--config", str(cfg), "--realizations", "4000", "--seed", "5"]
+        assert main(["fig4"] + common + ["--out", str(tmp_path / "f4")]) == 0
+        assert main(["sweep"] + common + ["--out", str(tmp_path / "sw")]) == 0
+        blobs = [(tmp_path / sub / name).read_bytes() for sub, name in
+                 (("f4", "fig4_mrt.csv"), ("sw", "sweep_mrt_M8_U4_N8_W0.25.csv"))]
+        assert blobs[0] == blobs[1]
+
+    def test_swept_u_resizes_only_equal_per_user_tuples(self, tmp_path, capsys):
+        def sweep(powers, name):
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text(f"powers = {powers}\n")
+            return main(["sweep", "--config", str(cfg), "--realizations", "1000",
+                         "--sweep-U", "4,2", "--out", str(tmp_path / name)])
+
+        assert sweep("2,2,2,2", "equal") == 0
+        assert (tmp_path / "equal" / "sweep_mrt_M8_U2_N8_W0.25.csv").exists()
+        capsys.readouterr()
+        # Refused by name before the U=4 point, which it could run, is written.
+        assert sweep("4,1,1,1", "unequal") == 2
+        assert "powers" in capsys.readouterr().err
+        assert not any(n.endswith(".csv") for n in os.listdir(tmp_path / "unequal"))
 
     def test_infeasible_zf_skipped(self, tmp_path):
         out = str(tmp_path / "sw2")

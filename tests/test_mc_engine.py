@@ -7,98 +7,90 @@ import numpy as np
 import pytest
 
 from fama_lab.analytic_stats import BetaPrimeParams, betaprime_cdf
-from fama_lab.channel_geom import (
-    ChannelSet,
-    SystemConfig,
-    generate_channel_set,
-    geometry_for_config,
-)
+from fama_lab.channel_geom import SystemConfig, geometry_for_config
 from fama_lab.mc_engine import (
     DEFAULT_GAMMA_GRID,
     EmpiricalCdf,
     _chunk_ports_sir,
+    _port_sirs,
     ks_distance,
     marginal_model_sample,
     pearson_correlation,
-    physical_sir_per_port,
     resolve_workers,
     run_cdf_experiment,
     run_correlation_experiment,
     run_outage_experiment,
-    select_best_port,
     simulate_sir_batch,
     surrogate_gain_sample,
 )
-from fama_lab.precoding import mrt_precoders, zf_precoders
 from fama_lab.randlin import RngStream
 
 
-def _two_user_channelset(h1, h2):
-    """Single-port, two-user channel set from explicit reference vectors."""
-    reference = np.stack([h1, h2])
-    return ChannelSet(
-        reference=reference,
-        innovations=np.zeros((2, 0, len(h1)), dtype=complex),
-        channels=reference[:, None, :].copy(),
-        beta=(1.0, 1.0),
-    )
+def _sirs(M, U, N, W, scheme="MRT", powers=None, seed=0, n=64, **kw):
+    """User-0 port SIRs of the batched kernel for one configuration."""
+    cfg = SystemConfig(M=M, U=U, N=N, W=W, scheme=scheme, **kw)
+    mu = tuple(geometry_for_config(cfg).mu)
+    return _chunk_ports_sir(RngStream(seed, 0), n, M, U, scheme, cfg.beta,
+                            powers or cfg.powers, mu)[0]
 
 
 class TestPhysicalSir:
     def test_hand_case(self):
         h1 = np.array([1.0, 0.0], dtype=complex)
         h2 = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
-        cs = _two_user_channelset(h1, h2)
-        ps = mrt_precoders(cs.reference_matrix())
-        sirs = physical_sir_per_port(cs, ps, (1.0, 1.0))
+        W = np.stack([h1, h2], axis=1)[None]  # MRT beams of unit-norm channels
+        sirs = _port_sirs(h1[None, None, :], W, (1.0, 1.0))
         assert sirs[0, 0] == pytest.approx(2.0, rel=1e-12)
 
     def test_zf_reference_port_infinite(self):
-        stream = RngStream(17, 0)
-        cfg = SystemConfig(M=8, U=4, N=4, scheme="ZF", reference_mode="member")
-        geo = geometry_for_config(cfg)
-        cs = generate_channel_set(stream, cfg, geo)
-        ps = zf_precoders(cs.reference_matrix())
-        sirs = physical_sir_per_port(cs, ps, cfg.powers)
+        sirs = _sirs(8, 4, 4, 0.25, "ZF", seed=17, reference_mode="member")
         assert np.all(np.isinf(sirs[:, 0]))
         assert np.all(np.isfinite(sirs[:, 1:]))
 
     def test_power_scaling_invariance(self):
-        stream = RngStream(18, 0)
-        cfg = SystemConfig(M=8, U=4, N=4, W=0.5)
-        geo = geometry_for_config(cfg)
-        cs = generate_channel_set(stream, cfg, geo)
-        ps = mrt_precoders(cs.reference_matrix())
-        base = physical_sir_per_port(cs, ps, (1.0,) * 4)
-        scaled = physical_sir_per_port(cs, ps, (2.5,) * 4)
+        base = _sirs(8, 4, 4, 0.5, powers=(1.0,) * 4, seed=18)
+        scaled = _sirs(8, 4, 4, 0.5, powers=(2.5,) * 4, seed=18)
         assert np.allclose(scaled / base, 1.0, rtol=1e-12)
 
     def test_single_user_all_infinite(self):
-        cfg = SystemConfig(M=4, U=1, N=3, W=0.5, beta=(1.0,), powers=(1.0,))
-        geo = geometry_for_config(cfg)
-        cs = generate_channel_set(RngStream(19, 0), cfg, geo)
-        ps = mrt_precoders(cs.reference_matrix())
-        sirs = physical_sir_per_port(cs, ps, cfg.powers)
+        sirs = _sirs(4, 1, 3, 0.5, seed=19)
         assert np.all(np.isinf(sirs))
 
 
 class TestSelectBestPort:
+    """The FAMA selection of simulate_sir_batch."""
+
     def test_strongest(self):
-        assert select_best_port([3.0, 5.0, 2.0], [1, 2, 3]) == (2, 5.0)
+        batch = simulate_sir_batch(SystemConfig(N=3, W=2.0, seed=20), 256)
+        assert np.array_equal(batch.selected_value, batch.sirs.max(axis=1))
+        rows = np.arange(256)
+        assert np.array_equal(batch.sirs[rows, batch.selected_port - 1],
+                              batch.selected_value)
 
     def test_tie_breaks_low(self):
-        assert select_best_port([4.0, 4.0], [1, 2]) == (1, 4.0)
+        # W = 0: every port equals the reference, so all ports tie.
+        batch = simulate_sir_batch(SystemConfig(N=3, W=0.0, seed=21), 64)
+        assert np.all(batch.selected_port == 1)
 
     def test_infinite_dominates(self):
-        port, val = select_best_port([1.0, np.inf], [1, 2])
-        assert port == 2 and math.isinf(val)
+        cfg = SystemConfig(M=8, U=4, N=3, W=0.5, scheme="ZF",
+                           reference_mode="member", seed=22)
+        batch = simulate_sir_batch(cfg, 64)
+        assert np.all(np.isfinite(batch.sirs[:, 1:]))
+        assert np.all(batch.selected_port == 1)
+        assert np.all(np.isinf(batch.selected_value))
 
     def test_subset_selection(self):
-        assert select_best_port([9.0, 1.0, 3.0], [2, 3]) == (3, 3.0)
+        cfg = SystemConfig(M=8, U=4, N=3, W=0.5, scheme="ZF", reference_mode="member",
+                           include_reference_in_selection=False, seed=23)
+        batch = simulate_sir_batch(cfg, 64)
+        assert np.all(batch.selected_port >= 2)
+        assert np.array_equal(batch.selected_value, batch.sirs[:, 1:].max(axis=1))
 
     def test_empty_set(self):
+        cfg = SystemConfig(N=1, include_reference_in_selection=False)
         with pytest.raises(ValueError):
-            select_best_port([1.0], [])
+            simulate_sir_batch(cfg, 8)
 
 
 class TestMarginalSampler:
@@ -192,29 +184,27 @@ class TestKsDistance:
 class TestPortsKernel:
     def test_matches_per_realization_ops(self):
         cfg = SystemConfig(M=8, U=4, N=5, W=0.7, scheme="MRT")
-        geo = geometry_for_config(cfg)
-        n = 64
-        sirs, resampled, (H, innov) = _chunk_ports_sir(
-            RngStream(40, 0), n, cfg.M, cfg.U, cfg.scheme, cfg.beta,
-            cfg.powers, tuple(geo.mu), keep_draws=True,
-        )
+        mu = geometry_for_config(cfg).mu
+        M, U, P, n = cfg.M, cfg.U, len(mu), 64
+        sirs, resampled = _chunk_ports_sir(
+            RngStream(40, 0), n, M, U, cfg.scheme, cfg.beta, cfg.powers, tuple(mu))
         assert resampled == 0
+        # Replay the documented draw order: reference normals for all users,
+        # then user-0 innovations for ports 2..P.
+        gen = RngStream(40, 0).generator()
+        z = gen.standard_normal((n, U, M, 2))
+        x0 = np.sqrt(0.5) * (z[..., 0] + 1j * z[..., 1])
+        z = gen.standard_normal((n, P - 1, M, 2))
+        innov = np.sqrt(0.5) * (z[..., 0] + 1j * z[..., 1])
+        p = np.asarray(cfg.powers)
         for i in (0, 13, 63):
-            reference = H[i].T  # (U, M) rows
-            channels = np.empty((cfg.U, geo.num_ports, cfg.M), dtype=complex)
-            channels[:, 0, :] = reference
-            for k in range(1, geo.num_ports):
-                sig = math.sqrt(max(0.0, 1.0 - geo.mu[k] ** 2))
-                # kernel only assembles user-0 ports; mirror that row
-                channels[0, k, :] = geo.mu[k] * reference[0] + sig * innov[i, k - 1]
-                channels[1:, k, :] = reference[1:]
-            cs = ChannelSet(reference=reference,
-                            innovations=np.zeros((cfg.U, geo.num_ports - 1, cfg.M),
-                                                 dtype=complex),
-                            channels=channels, beta=cfg.beta)
-            ps = mrt_precoders(cs.reference_matrix())
-            expect = physical_sir_per_port(cs, ps, cfg.powers)[0]
-            assert np.allclose(sirs[i], expect, rtol=1e-10)
+            w = [x0[i, u] / np.linalg.norm(x0[i, u]) for u in range(U)]
+            for k in range(P):
+                sig = math.sqrt(max(0.0, 1.0 - mu[k] ** 2))
+                h = mu[k] * x0[i, 0] + sig * (innov[i, k - 1] if k else 0.0)
+                g = [abs(np.vdot(h, w[u])) ** 2 for u in range(U)]
+                expect = p[0] * g[0] / sum(p[u] * g[u] for u in range(1, U))
+                assert sirs[i, k] == pytest.approx(expect, rel=1e-10)
 
     def test_beta_and_power_invariance(self):
         cfg = SystemConfig(M=8, U=4, N=4, W=0.5)
@@ -346,9 +336,9 @@ class TestExperiments:
         batch = simulate_sir_batch(cfg, realizations=512)
         assert batch.sirs.shape == (512, 5)
         for i in (0, 100, 511):
-            port, val = select_best_port(batch.sirs[i], range(1, 6))
+            port = int(np.argmax(batch.sirs[i])) + 1
             assert batch.selected_port[i] == port
-            assert batch.selected_value[i] == val
+            assert batch.selected_value[i] == batch.sirs[i, port - 1]
         assert batch.selected_value[0] == batch.sirs[0].max()
 
 

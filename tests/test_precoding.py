@@ -1,77 +1,85 @@
-"""MRT/ZF precoder construction and the effective-gain laws."""
+"""MRT/ZF beams of the batched kernel and the effective-gain laws."""
 
 import math
 
 import numpy as np
 import pytest
 
-from fama_lab.mc_engine import _reference_matrix, _weights_for_scheme
-from fama_lab.precoding import mrt_precoders, zf_precoders
-from fama_lab.randlin import RngStream, sample_cgauss_matrix
+from fama_lab.mc_engine import _cgauss, _reference_matrix, _weights_for_scheme
+from fama_lab.randlin import RngStream
+
+
+def _beams(H, scheme):
+    """Unit-norm beams for one M x U reference matrix (an n = 1 batch)."""
+    gen = RngStream(0, 0).generator()
+    beta = (1.0,) * H.shape[1]
+    W, resampled, _ = _weights_for_scheme(gen, H[None], scheme, beta)
+    assert resampled == 0
+    return W[0]
 
 
 class TestMrt:
     def test_basis_vector(self):
         H = np.array([[1.0], [0.0]], dtype=complex)
-        assert np.allclose(mrt_precoders(H).vectors, H)
+        assert np.allclose(_beams(H, "MRT"), H)
 
     def test_normalization(self):
         H = np.array([[3.0], [4.0j]], dtype=complex)
-        w = mrt_precoders(H).vector(0)
-        assert np.allclose(w, [0.6, 0.8j])
+        assert np.allclose(_beams(H, "MRT")[:, 0], [0.6, 0.8j])
 
     def test_alignment_property(self):
-        stream = RngStream(1, 0)
-        for _ in range(50):
-            H = sample_cgauss_matrix(stream, (6, 3))
-            ps = mrt_precoders(H)
-            for u in range(3):
-                gain = np.vdot(H[:, u], ps.vector(u))
-                assert gain.imag == pytest.approx(0.0, abs=1e-12)
-                assert gain.real == pytest.approx(np.linalg.norm(H[:, u]))
-
-    def test_zero_column_rejected(self):
-        H = np.zeros((4, 2), dtype=complex)
-        with pytest.raises(ValueError):
-            mrt_precoders(H)
+        gen = RngStream(1, 0).generator()
+        H = _cgauss(gen, (50, 6, 3))
+        W, _, _ = _weights_for_scheme(gen, H, "MRT", (1.0,) * 3)
+        gains = np.einsum("nmu,nmu->nu", H.conj(), W)
+        assert np.allclose(gains.imag, 0.0, atol=1e-12)
+        assert np.allclose(gains.real, np.linalg.norm(H, axis=1))
 
 
 class TestZf:
     def test_single_user_equals_mrt(self):
-        stream = RngStream(2, 0)
-        H = sample_cgauss_matrix(stream, (5, 1))
-        assert np.allclose(zf_precoders(H).vectors, mrt_precoders(H).vectors)
+        H = _cgauss(RngStream(2, 0).generator(), (5, 1))
+        assert np.allclose(_beams(H, "ZF"), _beams(H, "MRT"))
 
     def test_orthonormal_columns(self):
         H = np.eye(4, 2, dtype=complex)
-        assert np.allclose(zf_precoders(H).vectors, H)
+        assert np.allclose(_beams(H, "ZF"), H)
 
     def test_hand_case(self):
         # Columns h1=(1,0), h2=(1,1): unnormalized solve gives
         # [[1,0],[-1,1]], so w1 = (1,-1)/sqrt(2), w2 = (0,1), and the
         # nulling h2^H w1 = 0 holds.
         H = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
-        ps = zf_precoders(H)
-        assert np.allclose(ps.vector(0), np.array([1.0, -1.0]) / math.sqrt(2))
-        assert np.allclose(ps.vector(1), [0.0, 1.0])
-        assert abs(np.vdot(H[:, 1], ps.vector(0))) < 1e-12
-        assert abs(np.vdot(H[:, 0], ps.vector(1))) < 1e-12
+        W = _beams(H, "ZF")
+        assert np.allclose(W[:, 0], np.array([1.0, -1.0]) / math.sqrt(2))
+        assert np.allclose(W[:, 1], [0.0, 1.0])
+        assert abs(np.vdot(H[:, 1], W[:, 0])) < 1e-12
+        assert abs(np.vdot(H[:, 0], W[:, 1])) < 1e-12
 
     def test_unit_norms_and_nulling_over_draws(self):
-        stream = RngStream(3, 0)
-        worst_norm = 0.0
-        worst_null = 0.0
-        for _ in range(2_000):
-            H = sample_cgauss_matrix(stream, (8, 4))
-            ps = zf_precoders(H)
-            worst_norm = max(worst_norm, float(np.max(np.abs(
-                np.linalg.norm(ps.vectors, axis=0) - 1.0))))
-            proj = np.abs(H.conj().T @ ps.vectors)
-            np.fill_diagonal(proj, 0.0)
-            rel = proj / np.linalg.norm(H, axis=0)[:, None]
-            worst_null = max(worst_null, float(rel.max()))
+        gen = RngStream(3, 0).generator()
+        H = _cgauss(gen, (2_000, 8, 4))
+        W, _, H = _weights_for_scheme(gen, H, "ZF", (1.0,) * 4)
+        worst_norm = np.max(np.abs(np.linalg.norm(W, axis=1) - 1.0))
+        proj = np.abs(np.einsum("nmu,nmv->nuv", H.conj(), W))
+        proj[:, np.arange(4), np.arange(4)] = 0.0
+        worst_null = np.max(proj / np.linalg.norm(H, axis=1)[:, :, None])
         assert worst_norm <= 1e-12
         assert worst_null <= 1e-10
+
+    def test_resample_leaves_input_alone(self):
+        gen = RngStream(8, 0).generator()
+        H = _reference_matrix(gen, 6, 4, 2, (1.0, 1.0))
+        H[3, :, 1] = 2.0 * H[3, :, 0]  # rank-1 Gram in row 3
+        before = H.copy()
+        W, resampled, H_used = _weights_for_scheme(gen, H, "ZF", (1.0, 1.0))
+        assert resampled == 1
+        assert np.array_equal(H, before)
+        assert not np.array_equal(H_used[3], before[3])
+        others = [0, 1, 2, 4, 5]
+        assert np.array_equal(H_used[others], before[others])
+        cross = np.abs(np.einsum("nmu,nmv->nuv", H_used.conj(), W))
+        assert np.max(cross[:, [0, 1], [1, 0]]) < 1e-12
 
 
 class TestGainLaws:
@@ -79,7 +87,7 @@ class TestGainLaws:
         n = 100_000
         gen = RngStream(4, 0).generator()
         H = _reference_matrix(gen, n, 8, 4, (1.0,) * 4)
-        W, _ = _weights_for_scheme(gen, H, "ZF", (1.0,) * 4)
+        W, _, H = _weights_for_scheme(gen, H, "ZF", (1.0,) * 4)
         gains = np.abs(np.einsum("nm,nm->n", H[:, :, 0].conj(), W[:, :, 0])) ** 2
         # Gamma(M-U+1, 1): mean 5, variance 5
         assert gains.mean() == pytest.approx(5.0, abs=3 * math.sqrt(5.0 / n))
@@ -88,14 +96,17 @@ class TestGainLaws:
         n = 100_000
         gen = RngStream(5, 0).generator()
         H = _reference_matrix(gen, n, 8, 4, (1.0,) * 4)
-        W, _ = _weights_for_scheme(gen, H, "MRT", (1.0,) * 4)
+        W, _, _ = _weights_for_scheme(gen, H, "MRT", (1.0,) * 4)
         gains = np.abs(np.einsum("nm,nm->n", H[:, :, 0].conj(), W[:, :, 0])) ** 2
         assert gains.mean() == pytest.approx(8.0, abs=3 * math.sqrt(8.0 / n))
 
     def test_batched_zf_matches_contract_op(self):
         gen = RngStream(6, 0).generator()
         H = _reference_matrix(gen, 64, 8, 4, (1.0,) * 4)
-        W, resampled = _weights_for_scheme(gen, H.copy(), "ZF", (1.0,) * 4)
+        W, resampled, H = _weights_for_scheme(gen, H, "ZF", (1.0,) * 4)
         assert resampled == 0
         for i in (0, 17, 63):
-            assert np.allclose(W[i], zf_precoders(H[i]).vectors, atol=1e-10)
+            # Oracle: the pseudo-inverse's conjugate transpose is H (H^H H)^{-1}.
+            expect = np.linalg.pinv(H[i]).conj().T
+            expect /= np.linalg.norm(expect, axis=0)
+            assert np.allclose(W[i], expect, atol=1e-10)
