@@ -24,11 +24,14 @@ from .analytic_stats import (
     betaprime_sf,
     ln_betaprime_cdf,
 )
-from .channel_geom import SystemConfig, selectable_port_indices
+from .channel_geom import SystemConfig, geometry_for_config, selectable_port_indices
 from .mc_engine import (
+    _BASE_OUTAGE_PHYSICAL,
+    _BASE_SIR_BATCH,
     CHUNK_SIZE,
     EmpiricalCdf,
     _chunk_ports_sir,
+    _iter_chunks,
     _reference_matrix,
     _weights_for_scheme,
     estimate_marginal_tail,
@@ -36,7 +39,6 @@ from .mc_engine import (
     run_cdf_experiment,
     run_correlation_experiment,
     run_outage_experiment,
-    simulate_sir_batch,
     surrogate_gain_sample,
     wilson_half_width,
 )
@@ -180,19 +182,29 @@ def criterion_05_correlation_model(seed: int = SUITE_SEED) -> CriterionResult:
     return CriterionResult(5, "correlation model", passed, detail, secs)
 
 
-def _per_port_cdfs(config: SystemConfig, grid, realizations: int):
-    """Empirical CDFs F_k of every selectable port, (ports, len(grid)).
+def _per_port_cdfs(config: SystemConfig, grid, realizations: int,
+                   stream_base: int):
+    """Empirical CDFs F_k of every selectable port, (ports, len(grid)), and
+    the CDF of the selected (largest) SIR, (len(grid),).
 
-    Drawn by simulate_sir_batch in CHUNK_SIZE blocks, whose stream ids are
-    disjoint from the outage run's, so the F_k are independent of it.
+    Each CHUNK_SIZE block of realizations is drawn by _chunk_ports_sir on
+    stream stream_base + block, the layout run_outage_experiment uses.  So
+    stream_base = _BASE_OUTAGE_PHYSICAL replays the outage run's own
+    realizations (the streams are counter-based), and _BASE_SIR_BATCH draws
+    ports independent of it.
     """
+    geometry = geometry_for_config(config)
     sel_idx = selectable_port_indices(config)
     counts = np.zeros((len(sel_idx), len(grid)))
-    for block, start in enumerate(range(0, realizations, CHUNK_SIZE)):
-        size = min(CHUNK_SIZE, realizations - start)
-        sirs = simulate_sir_batch(config, size, stream_id=block).sirs[:, sel_idx]
+    selected = np.zeros(len(grid))
+    for block, size in _iter_chunks(realizations, CHUNK_SIZE):
+        sirs = _chunk_ports_sir(
+            RngStream(config.seed, stream_base + block), size, config.M,
+            config.U, config.scheme, config.beta, config.powers,
+            tuple(geometry.mu))[0][:, sel_idx]
         counts += [EmpiricalCdf.bin_samples(grid, port) for port in sirs.T]
-    return counts / realizations
+        selected += EmpiricalCdf.bin_samples(grid, sirs.max(axis=1))
+    return counts / realizations, selected / realizations
 
 
 def criterion_06_outage_sandwich(seed: int = SUITE_SEED) -> CriterionResult:
@@ -215,8 +227,11 @@ def criterion_06_outage_sandwich(seed: int = SUITE_SEED) -> CriterionResult:
     independent stream:
       - Frechet sandwich max(0, 1 - sum_k (1 - F_k)) <= P <= min_k F_k;
       - independent limit P >= prod_k F_k;
-      - W > 0 (ports differ): selection gain, min_k F_k - P above the
-        tolerance at some gamma, which no fixed-port rule meets;
+      - W > 0 (ports differ): selection gain, min_k F_k - P above 2x its
+        Wilson half-width at some gamma, with F_k read on the outage run's
+        own realizations (its chunk streams replayed).  Paired, F_k - P is
+        the share of realizations in which port k is in outage and the
+        selection is not, so a fixed-port rule reads exactly 0;
       - W = 4: |P - prod_k F_k| <= 0.05 in the band;
       - W = 0 (all ports are the reference, the fully correlated limit):
         |P - min_k F_k| within the tolerance.
@@ -247,7 +262,7 @@ def criterion_06_outage_sandwich(seed: int = SUITE_SEED) -> CriterionResult:
             iid_prox = float(np.max(np.abs(res.iid - res.iid_analytic)[band]))
 
             p, h_p = res.correlated, res.correlated_ci
-            f_k = _per_port_cdfs(cfg, res.gamma_grid, n)
+            f_k, _ = _per_port_cdfs(cfg, res.gamma_grid, n, _BASE_SIR_BATCH)
             h_k = wilson_half_width(f_k, n)
             frechet = np.maximum(0.0, 1.0 - np.sum(1.0 - f_k, axis=0))
             h_frechet = np.where(frechet > 0.0, h_k.sum(axis=0), 0.0)
@@ -275,13 +290,20 @@ def criterion_06_outage_sandwich(seed: int = SUITE_SEED) -> CriterionResult:
                 parts.append(f"{name}<={float(np.max(excess)):.4f} "
                              f"({used:.2f} of 2CI)")
             if W > 0.0:
-                # Selecting the strongest port gains over every single port:
-                # P sits below min_k F_k by more than 2 CI at some gamma.
-                gain = f_min - p
-                used = float(np.max(gain / (2.0 * np.hypot(h_p, h_min))))
-                ok = ok and used > 1.0
-                parts.append(f"min_k F_k-P>={float(np.max(gain)):.4f} "
-                             f"({used:.2f} of 2CI, needs > 1)")
+                # Selecting the strongest port gains over every single port,
+                # read on the outage run's own realizations: F_k - P is then
+                # the share in which port k is in outage and the selection
+                # is not, a proportion of n, and it exceeds 2 CI somewhere.
+                paired, replay = _per_port_cdfs(cfg, res.gamma_grid, n,
+                                                _BASE_OUTAGE_PHYSICAL)
+                replayed = bool(np.array_equal(replay, p))
+                gain = np.min(paired, axis=0) - p
+                half = wilson_half_width(np.clip(gain, 0.0, 1.0), n)
+                used = float(np.max(gain / (2.0 * half)))
+                ok = ok and replayed and used > 1.0
+                parts.append(f"paired min_k F_k-P>={float(np.max(gain)):.4f} "
+                             f"({used:.2f} of 2CI, needs > 1"
+                             f"{'' if replayed else ', replay MISMATCH'})")
             if W == 4.0:
                 prox = float(np.max(np.abs(p - prod)[band]))
                 ok = ok and prox <= 0.05
