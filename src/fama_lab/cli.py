@@ -33,6 +33,7 @@ from .analytic_stats import (
 )
 from .channel_geom import SystemConfig
 from .mc_engine import (
+    _CORRELATION_U_REFUSAL,
     resolve_workers,
     run_cdf_experiment,
     run_correlation_experiment,
@@ -56,6 +57,9 @@ _CONFIG_KEYS = {
 
 _FIG5_GRID = np.logspace(-3.0, 3.0, 241)
 
+# Commands that write one CSV per scheme; a config-file scheme is refused.
+_BOTH_SCHEME_COMMANDS = ("fig2", "fig3", "fig4", "fig5")
+
 
 class ConfigError(ValueError):
     pass
@@ -78,8 +82,13 @@ def _parse_value(key: str, raw: str):
         raise ConfigError(f"config key {key!r}: cannot parse value {raw!r}") from exc
 
 
-def parse_config(path: str | None = None, overrides: dict | None = None) -> SystemConfig:
-    """Read `key = value` lines (with # comments), then apply flag overrides."""
+def parse_config(path: str | None = None, overrides: dict | None = None,
+                 both_schemes: bool = False) -> SystemConfig:
+    """Read `key = value` lines (with # comments), then apply flag overrides.
+
+    both_schemes: the command runs MRT and ZF both, so a `scheme` key in
+    the file is refused by name rather than ignored.
+    """
     values: dict = {}
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
@@ -92,6 +101,11 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> Syst
                 key, raw = (part.strip() for part in stripped.split("=", 1))
                 if key not in _CONFIG_KEYS:
                     raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+                if both_schemes and key == "scheme":
+                    raise ConfigError(
+                        f"{path}:{lineno}: config key 'scheme' is not used here: "
+                        "this command writes one CSV per scheme (MRT, and ZF "
+                        "when M >= U)")
                 values[key] = _parse_value(key, raw)
     for key, val in (overrides or {}).items():
         if val is None:
@@ -220,6 +234,8 @@ def run_fig2(config: SystemConfig, out_dir: str, workers: int,
 
 def run_fig3(config: SystemConfig, out_dir: str, workers: int,
              manifest: RunManifest) -> None:
+    if config.U <= 3:
+        raise ConfigError(_CORRELATION_U_REFUSAL.format(U=config.U, L=config.L))
     for cfg in _scheme_configs(config):
         res = run_correlation_experiment(cfg, workers=workers)
         rows = []
@@ -311,8 +327,11 @@ def run_fig5(config: SystemConfig, out_dir: str, workers: int,
 
 def run_sweep(config: SystemConfig, out_dir: str, workers: int,
               manifest: RunManifest, grids: dict) -> None:
+    """Outage over the grid; every point is built and checked before the
+    first one runs, so a bad point writes no CSV."""
     per_user = {U: {name: _per_user(getattr(config, name), U, name)
                     for name in ("beta", "powers")} for U in grids["U"]}
+    points = []
     for scheme in grids["scheme"]:
         for M in grids["M"]:
             for U in grids["U"]:
@@ -321,18 +340,21 @@ def run_sweep(config: SystemConfig, out_dir: str, workers: int,
                     continue
                 for N in grids["N"]:
                     for W in grids["W"]:
-                        cfg = replace(config, M=M, U=U, N=N, W=W,
-                                      scheme=scheme, **per_user[U])
-                        res = run_outage_experiment(cfg, workers=workers)
-                        name = (f"sweep_{scheme.lower()}_M{M}_U{U}_N{N}_"
-                                f"W{W:g}.csv")
-                        write_curve_csv(os.path.join(out_dir, name),
-                                        _outage_rows(res))
-                        manifest.outputs.append(name)
-                        manifest.experiments.append(
-                            (name[:-4], "realizations", res.realizations)
-                        )
-                        print(f"sweep: wrote {name}")
+                        try:
+                            points.append(replace(config, M=M, U=U, N=N, W=W,
+                                                  scheme=scheme, **per_user[U]))
+                        except ValueError as exc:
+                            raise ConfigError(
+                                f"sweep point scheme={scheme} M={M} U={U} "
+                                f"N={N} W={W:g}: {exc}") from exc
+    for cfg in points:
+        res = run_outage_experiment(cfg, workers=workers)
+        name = (f"sweep_{cfg.scheme.lower()}_M{cfg.M}_U{cfg.U}_N{cfg.N}_"
+                f"W{cfg.W:g}.csv")
+        write_curve_csv(os.path.join(out_dir, name), _outage_rows(res))
+        manifest.outputs.append(name)
+        manifest.experiments.append((name[:-4], "realizations", res.realizations))
+        print(f"sweep: wrote {name}")
 
 
 def run_validate(config: SystemConfig, out_dir: str | None) -> int:
@@ -360,7 +382,10 @@ def run_validate(config: SystemConfig, out_dir: str | None) -> int:
 def _split_list(raw: str | None, kind, fallback):
     if raw is None:
         return [fallback]
-    return [kind(v) for v in str(raw).split(",")]
+    try:
+        return [kind(v) for v in str(raw).split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"cannot parse {raw!r} as a list of {kind.__name__}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -407,7 +432,8 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, key, None) is not None
     }
     try:
-        config = parse_config(args.config, overrides)
+        config = parse_config(args.config, overrides,
+                              both_schemes=args.command in _BOTH_SCHEME_COMMANDS)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -13,6 +13,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -62,6 +63,13 @@ DEFAULT_MARGINAL_REALIZATIONS = 1_000_000
 
 # Two-sided 95% normal quantile of the empirical-curve confidence intervals.
 _Z95 = 1.959963984540054
+
+# Beta-prime(a, b) has a finite variance only for b > 2, so the per-port
+# SIR with L = U - 1 interferers has one only for U >= 4.
+_CORRELATION_U_REFUSAL = (
+    "correlation experiment needs U >= 4: with U={U} there are L={L} <= 2 "
+    "interferers, the SIR has infinite variance and its Pearson coefficient "
+    "is undefined")
 
 _GRAM_TOLERANCE = 1e-12
 _MAX_RESAMPLE_ROUNDS = 100
@@ -267,7 +275,7 @@ def ks_distance(empirical: EmpiricalCdf, analytic_cdf) -> float:
 
 def _cgauss(gen: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     z = gen.standard_normal(shape + (2,))
-    return np.sqrt(0.5) * (z[..., 0] + 1j * z[..., 1])
+    return np.sqrt(0.5) * z.view(np.complex128)[..., 0]
 
 
 def _normalize_rows(v: np.ndarray) -> np.ndarray:
@@ -281,59 +289,109 @@ def _reference_matrix(gen, n: int, M: int, U: int, beta) -> np.ndarray:
     return np.transpose(h, (0, 2, 1))
 
 
-def _zf_weights(gen, H: np.ndarray, beta) -> tuple[np.ndarray, int, np.ndarray]:
-    """Batched unit-norm ZF beams with discard-and-resample on singular Grams.
+def _reference_factor(gen, n: int, M: int, U: int, beta) -> np.ndarray:
+    """Draw the triangular factor R (n, r, U), r = min(M, U), of reference
+    channels H = QR, without drawing H or Q.
 
-    Returns (W, resampled, H): rows whose Gram fails the condition test are
-    redrawn into a copy, so the caller's array is left alone and the beams
-    pair with the returned H.
+    For i.i.d. CN(0, 1) columns the factor with a positive diagonal has
+    independent entries (the complex Bartlett decomposition; Goodman, Ann.
+    Math. Stat. 1963): |R_ii|^2 ~ Gamma(M - i, 1) on the diagonal, CN(0, 1)
+    above it and 0 below.  Column u is then scaled by sqrt(beta_u).  Draw
+    order: the r diagonal Gammas, then the entries above the diagonal, row
+    by row.
+    """
+    r = min(M, U)
+    root_beta = np.sqrt(np.asarray(beta, dtype=float))
+    diag = np.arange(r)
+    rows, cols = np.triu_indices(r, 1, U)
+    R = np.zeros((n, r, U), dtype=complex)
+    gains = gen.standard_gamma(M - diag, size=(n, r))
+    R[:, diag, diag] = np.sqrt(gains) * root_beta[:r]
+    R[:, rows, cols] = _cgauss(gen, (n, len(rows))) * root_beta[cols]
+    return R
+
+
+def _lower_inverse(chol: np.ndarray) -> np.ndarray:
+    """Inverses of lower-triangular matrices (n, U, U), row by row by
+    forward substitution (np.linalg.inv would factor each one again)."""
+    inv = np.zeros_like(chol)
+    recip = 1.0 / np.einsum("nii->ni", chol)
+    for i in range(chol.shape[1]):
+        inv[:, i, :i] = -np.einsum("nk,nkj->nj", chol[:, i, :i],
+                                   inv[:, :i, :i]) * recip[:, i, None]
+        inv[:, i, i] = recip[:, i]
+    return inv
+
+
+def _gram_inverse(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse Grams (H^H H)^{-1}, (n, U, U), from one Cholesky factor each,
+    and a (n,) flag of the rows whose Gram fails the condition test.
+
+    A row fails when its Gram G is not positive definite or when
+    tr(G) tr(G^{-1}) > 1 / _GRAM_TOLERANCE.  That product bounds cond(G)
+    from above, so every Gram whose condition number exceeds the limit
+    fails.  np.linalg.cholesky refuses the whole stack when one Gram is not
+    positive definite; then the rows whose eigenvalues already fail the test
+    are flagged and only the others are factored.
+    """
+    gram = np.matmul(np.conj(np.swapaxes(H, 1, 2)), H)
+    try:
+        chol = np.linalg.cholesky(gram)
+        factored = np.ones(len(H), dtype=bool)
+    except np.linalg.LinAlgError:
+        eig = np.linalg.eigvalsh(gram)
+        factored = eig[:, 0] > eig[:, -1] * _GRAM_TOLERANCE
+        chol = np.broadcast_to(np.eye(H.shape[2], dtype=complex), gram.shape).copy()
+        chol[factored] = np.linalg.cholesky(gram[factored])
+    inv_chol = _lower_inverse(chol)
+    ginv = np.matmul(np.conj(np.swapaxes(inv_chol, 1, 2)), inv_chol)
+    trace = np.einsum("nii->n", gram).real * np.einsum("nii->n", ginv).real
+    return ginv, ~factored | (trace > 1.0 / _GRAM_TOLERANCE)
+
+
+def _zf_weights(gen, H: np.ndarray, beta,
+                redraw=None) -> tuple[np.ndarray, int, np.ndarray]:
+    """Batched unit-norm ZF beams H (H^H H)^{-1} with discard-and-resample
+    on ill-conditioned Grams.
+
+    H holds the reference channels (n, M, U) or their triangular factor R
+    (n, r, U); the rule and the condition test are the same in either frame.
+    Failing rows are redrawn into a copy by redraw(gen, count), by default
+    from _reference_matrix's law, so the caller's array is left alone.
+    Returns (W, resampled, H); the beams pair with the returned H.
     """
     n, M, U = H.shape
+    if redraw is None:
+        redraw = partial(_reference_matrix, M=M, U=U, beta=beta)
+    ginv, bad = _gram_inverse(H)
+    rows = np.flatnonzero(bad)
     resampled = 0
-    for _ in range(_MAX_RESAMPLE_ROUNDS):
-        gram = np.einsum("nmu,nmv->nuv", H.conj(), H)
-        eig = np.linalg.eigvalsh(gram)
-        bad = (eig[:, 0] <= 0.0) | (eig[:, -1] > eig[:, 0] / _GRAM_TOLERANCE)
-        if not np.any(bad):
-            break
-        resampled += int(bad.sum())
+    if len(rows):
         H = H.copy()
-        H[bad] = _reference_matrix(gen, int(bad.sum()), M, U, beta)
-    else:
+    for _ in range(_MAX_RESAMPLE_ROUNDS):
+        if not len(rows):
+            break
+        resampled += len(rows)
+        H[rows] = redraw(gen, len(rows))
+        ginv[rows], bad = _gram_inverse(H[rows])
+        rows = rows[bad]
+    if len(rows):
         raise RuntimeError("ZF Gram resampling failed to converge")
-    raw = np.conj(np.transpose(np.linalg.solve(gram, np.conj(np.transpose(H, (0, 2, 1)))), (0, 2, 1)))
+    raw = np.matmul(H, ginv)
     return raw / np.linalg.norm(raw, axis=1, keepdims=True), resampled, H
 
 
-def _weights_for_scheme(gen, H: np.ndarray, scheme: str,
-                        beta) -> tuple[np.ndarray, int, np.ndarray]:
-    """Unit-norm beams (n, M, U) for the reference channels H (n, M, U).
+def _weights_for_scheme(gen, H: np.ndarray, scheme: str, beta,
+                        redraw=None) -> tuple[np.ndarray, int, np.ndarray]:
+    """Unit-norm beams (n, M, U) for the reference channels H (n, M, U), or
+    the beams in their frame for the factor R (n, r, U).
 
-    Returns (W, resampled, H); only ZF resamples, and then H is a new array.
+    Returns (W, resampled, H); only ZF resamples (see _zf_weights), and then
+    H is a new array.
     """
     if scheme == "MRT":
         return H / np.linalg.norm(H, axis=1, keepdims=True), 0, H
-    return _zf_weights(gen, H, beta)
-
-
-def _port_channels(gen, h0: np.ndarray, beta0: float, mu) -> np.ndarray:
-    """User 0's channel at every port, (n, P, M), from its reference h0 (n, M).
-
-    Port k is sqrt(beta0) (mu_k x0 + sqrt(1 - mu_k^2) x_k), with the
-    innovations x_k for ports 2..P drawn here, after the reference.
-    """
-    mu = np.asarray(mu, dtype=float)
-    n, M = h0.shape
-    P = len(mu)
-    innov = _cgauss(gen, (n, P - 1, M)) if P > 1 else None
-    root_b0 = math.sqrt(beta0)
-    x00 = h0 / root_b0  # user-0 reference gaussian
-    ports = np.empty((n, P, M), dtype=complex)
-    ports[:, 0, :] = h0
-    for k in range(1, P):
-        sigma = math.sqrt(max(0.0, 1.0 - mu[k] ** 2))
-        ports[:, k, :] = root_b0 * (mu[k] * x00 + sigma * innov[:, k - 1, :])
-    return ports
+    return _zf_weights(gen, H, beta, redraw)
 
 
 def _sir(num, den):
@@ -342,12 +400,27 @@ def _sir(num, den):
         return np.where(den > INTERFERENCE_FLOOR, num / den, np.inf)
 
 
-def _port_sirs(ports: np.ndarray, W: np.ndarray, powers) -> np.ndarray:
-    """User-0 SIR X_k = P_0 |h_k^H w_0|^2 / sum_{i>=1} P_i |h_k^H w_i|^2 at
-    every port: (n, P) from ports (n, P, M) and beams W (n, M, U)."""
-    proj = np.abs(np.einsum("npm,nmu->npu", ports.conj(), W)) ** 2
-    weighted = proj * np.asarray(powers)[None, None, :]
-    return _sir(weighted[:, :, 0], weighted[:, :, 1:].sum(axis=2))
+def _frame_sirs(r0: np.ndarray, g: np.ndarray, F: np.ndarray, beta0: float,
+                powers, mu) -> np.ndarray:
+    """User-0 SIR X_k = P_0 |z_k^H f_0|^2 / sum_{i>=1} P_i |z_k^H f_i|^2 at
+    every port, (n, P), in the frame Q of the reference channels H = QR.
+
+    r0 = Q^H h_{0,1} (n, r) is user 0's column of R, g (n, P-1, r) holds
+    the frame innovations of ports 2..P and F = Q^H W (n, r, U) the beams.
+    Port k is z_k = Q^H h_{0,k} = mu_k r0 + sqrt(1 - mu_k^2) sqrt(beta0) g_k.
+    """
+    mu = np.asarray(mu, dtype=float)
+    n, r = r0.shape
+    sigma = np.sqrt(np.maximum(0.0, 1.0 - mu[1:] ** 2)) * math.sqrt(beta0)
+    z = np.empty((n, len(mu), r), dtype=complex)
+    z[:, 0] = r0
+    np.multiply(sigma[:, None], g, out=z[:, 1:])
+    z[:, 1:] += mu[1:, None] * r0[:, None, :]
+    # |z^H f|^2 = |f^H z|^2: conjugating F (n, r, U) is cheaper than z.
+    proj = np.matmul(z, F.conj())
+    gains = proj.real ** 2 + proj.imag ** 2
+    powers = np.asarray(powers, dtype=float)
+    return _sir(powers[0] * gains[:, :, 0], gains[:, :, 1:] @ powers[1:])
 
 
 def _chunk_marginal_counts(stream: RngStream, n: int, a: int, b: int, grid):
@@ -417,14 +490,23 @@ def _chunk_ports_sir(stream: RngStream, n: int, M: int, U: int, scheme: str,
                      beta, powers, mu):
     """User-0 SIR at every geometry port: (n, P) array plus resample count.
 
-    Draw order: reference gaussians for all users, then (after any Gram
-    resampling) user-0 innovations for ports 2..P.
+    The SIRs depend on the channels only through their projections onto
+    the U beams, so the kernel works in the orthonormal frame Q of the
+    reference channels H = QR: it draws R (see _reference_factor), builds
+    the beams F = Q^H W from R by the MRT/ZF rule, and draws each port's
+    innovation as g_k ~ CN(0, I_r), the law of Q^H x_k.  Nothing is
+    M-dimensional, so the work does not grow with M.
+
+    Draw order: R (diagonal Gammas, then the entries above the diagonal),
+    any ZF redraws of R, then the innovations g (n, P-1, r) of ports 2..P.
     """
     gen = stream.generator()
-    H = _reference_matrix(gen, n, M, U, beta)
-    W, resampled, H = _weights_for_scheme(gen, H, scheme, beta)
-    ports = _port_channels(gen, H[:, :, 0], float(np.asarray(beta)[0]), mu)
-    return _port_sirs(ports, W, powers), resampled
+    R = _reference_factor(gen, n, M, U, beta)
+    redraw = partial(_reference_factor, M=M, U=U, beta=beta)
+    F, resampled, R = _weights_for_scheme(gen, R, scheme, beta, redraw)
+    g = _cgauss(gen, (n, len(mu) - 1, R.shape[1]))
+    beta0 = float(np.asarray(beta)[0])
+    return _frame_sirs(R[:, :, 0], g, F, beta0, powers, mu), resampled
 
 
 def _chunk_outage_physical(
@@ -445,15 +527,36 @@ def _chunk_outage_iid(stream, n, a, b, N, grid):
     return EmpiricalCdf.bin_samples(np.asarray(grid), best), 0, 0
 
 
-def _chunk_corr_sums(stream, n, M, U, scheme, beta, powers, mu, est_idx):
+def _chunk_corr_moments(stream, n, M, U, scheme, beta, powers, mu, est_idx):
+    """Centred moments of one chunk's finite SIR rows: (mean, m2, used,
+    dropped, resampled), m2 the matrix of centred cross-products."""
     sirs, resampled = _chunk_ports_sir(stream, n, M, U, scheme, beta, powers, mu)
     sub = sirs[:, np.asarray(est_idx, dtype=int)]
     keep = np.all(np.isfinite(sub), axis=1)
     dropped = int(np.count_nonzero(~keep))
     sub = sub[keep]
-    s1 = sub.sum(axis=0)
-    s2 = sub.T @ sub
-    return s1, s2, len(sub), dropped, resampled
+    mean = sub.mean(axis=0) if len(sub) else np.zeros(sub.shape[1])
+    dev = sub - mean
+    return mean, dev.T @ dev, len(sub), dropped, resampled
+
+
+def _merge_moments(parts) -> tuple[np.ndarray, np.ndarray, int]:
+    """Merge (mean, m2, count) moments in order with the pairwise update of
+    Chan, Golub & LeVeque (1983): no raw second moments, so no cancellation
+    between sum x^2 / n and the squared mean."""
+    mean, m2, count = None, None, 0
+    for part_mean, part_m2, part_count in parts:
+        if part_count == 0:
+            continue
+        if count == 0:
+            mean, m2, count = part_mean, part_m2, part_count
+            continue
+        total = count + part_count
+        delta = part_mean - mean
+        mean = mean + delta * (part_count / total)
+        m2 = m2 + part_m2 + np.outer(delta, delta) * (count * part_count / total)
+        count = total
+    return mean, m2, count
 
 
 # ---------------------------------------------------------------------------
@@ -612,34 +715,32 @@ def run_correlation_experiment(
     Estimation always excludes the reference location (under ZF its SIR is
     unbounded; under MRT the analytic approximation targets cross-port
     pairs), so member mode estimates over ports 2..N and external mode over
-    the N selectable ports.
+    the N selectable ports.  U <= 3 is refused: the SIR then has infinite
+    variance.  Each chunk contributes centred moments, merged in chunk
+    order by _merge_moments.
     """
     if config.N < 3:
         raise ValueError("correlation experiment needs N >= 3 ports")
-    if config.U < 2:
-        raise ValueError("correlation experiment needs U >= 2")
+    if config.U <= 3:
+        raise ValueError(_CORRELATION_U_REFUSAL.format(U=config.U, L=config.L))
     mode = config.resolved_reference_mode()
     geometry = geometry_for_config(config)
     est_idx = np.arange(1, geometry.num_ports)
     n = realizations or config.realizations or DEFAULT_PHYSICAL_REALIZATIONS
     workers = resolve_workers(workers)
     results = _run_chunked(
-        _chunk_corr_sums,
+        _chunk_corr_moments,
         (config.M, config.U, config.scheme, config.beta, config.powers,
          tuple(geometry.mu), tuple(est_idx)),
         n, config.seed, _BASE_CORRELATION, workers,
     )
-    s1 = sum(r[0] for r in results)
-    s2 = sum(r[1] for r in results)
-    used = sum(r[2] for r in results)
+    _, m2, used = _merge_moments((r[0], r[1], r[2]) for r in results)
     dropped = sum(r[3] for r in results)
     resampled = sum(r[4] for r in results)
     if used < 2:
         raise ValueError("not enough finite realizations for correlation")
-    mean = s1 / used
-    cov = s2 / used - np.outer(mean, mean)
-    sd = np.sqrt(np.diag(cov))
-    matrix = cov / np.outer(sd, sd)
+    sd = np.sqrt(np.diag(m2))
+    matrix = m2 / np.outer(sd, sd)
     np.fill_diagonal(matrix, 1.0)
     p = len(est_idx)
     meff = betaprime_params(config.scheme, config.M, config.U).a

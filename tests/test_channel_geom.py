@@ -15,8 +15,9 @@ from fama_lab.channel_geom import (
     port_displacements,
     selectable_port_indices,
 )
-from fama_lab.mc_engine import _port_channels, _reference_matrix
+from fama_lab.mc_engine import _cgauss, _reference_matrix
 from fama_lab.randlin import RngStream
+from physical_oracle import port_channels
 
 mp.mp.dps = 30
 
@@ -112,13 +113,14 @@ class TestSelectablePorts:
 
 
 class TestGenerateChannelSet:
-    """The batched channel draw: reference matrix, then user-0 ports."""
+    """The physical channel draw: the reference matrix, then user 0's
+    ports built by the test oracle."""
 
     def test_fully_correlated_limit(self):
         geo = geometry_for_config(SystemConfig(N=4, W=0.0))
         gen = RngStream(3, 0).generator()
         H = _reference_matrix(gen, 16, 8, 4, (1.0,) * 4)
-        ports = _port_channels(gen, H[:, :, 0], 1.0, geo.mu)
+        ports = port_channels(H[:, :, 0], _cgauss(gen, (16, 3, 8)), 1.0, geo.mu)
         for k in range(1, 4):
             assert np.allclose(ports[:, k, :], ports[:, 0, :])
 
@@ -138,7 +140,8 @@ class TestGenerateChannelSet:
         z = RngStream(5, 0).generator().standard_normal((16, cfg.U, cfg.M, 2))
         x0 = np.sqrt(0.5) * (z[..., 0] + 1j * z[..., 1])
         assert np.array_equal(H[:, :, 2], x0[:, 2, :])
-        ports = _port_channels(gen, H[:, :, 0], 1.0, geometry_for_config(cfg).mu)
+        e = _cgauss(gen, (16, cfg.N - 1, cfg.M))
+        ports = port_channels(H[:, :, 0], e, 1.0, geometry_for_config(cfg).mu)
         assert np.array_equal(ports[:, 0, :], H[:, :, 0])
 
     def test_exact_mixing_identity(self):
@@ -146,12 +149,8 @@ class TestGenerateChannelSet:
         geo = geometry_for_config(cfg)
         gen = RngStream(6, 0).generator()
         H = _reference_matrix(gen, 16, cfg.M, cfg.U, cfg.beta)
-        ports = _port_channels(gen, H[:, :, 0], 1.0, geo.mu)
-        # Replay: the innovations follow the reference gaussians.
-        replay = RngStream(6, 0).generator()
-        replay.standard_normal((16, cfg.U, cfg.M, 2))
-        z = replay.standard_normal((16, 5, cfg.M, 2))
-        innov = np.sqrt(0.5) * (z[..., 0] + 1j * z[..., 1])
+        innov = _cgauss(gen, (16, 5, cfg.M))
+        ports = port_channels(H[:, :, 0], innov, 1.0, geo.mu)
         for k in range(1, 6):
             sigma = math.sqrt(max(0.0, 1.0 - geo.mu[k] ** 2))
             expect = geo.mu[k] * H[:, :, 0] + sigma * innov[:, k - 1, :]
@@ -178,7 +177,8 @@ class TestGenerateChannelSet:
         n = 60_000
         gen = RngStream(8, 0).generator()
         H = _reference_matrix(gen, n, cfg.M, cfg.U, cfg.beta)
-        ent = _port_channels(gen, H[:, :, 0], 2.0, geo.mu)[:, :, 0]
+        e = _cgauss(gen, (n, 2, cfg.M))
+        ent = port_channels(H[:, :, 0], e, 2.0, geo.mu)[:, :, 0]
         var = np.mean(np.abs(ent[:, 0]) ** 2)
         assert var == pytest.approx(2.0, abs=3 * 2.0 * math.sqrt(2.0 / n))
         got = np.corrcoef(ent[:, 1].real, ent[:, 2].real)[0, 1]

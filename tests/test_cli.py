@@ -97,6 +97,14 @@ class TestFig2:
 
 
 class TestFig3:
+    def test_infinite_variance_refused(self, tmp_path, capsys):
+        # U = 3 leaves L = 2 interferers: the SIR variance is infinite.
+        out = tmp_path / "f3u"
+        assert main(["fig3", "--U", "3", "--realizations", "1000",
+                     "--out", str(out)]) == 2
+        assert "infinite variance" in capsys.readouterr().err
+        assert not any(n.endswith(".csv") for n in os.listdir(out))
+
     def test_pair_schema(self, tmp_path):
         out = str(tmp_path / "f3")
         assert main(["fig3", "--realizations", "4000", "--N", "4",
@@ -196,6 +204,13 @@ class TestSweep:
         assert "powers" in capsys.readouterr().err
         assert not any(n.endswith(".csv") for n in os.listdir(tmp_path / "unequal"))
 
+    def test_bad_grid_point_refused_before_any_csv(self, tmp_path, capsys):
+        out = tmp_path / "bad"
+        assert main(["sweep", "--realizations", "1000", "--sweep-scheme",
+                     "MRT,mrt", "--out", str(out)]) == 2
+        assert "'mrt'" in capsys.readouterr().err
+        assert os.listdir(out) == []
+
     def test_infeasible_zf_skipped(self, tmp_path):
         out = str(tmp_path / "sw2")
         assert main(["sweep", "--realizations", "1000", "--sweep-M", "2",
@@ -216,6 +231,17 @@ class TestErrors:
                      "--out", out]) == 1
         assert not os.path.exists(os.path.join(out, "manifest.txt"))
         assert not any(n.endswith(".csv") for n in os.listdir(out))
+
+    @pytest.mark.parametrize("command", ["fig2", "fig3", "fig4", "fig5"])
+    def test_config_scheme_refused_by_both_scheme_commands(self, tmp_path,
+                                                           capsys, command):
+        p = tmp_path / "zf.cfg"
+        p.write_text("scheme = ZF\n")
+        out = tmp_path / command
+        assert main([command, "--config", str(p), "--realizations", "1000",
+                     "--out", str(out)]) == 2
+        assert "'scheme'" in capsys.readouterr().err
+        assert not out.exists() or os.listdir(out) == []
 
     def test_parser_has_all_commands(self):
         parser = build_parser()

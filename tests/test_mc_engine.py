@@ -2,9 +2,11 @@
 the chunked experiment drivers."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from fama_lab.analytic_stats import BetaPrimeParams, betaprime_cdf
 from fama_lab.channel_geom import SystemConfig, geometry_for_config
@@ -12,7 +14,9 @@ from fama_lab.mc_engine import (
     DEFAULT_GAMMA_GRID,
     EmpiricalCdf,
     _chunk_ports_sir,
-    _port_sirs,
+    _frame_sirs,
+    _reference_factor,
+    _weights_for_scheme,
     ks_distance,
     marginal_model_sample,
     pearson_correlation,
@@ -24,6 +28,7 @@ from fama_lab.mc_engine import (
     surrogate_gain_sample,
 )
 from fama_lab.randlin import RngStream
+from physical_oracle import draw_physical, physical_sirs, port_sirs
 
 
 def _sirs(M, U, N, W, scheme="MRT", powers=None, seed=0, n=64, **kw):
@@ -39,7 +44,7 @@ class TestPhysicalSir:
         h1 = np.array([1.0, 0.0], dtype=complex)
         h2 = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
         W = np.stack([h1, h2], axis=1)[None]  # MRT beams of unit-norm channels
-        sirs = _port_sirs(h1[None, None, :], W, (1.0, 1.0))
+        sirs = port_sirs(h1[None, None, :], W, (1.0, 1.0))
         assert sirs[0, 0] == pytest.approx(2.0, rel=1e-12)
 
     def test_zf_reference_port_infinite(self):
@@ -181,30 +186,105 @@ class TestKsDistance:
             ks_distance(emp, np.array([0.1, 0.2]))
 
 
+# (M, U, N, W, scheme, reference_mode, beta, powers) of the KS comparison.
+_KS_CONFIGS = [
+    (8, 4, 8, 4.0, "MRT", "member", None, None),
+    (8, 4, 4, 0.5, "MRT", "external", None, None),
+    (8, 4, 4, 0.5, "ZF", "member", None, None),
+    (8, 4, 4, 4.0, "ZF", "external", None, None),
+    (2, 4, 4, 1.0, "MRT", "member", None, None),
+    (64, 4, 3, 1.0, "MRT", "member", None, None),
+    (64, 4, 3, 1.0, "ZF", "external", None, None),
+    (8, 4, 4, 1.0, "ZF", "external", (2.0, 0.5, 1.0, 3.0), (4.0, 1.0, 0.5, 2.0)),
+]
+
+
 class TestPortsKernel:
-    def test_matches_per_realization_ops(self):
-        cfg = SystemConfig(M=8, U=4, N=5, W=0.7, scheme="MRT")
+    @pytest.mark.parametrize("M, U, scheme", [(8, 4, "MRT"), (8, 4, "ZF"),
+                                              (4, 4, "ZF"), (3, 5, "MRT")])
+    def test_frame_identity(self, M, U, scheme):
+        # Given one physical draw (H, e), the frame of H = QR carries the
+        # same SIRs: R = chol(H^H H)^H (a QR factor when M < U) and g = Q^H e.
+        beta = (2.0, 0.5, 1.5, 1.0, 0.7)[:U]
+        powers = (3.0, 1.0, 0.5, 2.0, 1.0)[:U]
+        cfg = SystemConfig(M=M, U=U, N=5, W=0.7, scheme=scheme, beta=beta,
+                           powers=powers, reference_mode="external")
         mu = geometry_for_config(cfg).mu
-        M, U, P, n = cfg.M, cfg.U, len(mu), 64
-        sirs, resampled = _chunk_ports_sir(
-            RngStream(40, 0), n, M, U, cfg.scheme, cfg.beta, cfg.powers, tuple(mu))
+        H, e = draw_physical(np.random.default_rng(40), 256, M, U, len(mu), beta)
+        if M >= U:
+            gram = np.einsum("nmu,nmv->nuv", H.conj(), H)
+            R = np.conj(np.swapaxes(np.linalg.cholesky(gram), 1, 2))
+            Q = np.matmul(H, np.linalg.inv(R))
+        else:
+            Q, R = np.linalg.qr(H)
+        g = np.einsum("nmr,npm->npr", Q.conj(), e)
+        F, resampled, _ = _weights_for_scheme(RngStream(40, 0).generator(), R,
+                                              scheme, beta)
         assert resampled == 0
-        # Replay the documented draw order: reference normals for all users,
-        # then user-0 innovations for ports 2..P.
-        gen = RngStream(40, 0).generator()
-        z = gen.standard_normal((n, U, M, 2))
-        x0 = np.sqrt(0.5) * (z[..., 0] + 1j * z[..., 1])
-        z = gen.standard_normal((n, P - 1, M, 2))
-        innov = np.sqrt(0.5) * (z[..., 0] + 1j * z[..., 1])
-        p = np.asarray(cfg.powers)
-        for i in (0, 13, 63):
-            w = [x0[i, u] / np.linalg.norm(x0[i, u]) for u in range(U)]
-            for k in range(P):
-                sig = math.sqrt(max(0.0, 1.0 - mu[k] ** 2))
-                h = mu[k] * x0[i, 0] + sig * (innov[i, k - 1] if k else 0.0)
-                g = [abs(np.vdot(h, w[u])) ** 2 for u in range(U)]
-                expect = p[0] * g[0] / sum(p[u] * g[u] for u in range(1, U))
-                assert sirs[i, k] == pytest.approx(expect, rel=1e-10)
+        got = _frame_sirs(R[:, :, 0], g, F, beta[0], powers, mu)
+        expect = physical_sirs(H, e, scheme, beta[0], powers, mu)
+        assert np.array_equal(np.isinf(got), np.isinf(expect))
+        finite = np.isfinite(expect)
+        assert np.allclose(got[finite], expect[finite], rtol=1e-10, atol=0.0)
+
+    @pytest.mark.parametrize("M, U, N, W, scheme, mode, beta, powers", _KS_CONFIGS)
+    def test_two_sample_ks_against_oracle(self, M, U, N, W, scheme, mode,
+                                          beta, powers):
+        cfg = SystemConfig(M=M, U=U, N=N, W=W, scheme=scheme, beta=beta,
+                           powers=powers, reference_mode=mode)
+        mu = tuple(geometry_for_config(cfg).mu)
+        n = 20_000
+        sirs, _ = _chunk_ports_sir(RngStream(41, 0), n, M, U, scheme, cfg.beta,
+                                   cfg.powers, mu)
+        H, e = draw_physical(np.random.default_rng(41), n, M, U, len(mu), cfg.beta)
+        oracle = physical_sirs(H, e, scheme, cfg.beta[0], cfg.powers, mu)
+        for k in range(len(mu)):
+            nulled = np.isinf(oracle[:, k])
+            assert np.array_equal(np.isinf(sirs[:, k]), nulled)
+            if nulled.all():  # the ZF member-mode reference port
+                continue
+            # A family-wise 1% level over the ~40 ports compared here.
+            assert stats.ks_2samp(sirs[:, k], oracle[:, k]).pvalue > 2.5e-4
+
+    def test_bartlett_law(self):
+        M, U, n = 6, 4, 50_000
+        beta = (1.0, 2.0, 0.5, 1.0)
+        R = _reference_factor(RngStream(42, 1).generator(), n, M, U, beta)
+        unit = _reference_factor(RngStream(42, 1).generator(), n, M, U, (1.0,) * U)
+        assert np.allclose(R, unit * np.sqrt(beta), rtol=1e-15, atol=0.0)
+        assert np.all(unit[:, np.tril(np.ones((U, U), dtype=bool), -1)] == 0.0)
+        diag = unit[:, np.arange(U), np.arange(U)]
+        assert np.all(diag.imag == 0.0) and np.all(diag.real > 0.0)
+        for i in range(U):
+            law = stats.gamma(M - i).cdf
+            assert stats.kstest(np.abs(diag[:, i]) ** 2, law).pvalue > 1e-3
+        above = unit[:, np.triu(np.ones((U, U), dtype=bool), 1)]
+        for part in (above.real, above.imag):
+            assert stats.kstest(math.sqrt(2.0) * part.ravel(), "norm").pvalue > 1e-3
+        # R^H R is the Gram of CN(0, diag(beta)) channels: mean M diag(beta).
+        gram = np.einsum("nru,nrv->uv", R.conj(), R) / n
+        assert np.allclose(gram, M * np.diag(beta), atol=0.1)
+        # M < U: the columns beyond the first M are CN(0, I_M) throughout.
+        wide = _reference_factor(RngStream(42, 2).generator(), n, 2, U, (1.0,) * U)
+        assert wide.shape == (n, 2, U)
+        assert stats.kstest(np.abs(wide[:, 1, 1]) ** 2, stats.gamma(1).cdf).pvalue > 1e-3
+        assert stats.kstest(np.abs(wide[:, 1, 3]) ** 2, stats.gamma(1).cdf).pvalue > 1e-3
+
+    def test_zf_factor_redrawn_from_its_own_law(self):
+        M, U = 6, 3
+        beta = (1.0,) * U
+        gen = RngStream(43, 0).generator()
+        R = _reference_factor(gen, 5, M, U, beta)
+        R[2, :, 1] = 2.0 * R[2, :, 0]  # rank-1 Gram in row 2
+        W, resampled, R_used = _weights_for_scheme(
+            gen, R, "ZF", beta, partial(_reference_factor, M=M, U=U, beta=beta))
+        assert resampled == 1
+        new = R_used[2]
+        assert new.shape == (U, U) and np.all(np.tril(new, -1) == 0.0)
+        assert np.all(np.diag(new).imag == 0.0) and np.all(np.diag(new).real > 0.0)
+        cross = np.abs(np.einsum("nru,nrv->nuv", R_used.conj(), W))
+        cross[:, np.arange(U), np.arange(U)] = 0.0
+        assert np.max(cross) < 1e-12
 
     def test_beta_and_power_invariance(self):
         cfg = SystemConfig(M=8, U=4, N=4, W=0.5)
@@ -315,6 +395,32 @@ class TestExperiments:
     def test_correlation_needs_three_ports(self):
         with pytest.raises(ValueError):
             run_correlation_experiment(SystemConfig(N=2))
+
+    @pytest.mark.parametrize("U", [2, 3])
+    def test_correlation_refuses_infinite_variance(self, U):
+        # Beta-prime(M_eff, L) has a finite variance only for L = U - 1 > 2.
+        with pytest.raises(ValueError, match="infinite variance"):
+            run_correlation_experiment(SystemConfig(U=U, N=4), realizations=1000)
+
+    def test_moment_merge_does_not_cancel(self):
+        # A large common offset over a unit spread: raw sums lose the
+        # spread (sum x^2 / n - mean^2 cancels), centred moments keep it.
+        from fama_lab.mc_engine import _merge_moments
+
+        gen = np.random.default_rng(60)
+        x = 1e8 + gen.standard_normal((3000, 2))
+        x[:, 1] += 0.5 * x[:, 0]
+        parts = []
+        for chunk in np.array_split(x, 7):
+            dev = chunk - chunk.mean(axis=0)
+            parts.append((chunk.mean(axis=0), dev.T @ dev, len(chunk)))
+        mean, m2, count = _merge_moments(parts)
+        dev = x - x.mean(axis=0)
+        assert count == len(x)
+        assert np.allclose(mean, x.mean(axis=0), rtol=1e-12)
+        assert np.allclose(m2, dev.T @ dev, rtol=1e-9)
+        raw = x.T @ x - len(x) * np.outer(x.mean(axis=0), x.mean(axis=0))
+        assert not np.allclose(raw, dev.T @ dev, rtol=1e-3)
 
     def test_fully_correlated_ports_corr_one(self):
         cfg = SystemConfig(M=8, U=4, N=4, W=0.0, scheme="MRT", seed=58)
