@@ -7,8 +7,9 @@ correlated version of it:
     h_{u,1} = sqrt(beta_u) x_{u,0}
     h_{u,k} = sqrt(beta_u) (mu_k x_{u,0} + sqrt(1 - mu_k^2) x_{u,k})
 
-with mu_k = J0(2 pi d_k).  The chunk kernels of mc_engine draw these
-channels in batches.  Note the constructive model gives inter-port
+with mu_k = J0(2 pi d_k).  The per-port kernel of mc_engine draws these
+channels' projections onto the frame of the reference channels, which is
+all the SIRs depend on.  Note the constructive model gives inter-port
 correlation mu_k mu_l for k, l >= 2, which differs from the J0(2 pi |d_k -
 d_l|) kernel for non-adjacent ports; the model is applied verbatim and the
 kernel is exposed separately via correlation_matrix.

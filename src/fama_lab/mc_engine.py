@@ -5,6 +5,12 @@ Realizations are processed in fixed-size chunks, one counter-based RNG
 stream per chunk, so results are bit-identical no matter how many workers
 run the chunks.  Chunk kernels are top-level functions (picklable) that
 return plain arrays; merging happens in chunk order.
+
+The per-port kernel (_chunk_ports_sir) works in the orthonormal frame Q of
+the reference channels H = QR.  It draws the triangular factor R and
+r = min(M, U) dimensional port innovations, never an M-dimensional vector,
+so its cost does not grow with M.  The physical_reference CDF kernels and
+criterion 4 still draw the full channels H (_reference_matrix).
 """
 
 from __future__ import annotations
@@ -544,12 +550,9 @@ def _merge_moments(parts) -> tuple[np.ndarray, np.ndarray, int]:
     """Merge (mean, m2, count) moments in order with the pairwise update of
     Chan, Golub & LeVeque (1983): no raw second moments, so no cancellation
     between sum x^2 / n and the squared mean."""
-    mean, m2, count = None, None, 0
+    mean, m2, count = 0.0, 0.0, 0
     for part_mean, part_m2, part_count in parts:
         if part_count == 0:
-            continue
-        if count == 0:
-            mean, m2, count = part_mean, part_m2, part_count
             continue
         total = count + part_count
         delta = part_mean - mean

@@ -3,7 +3,10 @@
 Streams are counter-based: a (seed, stream_id) pair keys a Philox generator,
 so chunked Monte-Carlo runs produce identical numbers regardless of how many
 workers consume the chunks.  Channels, beams and SIRs are drawn in batches
-by the chunk kernels of mc_engine.
+by the chunk kernels of mc_engine; the per-port kernel draws, per
+realization, the triangular factor of the reference channels (r = min(M, U)
+Gammas and the CN(0, 1) entries above the diagonal) and then r-dimensional
+CN(0, I) innovations for ports 2..P.
 """
 
 from __future__ import annotations

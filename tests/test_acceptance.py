@@ -9,7 +9,9 @@ reference port is KS 0.166 (M=4) and 0.088 (M=8) from the Beta-prime law
 and off-reference ports lose the array gain (KS 0.08-0.83).  So it is held
 to the same bounds in per-port form, from each port's measured CDF F_k:
 the Frechet sandwich, P >= prod_k F_k, proximity to prod_k F_k at W = 4,
-and to min_k F_k at W = 0, the fully correlated limit.  The analytic
+and to min_k F_k at W = 0, the fully correlated limit.  At W > 0 it also
+needs a selection gain, min_k F_k - P above twice its Wilson half-width,
+with the F_k read on the outage run's own realizations.  The analytic
 margins of the physical curve are still reported.
 """
 

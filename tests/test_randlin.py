@@ -113,6 +113,19 @@ class TestSolveGram:
         cross = H_used[0].conj().T @ W[0]
         assert abs(cross[0, 1]) < 1e-12 and abs(cross[1, 0]) < 1e-12
 
+    def test_ill_conditioned_gram_redrawn(self):
+        # cond(G) = 1e12.2 fails the eigenvalue test, and so the trace test
+        # tr(G) tr(G^-1) >= cond(G); cond(G) = 1e10 passes both.
+        H = np.zeros((2, 3, 2), dtype=complex)
+        H[:, 0, 0] = 1.0
+        H[0, 1, 1] = 10.0 ** -5
+        H[1, 1, 1] = 10.0 ** -6.1
+        W, resampled, H_used = _zf_weights(RngStream(2, 0).generator(), H,
+                                           (1.0, 1.0))
+        assert resampled == 1
+        assert np.array_equal(H_used[0], H[0])
+        assert not np.array_equal(H_used[1], H[1])
+
     def test_shape_validation(self):
         # M < U has a singular Gram in every draw, so resampling gives up.
         with pytest.raises(RuntimeError):
