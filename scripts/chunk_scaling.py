@@ -1,52 +1,82 @@
 """Chunk throughput of the per-port SIR kernel against the array size M.
 
     OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 PYTHONPATH=src \
-        python3 scripts/chunk_scaling.py --repeats 7
+        python3 scripts/chunk_scaling.py --repeats 15 --baseline OTHER/src
 
 Times one CHUNK_SIZE call of mc_engine._chunk_ports_sir per (scheme, M) at
 U=4, N=8, W=4 (MRT in member mode, 8 ports; ZF in external mode, 9 ports)
-and prints one JSON object: the median realizations per second of each
-point.  Point it at another checkout's src/ to compare two versions on one
-machine.
+and prints one JSON object with the median realizations per second of each
+point.  With --baseline, the fama_lab package under that src/ directory is
+imported under another name and its kernel is timed call by call in
+alternation with this one, so a drift in machine speed hits both alike; the
+ratio reported is the median over the pairs of calls.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import statistics
+import sys
 import time
+from pathlib import Path
 
 from fama_lab.channel_geom import SystemConfig, geometry_for_config
 from fama_lab.mc_engine import CHUNK_SIZE, _chunk_ports_sir
 from fama_lab.randlin import RngStream
 
 
-def chunk_rate(config: SystemConfig, repeats: int) -> float:
-    mu = tuple(geometry_for_config(config).mu)
-    args = (CHUNK_SIZE, config.M, config.U, config.scheme, config.beta,
-            config.powers, mu)
-    _chunk_ports_sir(RngStream(1, 0), *args)  # warm-up
-    times = []
-    for i in range(repeats):
-        start = time.perf_counter()
-        _chunk_ports_sir(RngStream(1, i + 1), *args)
-        times.append(time.perf_counter() - start)
-    return CHUNK_SIZE / statistics.median(times)
+def load_baseline(src: Path):
+    """The fama_lab package under src/, imported as baseline_fama_lab."""
+    spec = importlib.util.spec_from_file_location(
+        "baseline_fama_lab", src / "fama_lab" / "__init__.py",
+        submodule_search_locations=[str(src / "fama_lab")])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = package
+    spec.loader.exec_module(package)
+    return package
+
+
+def call_seconds(kernel, stream_type, index: int, args: tuple) -> float:
+    start = time.perf_counter()
+    kernel(stream_type(1, index), *args)
+    return time.perf_counter() - start
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--repeats", type=int, default=7)
+    parser.add_argument("--repeats", type=int, default=15)
     parser.add_argument("--M", default="4,8,16,32,64", help="comma list of M values")
+    parser.add_argument("--baseline", type=Path, help="src/ directory of a version to compare")
     args = parser.parse_args()
-    out = {}
+    kernels = {"change": (_chunk_ports_sir, RngStream)}
+    if args.baseline:
+        base = load_baseline(args.baseline)
+        kernels["baseline"] = (base.mc_engine._chunk_ports_sir, base.randlin.RngStream)
+    points = {}
     for scheme in ("MRT", "ZF"):
         for M in (int(m) for m in args.M.split(",")):
             cfg = SystemConfig(M=M, U=4, N=8, W=4.0, scheme=scheme)
-            out[f"{scheme}_M{M}"] = round(chunk_rate(cfg, args.repeats))
+            call = (CHUNK_SIZE, M, cfg.U, scheme, cfg.beta, cfg.powers,
+                    tuple(geometry_for_config(cfg).mu))
+            times = {name: [] for name in kernels}
+            for name, (kernel, stream) in kernels.items():
+                call_seconds(kernel, stream, 0, call)  # warm-up
+            for i in range(args.repeats):
+                # Alternate which version runs first in each pair of calls.
+                order = list(kernels) if i % 2 == 0 else list(reversed(kernels))
+                for name in order:
+                    kernel, stream = kernels[name]
+                    times[name].append(call_seconds(kernel, stream, i + 1, call))
+            point = {name: round(CHUNK_SIZE / statistics.median(t))
+                     for name, t in times.items()}
+            if "baseline" in times:
+                point["speedup"] = round(statistics.median(
+                    b / c for b, c in zip(times["baseline"], times["change"])), 3)
+            points[f"{scheme}_M{M}"] = point
     print(json.dumps({"chunk_size": CHUNK_SIZE, "U": 4, "N": 8,
-                      "realizations_per_s": out}))
+                      "realizations_per_s": points}))
 
 
 if __name__ == "__main__":

@@ -114,8 +114,8 @@ class TestSolveGram:
         assert abs(cross[0, 1]) < 1e-12 and abs(cross[1, 0]) < 1e-12
 
     def test_ill_conditioned_gram_redrawn(self):
-        # cond(G) = 1e12.2 fails the eigenvalue test, and so the trace test
-        # tr(G) tr(G^-1) >= cond(G); cond(G) = 1e10 passes both.
+        # cond(G) = 1e12.2 exceeds the 1e12 limit, so the trace test, with
+        # tr(G) tr(G^-1) >= cond(G), rejects it; cond(G) = 1e10 passes.
         H = np.zeros((2, 3, 2), dtype=complex)
         H[:, 0, 0] = 1.0
         H[0, 1, 1] = 10.0 ** -5
