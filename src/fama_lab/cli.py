@@ -13,11 +13,13 @@ CSVs byte for byte.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
 import time
 from collections.abc import Iterator
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -148,8 +150,25 @@ class RunManifest:
                      for name, key, value in self.experiments)
         lines.append(f"outputs: {', '.join(self.outputs)}")
         lines.append(f"wall_seconds: {self.wall_seconds:.3f}")
-        with open(path, "w", encoding="utf-8") as fh:
+        with _atomic_open(path) as fh:
             fh.write("\n".join(lines) + "\n")
+
+
+@contextlib.contextmanager
+def _atomic_open(path: str):
+    """Text file opened under a temporary name beside `path`; it replaces
+    `path` only once the block finishes, and is removed if the block fails,
+    so a crash never leaves a truncated output."""
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def _fmt(x: float) -> str:
@@ -158,7 +177,7 @@ def _fmt(x: float) -> str:
 
 def write_curve_csv(path: str, rows: list[tuple]) -> None:
     """Gamma-indexed curve family: one row per (gamma, curve) pair."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _atomic_open(path) as fh:
         fh.write("gamma,gamma_db,value,ci_low,ci_high,curve_id\n")
         for gamma, value, ci_low, ci_high, curve_id in rows:
             gamma_db = 10.0 * math.log10(gamma)
@@ -170,7 +189,7 @@ def write_curve_csv(path: str, rows: list[tuple]) -> None:
 
 def write_pair_csv(path: str, rows: list[tuple]) -> None:
     """Port-pair-indexed curve family: one row per (pair, curve)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _atomic_open(path) as fh:
         fh.write("port_k,port_l,value,ci_low,ci_high,curve_id\n")
         for k, l, value, ci_low, ci_high, curve_id in rows:
             fh.write(f"{k},{l},{_fmt(value)},{_fmt(ci_low)},{_fmt(ci_high)},{curve_id}\n")
@@ -234,6 +253,10 @@ def run_fig2(config: SystemConfig, out_dir: str, workers: int,
 
 def run_fig3(config: SystemConfig, out_dir: str, workers: int,
              manifest: RunManifest) -> None:
+    if config.N < 3:
+        raise ConfigError(f"fig3 needs N >= 3 ports, got N={config.N}: the "
+                          "correlation is estimated over port pairs off the "
+                          "reference")
     if config.U <= 3:
         raise ConfigError(_CORRELATION_U_REFUSAL.format(U=config.U, L=config.L))
     for cfg in _scheme_configs(config):
@@ -347,14 +370,34 @@ def run_sweep(config: SystemConfig, out_dir: str, workers: int,
                             raise ConfigError(
                                 f"sweep point scheme={scheme} M={M} U={U} "
                                 f"N={N} W={W:g}: {exc}") from exc
-    for cfg in points:
-        res = run_outage_experiment(cfg, workers=workers)
-        name = (f"sweep_{cfg.scheme.lower()}_M{cfg.M}_U{cfg.U}_N{cfg.N}_"
-                f"W{cfg.W:g}.csv")
-        write_curve_csv(os.path.join(out_dir, name), _outage_rows(res))
-        manifest.outputs.append(name)
-        manifest.experiments.append((name[:-4], "realizations", res.realizations))
-        print(f"sweep: wrote {name}")
+    # Several points share one pool, each point whole in one worker; a
+    # single point keeps chunk-level parallelism.  Every chunk has its own
+    # stream, so the CSVs do not depend on where a point runs.  Results
+    # come back in grid order and each CSV is written as its result
+    # arrives.  On any failure the queued points are cancelled, not run.
+    pool = None
+    if workers > 1 and len(points) > 1:
+        pool = ProcessPoolExecutor(max_workers=min(workers, len(points)))
+        results = pool.map(_sweep_point, points)
+    else:
+        results = (run_outage_experiment(cfg, workers=workers) for cfg in points)
+    try:
+        for cfg, res in zip(points, results):
+            name = (f"sweep_{cfg.scheme.lower()}_M{cfg.M}_U{cfg.U}_N{cfg.N}_"
+                    f"W{cfg.W:g}.csv")
+            write_curve_csv(os.path.join(out_dir, name), _outage_rows(res))
+            manifest.outputs.append(name)
+            manifest.experiments.append((name[:-4], "realizations",
+                                         res.realizations))
+            print(f"sweep: wrote {name}")
+    finally:
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)
+
+
+def _sweep_point(cfg: SystemConfig):
+    """One sweep point in a pool worker; its chunks run in that worker."""
+    return run_outage_experiment(cfg, workers=1)
 
 
 def run_validate(config: SystemConfig, out_dir: str | None) -> int:
@@ -373,8 +416,7 @@ def run_validate(config: SystemConfig, out_dir: str | None) -> int:
     print(summary)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "validate_report.txt"), "w",
-                  encoding="utf-8") as fh:
+        with _atomic_open(os.path.join(out_dir, "validate_report.txt")) as fh:
             fh.write(table + "\n" + summary + "\n")
     return 1 if failed else 0
 
@@ -464,13 +506,14 @@ def main(argv: list[str] | None = None) -> int:
                 "scheme": _split_list(args.sweep_scheme, str, config.scheme),
             }
             run_sweep(config, out_dir, workers, manifest, grids)
-    except Exception as exc:
-        # Remove partial outputs so a failed run leaves no half-written files.
+    except (Exception, KeyboardInterrupt) as exc:
+        # Remove partial outputs so a failed or interrupted run leaves no
+        # half-written files.
         for name in manifest.outputs:
             path = os.path.join(out_dir, name)
             if os.path.exists(path):
                 os.remove(path)
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2 if isinstance(exc, ConfigError) else 1
     manifest.wall_seconds = time.monotonic() - start
     manifest.write(os.path.join(out_dir, "manifest.txt"))

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from fama_lab.analytic_stats import (
@@ -278,3 +280,39 @@ class TestDiversityOrders:
 
     def test_single_user_equal(self):
         assert diversity_orders("MRT", 6, 1, 4) == diversity_orders("ZF", 6, 1, 4)
+
+
+# Property tests over random integer shapes and positive thresholds.  Few
+# examples keep them quick; a fixed seed keeps them reproducible.
+_shapes = st.integers(min_value=1, max_value=64)
+_thresholds = st.floats(min_value=0.0, max_value=1e8, exclude_min=True,
+                        allow_subnormal=False)
+_properties = settings(max_examples=150, deadline=None, derandomize=True,
+                       database=None)
+
+
+class TestProperties:
+    @_properties
+    @given(a=_shapes, b=_shapes, gamma=_thresholds)
+    def test_cdf_and_sf_add_to_one(self, a, b, gamma):
+        params = BetaPrimeParams(a, b)
+        total = betaprime_cdf(gamma, params) + betaprime_sf(gamma, params)
+        assert total == pytest.approx(1.0, abs=1e-12)
+
+    @_properties
+    @given(a=_shapes, b=_shapes, gamma=_thresholds)
+    def test_finite_sum_matches_incomplete_beta(self, a, b, gamma):
+        params = BetaPrimeParams(a, b)
+        assert betaprime_cdf_finite_sum(gamma, params) == pytest.approx(
+            betaprime_cdf(gamma, params), abs=1e-10)
+
+    @_properties
+    @given(a=_shapes, b=_shapes, gamma=_thresholds,
+           n=st.integers(min_value=1, max_value=256))
+    def test_envelope_ordering(self, a, b, gamma, n):
+        # lower = 1 - N*SF and iid = CDF^N come from separate evaluations,
+        # so at N = 1 they may cross by the CDF + SF = 1 error (seen: 1.1e-15
+        # at a=28, b=1, gamma=3.66e7); the tolerance is that test's.
+        env = outage_envelope(gamma, BetaPrimeParams(a, b), n)
+        assert 0.0 <= env.lower <= env.iid_benchmark + 1e-12
+        assert env.iid_benchmark <= env.upper <= 1.0

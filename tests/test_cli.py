@@ -1,11 +1,20 @@
 """Config parsing, command orchestration, CSV schemas, and manifests."""
 
 import os
+import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
-from fama_lab.cli import ConfigError, build_parser, main, parse_config
+from fama_lab import cli, mc_engine
+from fama_lab.cli import (
+    ConfigError,
+    build_parser,
+    main,
+    parse_config,
+    write_curve_csv,
+)
 
 CURVE_HEADER = "gamma,gamma_db,value,ci_low,ci_high,curve_id"
 PAIR_HEADER = "port_k,port_l,value,ci_low,ci_high,curve_id"
@@ -104,6 +113,14 @@ class TestFig3:
                      "--out", str(out)]) == 2
         assert "infinite variance" in capsys.readouterr().err
         assert not any(n.endswith(".csv") for n in os.listdir(out))
+
+    def test_too_few_ports_refused(self, tmp_path, capsys):
+        # Pairs off the reference need N >= 3: a config error, not a run one.
+        out = tmp_path / "f3n"
+        assert main(["fig3", "--N", "2", "--realizations", "1000",
+                     "--out", str(out)]) == 2
+        assert "N >= 3" in capsys.readouterr().err
+        assert os.listdir(out) == []
 
     def test_pair_schema(self, tmp_path):
         out = str(tmp_path / "f3")
@@ -218,19 +235,123 @@ class TestSweep:
         assert not any(n.startswith("sweep_zf") for n in os.listdir(out))
 
 
+# A grid of 4 points: M in {4, 8} under MRT and ZF at U=4, N=2.
+_SMALL_GRID = ["sweep", "--sweep-M", "4,8", "--sweep-N", "2",
+               "--sweep-scheme", "MRT,ZF"]
+
+
+class TestSweepPool:
+    def test_csv_bytes_independent_of_workers(self, tmp_path, monkeypatch):
+        blobs = {}
+        for workers in (1, 2, 3):
+            monkeypatch.setenv("FAMA_LAB_WORKERS", str(workers))
+            out = tmp_path / f"w{workers}"
+            assert main(_SMALL_GRID + ["--realizations", "17000", "--seed", "3",
+                                       "--out", str(out)]) == 0
+            blobs[workers] = {n: (out / n).read_bytes()
+                              for n in sorted(os.listdir(out)) if n.endswith(".csv")}
+        assert len(blobs[1]) == 4
+        assert blobs[1] == blobs[2] == blobs[3]
+
+    def test_one_pool_per_sweep(self, tmp_path, monkeypatch):
+        # Each pool, in the parent or in a forked worker, logs the pid that
+        # built it.  Points of two chunks each would give two pools per
+        # point if every point ran its own chunks in a pool.
+        log = tmp_path / "pools.log"
+
+        class CountingPool(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                with open(log, "a", encoding="utf-8") as fh:
+                    fh.write(f"{os.getpid()}\n")
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", CountingPool, raising=False)
+        monkeypatch.setattr(mc_engine, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setenv("FAMA_LAB_WORKERS", "2")
+        assert main(_SMALL_GRID + ["--realizations", "16500",
+                                   "--out", str(tmp_path / "sw")]) == 0
+        assert log.read_text().split() == [str(os.getpid())]
+
+    @pytest.mark.parametrize("failure", ["raise", "crash", "interrupt"])
+    def test_failure_cancels_queued_points(self, tmp_path, monkeypatch, capsys,
+                                           failure):
+        # 16 points.  "raise" and "crash" fail the second point in its
+        # worker, while the first is written; "interrupt" stops the parent
+        # at its first write.  The patches are made before the pool forks.
+        log = tmp_path / "points.log"
+        real_run, real_write = cli.run_outage_experiment, cli.write_curve_csv
+        parent = os.getpid()
+
+        def run(cfg, workers=None):
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{cfg.scheme}_M{cfg.M}_N{cfg.N}_W{cfg.W:g}\n")
+            if failure != "interrupt" and (cfg.scheme, cfg.M, cfg.N, cfg.W) == (
+                    "MRT", 4, 2, 4.0):
+                if failure == "crash" and os.getpid() != parent:
+                    os._exit(3)
+                raise RuntimeError("injected point failure")
+            time.sleep(0.2)
+            return real_run(cfg, workers=workers)
+
+        def write(path, rows):
+            if failure == "interrupt":
+                raise KeyboardInterrupt
+            real_write(path, rows)
+
+        monkeypatch.setattr(cli, "run_outage_experiment", run)
+        monkeypatch.setattr(cli, "write_curve_csv", write)
+        monkeypatch.setenv("FAMA_LAB_WORKERS", "2")
+        out = tmp_path / "sw"
+        try:
+            code = main(["sweep", "--realizations", "1000", "--sweep-M", "4,8",
+                         "--sweep-N", "2,3", "--sweep-W", "0.25,4",
+                         "--sweep-scheme", "MRT,ZF", "--out", str(out)])
+        except KeyboardInterrupt:
+            pytest.fail("the interrupt escaped cli.main")
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert os.listdir(out) == []
+        assert len(log.read_text().split()) < 16
+
+
 class TestErrors:
     def test_config_error_exit_code(self, tmp_path):
         p = tmp_path / "bad.cfg"
         p.write_text("bogus_key = 1\n")
         assert main(["fig2", "--config", str(p), "--out", str(tmp_path)]) == 2
 
-    def test_experiment_error_cleans_partial_outputs(self, tmp_path):
+    def test_experiment_error_cleans_partial_outputs(self, tmp_path,
+                                                     monkeypatch):
+        # The ZF run fails after the MRT CSV is written; that CSV goes too.
+        real = cli.run_outage_experiment
+
+        def fail_zf(cfg, workers=None):
+            if cfg.scheme == "ZF":
+                raise RuntimeError("injected experiment failure")
+            return real(cfg, workers=workers)
+
+        monkeypatch.setattr(cli, "run_outage_experiment", fail_zf)
         out = str(tmp_path / "broken")
-        # correlation experiments need at least 3 ports
-        assert main(["fig3", "--N", "2", "--realizations", "1000",
-                     "--out", out]) == 1
+        assert main(["fig4", "--realizations", "1000", "--out", out]) == 1
         assert not os.path.exists(os.path.join(out, "manifest.txt"))
         assert not any(n.endswith(".csv") for n in os.listdir(out))
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failed_write_leaves_no_file(self, tmp_path, existing):
+        # gamma = 0 has no dB value, so the write fails on its second row.
+        path = tmp_path / "curve.csv"
+        if existing:
+            path.write_text("old\n")
+        row = (1.0, 0.5, 0.4, 0.6, "a")
+        with pytest.raises(ValueError):
+            write_curve_csv(str(path), [row, (0.0,) + row[1:]])
+        assert os.listdir(tmp_path) == (["curve.csv"] if existing else [])
+        if existing:
+            assert path.read_text() == "old\n"
+        # A write that succeeds replaces the whole file and leaves only it.
+        write_curve_csv(str(path), [row])
+        assert path.read_text() == CURVE_HEADER + "\n1,0,0.5,0.4,0.6,a\n"
+        assert os.listdir(tmp_path) == ["curve.csv"]
 
     @pytest.mark.parametrize("command", ["fig2", "fig3", "fig4", "fig5"])
     def test_config_scheme_refused_by_both_scheme_commands(self, tmp_path,
