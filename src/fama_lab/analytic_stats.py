@@ -199,19 +199,37 @@ class OutageEnvelope:
 
 
 def outage_envelope(gamma: float, params: BetaPrimeParams, N: int) -> OutageEnvelope:
-    """Selection-outage envelope over N ports at threshold gamma."""
+    """Selection-outage envelope over N ports at threshold gamma.
+
+    upper = F, iid_benchmark = F^N and lower = max(0, 1 - N SF), with F and
+    SF = 1 - F taken from one evaluation, so 0 <= lower <= iid_benchmark <=
+    upper holds exactly.
+    """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     if gamma <= 0.0:
         raise ValueError(f"threshold must be > 0, got {gamma}")
-    f = betaprime_cdf(gamma, params)
-    eps = betaprime_sf(gamma, params)
+    # One evaluation of the smaller tail (the side reg_inc_beta evaluates
+    # directly) gives both F and SF = 1 - F, so the bounds cannot drift
+    # apart by the rounding of two separate evaluations.
+    a, b = params.a, params.b
+    if gamma / (1.0 + gamma) < (a + 1.0) / (a + b + 2.0):
+        f = betaprime_cdf(gamma, params)
+        eps = 1.0 - f
+        lower = f - (N - 1) * eps  # 1 - N SF without 1 - (1 - F)
+    else:
+        eps = betaprime_sf(gamma, params)
+        f = 1.0 - eps
+        lower = 1.0 - N * eps
+    iid = f**N
     return OutageEnvelope(
         gamma=gamma,
         single_port=f,
         upper=f,
-        lower=max(0.0, 1.0 - N * eps),
-        iid_benchmark=f**N,
+        # Bernoulli's inequality 1 - N SF <= F^N; the cap only absorbs
+        # rounding where the two differ by less than it.
+        lower=min(max(0.0, lower), iid),
+        iid_benchmark=iid,
         large_n_approx=math.exp(-N * eps),
     )
 

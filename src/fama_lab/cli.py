@@ -154,6 +154,26 @@ class RunManifest:
             fh.write("\n".join(lines) + "\n")
 
 
+def _remove_listed_outputs(out_dir: str) -> None:
+    """Delete the files that an earlier run's manifest.txt in out_dir lists
+    as its outputs, then that manifest, so a rerun into the directory
+    leaves only its own files.  Other files are left alone."""
+    path = os.path.join(out_dir, "manifest.txt")
+    if not os.path.isfile(path):
+        return
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    if not lines or lines[0] != "fama-lab run manifest":
+        return
+    for line in lines:
+        if line.startswith("outputs: "):
+            for name in line[len("outputs: "):].split(", "):
+                listed = os.path.join(out_dir, name)
+                if name == os.path.basename(name) and os.path.isfile(listed):
+                    os.remove(listed)
+    os.remove(path)
+
+
 @contextlib.contextmanager
 def _atomic_open(path: str):
     """Text file opened under a temporary name beside `path`; it replaces
@@ -486,6 +506,7 @@ def main(argv: list[str] | None = None) -> int:
     workers = resolve_workers(None)
     out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)
+    _remove_listed_outputs(out_dir)
     manifest = RunManifest(command=args.command, config=config, workers=workers)
     start = time.monotonic()
     try:

@@ -9,8 +9,12 @@ return plain arrays; merging happens in chunk order.
 The per-port kernel (_chunk_ports_sir) works in the orthonormal frame Q of
 the reference channels H = QR.  It draws the triangular factor R and
 r = min(M, U) dimensional port innovations, never an M-dimensional vector,
-so its cost does not grow with M.  The physical_reference CDF kernels and
-criterion 4 still draw the full channels H (_reference_matrix).
+so its cost does not grow with M.  Under ZF its beams are R^{-H}: R^H is
+already the Cholesky factor of the Gram R^H R, so no Gram is formed or
+factored (_zf_beams).  The physical_reference CDF kernels and criterion 4
+still draw the full channels H (_reference_matrix), and their ZF beams
+still take the Cholesky route of _gram_inverse until they move into the
+frame too.
 """
 
 from __future__ import annotations
@@ -333,12 +337,15 @@ def _gram_inverse(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Inverse Grams (H^H H)^{-1}, (n, U, U), from one Cholesky factor each,
     and a (n,) flag of the rows whose Gram fails the condition test.
 
-    A row fails when its Gram G is not positive definite or when
-    tr(G) tr(G^{-1}) > 1 / _GRAM_TOLERANCE.  That product bounds cond(G)
-    from above, so every Gram whose condition number exceeds the limit
-    fails.  np.linalg.cholesky refuses the whole stack when one Gram is not
-    positive definite; then the rows whose eigenvalues already fail the test
-    are flagged and only the others are factored.
+    This is the route of channels H (n, M, U) in the physical frame, which
+    only the fig2 physical-reference ZF kernel and criterion 4 still take;
+    the frame factor R skips it (see _zf_beams).  A row fails when its Gram
+    G is not positive definite or when tr(G) tr(G^{-1}) > 1 / _GRAM_TOLERANCE.
+    That product bounds cond(G) from above, so every Gram whose condition
+    number exceeds the limit fails.  np.linalg.cholesky refuses the whole
+    stack when one Gram is not positive definite; then the rows whose
+    eigenvalues already fail the test are flagged and only the others are
+    factored.
     """
     gram = np.matmul(np.conj(np.swapaxes(H, 1, 2)), H)
     try:
@@ -355,21 +362,64 @@ def _gram_inverse(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ginv, ~factored | (trace > 1.0 / _GRAM_TOLERANCE)
 
 
+def _is_frame_factor(H: np.ndarray) -> bool:
+    """Whether every matrix of H is square and upper-triangular with a
+    positive real diagonal, the form of _reference_factor's R when M >= U.
+    Then R^H is already the Cholesky factor of the Gram R^H R."""
+    _, r, U = H.shape
+    if r != U:
+        return False
+    diag = np.einsum("nii->ni", H)
+    return bool(np.all(diag.imag == 0.0) and np.all(diag.real > 0.0)
+                and not any(np.any(H[:, i, :i]) for i in range(1, U)))
+
+
+def _sq_norm(v: np.ndarray, subscripts: str) -> np.ndarray:
+    """Sums of |v|^2 over the axes that einsum `subscripts` (for v, v)
+    drops."""
+    return (np.einsum(subscripts, v.real, v.real)
+            + np.einsum(subscripts, v.imag, v.imag))
+
+
+def _zf_beams(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit-norm ZF beams H (H^H H)^{-1}, shaped like H, and a (n,) flag of
+    the rows whose Gram G fails the condition test of _gram_inverse.
+
+    For the frame factor R (see _is_frame_factor) the Gram's lower
+    Cholesky factor is L = R^H, so the raw beams R (R^H R)^{-1} = R^{-H}
+    are L^{-1} itself, and tr(G) tr(G^{-1}) = ||R||_F^2 ||L^{-1}||_F^2,
+    whose second factor sums the squared beam norms: no Gram and no
+    Cholesky call.  Any other H takes the Cholesky route of _gram_inverse,
+    H (L^{-1})^H L^{-1}.
+    """
+    if not _is_frame_factor(H):
+        ginv, bad = _gram_inverse(H)
+        raw = np.matmul(H, ginv)
+        return raw / np.linalg.norm(raw, axis=1, keepdims=True), bad
+    inv = _lower_inverse(np.conj(np.swapaxes(H, 1, 2)))
+    col_sq = _sq_norm(inv, "nij,nij->nj")
+    cond = _sq_norm(H, "nij,nij->n") * col_sq.sum(axis=1)
+    inv /= np.sqrt(col_sq)[:, None, :]
+    return inv, cond > 1.0 / _GRAM_TOLERANCE
+
+
 def _zf_weights(gen, H: np.ndarray, beta,
                 redraw=None) -> tuple[np.ndarray, int, np.ndarray]:
     """Batched unit-norm ZF beams H (H^H H)^{-1} with discard-and-resample
     on ill-conditioned Grams.
 
     H holds the reference channels (n, M, U) or their triangular factor R
-    (n, r, U); the rule and the condition test are the same in either frame.
-    Failing rows are redrawn into a copy by redraw(gen, count), by default
-    from _reference_matrix's law, so the caller's array is left alone.
+    (n, U, U); the condition test is the same in either frame, and
+    _zf_beams picks the route for each batch it is given.  Failing rows
+    are redrawn into a copy by redraw(gen, count), by default from
+    _reference_matrix's law, so the caller's array is left alone; with
+    _reference_factor as redraw a redrawn row keeps its R form.
     Returns (W, resampled, H); the beams pair with the returned H.
     """
     n, M, U = H.shape
     if redraw is None:
         redraw = partial(_reference_matrix, M=M, U=U, beta=beta)
-    ginv, bad = _gram_inverse(H)
+    W, bad = _zf_beams(H)
     rows = np.flatnonzero(bad)
     resampled = 0
     if len(rows):
@@ -379,12 +429,11 @@ def _zf_weights(gen, H: np.ndarray, beta,
             break
         resampled += len(rows)
         H[rows] = redraw(gen, len(rows))
-        ginv[rows], bad = _gram_inverse(H[rows])
+        W[rows], bad = _zf_beams(H[rows])
         rows = rows[bad]
     if len(rows):
         raise RuntimeError("ZF Gram resampling failed to converge")
-    raw = np.matmul(H, ginv)
-    return raw / np.linalg.norm(raw, axis=1, keepdims=True), resampled, H
+    return W, resampled, H
 
 
 def _weights_for_scheme(gen, H: np.ndarray, scheme: str, beta,

@@ -193,6 +193,16 @@ class TestOutageEnvelope:
                     assert env.iid_benchmark <= env.upper + 1e-15
                     assert env.upper <= 1.0
 
+    def test_single_port_bounds_collapse_exactly(self):
+        # At N = 1 every bound is F.  Separate CDF and SF evaluations put
+        # lower 1.55e-15 above iid_benchmark and upper at the first point;
+        # at the second, F is about 1e-22 and 1 - SF reads 0.
+        for gamma, params in ((1052589.0, BetaPrimeParams(28, 1)),
+                              (1e-3, BetaPrimeParams(8, 3))):
+            env = outage_envelope(gamma, params, 1)
+            assert env.lower == env.iid_benchmark == env.upper
+        assert env.lower > 0.0
+
     def test_large_n_exponential_regime_bound(self):
         n = 8
         for eps in (1e-1, 1e-2, 1e-3):
@@ -310,9 +320,6 @@ class TestProperties:
     @given(a=_shapes, b=_shapes, gamma=_thresholds,
            n=st.integers(min_value=1, max_value=256))
     def test_envelope_ordering(self, a, b, gamma, n):
-        # lower = 1 - N*SF and iid = CDF^N come from separate evaluations,
-        # so at N = 1 they may cross by the CDF + SF = 1 error (seen: 1.1e-15
-        # at a=28, b=1, gamma=3.66e7); the tolerance is that test's.
         env = outage_envelope(gamma, BetaPrimeParams(a, b), n)
-        assert 0.0 <= env.lower <= env.iid_benchmark + 1e-12
+        assert 0.0 <= env.lower <= env.iid_benchmark
         assert env.iid_benchmark <= env.upper <= 1.0

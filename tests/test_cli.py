@@ -234,6 +234,19 @@ class TestSweep:
                      "--sweep-scheme", "ZF", "--out", out]) == 0
         assert not any(n.startswith("sweep_zf") for n in os.listdir(out))
 
+    def test_rerun_removes_earlier_outputs(self, tmp_path):
+        out = tmp_path / "rerun"
+        out.mkdir()
+        (out / "notes.txt").write_text("not an output\n")
+        common = ["sweep", "--realizations", "1000", "--sweep-scheme", "MRT",
+                  "--sweep-N", "2", "--out", str(out)]
+        assert main(common + ["--sweep-M", "4,8"]) == 0
+        assert main(common + ["--sweep-M", "8"]) == 0
+        assert sorted(os.listdir(out)) == [
+            "manifest.txt", "notes.txt", "sweep_mrt_M8_U4_N2_W0.25.csv"]
+        assert ("outputs: sweep_mrt_M8_U4_N2_W0.25.csv\n"
+                in (out / "manifest.txt").read_text())
+
 
 # A grid of 4 points: M in {4, 8} under MRT and ZF at U=4, N=2.
 _SMALL_GRID = ["sweep", "--sweep-M", "4,8", "--sweep-N", "2",

@@ -1,13 +1,22 @@
 """Stream reproducibility, sampler moments, and the batched ZF solve."""
 
 import math
+from functools import partial
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from fama_lab.channel_geom import SystemConfig
-from fama_lab.mc_engine import _cgauss, _zf_weights
+from fama_lab.channel_geom import SystemConfig, geometry_for_config
+from fama_lab.mc_engine import (
+    _GRAM_TOLERANCE,
+    _cgauss,
+    _chunk_ports_sir,
+    _gram_inverse,
+    _lower_inverse,
+    _reference_factor,
+    _zf_weights,
+)
 from fama_lab.randlin import RngStream, gamma_variates
 
 
@@ -131,3 +140,96 @@ class TestSolveGram:
         with pytest.raises(RuntimeError):
             _zf_weights(RngStream(1, 0).generator(),
                         np.ones((1, 2, 3), dtype=complex), (1.0,) * 3)
+
+
+_FRAME_BETA = (2.0, 0.5, 1.5, 0.7, 1.0, 3.0, 0.2, 1.1)
+
+
+@pytest.fixture
+def no_gram_factorisation(monkeypatch):
+    """Make any Cholesky or eigenvalue call on a Gram fail the test."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the frame ZF factored a Gram")
+    monkeypatch.setattr(np.linalg, "cholesky", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+
+
+def _frame_zf(R, U):
+    redraw = partial(_reference_factor, M=U, U=U, beta=(1.0,) * U)
+    return _zf_weights(RngStream(0, 0).generator(), R, (1.0,) * U, redraw)
+
+
+class TestFrameZf:
+    """ZF beams of the triangular factor R of H = QR: R (R^H R)^{-1} = R^{-H}."""
+
+    @pytest.mark.parametrize("M, U", [(4, 4), (8, 4), (16, 8)])
+    def test_matches_cholesky_route(self, M, U):
+        beta = _FRAME_BETA[:U]
+        R = _reference_factor(RngStream(51, M).generator(), 4096, M, U, beta)
+        redraw = partial(_reference_factor, M=M, U=U, beta=beta)
+        W, _, R = _zf_weights(RngStream(52, M).generator(), R, beta, redraw)
+        ginv, bad = _gram_inverse(R)
+        assert not bad.any()
+        raw = R @ ginv
+        expect = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+        assert np.max(np.abs(W - expect)) <= 1e-10
+
+    @pytest.mark.parametrize("M, U", [(4, 4), (8, 4), (16, 8)])
+    def test_condition_product_is_frobenius(self, M, U):
+        # ||R||_F^2 ||R^{-1}||_F^2 = tr(G) tr(G^{-1}) for G = R^H R, against
+        # a 40-digit inverse of the Gram.
+        R = _reference_factor(RngStream(53, M).generator(), 48, M, U,
+                              _FRAME_BETA[:U])
+        inv = _lower_inverse(np.conj(np.swapaxes(R, 1, 2)))
+        frob = (np.sum(np.abs(R) ** 2, axis=(1, 2))
+                * np.sum(np.abs(inv) ** 2, axis=(1, 2)))
+        with mp.workdps(40):
+            for row, value in zip(R, frob):
+                r = mp.matrix(row.tolist())
+                gram = r.H * r
+                ginv = gram ** -1
+                exact = (sum(gram[i, i] for i in range(U))
+                         * sum(ginv[i, i] for i in range(U))).real
+                assert abs(value / float(exact) - 1.0) <= 1e-12
+
+    def test_condition_test_at_the_limit(self, no_gram_factorisation):
+        # R = diag(1, s) has the product (1 + s^2)(1 + 1/s^2); the rows sit
+        # just below and just above 1 / _GRAM_TOLERANCE.
+        limit = 1.0 / _GRAM_TOLERANCE
+        R = np.zeros((2, 2, 2), dtype=complex)
+        R[:, 0, 0] = 1.0
+        for row, product in enumerate((limit * (1 - 1e-9), limit * (1 + 1e-9))):
+            # s^2 + 1/s^2 = product - 2, solved for the smaller root s^2.
+            c = product - 2.0
+            R[row, 1, 1] = math.sqrt(2.0 / (c + math.sqrt(c * c - 4.0)))
+        _, resampled, R_used = _frame_zf(R, 2)
+        assert resampled == 1
+        assert np.array_equal(R_used[0], R[0])
+        assert not np.array_equal(R_used[1], R[1])
+
+    def test_ill_conditioned_factor_redrawn_in_r_form(self, no_gram_factorisation):
+        # The frame twin of TestSolveGram.test_ill_conditioned_gram_redrawn:
+        # cond(G) = 1e12.2 is redrawn from the factor's law, 1e10 is kept.
+        R = np.zeros((2, 2, 2), dtype=complex)
+        R[:, 0, 0] = 1.0
+        R[0, 1, 1] = 10.0 ** -5
+        R[1, 1, 1] = 10.0 ** -6.1
+        W, resampled, R_used = _frame_zf(R, 2)
+        assert resampled == 1
+        assert np.array_equal(R_used[0], R[0])
+        new = R_used[1]
+        assert not np.array_equal(new, R[1])
+        assert new[1, 0] == 0.0
+        assert np.all(np.diag(new).imag == 0.0) and np.all(np.diag(new).real > 0.0)
+        cross = np.einsum("nru,nrv->nuv", R_used.conj(), W)
+        assert np.allclose(cross[:, 0, 1], 0.0, atol=1e-12)
+        assert np.allclose(cross[:, 1, 0], 0.0, atol=1e-12)
+
+    def test_ports_kernel_factors_no_gram(self, no_gram_factorisation):
+        cfg = SystemConfig(M=16, U=8, N=2, W=0.25, scheme="ZF",
+                           reference_mode="external")
+        mu = tuple(geometry_for_config(cfg).mu)
+        sirs, _ = _chunk_ports_sir(RngStream(54, 0), 2048, cfg.M, cfg.U, "ZF",
+                                   cfg.beta, cfg.powers, mu)
+        assert sirs.shape == (2048, len(mu))
+        assert np.isfinite(sirs[:, 1:]).all()
