@@ -1,14 +1,17 @@
-"""Chunk throughput of the per-port SIR kernel against the array size M.
+"""Chunk throughput of the per-port SIR kernel against M, U and chunk rows.
 
     OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 PYTHONPATH=src \
         python3 scripts/chunk_scaling.py --repeats 15 --baseline OTHER/src
 
-Times one CHUNK_SIZE call of mc_engine._chunk_ports_sir per (scheme, M, U)
-at N=8, W=4 (MRT in member mode, 8 ports; ZF in external mode, 9 ports;
-ZF points with M < U are skipped) and prints one JSON object with the
-median realizations per second of each point.  With one --U value (the
-default is 4) the points are named SCHEME_M<M> and "U" is that value; with
-several they are named SCHEME_M<M>_U<U> and "U" is the list.  With --baseline, the fama_lab package under that src/ directory is
+Times one call of mc_engine._chunk_ports_sir per (scheme, M, U, rows) at
+N=8, W=4 (MRT in member mode, 8 ports; ZF in external mode, 9 ports; ZF
+points with M < U are skipped) and prints one JSON object with the median
+realizations per second of each point.  --rows is the realizations per call
+(default CHUNK_SIZE), so several values compare chunk sizes.  With one --U
+value (the default is 4) the points are named SCHEME_M<M> and "U" is that
+value; with several they are named SCHEME_M<M>_U<U> and "U" is the list.
+With several --rows values each name gains _R<rows> and "rows" is the list.
+With --baseline, the fama_lab package under that src/ directory is
 imported under another name and its kernel is timed call by call in
 alternation with this one, so a drift in machine speed hits both alike; the
 ratio reported is the median over the pairs of calls.
@@ -51,6 +54,8 @@ def main() -> None:
     parser.add_argument("--repeats", type=int, default=15)
     parser.add_argument("--M", default="4,8,16,32,64", help="comma list of M values")
     parser.add_argument("--U", default="4", help="comma list of U values")
+    parser.add_argument("--rows", default=str(CHUNK_SIZE),
+                        help="comma list of realizations per call")
     parser.add_argument("--baseline", type=Path, help="src/ directory of a version to compare")
     args = parser.parse_args()
     kernels = {"change": (_chunk_ports_sir, RngStream)}
@@ -58,13 +63,14 @@ def main() -> None:
         base = load_baseline(args.baseline)
         kernels["baseline"] = (base.mc_engine._chunk_ports_sir, base.randlin.RngStream)
     users = [int(u) for u in args.U.split(",")]
-    grid = [(scheme, M, U) for U in users for scheme in ("MRT", "ZF")
+    rows = [int(n) for n in args.rows.split(",")]
+    grid = [(scheme, M, U, n) for U in users for scheme in ("MRT", "ZF")
             for M in (int(m) for m in args.M.split(","))
-            if scheme == "MRT" or M >= U]
+            if scheme == "MRT" or M >= U for n in rows]
     points = {}
-    for scheme, M, U in grid:
+    for scheme, M, U, n in grid:
         cfg = SystemConfig(M=M, U=U, N=8, W=4.0, scheme=scheme)
-        call = (CHUNK_SIZE, M, cfg.U, scheme, cfg.beta, cfg.powers,
+        call = (n, M, cfg.U, scheme, cfg.beta, cfg.powers,
                 tuple(geometry_for_config(cfg).mu))
         times = {name: [] for name in kernels}
         for name, (kernel, stream) in kernels.items():
@@ -75,14 +81,15 @@ def main() -> None:
             for name in order:
                 kernel, stream = kernels[name]
                 times[name].append(call_seconds(kernel, stream, i + 1, call))
-        point = {name: round(CHUNK_SIZE / statistics.median(t))
+        point = {name: round(n / statistics.median(t))
                  for name, t in times.items()}
         if "baseline" in times:
             point["speedup"] = round(statistics.median(
                 b / c for b, c in zip(times["baseline"], times["change"])), 3)
         key = f"{scheme}_M{M}" if len(users) == 1 else f"{scheme}_M{M}_U{U}"
-        points[key] = point
+        points[key if len(rows) == 1 else f"{key}_R{n}"] = point
     print(json.dumps({"chunk_size": CHUNK_SIZE,
+                      "rows": rows[0] if len(rows) == 1 else rows,
                       "U": users[0] if len(users) == 1 else users, "N": 8,
                       "realizations_per_s": points}))
 

@@ -190,8 +190,8 @@ def _per_port_cdfs(config: SystemConfig, grid, realizations: int,
     Each CHUNK_SIZE block of realizations is drawn by _chunk_ports_sir on
     stream stream_base + block, the layout run_outage_experiment uses.  So
     stream_base = _BASE_OUTAGE_PHYSICAL replays the outage run's own
-    realizations (the streams are counter-based), and _BASE_SIR_BATCH draws
-    ports independent of it.
+    realizations (each chunk's stream is rebuilt from its (seed, id) pair),
+    and _BASE_SIR_BATCH draws ports independent of it.
     """
     geometry = geometry_for_config(config)
     sel_idx = selectable_port_indices(config)

@@ -1,10 +1,10 @@
 """Monte-Carlo estimation of per-port SIRs, port selection, correlation, and
 outage curves.
 
-Realizations are processed in fixed-size chunks, one counter-based RNG
-stream per chunk, so results are bit-identical no matter how many workers
-run the chunks.  Chunk kernels are top-level functions (picklable) that
-return plain arrays; merging happens in chunk order.
+Realizations are processed in fixed-size chunks, one RNG stream per chunk
+keyed by (seed, stream id), so results are bit-identical no matter how many
+workers run the chunks.  Chunk kernels are top-level functions (picklable)
+that return plain arrays; merging happens in chunk order.
 
 The per-port kernel (_chunk_ports_sir) works in the orthonormal frame Q of
 the reference channels H = QR.  It draws the triangular factor R and
@@ -35,7 +35,7 @@ from .analytic_stats import (
     rho_x_approx,
 )
 from .channel_geom import SystemConfig, geometry_for_config, selectable_port_indices
-from .randlin import RngStream, gamma_variates
+from .randlin import RngStream
 from .specialfn import RealInterval
 
 __all__ = [
@@ -67,7 +67,9 @@ DEFAULT_GAMMA_GRID = DEFAULT_GAMMA_RANGE.log_grid(200)
 # null this port exactly; the SIR is reported as the INFINITE sentinel.
 INTERFERENCE_FLOOR = 1e-20
 
-CHUNK_SIZE = 1 << 14
+# Rows per chunk, fixed from measured run times: one chunk's complex
+# (n, P, r) port tensor is 1 MiB at P = 8, r = 4, inside a 2 MiB per-core L2.
+CHUNK_SIZE = 1 << 11
 DEFAULT_PHYSICAL_REALIZATIONS = 100_000
 DEFAULT_MARGINAL_REALIZATIONS = 1_000_000
 
@@ -224,8 +226,8 @@ def marginal_model_sample(
     """Exact Beta-prime(a, b) samples as a ratio of independent Gammas."""
     gen = stream.generator()
     n = 1 if size is None else int(size)
-    num = gamma_variates(gen, params.a, n)
-    den = gamma_variates(gen, params.b, n)
+    num = gen.standard_gamma(params.a, n)
+    den = gen.standard_gamma(params.b, n)
     out = num / den
     return float(out[0]) if size is None else out
 
@@ -241,10 +243,12 @@ def surrogate_gain_sample(
     mu = np.asarray(mu, dtype=float)
     if np.any(np.abs(mu) > 1.0 + 1e-12):
         raise ValueError("|mu| entries must be <= 1")
+    # The shapes are those of the Beta-prime(M_eff, L) SIR law: integers >= 1.
+    BetaPrimeParams(m_effective, L)
     gen = stream.generator()
     n = 1 if size is None else int(size)
-    common = gamma_variates(gen, m_effective, n)
-    local = gamma_variates(gen, L, n * len(mu)).reshape(n, len(mu))
+    common = gen.standard_gamma(m_effective, n)
+    local = gen.standard_gamma(L, n * len(mu)).reshape(n, len(mu))
     out = (mu**2)[None, :] * common[:, None] + local
     return out[0] if size is None else out
 
@@ -632,15 +636,27 @@ def _exec_task(task):
 
 def _run_chunked(fn, args: tuple, total: int, seed: int, stream_base: int,
                  workers: int, chunk_size: int = CHUNK_SIZE) -> list:
-    """Run fn(stream, n, *args) over fixed chunks; results in chunk order."""
+    """Run fn(stream, n, *args) over fixed chunks; results in chunk order.
+
+    Chunk i draws from stream stream_base + i, so a run needing more than
+    _STREAM_SPAN chunks would reach into the next namespace's streams; it is
+    refused before anything is drawn.
+    """
+    chunks = -(-total // chunk_size)
+    if chunks > _STREAM_SPAN:
+        raise ValueError(
+            f"realizations={total} need {chunks} chunks of {chunk_size}, more "
+            f"than the {_STREAM_SPAN} streams of one namespace")
     tasks = [
         (fn, seed, stream_base + idx, n, args)
         for idx, n in _iter_chunks(total, chunk_size)
     ]
     if workers <= 1 or len(tasks) <= 1:
         return [_exec_task(t) for t in tasks]
+    # Tasks go to the workers in batches: each pickles the args, grid included.
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_exec_task, tasks))
+        return list(pool.map(_exec_task, tasks,
+                             chunksize=max(1, len(tasks) // (4 * workers))))
 
 
 def _merge_counts(results) -> tuple[np.ndarray, int, int]:

@@ -1,9 +1,10 @@
-"""Reproducible random streams and the integer-shape Gamma sampler.
+"""Reproducible random streams.
 
-Streams are counter-based: a (seed, stream_id) pair keys a Philox generator,
-so chunked Monte-Carlo runs produce identical numbers regardless of how many
-workers consume the chunks.  Channels, beams and SIRs are drawn in batches
-by the chunk kernels of mc_engine; the per-port kernel draws, per
+A (seed, stream_id) pair keys its own SFC64 generator through numpy's
+SeedSequence, so chunked Monte-Carlo runs produce identical numbers
+regardless of how many workers consume the chunks: each chunk's stream is
+rebuilt from its pair wherever it runs.  Channels, beams and SIRs are drawn
+in batches by the chunk kernels of mc_engine; the per-port kernel draws, per
 realization, the triangular factor of the reference channels (r = min(M, U)
 Gammas and the CN(0, 1) entries above the diagonal) and then r-dimensional
 CN(0, I) innovations for ports 2..P.
@@ -15,9 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["RngStream", "gamma_variates"]
+__all__ = ["RngStream"]
 
-_GAMMA_SUM_LIMIT = 32
 _MASK64 = (1 << 64) - 1
 
 
@@ -26,8 +26,10 @@ class RngStream:
     """One independent, reproducible random stream.
 
     Identical (seed, stream_id) pairs replay bit-identical sequences;
-    distinct stream_ids give statistically independent streams.  A stream is
-    single-owner: share the ids, not the live generator.
+    distinct stream_ids give statistically independent streams.  The
+    generator is the stream_id-th child of SeedSequence(seed), built
+    directly from its spawn key; both numbers are taken modulo 2^64.  A
+    stream is single-owner: share the ids, not the live generator.
     """
 
     seed: int
@@ -36,18 +38,7 @@ class RngStream:
 
     def generator(self) -> np.random.Generator:
         if self._gen is None:
-            key = np.array(
-                [self.seed & _MASK64, self.stream_id & _MASK64], dtype=np.uint64
-            )
-            self._gen = np.random.Generator(np.random.Philox(key=key))
+            seq = np.random.SeedSequence(self.seed & _MASK64,
+                                         spawn_key=(self.stream_id & _MASK64,))
+            self._gen = np.random.Generator(np.random.SFC64(seq))
         return self._gen
-
-
-def gamma_variates(gen: np.random.Generator, shape: int, size: int) -> np.ndarray:
-    """Gamma(shape, 1) batch: summed unit exponentials for small integer shape."""
-    if shape != int(shape) or shape < 1:
-        raise ValueError(f"shape must be an integer >= 1, got {shape}")
-    shape = int(shape)
-    if shape <= _GAMMA_SUM_LIMIT:
-        return gen.standard_exponential((size, shape)).sum(axis=1)
-    return gen.gamma(shape, 1.0, size=size)

@@ -268,7 +268,7 @@ class TestSweepPool:
 
     def test_one_pool_per_sweep(self, tmp_path, monkeypatch):
         # Each pool, in the parent or in a forked worker, logs the pid that
-        # built it.  Points of two chunks each would give two pools per
+        # built it.  Points of several chunks each would give a pool per
         # point if every point ran its own chunks in a pool.
         log = tmp_path / "pools.log"
 

@@ -13,9 +13,11 @@ from fama_lab.channel_geom import SystemConfig, geometry_for_config
 from fama_lab.mc_engine import (
     DEFAULT_GAMMA_GRID,
     EmpiricalCdf,
+    _STREAM_SPAN,
     _chunk_ports_sir,
     _frame_sirs,
     _reference_factor,
+    _run_chunked,
     _weights_for_scheme,
     ks_distance,
     marginal_model_sample,
@@ -333,6 +335,15 @@ class TestExperiments:
         assert res.empirical.n == 16_384 + 77
         assert res.empirical.counts[-1] <= res.empirical.n
 
+    def test_run_beyond_stream_namespace_refused(self):
+        # SPAN + 1 chunks would draw chunk SPAN from the next namespace's
+        # first stream; nothing may be drawn before the refusal.
+        def draw(stream, n):
+            raise AssertionError("a chunk ran")
+
+        with pytest.raises(ValueError, match="streams of one namespace"):
+            _run_chunked(draw, (), 2 * _STREAM_SPAN + 1, 1, 0, 1, chunk_size=2)
+
     def test_bad_mode(self):
         with pytest.raises(ValueError):
             run_cdf_experiment(SystemConfig(), mode="bogus")
@@ -343,9 +354,12 @@ class TestExperiments:
         assert np.allclose(res.upper, res.single_port)
         assert np.allclose(res.lower, res.single_port)
         assert np.allclose(res.iid_analytic, res.single_port)
-        # i.i.d. benchmark is the exact law: within 3 binomial sigma of F
-        sigma = np.sqrt(res.single_port * (1 - res.single_port) / res.realizations)
-        assert np.all(np.abs(res.iid - res.single_port) <= 3 * sigma + 1e-12)
+        # The i.i.d. benchmark is the exact law, so its empirical CDF lies in
+        # the Dvoretzky-Kiefer-Wolfowitz band (Massart's constant) around F
+        # with probability at least 1 - alpha, at every grid point at once.
+        alpha = 1e-3
+        eps = math.sqrt(math.log(2.0 / alpha) / (2.0 * res.realizations))
+        assert np.max(np.abs(res.iid - res.single_port)) <= eps
 
     def test_iid_benchmark_consistency(self):
         cfg = SystemConfig(M=8, U=4, N=8, W=4.0, seed=53)

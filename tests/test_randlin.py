@@ -16,12 +16,19 @@ from fama_lab.mc_engine import (
     _lower_inverse,
     _reference_factor,
     _zf_weights,
+    surrogate_gain_sample,
 )
-from fama_lab.randlin import RngStream, gamma_variates
+from fama_lab.randlin import RngStream
 
 
 def _cg(seed, stream_id, shape):
     return _cgauss(RngStream(seed, stream_id).generator(), shape)
+
+
+def _gamma(seed, shape, size):
+    """Gamma(shape, 1) as the lab draws it: with mu = 0 the surrogate gain
+    is its local term S_k ~ Gamma(L) alone."""
+    return surrogate_gain_sample(RngStream(seed, 0), [0.0], 1, shape, size)[:, 0]
 
 
 def _zf_raw(H):
@@ -47,6 +54,20 @@ class TestRngStream:
         corr = np.corrcoef(x, y)[0, 1]
         assert abs(corr) <= 3.0 / math.sqrt(n)
 
+    def test_seed_and_id_not_interchangeable(self):
+        assert not np.allclose(_cg(3, 9, (16,)), _cg(9, 3, (16,)))
+
+    def test_negative_seed_replays_its_masked_value(self):
+        assert np.array_equal(_cg(-5, 7, (16,)), _cg(2**64 - 5, 7, (16,)))
+        assert np.array_equal(_cg(5, -7, (16,)), _cg(5, 2**64 - 7, (16,)))
+        assert not np.allclose(_cg(-5, 7, (16,)), _cg(5, 7, (16,)))
+
+    def test_stream_is_spawned_child(self):
+        child = np.random.SeedSequence(421).spawn(8)[7]
+        gen = np.random.Generator(np.random.SFC64(child))
+        x = RngStream(421, 7).generator().standard_normal(16)
+        assert np.array_equal(x, gen.standard_normal(16))
+
 
 class TestComplexGaussian:
     def test_norm_mean(self):
@@ -66,11 +87,11 @@ class TestComplexGaussian:
 
 class TestGammaInt:
     def test_exponential_mean(self):
-        x = gamma_variates(RngStream(21, 0).generator(), 1, 1_000_000)
+        x = _gamma(21, 1, 1_000_000)
         assert x.mean() == pytest.approx(1.0, abs=0.005)
 
     def test_shape_eight_moments(self):
-        x = gamma_variates(RngStream(22, 0).generator(), 8, 1_000_000)
+        x = _gamma(22, 8, 1_000_000)
         assert x.mean() == pytest.approx(8.0, abs=0.02)
         assert x.var() == pytest.approx(8.0, abs=0.1)
 
@@ -78,12 +99,13 @@ class TestGammaInt:
         # Oracle: regularized lower incomplete gamma, gammainc(3,3)/Gamma(3).
         mp.mp.dps = 30
         ref = float(mp.gammainc(3, 0, 3, regularized=True))
-        x = gamma_variates(RngStream(23, 0).generator(), 3, 1_000_000)
+        x = _gamma(23, 3, 1_000_000)
         assert np.mean(x <= 3.0) == pytest.approx(ref, abs=0.005)
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            gamma_variates(RngStream(1, 0).generator(), 0, 10)
+        for m_effective, L in ((0, 3), (8, 0), (8, 2.5)):
+            with pytest.raises(ValueError):
+                surrogate_gain_sample(RngStream(1, 0), [0.5], m_effective, L, 10)
 
 
 class TestSolveGram:
