@@ -4,17 +4,22 @@
         python3 scripts/chunk_scaling.py --repeats 15 --baseline OTHER/src
 
 Times one call of mc_engine._chunk_ports_sir per (scheme, M, U, rows) at
-N=8, W=4 (MRT in member mode, 8 ports; ZF in external mode, 9 ports; ZF
-points with M < U are skipped) and prints one JSON object with the median
-realizations per second of each point.  --rows is the realizations per call
-(default CHUNK_SIZE), so several values compare chunk sizes.  With one --U
-value (the default is 4) the points are named SCHEME_M<M> and "U" is that
-value; with several they are named SCHEME_M<M>_U<U> and "U" is the list.
+--N ports over an aperture of --W wavelengths (defaults N=8, W=4: MRT in
+member mode, 8 ports; ZF in external mode, 9 ports; ZF points with M < U are
+skipped) and prints one JSON object with the median realizations per second
+of each point.  --rows is the realizations per call (default CHUNK_SIZE),
+so several values compare chunk sizes.  With one --U value (the default is
+4) the points are named SCHEME_M<M> and "U" is that value; with several
+they are named SCHEME_M<M>_U<U> and "U" is the list.
 With several --rows values each name gains _R<rows> and "rows" is the list.
 With --baseline, the fama_lab package under that src/ directory is
 imported under another name and its kernel is timed call by call in
 alternation with this one, so a drift in machine speed hits both alike; the
-ratio reported is the median over the pairs of calls.
+ratio reported is the median over the pairs of calls.  The outage_zf_gram
+benchmark's chunk (M=16, U=8, N=2, W=0.25) and its smaller-U neighbours are
+
+    PYTHONPATH=src python3 scripts/chunk_scaling.py --M 16 --U 2,4,8 \
+        --N 2 --W 0.25 --baseline OTHER/src
 """
 
 from __future__ import annotations
@@ -54,6 +59,9 @@ def main() -> None:
     parser.add_argument("--repeats", type=int, default=15)
     parser.add_argument("--M", default="4,8,16,32,64", help="comma list of M values")
     parser.add_argument("--U", default="4", help="comma list of U values")
+    parser.add_argument("--N", type=int, default=8, help="ports per user")
+    parser.add_argument("--W", type=float, default=4.0,
+                        help="aperture in wavelengths")
     parser.add_argument("--rows", default=str(CHUNK_SIZE),
                         help="comma list of realizations per call")
     parser.add_argument("--baseline", type=Path, help="src/ directory of a version to compare")
@@ -69,7 +77,7 @@ def main() -> None:
             if scheme == "MRT" or M >= U for n in rows]
     points = {}
     for scheme, M, U, n in grid:
-        cfg = SystemConfig(M=M, U=U, N=8, W=4.0, scheme=scheme)
+        cfg = SystemConfig(M=M, U=U, N=args.N, W=args.W, scheme=scheme)
         call = (n, M, cfg.U, scheme, cfg.beta, cfg.powers,
                 tuple(geometry_for_config(cfg).mu))
         times = {name: [] for name in kernels}
@@ -90,7 +98,8 @@ def main() -> None:
         points[key if len(rows) == 1 else f"{key}_R{n}"] = point
     print(json.dumps({"chunk_size": CHUNK_SIZE,
                       "rows": rows[0] if len(rows) == 1 else rows,
-                      "U": users[0] if len(users) == 1 else users, "N": 8,
+                      "U": users[0] if len(users) == 1 else users,
+                      "N": args.N, "W": args.W,
                       "realizations_per_s": points}))
 
 

@@ -15,6 +15,14 @@ factored (_zf_beams).  The physical_reference CDF kernels and criterion 4
 still draw the full channels H (_reference_matrix), and their ZF beams
 still take the Cholesky route of _gram_inverse until they move into the
 frame too.
+
+The frame kernel keeps R, its beams and the port vectors batch-last: its
+(n, r, U) arrays are views of (r, U, n) memory, so each matrix entry is one
+contiguous (n,) vector over the chunk.  The ZF inverse (_lower_inverse) and
+the port projections (_frame_sirs) are sums of such vectors, entry by
+entry, over the nonzero triangle only: R and its MRT beams are
+upper-triangular, its ZF beams lower-triangular.  No call is made per
+realization.
 """
 
 from __future__ import annotations
@@ -68,7 +76,7 @@ DEFAULT_GAMMA_GRID = DEFAULT_GAMMA_RANGE.log_grid(200)
 INTERFERENCE_FLOOR = 1e-20
 
 # Rows per chunk, fixed from measured run times: one chunk's complex
-# (n, P, r) port tensor is 1 MiB at P = 8, r = 4, inside a 2 MiB per-core L2.
+# (P, r, n) port tensor is 1 MiB at P = 8, r = 4, inside a 2 MiB per-core L2.
 CHUNK_SIZE = 1 << 11
 DEFAULT_PHYSICAL_REALIZATIONS = 100_000
 DEFAULT_MARGINAL_REALIZATIONS = 1_000_000
@@ -312,29 +320,40 @@ def _reference_factor(gen, n: int, M: int, U: int, beta) -> np.ndarray:
     Math. Stat. 1963): |R_ii|^2 ~ Gamma(M - i, 1) on the diagonal, CN(0, 1)
     above it and 0 below.  Column u is then scaled by sqrt(beta_u).  Draw
     order: the r diagonal Gammas, then the entries above the diagonal, row
-    by row.
+    by row.  R is the (n, r, U) view of batch-last (r, U, n) memory, so
+    each entry R[:, i, u] is one contiguous (n,) vector.
     """
     r = min(M, U)
     root_beta = np.sqrt(np.asarray(beta, dtype=float))
     diag = np.arange(r)
     rows, cols = np.triu_indices(r, 1, U)
-    R = np.zeros((n, r, U), dtype=complex)
+    R = np.zeros((r, U, n), dtype=complex)
     gains = gen.standard_gamma(M - diag, size=(n, r))
-    R[:, diag, diag] = np.sqrt(gains) * root_beta[:r]
-    R[:, rows, cols] = _cgauss(gen, (n, len(rows))) * root_beta[cols]
-    return R
+    R[diag, diag] = (np.sqrt(gains) * root_beta[:r]).T
+    R[rows, cols] = (_cgauss(gen, (n, len(rows))) * root_beta[cols]).T
+    return R.transpose(2, 0, 1)
 
 
 def _lower_inverse(chol: np.ndarray) -> np.ndarray:
-    """Inverses of lower-triangular matrices (n, U, U), row by row by
-    forward substitution (np.linalg.inv would factor each one again)."""
-    inv = np.zeros_like(chol)
-    recip = 1.0 / np.einsum("nii->ni", chol)
-    for i in range(chol.shape[1]):
-        inv[:, i, :i] = -np.einsum("nk,nkj->nj", chol[:, i, :i],
-                                   inv[:, :i, :i]) * recip[:, i, None]
-        inv[:, i, i] = recip[:, i]
-    return inv
+    """Inverses X = L^{-1} of lower-triangular matrices L (n, U, U) by
+    forward substitution, one entry at a time over the whole batch:
+    X_ii = 1 / L_ii and, below the diagonal,
+    X_ij = -(sum_{k=j}^{i-1} L_ik X_kj) / L_ii.
+
+    The work is batch-last: each entry is an (n,) vector, contiguous when
+    L is the view of (U, U, n) memory (as the frame factor's R^T is), each
+    X_ij is one einsum over the i - j vectors of its sum, and no zero
+    above either diagonal is read or written.  X is returned as the
+    (n, U, U) view of a (U, U, n) array.
+    """
+    L = chol.transpose(1, 2, 0)
+    inv = np.zeros(L.shape, dtype=complex)
+    for i in range(L.shape[0]):
+        inv[i, i] = 1.0 / L[i, i]
+        minus_recip = -inv[i, i]
+        for j in range(i):
+            inv[i, j] = np.einsum("kn,kn->n", L[i, j:i], inv[j:i, j]) * minus_recip
+    return inv.transpose(2, 0, 1)
 
 
 def _gram_inverse(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -393,17 +412,22 @@ def _zf_beams(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Cholesky factor is L = R^H, so the raw beams R (R^H R)^{-1} = R^{-H}
     are L^{-1} itself, and tr(G) tr(G^{-1}) = ||R||_F^2 ||L^{-1}||_F^2,
     whose second factor sums the squared beam norms: no Gram and no
-    Cholesky call.  Any other H takes the Cholesky route of _gram_inverse,
+    Cholesky call.  The beams are the (n, U, U) view of batch-last memory,
+    as R is.  Any other H takes the Cholesky route of _gram_inverse,
     H (L^{-1})^H L^{-1}.
     """
     if not _is_frame_factor(H):
         ginv, bad = _gram_inverse(H)
         raw = np.matmul(H, ginv)
         return raw / np.linalg.norm(raw, axis=1, keepdims=True), bad
-    inv = _lower_inverse(np.conj(np.swapaxes(H, 1, 2)))
-    col_sq = _sq_norm(inv, "nij,nij->nj")
-    cond = _sq_norm(H, "nij,nij->n") * col_sq.sum(axis=1)
-    inv /= np.sqrt(col_sq)[:, None, :]
+    # R^{-T} is the conjugate of the raw beams R^{-H} and has their norms.
+    inv = _lower_inverse(np.swapaxes(H, 1, 2))
+    X = inv.transpose(1, 2, 0)
+    col_sq = _sq_norm(X, "ijn,ijn->jn")
+    cond = _sq_norm(H, "nij,nij->n") * col_sq.sum(axis=0)
+    # Conjugate and normalise in one real pass, (re, im) * (1/c, -1/c).
+    scale = 1.0 / np.sqrt(col_sq)
+    X.view(float)[...] *= np.stack([scale, -scale], axis=-1).reshape(len(X), -1)
     return inv, cond > 1.0 / _GRAM_TOLERANCE
 
 
@@ -427,7 +451,7 @@ def _zf_weights(gen, H: np.ndarray, beta,
     rows = np.flatnonzero(bad)
     resampled = 0
     if len(rows):
-        H = H.copy()
+        H = H.copy(order="K")
     for _ in range(_MAX_RESAMPLE_ROUNDS):
         if not len(rows):
             break
@@ -459,27 +483,42 @@ def _sir(num, den):
         return np.where(den > INTERFERENCE_FLOOR, num / den, np.inf)
 
 
-def _frame_sirs(r0: np.ndarray, g: np.ndarray, F: np.ndarray, beta0: float,
-                powers, mu) -> np.ndarray:
+def _frame_sirs(r0: np.ndarray, g: np.ndarray, F: np.ndarray, scheme: str,
+                beta0: float, powers, mu) -> np.ndarray:
     """User-0 SIR X_k = P_0 |z_k^H f_0|^2 / sum_{i>=1} P_i |z_k^H f_i|^2 at
     every port, (n, P), in the frame Q of the reference channels H = QR.
 
     r0 = Q^H h_{0,1} (n, r) is user 0's column of R, g (n, P-1, r) holds
-    the frame innovations of ports 2..P and F = Q^H W (n, r, U) the beams.
-    Port k is z_k = Q^H h_{0,k} = mu_k r0 + sqrt(1 - mu_k^2) sqrt(beta0) g_k.
+    the frame innovations of ports 2..P and F = Q^H W (n, r, U) the beams
+    that `scheme` builds from R.  Port k is
+    z_k = Q^H h_{0,k} = mu_k r0 + sqrt(1 - mu_k^2) sqrt(beta0) g_k.
+
+    The ports are assembled batch-last, (P, r, n), and each projection
+    z_k^H f_u is summed entry by entry over F's nonzero triangle only:
+    rows j <= u under MRT, where F = R D^{-1} is upper-triangular, and
+    rows j >= u under ZF, where F = R^{-H} D^{-1} is lower-triangular.
     """
     mu = np.asarray(mu, dtype=float)
     n, r = r0.shape
+    U = F.shape[2]
     sigma = np.sqrt(np.maximum(0.0, 1.0 - mu[1:] ** 2)) * math.sqrt(beta0)
-    z = np.empty((n, len(mu), r), dtype=complex)
-    z[:, 0] = r0
-    np.multiply(sigma[:, None], g, out=z[:, 1:])
-    z[:, 1:] += mu[1:, None] * r0[:, None, :]
-    # |z^H f|^2 = |f^H z|^2: conjugating F (n, r, U) is cheaper than z.
-    proj = np.matmul(z, F.conj())
-    gains = proj.real ** 2 + proj.imag ** 2
+    z = np.empty((len(mu), r, n), dtype=complex)
+    z[0] = r0.T
+    np.multiply(sigma[:, None, None], g.transpose(1, 2, 0), out=z[1:])
+    z[1:] += mu[1:, None, None] * z[0]
+    F = F.transpose(1, 2, 0)
+    gains = np.empty((U, len(mu), n))
+    term = np.empty((len(mu), n), dtype=complex)
+    for u in range(U):
+        rows = range(u, r) if scheme == "ZF" else range(min(u + 1, r))
+        # |z^H f|^2 = |f^H z|^2: conjugating f is cheaper than z.
+        proj = F[rows[0], u].conj() * z[:, rows[0]]
+        for j in rows[1:]:
+            proj += np.multiply(F[j, u].conj(), z[:, j], out=term)
+        gains[u] = proj.real ** 2 + proj.imag ** 2
     powers = np.asarray(powers, dtype=float)
-    return _sir(powers[0] * gains[:, :, 0], gains[:, :, 1:] @ powers[1:])
+    interference = np.tensordot(powers[1:], gains[1:], axes=1)
+    return _sir(powers[0] * gains[0], interference).T
 
 
 def _chunk_marginal_counts(stream: RngStream, n: int, a: int, b: int, grid):
@@ -565,7 +604,7 @@ def _chunk_ports_sir(stream: RngStream, n: int, M: int, U: int, scheme: str,
     F, resampled, R = _weights_for_scheme(gen, R, scheme, beta, redraw)
     g = _cgauss(gen, (n, len(mu) - 1, R.shape[1]))
     beta0 = float(np.asarray(beta)[0])
-    return _frame_sirs(R[:, :, 0], g, F, beta0, powers, mu), resampled
+    return _frame_sirs(R[:, :, 0], g, F, scheme, beta0, powers, mu), resampled
 
 
 def _chunk_outage_physical(

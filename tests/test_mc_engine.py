@@ -14,6 +14,7 @@ from fama_lab.mc_engine import (
     DEFAULT_GAMMA_GRID,
     EmpiricalCdf,
     _STREAM_SPAN,
+    _cgauss,
     _chunk_ports_sir,
     _frame_sirs,
     _reference_factor,
@@ -188,6 +189,9 @@ class TestKsDistance:
             ks_distance(emp, np.array([0.1, 0.2]))
 
 
+# Unequal large-scale gains of up to 8 users for the frame tests.
+_FRAME_BETA = (2.0, 0.5, 1.5, 1.0, 0.7, 1.2, 0.4, 2.5)
+
 # (M, U, N, W, scheme, reference_mode, beta, powers) of the KS comparison.
 _KS_CONFIGS = [
     (8, 4, 8, 4.0, "MRT", "member", None, None),
@@ -203,12 +207,13 @@ _KS_CONFIGS = [
 
 class TestPortsKernel:
     @pytest.mark.parametrize("M, U, scheme", [(8, 4, "MRT"), (8, 4, "ZF"),
-                                              (4, 4, "ZF"), (3, 5, "MRT")])
+                                              (4, 4, "ZF"), (3, 5, "MRT"),
+                                              (16, 8, "ZF"), (4, 2, "MRT")])
     def test_frame_identity(self, M, U, scheme):
         # Given one physical draw (H, e), the frame of H = QR carries the
         # same SIRs: R = chol(H^H H)^H (a QR factor when M < U) and g = Q^H e.
-        beta = (2.0, 0.5, 1.5, 1.0, 0.7)[:U]
-        powers = (3.0, 1.0, 0.5, 2.0, 1.0)[:U]
+        beta = _FRAME_BETA[:U]
+        powers = (3.0, 1.0, 0.5, 2.0, 1.0, 0.8, 1.5, 0.6)[:U]
         cfg = SystemConfig(M=M, U=U, N=5, W=0.7, scheme=scheme, beta=beta,
                            powers=powers, reference_mode="external")
         mu = geometry_for_config(cfg).mu
@@ -223,7 +228,7 @@ class TestPortsKernel:
         F, resampled, _ = _weights_for_scheme(RngStream(40, 0).generator(), R,
                                               scheme, beta)
         assert resampled == 0
-        got = _frame_sirs(R[:, :, 0], g, F, beta[0], powers, mu)
+        got = _frame_sirs(R[:, :, 0], g, F, scheme, beta[0], powers, mu)
         expect = physical_sirs(H, e, scheme, beta[0], powers, mu)
         assert np.array_equal(np.isinf(got), np.isinf(expect))
         finite = np.isfinite(expect)
@@ -272,21 +277,53 @@ class TestPortsKernel:
         assert stats.kstest(np.abs(wide[:, 1, 1]) ** 2, stats.gamma(1).cdf).pvalue > 1e-3
         assert stats.kstest(np.abs(wide[:, 1, 3]) ** 2, stats.gamma(1).cdf).pvalue > 1e-3
 
+    @pytest.mark.parametrize("M, U, scheme", [(8, 4, "MRT"), (16, 8, "ZF"),
+                                              (4, 4, "ZF"), (3, 5, "MRT")])
+    def test_skipped_beam_entries_are_zero(self, M, U, scheme):
+        # _frame_sirs sums over rows j <= u of MRT beams and j >= u of ZF
+        # beams only; the entries it skips must be exact zeros.
+        beta = _FRAME_BETA[:U]
+        gen = RngStream(44, M).generator()
+        R = _reference_factor(gen, 512, M, U, beta)
+        F, _, _ = _weights_for_scheme(
+            gen, R, scheme, beta, partial(_reference_factor, M=M, U=U, beta=beta))
+        r = min(M, U)
+        upper = np.triu(np.ones((r, U), dtype=bool))
+        if scheme == "ZF":
+            upper = upper.T
+        assert np.all(F[:, ~upper] == 0.0)
+        assert np.all(F[:, upper] != 0.0)
+
     def test_zf_factor_redrawn_from_its_own_law(self):
         M, U = 6, 3
-        beta = (1.0,) * U
+        beta = (1.0, 0.6, 1.8)
+        powers = (2.0, 0.5, 1.0)
         gen = RngStream(43, 0).generator()
         R = _reference_factor(gen, 5, M, U, beta)
         R[2, :, 1] = 2.0 * R[2, :, 0]  # rank-1 Gram in row 2
         W, resampled, R_used = _weights_for_scheme(
             gen, R, "ZF", beta, partial(_reference_factor, M=M, U=U, beta=beta))
         assert resampled == 1
+        assert R_used.strides == R.strides  # the redraw keeps the layout
         new = R_used[2]
         assert new.shape == (U, U) and np.all(np.tril(new, -1) == 0.0)
         assert np.all(np.diag(new).imag == 0.0) and np.all(np.diag(new).real > 0.0)
         cross = np.abs(np.einsum("nru,nrv->nuv", R_used.conj(), W))
         cross[:, np.arange(U), np.arange(U)] = 0.0
         assert np.max(cross) < 1e-12
+        # The triangle-only projection of the redrawn row against a dense
+        # matmul of the assembled ports with all U x U beam entries.
+        mu = np.array([1.0, 0.8, 0.3, -0.2])
+        g = _cgauss(gen, (5, len(mu) - 1, U))
+        got = _frame_sirs(R_used[:, :, 0], g, W, "ZF", beta[0], powers, mu)
+        sigma = np.sqrt(1.0 - mu[1:] ** 2) * math.sqrt(beta[0])
+        z = np.concatenate([R_used[:, None, :, 0],
+                            mu[1:, None] * R_used[:, None, :, 0]
+                            + sigma[:, None] * g], axis=1)
+        gains = np.abs(np.matmul(z[:, 1:], W.conj())) ** 2 * powers
+        expect = gains[:, :, 0] / gains[:, :, 1:].sum(axis=2)
+        assert np.isinf(got[2, 0]) and np.all(np.isfinite(got[2, 1:]))
+        assert np.allclose(got[2, 1:], expect[2], rtol=1e-12, atol=0.0)
 
     def test_beta_and_power_invariance(self):
         cfg = SystemConfig(M=8, U=4, N=4, W=0.5)
@@ -364,9 +401,12 @@ class TestExperiments:
     def test_iid_benchmark_consistency(self):
         cfg = SystemConfig(M=8, U=4, N=8, W=4.0, seed=53)
         res = run_outage_experiment(cfg, realizations=50_000)
-        sigma = np.sqrt(res.iid_analytic * (1 - res.iid_analytic)
-                        / res.realizations)
-        assert np.all(np.abs(res.iid - res.iid_analytic) <= 3 * sigma + 1e-9)
+        # The i.i.d. curve is the empirical CDF of the maximum of N exact
+        # draws, so the DKW band (Massart's constant) holds around F^N at
+        # every grid point at once with probability at least 1 - alpha.
+        alpha = 1e-3
+        eps = math.sqrt(math.log(2.0 / alpha) / (2.0 * res.realizations))
+        assert np.max(np.abs(res.iid - res.iid_analytic)) <= eps
         # The i.i.d. curve is drawn from the exact law, so the envelope's
         # premise holds; p = 1 above F < 1 must sit inside the interval.
         tol = 2.0 * res.iid_ci
