@@ -38,6 +38,7 @@ from .mc_engine import (
     run_cdf_experiment,
     run_correlation_experiment,
     run_outage_experiment,
+    run_outage_group,
     simulate_sir_batch,
     surrogate_gain_sample,
 )

@@ -40,6 +40,7 @@ from .mc_engine import (
     run_cdf_experiment,
     run_correlation_experiment,
     run_outage_experiment,
+    run_outage_group,
     wilson_half_width,
 )
 
@@ -196,15 +197,27 @@ def _fmt(x: float) -> str:
 
 
 def write_curve_csv(path: str, rows: list[tuple]) -> None:
-    """Gamma-indexed curve family: one row per (gamma, curve) pair."""
+    """Gamma-indexed curve family: one row per (gamma, curve) pair.
+
+    Each family repeats one grid, so a threshold's `gamma,gamma_db` text is
+    formatted once per file, and a row whose CI columns are its value
+    object (an analytic curve's) formats that value once.
+    """
+    gamma_text: dict = {}
+    lines = ["gamma,gamma_db,value,ci_low,ci_high,curve_id\n"]
+    for gamma, value, ci_low, ci_high, curve_id in rows:
+        head = gamma_text.get(gamma)
+        if head is None:
+            head = gamma_text[gamma] = (f"{_fmt(gamma)},"
+                                        f"{_fmt(10.0 * math.log10(gamma))}")
+        text = _fmt(value)
+        if ci_low is value and ci_high is value:
+            lines.append(f"{head},{text},{text},{text},{curve_id}\n")
+        else:
+            lines.append(f"{head},{text},{_fmt(ci_low)},{_fmt(ci_high)},"
+                         f"{curve_id}\n")
     with _atomic_open(path) as fh:
-        fh.write("gamma,gamma_db,value,ci_low,ci_high,curve_id\n")
-        for gamma, value, ci_low, ci_high, curve_id in rows:
-            gamma_db = 10.0 * math.log10(gamma)
-            fh.write(
-                f"{_fmt(gamma)},{_fmt(gamma_db)},{_fmt(value)},"
-                f"{_fmt(ci_low)},{_fmt(ci_high)},{curve_id}\n"
-            )
+        fh.write("".join(lines))
 
 
 def write_pair_csv(path: str, rows: list[tuple]) -> None:
@@ -371,10 +384,14 @@ def run_fig5(config: SystemConfig, out_dir: str, workers: int,
 def run_sweep(config: SystemConfig, out_dir: str, workers: int,
               manifest: RunManifest, grids: dict) -> None:
     """Outage over the grid; every point is built and checked before the
-    first one runs, so a bad point writes no CSV."""
+    first one runs, so a bad point writes no CSV.
+
+    W is the innermost axis, so each run of consecutive points that differ
+    only in W forms one group, which run_outage_group serves from one draw.
+    """
     per_user = {U: {name: _per_user(getattr(config, name), U, name)
                     for name in ("beta", "powers")} for U in grids["U"]}
-    points = []
+    groups = []
     for scheme in grids["scheme"]:
         for M in grids["M"]:
             for U in grids["U"]:
@@ -382,42 +399,47 @@ def run_sweep(config: SystemConfig, out_dir: str, workers: int,
                     print(f"sweep: skipping ZF M={M} < U={U}")
                     continue
                 for N in grids["N"]:
+                    group = []
                     for W in grids["W"]:
                         try:
-                            points.append(replace(config, M=M, U=U, N=N, W=W,
-                                                  scheme=scheme, **per_user[U]))
+                            group.append(replace(config, M=M, U=U, N=N, W=W,
+                                                 scheme=scheme, **per_user[U]))
                         except ValueError as exc:
                             raise ConfigError(
                                 f"sweep point scheme={scheme} M={M} U={U} "
                                 f"N={N} W={W:g}: {exc}") from exc
-    # Several points share one pool, each point whole in one worker; a
-    # single point keeps chunk-level parallelism.  Every chunk has its own
-    # stream, so the CSVs do not depend on where a point runs.  Results
-    # come back in grid order and each CSV is written as its result
-    # arrives.  On any failure the queued points are cancelled, not run.
+                    groups.append(group)
+    # Several groups share one pool, each group whole in one worker; a
+    # single group keeps chunk-level parallelism.  Every chunk has its own
+    # stream, so the CSVs do not depend on where a group runs.  Results
+    # come back in grid order and each CSV is written as its group's
+    # results arrive.  On any failure the queued groups are cancelled, not
+    # run.
     pool = None
-    if workers > 1 and len(points) > 1:
-        pool = ProcessPoolExecutor(max_workers=min(workers, len(points)))
-        results = pool.map(_sweep_point, points)
+    if workers > 1 and len(groups) > 1:
+        pool = ProcessPoolExecutor(max_workers=min(workers, len(groups)))
+        results = pool.map(_sweep_group, groups)
     else:
-        results = (run_outage_experiment(cfg, workers=workers) for cfg in points)
+        results = (run_outage_group(group, workers=workers) for group in groups)
     try:
-        for cfg, res in zip(points, results):
-            name = (f"sweep_{cfg.scheme.lower()}_M{cfg.M}_U{cfg.U}_N{cfg.N}_"
-                    f"W{cfg.W:g}.csv")
-            write_curve_csv(os.path.join(out_dir, name), _outage_rows(res))
-            manifest.outputs.append(name)
-            manifest.experiments.append((name[:-4], "realizations",
-                                         res.realizations))
-            print(f"sweep: wrote {name}")
+        for group, group_results in zip(groups, results):
+            for cfg, res in zip(group, group_results):
+                name = (f"sweep_{cfg.scheme.lower()}_M{cfg.M}_U{cfg.U}_"
+                        f"N{cfg.N}_W{cfg.W:g}.csv")
+                write_curve_csv(os.path.join(out_dir, name), _outage_rows(res))
+                manifest.outputs.append(name)
+                manifest.experiments.append((name[:-4], "realizations",
+                                             res.realizations))
+                print(f"sweep: wrote {name}")
     finally:
         if pool is not None:
             pool.shutdown(wait=True, cancel_futures=True)
 
 
-def _sweep_point(cfg: SystemConfig):
-    """One sweep point in a pool worker; its chunks run in that worker."""
-    return run_outage_experiment(cfg, workers=1)
+def _sweep_group(group: list[SystemConfig]):
+    """One W-group of the sweep in a pool worker; its chunks run in that
+    worker."""
+    return run_outage_group(group, workers=1)
 
 
 def run_validate(config: SystemConfig, out_dir: str | None) -> int:

@@ -11,10 +11,10 @@ the reference channels H = QR.  It draws the triangular factor R and
 r = min(M, U) dimensional port innovations, never an M-dimensional vector,
 so its cost does not grow with M.  Under ZF its beams are R^{-H}: R^H is
 already the Cholesky factor of the Gram R^H R, so no Gram is formed or
-factored (_zf_beams).  The physical_reference CDF kernels and criterion 4
-still draw the full channels H (_reference_matrix), and their ZF beams
-still take the Cholesky route of _gram_inverse until they move into the
-frame too.
+factored (_frame_zf_beams).  The physical_reference CDF kernels and
+criterion 4 still draw the full channels H (_reference_matrix), and their
+ZF beams still take the Cholesky route of _gram_inverse (_zf_beams) until
+they move into the frame too.
 
 The frame kernel keeps R, its beams and the port vectors batch-last: its
 (n, r, U) arrays are views of (r, U, n) memory, so each matrix entry is one
@@ -23,6 +23,11 @@ the port projections (_frame_sirs) are sums of such vectors, entry by
 entry, over the nonzero triangle only: R and its MRT beams are
 upper-triangular, its ZF beams lower-triangular.  No call is made per
 realization.
+
+Outage runs that differ only in the aperture W share their draws
+(run_outage_group): W enters only through the port correlations mu_k, so
+a chunk draws R, its beams and the port innovations once and computes the
+SIRs once per aperture.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 
 import numpy as np
@@ -62,6 +67,7 @@ __all__ = [
     "run_cdf_experiment",
     "run_correlation_experiment",
     "run_outage_experiment",
+    "run_outage_group",
     "simulate_sir_batch",
     "resolve_workers",
     "wilson_half_width",
@@ -296,8 +302,11 @@ def ks_distance(empirical: EmpiricalCdf, analytic_cdf) -> float:
 
 
 def _cgauss(gen: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """CN(0, 1) entries: (re, im) normal pairs scaled by sqrt(1/2) in
+    place and viewed as complex, so no second chunk-sized array is made."""
     z = gen.standard_normal(shape + (2,))
-    return np.sqrt(0.5) * z.view(np.complex128)[..., 0]
+    z *= np.sqrt(0.5)
+    return z.view(np.complex128)[..., 0]
 
 
 def _normalize_rows(v: np.ndarray) -> np.ndarray:
@@ -362,8 +371,9 @@ def _gram_inverse(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     This is the route of channels H (n, M, U) in the physical frame, which
     only the fig2 physical-reference ZF kernel and criterion 4 still take;
-    the frame factor R skips it (see _zf_beams).  A row fails when its Gram
-    G is not positive definite or when tr(G) tr(G^{-1}) > 1 / _GRAM_TOLERANCE.
+    the frame factor R skips it (see _frame_zf_beams).  A row fails when its
+    Gram G is not positive definite or when
+    tr(G) tr(G^{-1}) > 1 / _GRAM_TOLERANCE.
     That product bounds cond(G) from above, so every Gram whose condition
     number exceeds the limit fails.  np.linalg.cholesky refuses the whole
     stack when one Gram is not positive definite; then the rows whose
@@ -385,18 +395,6 @@ def _gram_inverse(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ginv, ~factored | (trace > 1.0 / _GRAM_TOLERANCE)
 
 
-def _is_frame_factor(H: np.ndarray) -> bool:
-    """Whether every matrix of H is square and upper-triangular with a
-    positive real diagonal, the form of _reference_factor's R when M >= U.
-    Then R^H is already the Cholesky factor of the Gram R^H R."""
-    _, r, U = H.shape
-    if r != U:
-        return False
-    diag = np.einsum("nii->ni", H)
-    return bool(np.all(diag.imag == 0.0) and np.all(diag.real > 0.0)
-                and not any(np.any(H[:, i, :i]) for i in range(1, U)))
-
-
 def _sq_norm(v: np.ndarray, subscripts: str) -> np.ndarray:
     """Sums of |v|^2 over the axes that einsum `subscripts` (for v, v)
     drops."""
@@ -405,30 +403,38 @@ def _sq_norm(v: np.ndarray, subscripts: str) -> np.ndarray:
 
 
 def _zf_beams(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unit-norm ZF beams H (H^H H)^{-1}, shaped like H, and a (n,) flag of
-    the rows whose Gram G fails the condition test of _gram_inverse.
+    """Unit-norm ZF beams H (H^H H)^{-1} of channels H (n, M, U), by the
+    Cholesky route of _gram_inverse, H (L^{-1})^H L^{-1}, and a (n,) flag
+    of the rows whose Gram fails its condition test."""
+    ginv, bad = _gram_inverse(H)
+    raw = np.matmul(H, ginv)
+    return raw / np.linalg.norm(raw, axis=1, keepdims=True), bad
 
-    For the frame factor R (see _is_frame_factor) the Gram's lower
-    Cholesky factor is L = R^H, so the raw beams R (R^H R)^{-1} = R^{-H}
-    are L^{-1} itself, and tr(G) tr(G^{-1}) = ||R||_F^2 ||L^{-1}||_F^2,
-    whose second factor sums the squared beam norms: no Gram and no
-    Cholesky call.  The beams are the (n, U, U) view of batch-last memory,
-    as R is.  Any other H takes the Cholesky route of _gram_inverse,
-    H (L^{-1})^H L^{-1}.
+
+def _frame_zf_beams(R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit-norm ZF beams of the frame factor R (n, U, U), square and
+    upper-triangular with a positive real diagonal as _reference_factor
+    builds it when M >= U, and the (n,) flag of _gram_inverse's condition
+    test on its Gram G = R^H R.
+
+    The Gram's lower Cholesky factor is L = R^H, so the raw beams
+    R (R^H R)^{-1} = R^{-H} are L^{-1} itself, and tr(G) tr(G^{-1}) =
+    ||R||_F^2 ||L^{-1}||_F^2, whose second factor sums the squared beam
+    norms: no Gram and no Cholesky call.  The beams are the (n, U, U) view
+    of batch-last memory, as R is.
     """
-    if not _is_frame_factor(H):
-        ginv, bad = _gram_inverse(H)
-        raw = np.matmul(H, ginv)
-        return raw / np.linalg.norm(raw, axis=1, keepdims=True), bad
-    # R^{-T} is the conjugate of the raw beams R^{-H} and has their norms.
-    inv = _lower_inverse(np.swapaxes(H, 1, 2))
-    X = inv.transpose(1, 2, 0)
-    col_sq = _sq_norm(X, "ijn,ijn->jn")
-    cond = _sq_norm(H, "nij,nij->n") * col_sq.sum(axis=0)
-    # Conjugate and normalise in one real pass, (re, im) * (1/c, -1/c).
-    scale = 1.0 / np.sqrt(col_sq)
-    X.view(float)[...] *= np.stack([scale, -scale], axis=-1).reshape(len(X), -1)
-    return inv, cond > 1.0 / _GRAM_TOLERANCE
+    # A singular R (a zero on its diagonal) makes inf or nan below; its
+    # condition product then fails the test like any other bad row.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # R^{-T} is the conjugate of the raw beams R^{-H} and has their norms.
+        inv = _lower_inverse(np.swapaxes(R, 1, 2))
+        X = inv.transpose(1, 2, 0)
+        col_sq = _sq_norm(X, "ijn,ijn->jn")
+        cond = _sq_norm(R, "nij,nij->n") * col_sq.sum(axis=0)
+        # Conjugate and normalise in one real pass, (re, im) * (1/c, -1/c).
+        scale = 1.0 / np.sqrt(col_sq)
+        X.view(float)[...] *= np.stack([scale, -scale], axis=-1).reshape(len(X), -1)
+    return inv, ~(cond <= 1.0 / _GRAM_TOLERANCE)
 
 
 def _zf_weights(gen, H: np.ndarray, beta,
@@ -436,18 +442,21 @@ def _zf_weights(gen, H: np.ndarray, beta,
     """Batched unit-norm ZF beams H (H^H H)^{-1} with discard-and-resample
     on ill-conditioned Grams.
 
-    H holds the reference channels (n, M, U) or their triangular factor R
-    (n, U, U); the condition test is the same in either frame, and
-    _zf_beams picks the route for each batch it is given.  Failing rows
-    are redrawn into a copy by redraw(gen, count), by default from
-    _reference_matrix's law, so the caller's array is left alone; with
-    _reference_factor as redraw a redrawn row keeps its R form.
+    Without `redraw`, H holds reference channels (n, M, U): their beams
+    take the Cholesky route (_zf_beams) and failing rows are redrawn from
+    _reference_matrix's law.  With `redraw`, H is the frame factor R
+    (n, U, U) of _reference_factor and redraw(gen, count) its sampler: the
+    beams take the Bartlett route (_frame_zf_beams) and a redrawn row keeps
+    its R form.  The condition test is the same in either frame.  Failing
+    rows are redrawn into a copy, so the caller's array is left alone.
     Returns (W, resampled, H); the beams pair with the returned H.
     """
     n, M, U = H.shape
     if redraw is None:
-        redraw = partial(_reference_matrix, M=M, U=U, beta=beta)
-    W, bad = _zf_beams(H)
+        beams, redraw = _zf_beams, partial(_reference_matrix, M=M, U=U, beta=beta)
+    else:
+        beams = _frame_zf_beams
+    W, bad = beams(H)
     rows = np.flatnonzero(bad)
     resampled = 0
     if len(rows):
@@ -457,7 +466,7 @@ def _zf_weights(gen, H: np.ndarray, beta,
             break
         resampled += len(rows)
         H[rows] = redraw(gen, len(rows))
-        W[rows], bad = _zf_beams(H[rows])
+        W[rows], bad = beams(H[rows])
         rows = rows[bad]
     if len(rows):
         raise RuntimeError("ZF Gram resampling failed to converge")
@@ -467,10 +476,10 @@ def _zf_weights(gen, H: np.ndarray, beta,
 def _weights_for_scheme(gen, H: np.ndarray, scheme: str, beta,
                         redraw=None) -> tuple[np.ndarray, int, np.ndarray]:
     """Unit-norm beams (n, M, U) for the reference channels H (n, M, U), or
-    the beams in their frame for the factor R (n, r, U).
+    the beams in their frame for the factor R (n, r, U), which its sampler
+    `redraw` marks (see _zf_weights).
 
-    Returns (W, resampled, H); only ZF resamples (see _zf_weights), and then
-    H is a new array.
+    Returns (W, resampled, H); only ZF resamples, and then H is a new array.
     """
     if scheme == "MRT":
         return H / np.linalg.norm(H, axis=1, keepdims=True), 0, H
@@ -488,12 +497,14 @@ def _frame_sirs(r0: np.ndarray, g: np.ndarray, F: np.ndarray, scheme: str,
     """User-0 SIR X_k = P_0 |z_k^H f_0|^2 / sum_{i>=1} P_i |z_k^H f_i|^2 at
     every port, (n, P), in the frame Q of the reference channels H = QR.
 
-    r0 = Q^H h_{0,1} (n, r) is user 0's column of R, g (n, P-1, r) holds
-    the frame innovations of ports 2..P and F = Q^H W (n, r, U) the beams
-    that `scheme` builds from R.  Port k is
-    z_k = Q^H h_{0,k} = mu_k r0 + sqrt(1 - mu_k^2) sqrt(beta0) g_k.
+    r0 = Q^H h_{0,1} (n, r) is user 0's column of R, zero below R_00, g
+    (n, P-1, r) holds the frame innovations of ports 2..P and F = Q^H W
+    (n, r, U) the beams that `scheme` builds from R.  Port k is
+    z_k = Q^H h_{0,k} = mu_k r0 + sqrt(1 - mu_k^2) sqrt(beta0) g_k, so mu_k
+    enters row 0 only, and the reference port's projections are
+    conj(F_0u) R_00: exactly 0 for u >= 1 under ZF.
 
-    The ports are assembled batch-last, (P, r, n), and each projection
+    Ports 2..P are assembled batch-last, (P-1, r, n), and each projection
     z_k^H f_u is summed entry by entry over F's nonzero triangle only:
     rows j <= u under MRT, where F = R D^{-1} is upper-triangular, and
     rows j >= u under ZF, where F = R^{-H} D^{-1} is lower-triangular.
@@ -501,21 +512,30 @@ def _frame_sirs(r0: np.ndarray, g: np.ndarray, F: np.ndarray, scheme: str,
     mu = np.asarray(mu, dtype=float)
     n, r = r0.shape
     U = F.shape[2]
+    r00 = r0[:, 0]
     sigma = np.sqrt(np.maximum(0.0, 1.0 - mu[1:] ** 2)) * math.sqrt(beta0)
-    z = np.empty((len(mu), r, n), dtype=complex)
-    z[0] = r0.T
-    np.multiply(sigma[:, None, None], g.transpose(1, 2, 0), out=z[1:])
-    z[1:] += mu[1:, None, None] * z[0]
+    z = np.empty((len(mu) - 1, r, n), dtype=complex)
+    np.multiply(sigma[:, None, None], g.transpose(1, 2, 0), out=z)
+    z[:, 0] += mu[1:, None] * r00
     F = F.transpose(1, 2, 0)
     gains = np.empty((U, len(mu), n))
-    term = np.empty((len(mu), n), dtype=complex)
+    # The reference port: only F's row 0 meets R_00, all of it under MRT
+    # and only f_0 under ZF.
+    cols = 1 if scheme == "ZF" else U
+    ref = F[0, :cols].conj() * r00
+    np.square(ref.real, out=gains[:cols, 0])
+    gains[:cols, 0] += np.square(ref.imag)
+    gains[cols:, 0] = 0.0
+    term = np.empty((len(mu) - 1, n), dtype=complex)
+    square = np.empty((len(mu) - 1, n))
     for u in range(U):
         rows = range(u, r) if scheme == "ZF" else range(min(u + 1, r))
         # |z^H f|^2 = |f^H z|^2: conjugating f is cheaper than z.
         proj = F[rows[0], u].conj() * z[:, rows[0]]
         for j in rows[1:]:
             proj += np.multiply(F[j, u].conj(), z[:, j], out=term)
-        gains[u] = proj.real ** 2 + proj.imag ** 2
+        np.square(proj.real, out=gains[u, 1:])
+        gains[u, 1:] += np.square(proj.imag, out=square)
     powers = np.asarray(powers, dtype=float)
     interference = np.tensordot(powers[1:], gains[1:], axes=1)
     return _sir(powers[0] * gains[0], interference).T
@@ -584,39 +604,62 @@ def _chunk_physref_zf(stream: RngStream, n: int, M: int, U: int, beta, powers, g
     return EmpiricalCdf.bin_samples(np.asarray(grid), x), inf_count, resampled
 
 
+def _draw_frame(gen, n: int, M: int, U: int, scheme: str, beta, ports: int):
+    """Everything of a port chunk that the aperture does not change: the
+    factor R (see _reference_factor), its beams F = Q^H W by the MRT/ZF
+    rule, and the innovations g ~ CN(0, I_r), (n, ports-1, r), of ports
+    2..ports, the law of Q^H x_k.  Returns (R, F, g, resampled).
+
+    Draw order: R (diagonal Gammas, then the entries above the diagonal),
+    any ZF redraws of R, then g.
+    """
+    R = _reference_factor(gen, n, M, U, beta)
+    redraw = partial(_reference_factor, M=M, U=U, beta=beta)
+    F, resampled, R = _weights_for_scheme(gen, R, scheme, beta, redraw)
+    g = _cgauss(gen, (n, ports - 1, R.shape[1]))
+    return R, F, g, resampled
+
+
 def _chunk_ports_sir(stream: RngStream, n: int, M: int, U: int, scheme: str,
                      beta, powers, mu):
     """User-0 SIR at every geometry port: (n, P) array plus resample count.
 
     The SIRs depend on the channels only through their projections onto
     the U beams, so the kernel works in the orthonormal frame Q of the
-    reference channels H = QR: it draws R (see _reference_factor), builds
-    the beams F = Q^H W from R by the MRT/ZF rule, and draws each port's
-    innovation as g_k ~ CN(0, I_r), the law of Q^H x_k.  Nothing is
+    reference channels H = QR (see _draw_frame).  Nothing is
     M-dimensional, so the work does not grow with M.
-
-    Draw order: R (diagonal Gammas, then the entries above the diagonal),
-    any ZF redraws of R, then the innovations g (n, P-1, r) of ports 2..P.
     """
-    gen = stream.generator()
-    R = _reference_factor(gen, n, M, U, beta)
-    redraw = partial(_reference_factor, M=M, U=U, beta=beta)
-    F, resampled, R = _weights_for_scheme(gen, R, scheme, beta, redraw)
-    g = _cgauss(gen, (n, len(mu) - 1, R.shape[1]))
+    R, F, g, resampled = _draw_frame(stream.generator(), n, M, U, scheme,
+                                     beta, len(mu))
     beta0 = float(np.asarray(beta)[0])
     return _frame_sirs(R[:, :, 0], g, F, scheme, beta0, powers, mu), resampled
 
 
 def _chunk_outage_physical(
-    stream, n, M, U, scheme, beta, powers, mu, sel_idx, grid
+    stream, n, M, U, scheme, beta, powers, mus, sel_idx, grid
 ):
-    sirs, resampled = _chunk_ports_sir(stream, n, M, U, scheme, beta, powers, mu)
-    sel = sirs[:, np.asarray(sel_idx, dtype=int)]
-    inf_count = int(np.count_nonzero(~np.isfinite(sel)))
-    best = sel.max(axis=1)
-    # Outage counts: INFINITE selections are never in outage and naturally
-    # land beyond the grid.
-    return EmpiricalCdf.bin_samples(np.asarray(grid), best), inf_count, resampled
+    """Selection outage counts of one chunk at every aperture of a group:
+    ((K, grid) counts, (K,) infinite counts, resample count) for the K
+    mu vectors in `mus`, which share one port count.
+
+    The draw (_draw_frame) does not depend on mu, so it is made once and
+    the SIRs, selection and binning run once per mu vector; each row
+    equals the one a chunk of that aperture alone would give.
+    """
+    R, F, g, resampled = _draw_frame(stream.generator(), n, M, U, scheme,
+                                     beta, len(mus[0]))
+    beta0 = float(np.asarray(beta)[0])
+    sel_idx = np.asarray(sel_idx, dtype=int)
+    grid = np.asarray(grid)
+    counts = np.empty((len(mus), len(grid)), dtype=np.int64)
+    inf_counts = np.empty(len(mus), dtype=np.int64)
+    for k, mu in enumerate(mus):
+        sel = _frame_sirs(R[:, :, 0], g, F, scheme, beta0, powers, mu)[:, sel_idx]
+        inf_counts[k] = np.count_nonzero(~np.isfinite(sel))
+        # Outage counts: INFINITE selections are never in outage and
+        # naturally land beyond the grid.
+        counts[k] = EmpiricalCdf.bin_samples(grid, sel.max(axis=1))
+    return counts, inf_counts, resampled
 
 
 def _chunk_outage_iid(stream, n, a, b, N, grid):
@@ -876,46 +919,60 @@ def run_correlation_experiment(
     )
 
 
-def run_outage_experiment(
-    config: SystemConfig,
+def run_outage_group(
+    configs: list[SystemConfig],
     gamma_grid: np.ndarray | None = None,
     realizations: int | None = None,
     workers: int | None = None,
-) -> OutageExperimentResult:
-    """FAMA outage versus threshold: correlated physical selection, the
-    i.i.d. benchmark (N independent marginal draws), the analytic envelope,
-    and the half-lengths of the 95% Wilson score intervals of both
-    empirical curves."""
+) -> list[OutageExperimentResult]:
+    """Outage experiments of configs that differ only in the aperture W,
+    from one draw: one result per config, in order, each equal to the
+    config's own run_outage_experiment.
+
+    The chunk streams, the port count, R, the beams, the innovations, the
+    i.i.d. benchmark and the analytic envelope do not depend on W; it
+    enters only through mu_k = J0(2 pi d_k) in the SIRs.  So each chunk is
+    drawn once for the group (common random numbers), and the i.i.d. curve
+    and the envelope are computed once and shared by the results.  Configs
+    that differ in any other field are refused, by the field's name.
+    """
+    configs = list(configs)
+    if not configs:
+        raise ValueError("an outage group needs at least one config")
+    first = configs[0]
+    for cfg in configs[1:]:
+        for f in fields(SystemConfig):
+            mine, theirs = getattr(first, f.name), getattr(cfg, f.name)
+            if f.name != "W" and mine != theirs:
+                raise ValueError(
+                    f"configs of one outage group may differ only in W, not "
+                    f"in {f.name}: {mine!r} != {theirs!r}")
     grid = DEFAULT_GAMMA_GRID if gamma_grid is None else np.asarray(gamma_grid)
     if np.any(grid <= 0.0) or np.any(np.diff(grid) < 0.0):
         raise ValueError("gamma grid must be positive and sorted")
-    params = betaprime_params(config.scheme, config.M, config.U)
-    mode = config.resolved_reference_mode()
-    geometry = geometry_for_config(config)
-    sel_idx = selectable_port_indices(config)
-    n = realizations or config.realizations or DEFAULT_PHYSICAL_REALIZATIONS
+    params = betaprime_params(first.scheme, first.M, first.U)
+    sel_idx = selectable_port_indices(first)
+    mus = tuple(tuple(geometry_for_config(cfg).mu) for cfg in configs)
+    n = realizations or first.realizations or DEFAULT_PHYSICAL_REALIZATIONS
     workers = resolve_workers(workers)
     phys = _run_chunked(
         _chunk_outage_physical,
-        (config.M, config.U, config.scheme, config.beta, config.powers,
-         tuple(geometry.mu), tuple(sel_idx), grid),
-        n, config.seed, _BASE_OUTAGE_PHYSICAL, workers,
+        (first.M, first.U, first.scheme, first.beta, first.powers, mus,
+         tuple(sel_idx), grid),
+        n, first.seed, _BASE_OUTAGE_PHYSICAL, workers,
     )
-    counts, inf_count, resampled = _merge_counts(phys)
+    counts, inf_counts, resampled = _merge_counts(phys)
     iid_runs = _run_chunked(
         _chunk_outage_iid, (params.a, params.b, len(sel_idx), grid),
-        n, config.seed, _BASE_OUTAGE_IID, workers,
+        n, first.seed, _BASE_OUTAGE_IID, workers,
     )
     iid_counts, _, _ = _merge_counts(iid_runs)
-    p_corr = counts / n
     p_iid = iid_counts / n
     envelopes = [outage_envelope(g, params, len(sel_idx)) for g in grid]
-    return OutageExperimentResult(
-        scheme=config.scheme,
-        reference_mode=mode,
+    shared = dict(
+        scheme=first.scheme,
+        reference_mode=first.resolved_reference_mode(),
         gamma_grid=grid,
-        correlated=p_corr,
-        correlated_ci=wilson_half_width(p_corr, n),
         iid=p_iid,
         iid_ci=wilson_half_width(p_iid, n),
         single_port=np.array([e.single_port for e in envelopes]),
@@ -925,6 +982,25 @@ def run_outage_experiment(
         large_n=np.array([e.large_n_approx for e in envelopes]),
         realizations=n,
         selection_ports=np.asarray(sel_idx) + 1,
-        infinite_count=inf_count,
         resampled_count=resampled,
     )
+    results = []
+    for row, inf_count in zip(counts, inf_counts):
+        p_corr = row / n
+        results.append(OutageExperimentResult(
+            correlated=p_corr, correlated_ci=wilson_half_width(p_corr, n),
+            infinite_count=int(inf_count), **shared))
+    return results
+
+
+def run_outage_experiment(
+    config: SystemConfig,
+    gamma_grid: np.ndarray | None = None,
+    realizations: int | None = None,
+    workers: int | None = None,
+) -> OutageExperimentResult:
+    """FAMA outage versus threshold: correlated physical selection, the
+    i.i.d. benchmark (N independent marginal draws), the analytic envelope,
+    and the half-lengths of the 95% Wilson score intervals of both
+    empirical curves.  The one-config case of run_outage_group."""
+    return run_outage_group([config], gamma_grid, realizations, workers)[0]

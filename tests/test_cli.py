@@ -1,5 +1,6 @@
 """Config parsing, command orchestration, CSV schemas, and manifests."""
 
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -288,43 +289,67 @@ class TestSweepPool:
     @pytest.mark.parametrize("failure", ["raise", "crash", "interrupt"])
     def test_failure_cancels_queued_points(self, tmp_path, monkeypatch, capsys,
                                            failure):
-        # 16 points.  "raise" and "crash" fail the second point in its
-        # worker, while the first is written; "interrupt" stops the parent
-        # at its first write.  The patches are made before the pool forks.
+        # 32 points in 16 W-groups of 2.  "raise" and "crash" fail the
+        # second group in its worker, while the first is written;
+        # "interrupt" stops the parent at its first write.  The patches are
+        # made before the pool forks.  A pool of 2 runs 2 groups and holds
+        # 3 more in its call queue, which cancelling cannot reach, so the
+        # grid needs more groups than that for a cancelled one to show.
         log = tmp_path / "points.log"
-        real_run, real_write = cli.run_outage_experiment, cli.write_curve_csv
+        real_run, real_write = cli.run_outage_group, cli.write_curve_csv
         parent = os.getpid()
 
-        def run(cfg, workers=None):
+        def run(configs, workers=None):
             with open(log, "a", encoding="utf-8") as fh:
-                fh.write(f"{cfg.scheme}_M{cfg.M}_N{cfg.N}_W{cfg.W:g}\n")
-            if failure != "interrupt" and (cfg.scheme, cfg.M, cfg.N, cfg.W) == (
-                    "MRT", 4, 2, 4.0):
+                fh.writelines(f"{cfg.scheme}_M{cfg.M}_N{cfg.N}_W{cfg.W:g}\n"
+                              for cfg in configs)
+            if failure != "interrupt" and ("MRT", 4, 3) in {
+                    (cfg.scheme, cfg.M, cfg.N) for cfg in configs}:
                 if failure == "crash" and os.getpid() != parent:
                     os._exit(3)
-                raise RuntimeError("injected point failure")
+                raise RuntimeError("injected group failure")
             time.sleep(0.2)
-            return real_run(cfg, workers=workers)
+            return real_run(configs, workers=workers)
 
         def write(path, rows):
             if failure == "interrupt":
                 raise KeyboardInterrupt
             real_write(path, rows)
 
-        monkeypatch.setattr(cli, "run_outage_experiment", run)
+        monkeypatch.setattr(cli, "run_outage_group", run)
         monkeypatch.setattr(cli, "write_curve_csv", write)
         monkeypatch.setenv("FAMA_LAB_WORKERS", "2")
         out = tmp_path / "sw"
         try:
             code = main(["sweep", "--realizations", "1000", "--sweep-M", "4,8",
-                         "--sweep-N", "2,3", "--sweep-W", "0.25,4",
+                         "--sweep-N", "2,3,4,5", "--sweep-W", "0.25,4",
                          "--sweep-scheme", "MRT,ZF", "--out", str(out)])
         except KeyboardInterrupt:
             pytest.fail("the interrupt escaped cli.main")
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert os.listdir(out) == []
-        assert len(log.read_text().split()) < 16
+        assert len(log.read_text().split()) < 32
+
+
+class TestCurveCsv:
+    def test_bytes_equal_row_by_row_formatting(self, tmp_path):
+        # Thresholds repeat across curves and analytic rows repeat their
+        # value object; the file must read as if every field were formatted
+        # on its own, signed zeros and equal-but-distinct CI values included.
+        grid = np.array([1e-3, 0.31622776601683794, 1.0, 12.5])
+        values = np.array([0.0, -0.0, 0.123456789012345, 1.0])
+        rows = [(g, v, v, v, "analytic") for g, v in zip(grid, values)]
+        rows += [(g, v, float(v), float(v), "equal_ci")
+                 for g, v in zip(grid, values)]
+        rows += [(g, v, max(0.0, v - 0.01), min(1.0, v + 0.01), "empirical")
+                 for g, v in zip(grid, values)]
+        path = tmp_path / "curve.csv"
+        write_curve_csv(str(path), rows)
+        expect = CURVE_HEADER + "\n" + "".join(
+            f"{g:.12g},{10.0 * math.log10(g):.12g},{v:.12g},{lo:.12g},"
+            f"{hi:.12g},{c}\n" for g, v, lo, hi, c in rows)
+        assert path.read_text() == expect
 
 
 class TestErrors:

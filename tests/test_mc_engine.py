@@ -1,6 +1,7 @@
 """Monte-Carlo engine: per-port SIRs, selection, samplers, estimators, and
 the chunked experiment drivers."""
 
+import dataclasses
 import math
 from functools import partial
 
@@ -13,9 +14,11 @@ from fama_lab.channel_geom import SystemConfig, geometry_for_config
 from fama_lab.mc_engine import (
     DEFAULT_GAMMA_GRID,
     EmpiricalCdf,
+    OutageExperimentResult,
     _STREAM_SPAN,
     _cgauss,
     _chunk_ports_sir,
+    _draw_frame,
     _frame_sirs,
     _reference_factor,
     _run_chunked,
@@ -27,9 +30,11 @@ from fama_lab.mc_engine import (
     run_cdf_experiment,
     run_correlation_experiment,
     run_outage_experiment,
+    run_outage_group,
     simulate_sir_batch,
     surrogate_gain_sample,
 )
+from fama_lab import mc_engine
 from fama_lab.randlin import RngStream
 from physical_oracle import draw_physical, physical_sirs, port_sirs
 
@@ -225,8 +230,11 @@ class TestPortsKernel:
         else:
             Q, R = np.linalg.qr(H)
         g = np.einsum("nmr,npm->npr", Q.conj(), e)
-        F, resampled, _ = _weights_for_scheme(RngStream(40, 0).generator(), R,
-                                              scheme, beta)
+        # The redraw marks R as the frame factor: ZF takes the kernel's
+        # Bartlett route.
+        F, resampled, _ = _weights_for_scheme(
+            RngStream(40, 0).generator(), R, scheme, beta,
+            partial(_reference_factor, M=M, U=U, beta=beta))
         assert resampled == 0
         got = _frame_sirs(R[:, :, 0], g, F, scheme, beta[0], powers, mu)
         expect = physical_sirs(H, e, scheme, beta[0], powers, mu)
@@ -355,6 +363,112 @@ class TestPortsKernel:
         large = sirs.max(axis=1)
         for g in (0.5, 1.0, 3.0):
             assert np.mean(large < g) <= np.mean(small < g)
+
+
+def _full_pass_sirs(r0, g, F, scheme, beta0, powers, mu):
+    """The port SIRs by a full pass: every port, the reference included, is
+    assembled in all r rows, mu_k r0 is added to every row, and each
+    projection sums over F's nonzero triangle.  The same float operations,
+    in the same order, as the frame kernel before it skipped r0's zero rows
+    and the reference port's zero projections."""
+    mu = np.asarray(mu, dtype=float)
+    n, r = r0.shape
+    U = F.shape[2]
+    sigma = np.sqrt(np.maximum(0.0, 1.0 - mu[1:] ** 2)) * math.sqrt(beta0)
+    z = np.empty((len(mu), r, n), dtype=complex)
+    z[0] = r0.T
+    np.multiply(sigma[:, None, None], g.transpose(1, 2, 0), out=z[1:])
+    z[1:] += mu[1:, None, None] * z[0]
+    F = F.transpose(1, 2, 0)
+    gains = np.empty((U, len(mu), n))
+    for u in range(U):
+        rows = range(u, r) if scheme == "ZF" else range(min(u + 1, r))
+        proj = F[rows[0], u].conj() * z[:, rows[0]]
+        for j in rows[1:]:
+            proj = proj + F[j, u].conj() * z[:, j]
+        gains[u] = proj.real ** 2 + proj.imag ** 2
+    powers = np.asarray(powers, dtype=float)
+    interference = np.tensordot(powers[1:], gains[1:], axes=1)
+    with np.errstate(divide="ignore"):
+        return np.where(interference > 1e-20, powers[0] * gains[0] / interference,
+                        np.inf).T
+
+
+# (M, U, N, W, reference mode); None takes the scheme's default mode.
+_PINNED_CONFIGS = [(8, 4, 8, 4.0, "member"), (16, 8, 2, 0.25, "external"),
+                   (4, 2, 8, 0.25, None), (8, 4, 2, 4.0, None),
+                   (4, 4, 8, 4.0, None)]
+
+
+class TestFrameSirsPinned:
+    @pytest.mark.parametrize("scheme", ["MRT", "ZF"])
+    @pytest.mark.parametrize("M, U, N, W, mode", _PINNED_CONFIGS)
+    def test_equal_to_full_pass(self, M, U, N, W, mode, scheme):
+        # Skipping r0's zero rows and the reference port's zero projections
+        # changes no bit of any SIR, on the draws the kernel makes.
+        beta = _FRAME_BETA[:U]
+        powers = (3.0, 1.0, 0.5, 2.0, 1.0, 0.8, 1.5, 0.6)[:U]
+        cfg = SystemConfig(M=M, U=U, N=N, W=W, scheme=scheme, beta=beta,
+                           powers=powers, reference_mode=mode)
+        mu = tuple(geometry_for_config(cfg).mu)
+        R, F, g, _ = _draw_frame(RngStream(45, M).generator(), 2048, M, U,
+                                 scheme, beta, len(mu))
+        got = _frame_sirs(R[:, :, 0], g, F, scheme, beta[0], powers, mu)
+        expect = _full_pass_sirs(R[:, :, 0], g, F, scheme, beta[0], powers, mu)
+        assert np.array_equal(got, expect)
+
+
+def test_cgauss_scales_the_draws_in_place():
+    # The scaled normals are the complex entries' own memory, and equal the
+    # product of the complex view and sqrt(1/2) bit for bit.
+    z = _cgauss(RngStream(47, 0).generator(), (64, 3, 4))
+    raw = RngStream(47, 0).generator().standard_normal((64, 3, 4, 2))
+    assert z.shape == (64, 3, 4)
+    assert z.base is not None and z.base.dtype == np.float64
+    assert np.array_equal(z, np.sqrt(0.5) * raw.view(np.complex128)[..., 0])
+
+
+_OUTAGE_FIELDS = [f.name for f in dataclasses.fields(OutageExperimentResult)]
+
+
+class TestOutageGroup:
+    @pytest.mark.parametrize("scheme, mode, tolerance", [
+        ("MRT", "member", None), ("ZF", "external", None),
+        ("ZF", "external", 1.0 / 40.0)])
+    def test_equals_per_config_runs(self, monkeypatch, scheme, mode, tolerance):
+        # The group shares one draw per chunk; each of its results equals
+        # the config's own run field for field.  With the condition limit
+        # at 40, ZF redraws a share of R in every chunk, so the shared
+        # redraw is pinned too.
+        if tolerance is not None:
+            monkeypatch.setattr(mc_engine, "_GRAM_TOLERANCE", tolerance)
+        configs = [SystemConfig(M=8, U=4, N=4, W=W, scheme=scheme,
+                                reference_mode=mode, seed=61)
+                   for W in (0.0, 0.25, 4.0)]
+        group = run_outage_group(configs, realizations=5_000)
+        assert len(group) == len(configs)
+        if tolerance is not None:
+            assert group[0].resampled_count > 0
+        for cfg, res in zip(configs, group):
+            single = run_outage_experiment(cfg, realizations=5_000)
+            for name in _OUTAGE_FIELDS:
+                a, b = getattr(res, name), getattr(single, name)
+                assert np.array_equal(a, b), name
+        # The apertures differ, so their selection curves do too.
+        assert not np.array_equal(group[0].correlated, group[2].correlated)
+
+    @pytest.mark.parametrize("field, value", [
+        ("M", 16), ("N", 5), ("scheme", "ZF"), ("seed", 7),
+        ("powers", (2.0, 1.0, 1.0, 1.0)), ("reference_mode", "external")])
+    def test_refuses_configs_differing_beyond_w(self, field, value):
+        base = SystemConfig(M=8, U=4, N=4, W=0.25, seed=62)
+        other = dataclasses.replace(base, W=4.0, **{field: value})
+        with pytest.raises(ValueError, match=f"not in {field}:"):
+            run_outage_group([base, other], realizations=1000)
+
+    def test_refuses_empty_group(self):
+        with pytest.raises(ValueError, match="at least one config"):
+            run_outage_group([])
 
 
 class TestExperiments:
