@@ -31,9 +31,8 @@ from .mc_engine import (
     CHUNK_SIZE,
     EmpiricalCdf,
     _chunk_ports_sir,
+    _draw_frame,
     _iter_chunks,
-    _reference_matrix,
-    _weights_for_scheme,
     estimate_marginal_tail,
     pearson_correlation,
     run_cdf_experiment,
@@ -131,24 +130,27 @@ def criterion_03_physical_model_fidelity(seed: int = SUITE_SEED) -> CriterionRes
 
 
 def criterion_04_zf_nulling_and_gains(seed: int = SUITE_SEED) -> CriterionResult:
-    """Nulling residual <= 1e-10 over 1e4 draws; gain means within 3 sigma."""
+    """Nulling residual <= 1e-10 over 1e4 draws; gain means within 3 sigma.
+
+    Both run in the frame of the reference channels H = QR: the nulling
+    h_u^H w_v = R_u^H F_v is the off-diagonal of R^H F, relative to R's
+    column norms ||h_u||, and user 0's gains are the ZF |R_00 F_00|^2 and
+    the MRT ||h_0||^2 = ||R[:, 0]||^2.
+    """
 
     def check():
         M, U = 8, 4
-        gen = RngStream(seed, 77).generator()
-        H = _reference_matrix(gen, 10_000, M, U, (1.0,) * U)
-        W, _, H = _weights_for_scheme(gen, H, "ZF", (1.0,) * U)
-        proj = np.abs(np.einsum("nmu,nmv->nuv", H.conj(), W))
+        beta = (1.0,) * U
+        R, F, _, _ = _draw_frame(RngStream(seed, 77).generator(), 10_000, M, U,
+                                 "ZF", beta, 1)
+        proj = np.abs(np.einsum("nru,nrv->nuv", R.conj(), F))
         proj[:, np.arange(U), np.arange(U)] = 0.0
-        worst = float(np.max(proj / np.linalg.norm(H, axis=1)[:, :, None]))
+        worst = float(np.max(proj / np.linalg.norm(R, axis=1)[:, :, None]))
         n = 100_000
-        gen = RngStream(seed, 78).generator()
-        H = _reference_matrix(gen, n, M, U, (1.0,) * U)
-        Wz, _, H = _weights_for_scheme(gen, H, "ZF", (1.0,) * U)
-        Wm, _, _ = _weights_for_scheme(gen, H, "MRT", (1.0,) * U)
-        h0 = H[:, :, 0]
-        zf_gains = np.abs(np.einsum("nm,nm->n", h0.conj(), Wz[:, :, 0])) ** 2
-        mrt_gains = np.abs(np.einsum("nm,nm->n", h0.conj(), Wm[:, :, 0])) ** 2
+        R, F, _, _ = _draw_frame(RngStream(seed, 78).generator(), n, M, U,
+                                 "ZF", beta, 1)
+        zf_gains = np.abs(R[:, 0, 0] * F[:, 0, 0]) ** 2
+        mrt_gains = np.sum(np.abs(R[:, :, 0]) ** 2, axis=1)
         zf_tol = 3.0 * math.sqrt(5.0 / n)
         mrt_tol = 3.0 * math.sqrt(8.0 / n)
         zf_dev = abs(zf_gains.mean() - 5.0)

@@ -6,15 +6,13 @@ keyed by (seed, stream id), so results are bit-identical no matter how many
 workers run the chunks.  Chunk kernels are top-level functions (picklable)
 that return plain arrays; merging happens in chunk order.
 
-The per-port kernel (_chunk_ports_sir) works in the orthonormal frame Q of
-the reference channels H = QR.  It draws the triangular factor R and
-r = min(M, U) dimensional port innovations, never an M-dimensional vector,
-so its cost does not grow with M.  Under ZF its beams are R^{-H}: R^H is
-already the Cholesky factor of the Gram R^H R, so no Gram is formed or
-factored (_frame_zf_beams).  The physical_reference CDF kernels and
-criterion 4 still draw the full channels H (_reference_matrix), and their
-ZF beams still take the Cholesky route of _gram_inverse (_zf_beams) until
-they move into the frame too.
+The physical kernels work in the orthonormal frame Q of the reference
+channels H = QR (_draw_frame).  They draw the triangular factor R and
+r = min(M, U) dimensional innovations, never an M-dimensional vector, so
+their cost does not grow with M: the per-port kernel (_chunk_ports_sir),
+the fig2 physical reference (_physref_sirs) and criterion 4 alike.  Under
+ZF the beams are R^{-H}: R^H is already the Cholesky factor of the Gram
+R^H R, so no Gram is formed or factored (_frame_zf_beams).
 
 The frame kernel keeps R, its beams and the port vectors batch-last: its
 (n, r, U) arrays are views of (r, U, n) memory, so each matrix entry is one
@@ -309,17 +307,6 @@ def _cgauss(gen: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     return z.view(np.complex128)[..., 0]
 
 
-def _normalize_rows(v: np.ndarray) -> np.ndarray:
-    return v / np.linalg.norm(v, axis=-1, keepdims=True)
-
-
-def _reference_matrix(gen, n: int, M: int, U: int, beta) -> np.ndarray:
-    """Draw reference channels; returns H (n, M, U), one column per user."""
-    x0 = _cgauss(gen, (n, U, M))
-    h = np.sqrt(np.asarray(beta))[None, :, None] * x0
-    return np.transpose(h, (0, 2, 1))
-
-
 def _reference_factor(gen, n: int, M: int, U: int, beta) -> np.ndarray:
     """Draw the triangular factor R (n, r, U), r = min(M, U), of reference
     channels H = QR, without drawing H or Q.
@@ -365,36 +352,6 @@ def _lower_inverse(chol: np.ndarray) -> np.ndarray:
     return inv.transpose(2, 0, 1)
 
 
-def _gram_inverse(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse Grams (H^H H)^{-1}, (n, U, U), from one Cholesky factor each,
-    and a (n,) flag of the rows whose Gram fails the condition test.
-
-    This is the route of channels H (n, M, U) in the physical frame, which
-    only the fig2 physical-reference ZF kernel and criterion 4 still take;
-    the frame factor R skips it (see _frame_zf_beams).  A row fails when its
-    Gram G is not positive definite or when
-    tr(G) tr(G^{-1}) > 1 / _GRAM_TOLERANCE.
-    That product bounds cond(G) from above, so every Gram whose condition
-    number exceeds the limit fails.  np.linalg.cholesky refuses the whole
-    stack when one Gram is not positive definite; then the rows whose
-    eigenvalues already fail the test are flagged and only the others are
-    factored.
-    """
-    gram = np.matmul(np.conj(np.swapaxes(H, 1, 2)), H)
-    try:
-        chol = np.linalg.cholesky(gram)
-        factored = np.ones(len(H), dtype=bool)
-    except np.linalg.LinAlgError:
-        eig = np.linalg.eigvalsh(gram)
-        factored = eig[:, 0] > eig[:, -1] * _GRAM_TOLERANCE
-        chol = np.broadcast_to(np.eye(H.shape[2], dtype=complex), gram.shape).copy()
-        chol[factored] = np.linalg.cholesky(gram[factored])
-    inv_chol = _lower_inverse(chol)
-    ginv = np.matmul(np.conj(np.swapaxes(inv_chol, 1, 2)), inv_chol)
-    trace = np.einsum("nii->n", gram).real * np.einsum("nii->n", ginv).real
-    return ginv, ~factored | (trace > 1.0 / _GRAM_TOLERANCE)
-
-
 def _sq_norm(v: np.ndarray, subscripts: str) -> np.ndarray:
     """Sums of |v|^2 over the axes that einsum `subscripts` (for v, v)
     drops."""
@@ -402,25 +359,18 @@ def _sq_norm(v: np.ndarray, subscripts: str) -> np.ndarray:
             + np.einsum(subscripts, v.imag, v.imag))
 
 
-def _zf_beams(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unit-norm ZF beams H (H^H H)^{-1} of channels H (n, M, U), by the
-    Cholesky route of _gram_inverse, H (L^{-1})^H L^{-1}, and a (n,) flag
-    of the rows whose Gram fails its condition test."""
-    ginv, bad = _gram_inverse(H)
-    raw = np.matmul(H, ginv)
-    return raw / np.linalg.norm(raw, axis=1, keepdims=True), bad
-
-
 def _frame_zf_beams(R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Unit-norm ZF beams of the frame factor R (n, U, U), square and
     upper-triangular with a positive real diagonal as _reference_factor
-    builds it when M >= U, and the (n,) flag of _gram_inverse's condition
-    test on its Gram G = R^H R.
+    builds it when M >= U, and a (n,) flag of the rows whose Gram
+    G = R^H R fails the condition test tr(G) tr(G^{-1}) > 1 / _GRAM_TOLERANCE.
+    That product bounds cond(G) from above, so every Gram whose condition
+    number exceeds the limit fails.
 
     The Gram's lower Cholesky factor is L = R^H, so the raw beams
     R (R^H R)^{-1} = R^{-H} are L^{-1} itself, and tr(G) tr(G^{-1}) =
     ||R||_F^2 ||L^{-1}||_F^2, whose second factor sums the squared beam
-    norms: no Gram and no Cholesky call.  The beams are the (n, U, U) view
+    norms: no Gram is formed or factored.  The beams are the (n, U, U) view
     of batch-last memory, as R is.
     """
     # A singular R (a zero on its diagonal) makes inf or nan below; its
@@ -437,53 +387,44 @@ def _frame_zf_beams(R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return inv, ~(cond <= 1.0 / _GRAM_TOLERANCE)
 
 
-def _zf_weights(gen, H: np.ndarray, beta,
-                redraw=None) -> tuple[np.ndarray, int, np.ndarray]:
-    """Batched unit-norm ZF beams H (H^H H)^{-1} with discard-and-resample
-    on ill-conditioned Grams.
+def _zf_weights(gen, R: np.ndarray, redraw) -> tuple[np.ndarray, int, np.ndarray]:
+    """Unit-norm ZF beams of the frame factor R (n, U, U) (_frame_zf_beams)
+    with discard-and-resample on ill-conditioned Grams.
 
-    Without `redraw`, H holds reference channels (n, M, U): their beams
-    take the Cholesky route (_zf_beams) and failing rows are redrawn from
-    _reference_matrix's law.  With `redraw`, H is the frame factor R
-    (n, U, U) of _reference_factor and redraw(gen, count) its sampler: the
-    beams take the Bartlett route (_frame_zf_beams) and a redrawn row keeps
-    its R form.  The condition test is the same in either frame.  Failing
-    rows are redrawn into a copy, so the caller's array is left alone.
-    Returns (W, resampled, H); the beams pair with the returned H.
+    redraw(gen, count) is R's sampler: failing rows are redrawn from it
+    into a copy, so a redrawn row keeps its R form and the caller's array
+    is left alone.  Returns (F, resampled, R); the beams pair with the
+    returned R.
     """
-    n, M, U = H.shape
-    if redraw is None:
-        beams, redraw = _zf_beams, partial(_reference_matrix, M=M, U=U, beta=beta)
-    else:
-        beams = _frame_zf_beams
-    W, bad = beams(H)
+    F, bad = _frame_zf_beams(R)
     rows = np.flatnonzero(bad)
     resampled = 0
     if len(rows):
-        H = H.copy(order="K")
+        R = R.copy(order="K")
     for _ in range(_MAX_RESAMPLE_ROUNDS):
         if not len(rows):
             break
         resampled += len(rows)
-        H[rows] = redraw(gen, len(rows))
-        W[rows], bad = beams(H[rows])
+        R[rows] = redraw(gen, len(rows))
+        F[rows], bad = _frame_zf_beams(R[rows])
         rows = rows[bad]
     if len(rows):
         raise RuntimeError("ZF Gram resampling failed to converge")
-    return W, resampled, H
+    return F, resampled, R
 
 
-def _weights_for_scheme(gen, H: np.ndarray, scheme: str, beta,
-                        redraw=None) -> tuple[np.ndarray, int, np.ndarray]:
-    """Unit-norm beams (n, M, U) for the reference channels H (n, M, U), or
-    the beams in their frame for the factor R (n, r, U), which its sampler
-    `redraw` marks (see _zf_weights).
+def _weights_for_scheme(gen, H: np.ndarray, scheme: str,
+                        redraw) -> tuple[np.ndarray, int, np.ndarray]:
+    """Unit-norm beams F = Q^H W (n, r, U) in the frame Q of the reference
+    channels, for their factor H = R (n, r, U) of _reference_factor, whose
+    sampler redraw(gen, count) serves the ZF resampling (see _zf_weights).
 
-    Returns (W, resampled, H); only ZF resamples, and then H is a new array.
+    MRT normalises the columns of R.  Returns (F, resampled, R); only ZF
+    resamples, and then R is a new array.
     """
     if scheme == "MRT":
         return H / np.linalg.norm(H, axis=1, keepdims=True), 0, H
-    return _zf_weights(gen, H, beta, redraw)
+    return _zf_weights(gen, H, redraw)
 
 
 def _sir(num, den):
@@ -552,58 +493,6 @@ def _chunk_marginal_sf_count(stream: RngStream, n: int, a: int, b: int, gamma: f
     return int(np.count_nonzero(x > gamma))
 
 
-def _chunk_physref_mrt(stream: RngStream, n: int, M: int, U: int, beta, powers, grid):
-    """Reference-port SIR of user 0 under MRT.
-
-    Desired gain is the physical ||h_{0,1}||^2; interference comes from the
-    physical co-user MRT beams projected onto an independent channel
-    realization.  Imposing that single independence (the step the ratio law
-    takes when dividing the desired-gain law by the interference law) leaves
-    the cross-beam dependence of the interference terms physical, so the KS
-    report measures exactly the residual of that approximation.  The fully
-    self-consistent reference-port SIR (same channel in numerator and
-    denominator) sits near KS 0.09 from the Beta-prime law at M=8, U=4 and
-    is not what the distribution claim describes.
-    """
-    gen = stream.generator()
-    H = _reference_matrix(gen, n, M, U, beta)
-    W, _, _ = _weights_for_scheme(gen, H, "MRT", beta)
-    h0 = H[:, :, 0]
-    desired = np.linalg.norm(h0, axis=1) ** 2
-    h_indep = math.sqrt(float(np.asarray(beta)[0])) * _cgauss(gen, (n, M))
-    powers = np.asarray(powers)
-    terms = np.abs(np.einsum("nm,nmu->nu", h_indep.conj(), W[:, :, 1:])) ** 2
-    x = _sir(powers[0] * desired, (terms * powers[None, 1:]).sum(axis=1))
-    inf_count = int(np.count_nonzero(~np.isfinite(x)))
-    return EmpiricalCdf.bin_samples(np.asarray(grid), x), inf_count, 0
-
-
-def _chunk_physref_zf(stream: RngStream, n: int, M: int, U: int, beta, powers, grid):
-    """Physical ZF desired gain at the reference port, paired with
-    interference projected onto independently drawn isotropic co-user
-    directions.
-
-    The true co-user ZF beams null the reference port exactly, so this mode
-    realizes the marginal interference model instead: each interferer
-    contributes |g^H v|^2 with a fresh isotropic unit direction v and a fresh
-    channel draw g, making the L terms exactly independent Exp(1) and
-    independent of the desired gain.
-    """
-    gen = stream.generator()
-    H = _reference_matrix(gen, n, M, U, beta)
-    W, resampled, H = _weights_for_scheme(gen, H, "ZF", beta)
-    h0 = H[:, :, 0]
-    desired = np.abs(np.einsum("nm,nm->n", h0.conj(), W[:, :, 0])) ** 2
-    L = U - 1
-    dirs = _normalize_rows(_cgauss(gen, (n, L, M)))
-    fresh = _cgauss(gen, (n, L, M))
-    terms = np.abs(np.einsum("nlm,nlm->nl", fresh.conj(), dirs)) ** 2
-    powers = np.asarray(powers)
-    x = _sir(powers[0] * desired, (terms * powers[None, 1:]).sum(axis=1))
-    inf_count = int(np.count_nonzero(~np.isfinite(x)))
-    return EmpiricalCdf.bin_samples(np.asarray(grid), x), inf_count, resampled
-
-
 def _draw_frame(gen, n: int, M: int, U: int, scheme: str, beta, ports: int):
     """Everything of a port chunk that the aperture does not change: the
     factor R (see _reference_factor), its beams F = Q^H W by the MRT/ZF
@@ -615,7 +504,7 @@ def _draw_frame(gen, n: int, M: int, U: int, scheme: str, beta, ports: int):
     """
     R = _reference_factor(gen, n, M, U, beta)
     redraw = partial(_reference_factor, M=M, U=U, beta=beta)
-    F, resampled, R = _weights_for_scheme(gen, R, scheme, beta, redraw)
+    F, resampled, R = _weights_for_scheme(gen, R, scheme, redraw)
     g = _cgauss(gen, (n, ports - 1, R.shape[1]))
     return R, F, g, resampled
 
@@ -633,6 +522,59 @@ def _chunk_ports_sir(stream: RngStream, n: int, M: int, U: int, scheme: str,
                                      beta, len(mu))
     beta0 = float(np.asarray(beta)[0])
     return _frame_sirs(R[:, :, 0], g, F, scheme, beta0, powers, mu), resampled
+
+
+def _physref_sirs(gen, n: int, M: int, U: int, scheme: str, beta,
+                  powers) -> tuple[np.ndarray, int]:
+    """User 0's reference-port SIR, (n,), with interference drawn
+    independent of its desired gain, and the resample count.  It works in
+    the frame of the reference channels H = QR (_draw_frame), so nothing
+    is M-dimensional.
+
+    The desired gain is the physical |h_{0,1}^H w_0|^2 = |R_00 F_00|^2;
+    under MRT that is ||h_{0,1}||^2 = R_00^2.  The interference imposes the
+    one independence the Beta-prime law takes when it divides the
+    desired-gain law by the interference law:
+
+    - MRT: the co-user beams projected onto an independent channel
+      sqrt(beta_0) x, x ~ CN(0, I_M).  The beams W = QF lie in span(Q), so
+      the projections have the law of sqrt(beta_0) g^H F with
+      g = Q^H x ~ CN(0, I_r).  The cross-beam dependence of the terms stays
+      physical, so the KS report measures exactly the residual of that
+      independence.  The fully self-consistent reference-port SIR (one
+      channel in numerator and denominator) sits near KS 0.09 from the
+      Beta-prime law at M=8, U=4 and is not what the distribution claim
+      describes.
+    - ZF: the co-user beams null the reference port exactly, so each
+      interferer contributes |x^H v|^2 for a fresh channel sqrt(beta_0) x
+      and a fresh isotropic unit direction v: exactly beta_0 Exp(1), L
+      independent terms.  The desired gain still comes from the ZF solve;
+      a direct Gamma(M - U + 1) draw would test the sampler against itself.
+
+    Draw order: R and any ZF redraws, then g (MRT) or the L exponentials
+    (ZF).
+    """
+    # MRT takes one frame innovation g for the independent channel, ZF none.
+    R, F, g, resampled = _draw_frame(gen, n, M, U, scheme, beta,
+                                     2 if scheme == "MRT" else 1)
+    beta0 = float(np.asarray(beta)[0])
+    powers = np.asarray(powers, dtype=float)
+    desired = np.abs(R[:, 0, 0] * F[:, 0, 0]) ** 2
+    if scheme == "MRT":
+        proj = np.einsum("nr,nru->nu", g[:, 0].conj(), F[:, :, 1:])
+        terms = np.abs(math.sqrt(beta0) * proj) ** 2
+    else:
+        terms = beta0 * gen.standard_exponential((n, U - 1))
+    return _sir(powers[0] * desired, terms @ powers[1:]), resampled
+
+
+def _chunk_physref(stream: RngStream, n: int, M: int, U: int, scheme: str,
+                   beta, powers, grid):
+    """Binned reference-port SIRs of one chunk (_physref_sirs): (counts,
+    infinite count, resample count)."""
+    x, resampled = _physref_sirs(stream.generator(), n, M, U, scheme, beta, powers)
+    inf_count = int(np.count_nonzero(~np.isfinite(x)))
+    return EmpiricalCdf.bin_samples(np.asarray(grid), x), inf_count, resampled
 
 
 def _chunk_outage_physical(
@@ -762,9 +704,9 @@ def run_cdf_experiment(
     """Empirical per-port SIR CDF with the analytic overlay and KS report.
 
     marginal mode samples the exact Gamma-ratio law; physical_reference mode
-    simulates the reference-port SIR from full channel draws (MRT), or the
-    physical ZF desired gain with independently drawn interference
-    directions (ZF).
+    simulates the reference-port SIR from the physical desired gain and
+    interference drawn independent of it (_physref_sirs), in the frame of
+    the reference channels under either scheme.
     """
     if mode not in ("marginal", "physical_reference"):
         raise ValueError(f"unknown cdf experiment mode {mode!r}")
@@ -780,16 +722,10 @@ def run_cdf_experiment(
             _chunk_marginal_counts, (params.a, params.b, grid),
             n, config.seed, _BASE_CDF, workers,
         )
-    elif config.scheme == "MRT":
-        results = _run_chunked(
-            _chunk_physref_mrt,
-            (config.M, config.U, config.beta, config.powers, grid),
-            n, config.seed, _BASE_CDF_PHYSICAL, workers,
-        )
     else:
         results = _run_chunked(
-            _chunk_physref_zf,
-            (config.M, config.U, config.beta, config.powers, grid),
+            _chunk_physref,
+            (config.M, config.U, config.scheme, config.beta, config.powers, grid),
             n, config.seed, _BASE_CDF_PHYSICAL, workers,
         )
     counts, inf_count, resampled = _merge_counts(results)

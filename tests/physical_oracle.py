@@ -1,10 +1,10 @@
-"""Physical oracle of the port kernel, for tests.
+"""Physical oracle of the frame kernels, for tests.
 
-It builds user 0's M-dimensional channel at every port and projects it onto
-beams formed from the full reference channels H (n, M, U), as the simulator
-did before it moved into the frame of the reference channels.  Beams come
-from numpy directly (column-normalized H for MRT, the pseudo-inverse for
-ZF), not from the package.
+It builds user 0's M-dimensional channel at every port, and the fig2
+reference-port SIR, from the full reference channels H (n, M, U), as the
+simulator did before it moved into the frame of the reference channels.
+Beams come from numpy directly (column-normalized H for MRT, the
+pseudo-inverse for ZF), not from the package.
 """
 
 import math
@@ -56,3 +56,25 @@ def port_sirs(ports, W, powers):
 def physical_sirs(H, e, scheme, beta0, powers, mu):
     """Per-port SIRs of user 0 from the physical draw (H, e)."""
     return port_sirs(port_channels(H[:, :, 0], e, beta0, mu), beams(H, scheme), powers)
+
+
+def physical_reference_sirs(gen, n, M, U, scheme, beta, powers):
+    """User 0's reference-port SIR, (n,), with interference drawn
+    independent of the desired gain |h_0^H w_0|^2, in M dimensions: under
+    MRT the co-user beams projected onto an independent channel
+    CN(0, beta_0 I_M); under ZF, per interferer, a fresh CN(0, beta_0 I_M)
+    channel projected onto a fresh isotropic unit direction."""
+    H, _ = draw_physical(gen, n, M, U, 1, beta)
+    W = beams(H, scheme)
+    desired = np.abs(np.einsum("nm,nm->n", H[:, :, 0].conj(), W[:, :, 0])) ** 2
+    root_b0 = math.sqrt(beta[0])
+    if scheme == "MRT":
+        fresh = root_b0 * cgauss(gen, (n, M))
+        terms = np.abs(np.einsum("nm,nmu->nu", fresh.conj(), W[:, :, 1:])) ** 2
+    else:
+        dirs = cgauss(gen, (n, U - 1, M))
+        dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
+        fresh = root_b0 * cgauss(gen, (n, U - 1, M))
+        terms = np.abs(np.einsum("nlm,nlm->nl", fresh.conj(), dirs)) ** 2
+    powers = np.asarray(powers, dtype=float)
+    return powers[0] * desired / (terms @ powers[1:])

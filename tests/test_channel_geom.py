@@ -15,9 +15,8 @@ from fama_lab.channel_geom import (
     port_displacements,
     selectable_port_indices,
 )
-from fama_lab.mc_engine import _cgauss, _reference_matrix
 from fama_lab.randlin import RngStream
-from physical_oracle import port_channels
+from physical_oracle import draw_physical, port_channels
 
 mp.mp.dps = 30
 
@@ -113,43 +112,42 @@ class TestSelectablePorts:
 
 
 class TestGenerateChannelSet:
-    """The physical channel draw: the reference matrix, then user 0's
-    ports built by the test oracle."""
+    """The physical channel draw of the test oracle: the reference matrix
+    H (n, M, U), then user 0's ports."""
 
     def test_fully_correlated_limit(self):
         geo = geometry_for_config(SystemConfig(N=4, W=0.0))
-        gen = RngStream(3, 0).generator()
-        H = _reference_matrix(gen, 16, 8, 4, (1.0,) * 4)
-        ports = port_channels(H[:, :, 0], _cgauss(gen, (16, 3, 8)), 1.0, geo.mu)
+        H, e = draw_physical(RngStream(3, 0).generator(), 16, 8, 4, 4, (1.0,) * 4)
+        ports = port_channels(H[:, :, 0], e, 1.0, geo.mu)
         for k in range(1, 4):
             assert np.allclose(ports[:, k, :], ports[:, 0, :])
 
     def test_beta_scaling(self):
         beta = (4.0, 1.0, 1.0, 1.0)
-        H = _reference_matrix(RngStream(4, 0).generator(), 16, 8, 4, beta)
-        unit = _reference_matrix(RngStream(4, 0).generator(), 16, 8, 4, (1.0,) * 4)
+        H, e = draw_physical(RngStream(4, 0).generator(), 16, 8, 4, 3, beta)
+        unit, unit_e = draw_physical(RngStream(4, 0).generator(), 16, 8, 4, 3,
+                                     (1.0,) * 4)
         assert np.allclose(H[:, :, 0], 2.0 * unit[:, :, 0])
         assert np.array_equal(H[:, :, 1:], unit[:, :, 1:])
+        assert np.array_equal(e, unit_e)
 
     def test_reference_consistency(self):
         cfg = SystemConfig()
-        gen = RngStream(5, 0).generator()
-        H = _reference_matrix(gen, 16, cfg.M, cfg.U, cfg.beta)
-        assert H.shape == (16, cfg.M, cfg.U)
-        # Replay: the (n, U, M) reference gaussians, one column per user.
-        z = RngStream(5, 0).generator().standard_normal((16, cfg.U, cfg.M, 2))
-        x0 = np.sqrt(0.5) * (z[..., 0] + 1j * z[..., 1])
-        assert np.array_equal(H[:, :, 2], x0[:, 2, :])
-        e = _cgauss(gen, (16, cfg.N - 1, cfg.M))
+        P = geometry_for_config(cfg).num_ports
+        H, e = draw_physical(RngStream(5, 0).generator(), 16, cfg.M, cfg.U, P,
+                             cfg.beta)
+        assert H.shape == (16, cfg.M, cfg.U) and e.shape == (16, P - 1, cfg.M)
+        # Replay: the (n, M, U) real parts, then their imaginary parts.
+        z = RngStream(5, 0).generator().standard_normal((2, 16, cfg.M, cfg.U))
+        assert np.array_equal(H[:, :, 2], (z[0] + 1j * z[1])[:, :, 2] / math.sqrt(2.0))
         ports = port_channels(H[:, :, 0], e, 1.0, geometry_for_config(cfg).mu)
         assert np.array_equal(ports[:, 0, :], H[:, :, 0])
 
     def test_exact_mixing_identity(self):
         cfg = SystemConfig(N=6, W=0.8)
         geo = geometry_for_config(cfg)
-        gen = RngStream(6, 0).generator()
-        H = _reference_matrix(gen, 16, cfg.M, cfg.U, cfg.beta)
-        innov = _cgauss(gen, (16, 5, cfg.M))
+        H, innov = draw_physical(RngStream(6, 0).generator(), 16, cfg.M, cfg.U,
+                                 6, cfg.beta)
         ports = port_channels(H[:, :, 0], innov, 1.0, geo.mu)
         for k in range(1, 6):
             sigma = math.sqrt(max(0.0, 1.0 - geo.mu[k] ** 2))
@@ -175,9 +173,8 @@ class TestGenerateChannelSet:
         cfg = SystemConfig(M=2, U=1, N=3, W=0.4, beta=(2.0,), powers=(1.0,))
         geo = geometry_for_config(cfg)
         n = 60_000
-        gen = RngStream(8, 0).generator()
-        H = _reference_matrix(gen, n, cfg.M, cfg.U, cfg.beta)
-        e = _cgauss(gen, (n, 2, cfg.M))
+        H, e = draw_physical(RngStream(8, 0).generator(), n, cfg.M, cfg.U, 3,
+                             cfg.beta)
         ent = port_channels(H[:, :, 0], e, 2.0, geo.mu)[:, :, 0]
         var = np.mean(np.abs(ent[:, 0]) ** 2)
         assert var == pytest.approx(2.0, abs=3 * 2.0 * math.sqrt(2.0 / n))

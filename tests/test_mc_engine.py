@@ -3,6 +3,7 @@ the chunked experiment drivers."""
 
 import dataclasses
 import math
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -17,9 +18,11 @@ from fama_lab.mc_engine import (
     OutageExperimentResult,
     _STREAM_SPAN,
     _cgauss,
+    _chunk_physref,
     _chunk_ports_sir,
     _draw_frame,
     _frame_sirs,
+    _physref_sirs,
     _reference_factor,
     _run_chunked,
     _weights_for_scheme,
@@ -36,7 +39,12 @@ from fama_lab.mc_engine import (
 )
 from fama_lab import mc_engine
 from fama_lab.randlin import RngStream
-from physical_oracle import draw_physical, physical_sirs, port_sirs
+from physical_oracle import (
+    draw_physical,
+    physical_reference_sirs,
+    physical_sirs,
+    port_sirs,
+)
 
 
 def _sirs(M, U, N, W, scheme="MRT", powers=None, seed=0, n=64, **kw):
@@ -230,10 +238,8 @@ class TestPortsKernel:
         else:
             Q, R = np.linalg.qr(H)
         g = np.einsum("nmr,npm->npr", Q.conj(), e)
-        # The redraw marks R as the frame factor: ZF takes the kernel's
-        # Bartlett route.
         F, resampled, _ = _weights_for_scheme(
-            RngStream(40, 0).generator(), R, scheme, beta,
+            RngStream(40, 0).generator(), R, scheme,
             partial(_reference_factor, M=M, U=U, beta=beta))
         assert resampled == 0
         got = _frame_sirs(R[:, :, 0], g, F, scheme, beta[0], powers, mu)
@@ -294,7 +300,7 @@ class TestPortsKernel:
         gen = RngStream(44, M).generator()
         R = _reference_factor(gen, 512, M, U, beta)
         F, _, _ = _weights_for_scheme(
-            gen, R, scheme, beta, partial(_reference_factor, M=M, U=U, beta=beta))
+            gen, R, scheme, partial(_reference_factor, M=M, U=U, beta=beta))
         r = min(M, U)
         upper = np.triu(np.ones((r, U), dtype=bool))
         if scheme == "ZF":
@@ -310,7 +316,7 @@ class TestPortsKernel:
         R = _reference_factor(gen, 5, M, U, beta)
         R[2, :, 1] = 2.0 * R[2, :, 0]  # rank-1 Gram in row 2
         W, resampled, R_used = _weights_for_scheme(
-            gen, R, "ZF", beta, partial(_reference_factor, M=M, U=U, beta=beta))
+            gen, R, "ZF", partial(_reference_factor, M=M, U=U, beta=beta))
         assert resampled == 1
         assert R_used.strides == R.strides  # the redraw keeps the layout
         new = R_used[2]
@@ -416,6 +422,59 @@ class TestFrameSirsPinned:
         got = _frame_sirs(R[:, :, 0], g, F, scheme, beta[0], powers, mu)
         expect = _full_pass_sirs(R[:, :, 0], g, F, scheme, beta[0], powers, mu)
         assert np.array_equal(got, expect)
+
+
+class TestPhysicalReference:
+    """fig2's reference-port kernel (_physref_sirs) in the frame."""
+
+    @pytest.mark.parametrize("scheme", ["MRT", "ZF"])
+    def test_beta_invariance(self, scheme):
+        # The SIR is invariant under beta -> 4 beta and beta_0 -> 4 beta_0;
+        # scaling by a power of two is exact, so the counts are equal.
+        counts = []
+        for beta in ((1.0, 1.0, 1.0, 1.0), (4.0, 4.0, 4.0, 4.0),
+                     (4.0, 1.0, 1.0, 1.0)):
+            cfg = SystemConfig(M=8, U=4, scheme=scheme, seed=12345, beta=beta)
+            res = run_cdf_experiment(cfg, mode="physical_reference",
+                                     realizations=20_000)
+            counts.append(res.empirical.counts)
+        assert np.array_equal(counts[0], counts[1])
+        assert np.array_equal(counts[0], counts[2])
+
+    @pytest.mark.parametrize("M, U, scheme", [
+        (4, 4, "MRT"), (8, 4, "MRT"), (16, 8, "MRT"), (3, 5, "MRT"),
+        (4, 4, "ZF"), (8, 4, "ZF"), (16, 8, "ZF")])
+    def test_two_sample_ks_against_oracle(self, M, U, scheme):
+        # The frame kernel against the M-dimensional construction, at a
+        # family-wise 1% level over these 7 comparisons.
+        beta = _FRAME_BETA[:U]
+        powers = (3.0, 1.0, 0.5, 2.0, 1.0, 0.8, 1.5, 0.6)[:U]
+        n = 20_000
+        got, _ = _physref_sirs(RngStream(46, M).generator(), n, M, U, scheme,
+                               beta, powers)
+        oracle = physical_reference_sirs(np.random.default_rng(46), n, M, U,
+                                         scheme, beta, powers)
+        assert np.isfinite(got).all()
+        assert stats.ks_2samp(got, oracle).pvalue > 0.01 / 7
+
+    @pytest.mark.parametrize("scheme", ["MRT", "ZF"])
+    def test_chunk_memory_does_not_grow_with_m(self, scheme):
+        # No M-dimensional array: after a warm-up call at each M, one
+        # chunk's peak allocation is the same at M = 8 and M = 256.
+        args = (4, scheme, (1.0,) * 4, (1.0,) * 4, DEFAULT_GAMMA_GRID)
+        for M in (8, 256):
+            _chunk_physref(RngStream(47, 0), 2048, M, *args)
+        peaks = []
+        for M in (8, 256):
+            stream = RngStream(47, 0)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                _chunk_physref(stream, 2048, M, *args)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] == peaks[1]
 
 
 def test_cgauss_scales_the_draws_in_place():

@@ -12,13 +12,13 @@ from fama_lab.mc_engine import (
     _GRAM_TOLERANCE,
     _cgauss,
     _chunk_ports_sir,
-    _gram_inverse,
     _lower_inverse,
     _reference_factor,
     _zf_weights,
     surrogate_gain_sample,
 )
 from fama_lab.randlin import RngStream
+from physical_oracle import beams
 
 
 def _cg(seed, stream_id, shape):
@@ -31,13 +31,13 @@ def _gamma(seed, shape, size):
     return surrogate_gain_sample(RngStream(seed, 0), [0.0], 1, shape, size)[:, 0]
 
 
-def _zf_raw(H):
-    """Unnormalized batched ZF solve H (H^H H)^{-1} for one M x U matrix:
-    the unit-norm beams rescaled so that H^H W has a unit diagonal."""
-    gen = RngStream(0, 0).generator()
-    W, resampled, _ = _zf_weights(gen, H[None], (1.0,) * H.shape[1])
+def _zf_raw(R):
+    """Unnormalized batched ZF solve R (R^H R)^{-1} = R^{-H} for one U x U
+    frame factor: the unit-norm beams rescaled so that R^H F has a unit
+    diagonal."""
+    F, resampled, _ = _frame_zf(R[None], R.shape[1])
     assert resampled == 0
-    return W[0] / np.diag(H.conj().T @ W[0])
+    return F[0] / np.diag(R.conj().T @ F[0])
 
 
 class TestRngStream:
@@ -109,14 +109,17 @@ class TestGammaInt:
 
 
 class TestSolveGram:
+    """The ZF solve in the frame of the reference channels H = QR, where
+    the channels are the columns of R."""
+
     def test_orthonormal_columns(self):
-        H = np.eye(4, 2, dtype=complex)
-        assert np.allclose(_zf_raw(H), H)
+        R = np.eye(2, dtype=complex)
+        assert np.allclose(_zf_raw(R), R)
 
     def test_single_column(self):
-        h = np.array([[3.0], [4.0j]], dtype=complex)
-        expected = h / np.linalg.norm(h) ** 2
-        assert np.allclose(_zf_raw(h), expected)
+        r = np.array([[5.0]], dtype=complex)
+        expected = r / np.linalg.norm(r) ** 2
+        assert np.allclose(_zf_raw(r), expected)
 
     def test_hand_case(self):
         # Gram of [[1,1],[0,1]] is [[1,1],[1,2]]; its inverse gives
@@ -127,41 +130,43 @@ class TestSolveGram:
         assert np.allclose(H.conj().T @ W, np.eye(2), atol=1e-12)
 
     def test_residual_over_random_draws(self):
-        gen = RngStream(31, 0).generator()
-        H = _cgauss(gen, (10_000, 8, 4))
-        W, _, H = _zf_weights(gen, H, (1.0,) * 4)
-        gains = np.einsum("nmu,nmu->nu", H.conj(), W)
-        resid = np.einsum("nmu,nmv->nuv", H.conj(), W / gains[:, None, :])
+        R = _reference_factor(RngStream(31, 0).generator(), 10_000, 8, 4, (1.0,) * 4)
+        redraw = partial(_reference_factor, M=8, U=4, beta=(1.0,) * 4)
+        F, _, R = _zf_weights(RngStream(31, 1).generator(), R, redraw)
+        gains = np.einsum("nru,nru->nu", R.conj(), F)
+        resid = np.einsum("nru,nrv->nuv", R.conj(), F / gains[:, None, :])
         assert np.max(np.abs(resid - np.eye(4))) <= 1e-10
 
     def test_singular_gram_raises(self):
         # A rank-1 Gram is never solved: the batched kernel redraws the row.
-        h = np.array([[1.0], [0.0]], dtype=complex)
-        H = np.hstack([h, h])[None]
-        gen = RngStream(1, 0).generator()
-        W, resampled, H_used = _zf_weights(gen, H, (1.0, 1.0))
+        R = np.array([[[1.0, 1.0], [0.0, 0.0]]], dtype=complex)
+        F, resampled, R_used = _frame_zf(R, 2)
         assert resampled == 1
-        cross = H_used[0].conj().T @ W[0]
+        cross = R_used[0].conj().T @ F[0]
         assert abs(cross[0, 1]) < 1e-12 and abs(cross[1, 0]) < 1e-12
 
     def test_ill_conditioned_gram_redrawn(self):
-        # cond(G) = 1e12.2 exceeds the 1e12 limit, so the trace test, with
-        # tr(G) tr(G^-1) >= cond(G), rejects it; cond(G) = 1e10 passes.
-        H = np.zeros((2, 3, 2), dtype=complex)
-        H[:, 0, 0] = 1.0
-        H[0, 1, 1] = 10.0 ** -5
-        H[1, 1, 1] = 10.0 ** -6.1
-        W, resampled, H_used = _zf_weights(RngStream(2, 0).generator(), H,
-                                           (1.0, 1.0))
+        # R = [[1, 1], [0, s]] has tr(G) tr(G^-1) = (2 + s^2)(1 + 2 / s^2),
+        # about 4e10 at s = 1e-5 and 6.3e12 at s = 10^-6.1: the second row
+        # exceeds the 1e12 limit and is redrawn, the first is kept.
+        R = np.zeros((2, 2, 2), dtype=complex)
+        R[:, 0, :] = 1.0
+        R[0, 1, 1] = 10.0 ** -5
+        R[1, 1, 1] = 10.0 ** -6.1
+        _, resampled, R_used = _frame_zf(R, 2)
         assert resampled == 1
-        assert np.array_equal(H_used[0], H[0])
-        assert not np.array_equal(H_used[1], H[1])
+        assert np.array_equal(R_used[0], R[0])
+        assert not np.array_equal(R_used[1], R[1])
 
     def test_shape_validation(self):
-        # M < U has a singular Gram in every draw, so resampling gives up.
+        # A sampler that only returns singular factors: resampling gives up
+        # after _MAX_RESAMPLE_ROUNDS.
+        def singular(gen, count):
+            return np.zeros((count, 2, 2), dtype=complex)
+
         with pytest.raises(RuntimeError):
             _zf_weights(RngStream(1, 0).generator(),
-                        np.ones((1, 2, 3), dtype=complex), (1.0,) * 3)
+                        np.zeros((1, 2, 2), dtype=complex), singular)
 
 
 _FRAME_BETA = (2.0, 0.5, 1.5, 0.7, 1.0, 3.0, 0.2, 1.1)
@@ -178,7 +183,7 @@ def no_gram_factorisation(monkeypatch):
 
 def _frame_zf(R, U):
     redraw = partial(_reference_factor, M=U, U=U, beta=(1.0,) * U)
-    return _zf_weights(RngStream(0, 0).generator(), R, (1.0,) * U, redraw)
+    return _zf_weights(RngStream(0, 0).generator(), R, redraw)
 
 
 class TestFrameZf:
@@ -186,15 +191,12 @@ class TestFrameZf:
 
     @pytest.mark.parametrize("M, U", [(4, 4), (8, 4), (16, 8)])
     def test_matches_cholesky_route(self, M, U):
+        # The Bartlett route against the oracle's pseudo-inverse beams of R.
         beta = _FRAME_BETA[:U]
         R = _reference_factor(RngStream(51, M).generator(), 4096, M, U, beta)
         redraw = partial(_reference_factor, M=M, U=U, beta=beta)
-        W, _, R = _zf_weights(RngStream(52, M).generator(), R, beta, redraw)
-        ginv, bad = _gram_inverse(R)
-        assert not bad.any()
-        raw = R @ ginv
-        expect = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-        assert np.max(np.abs(W - expect)) <= 1e-10
+        W, _, R = _zf_weights(RngStream(52, M).generator(), R, redraw)
+        assert np.max(np.abs(W - beams(R, "ZF"))) <= 1e-10
 
     @pytest.mark.parametrize("M, U", [(4, 4), (8, 4), (16, 8)])
     def test_condition_product_is_frobenius(self, M, U):
@@ -230,7 +232,6 @@ class TestFrameZf:
         assert not np.array_equal(R_used[1], R[1])
 
     def test_ill_conditioned_factor_redrawn_in_r_form(self, no_gram_factorisation):
-        # The frame twin of TestSolveGram.test_ill_conditioned_gram_redrawn:
         # cond(G) = 1e12.2 is redrawn from the factor's law, 1e10 is kept.
         R = np.zeros((2, 2, 2), dtype=complex)
         R[:, 0, 0] = 1.0
