@@ -59,9 +59,11 @@ class CriterionResult:
 
 
 def _timed(fn):
+    """(passed, detail, seconds) of one check; a numpy verdict becomes a
+    plain bool, so the result serialises as JSON."""
     start = time.monotonic()
     passed, detail = fn()
-    return passed, detail, time.monotonic() - start
+    return bool(passed), detail, time.monotonic() - start
 
 
 def criterion_01_cross_form_identity(seed: int = SUITE_SEED) -> CriterionResult:
@@ -252,14 +254,14 @@ def criterion_06_outage_sandwich(seed: int = SUITE_SEED) -> CriterionResult:
         details = []
         all_ok = True
         n = 100_000
-        # Each (M, N) pair's three apertures run as one group, one draw.
+        # Each M's two port counts and three apertures run as one frame
+        # group, one frame draw per chunk.
         runs = {}
         for M in (4, 8):
-            for N in (2, 8):
-                group = [SystemConfig(M=M, U=4, N=N, W=W, scheme="MRT", seed=seed)
-                         for W in (0.25, 4.0, 0.0)]
-                for cfg, res in zip(group, run_outage_group(group, realizations=n)):
-                    runs[M, N, cfg.W] = cfg, res
+            group = [SystemConfig(M=M, U=4, N=N, W=W, scheme="MRT", seed=seed)
+                     for N in (2, 8) for W in (0.25, 4.0, 0.0)]
+            for cfg, res in zip(group, run_outage_group(group, realizations=n)):
+                runs[M, cfg.N, cfg.W] = cfg, res
         for (M, N, W) in [(4, 2, 0.25), (4, 2, 4.0), (4, 8, 0.25), (4, 8, 4.0),
                           (8, 2, 0.25), (8, 2, 4.0), (8, 8, 0.25), (8, 8, 4.0),
                           (4, 2, 0.0), (4, 8, 0.0), (8, 2, 0.0), (8, 8, 0.0)]:

@@ -12,7 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .specialfn import (
+    _reg_inc_beta,
     beta_fn,
     ln_beta,
     ln_binomial,
@@ -175,63 +178,82 @@ def rho_x_approx(mu_k: float, mu_l: float, m_effective: int, L: int) -> float:
 
 @dataclass(frozen=True)
 class OutageEnvelope:
-    """Single-port CDF plus every analytic selection curve at one threshold.
+    """Single-port CDF plus every analytic selection curve at one threshold,
+    or at each threshold of a grid (then every field is an array).
 
     Ordering invariant: 0 <= lower <= iid_benchmark <= upper <= 1, with
     upper equal to the single-port CDF.
     """
 
-    gamma: float
-    single_port: float
-    upper: float
-    lower: float
-    iid_benchmark: float
-    large_n_approx: float
+    gamma: float | np.ndarray
+    single_port: float | np.ndarray
+    upper: float | np.ndarray
+    lower: float | np.ndarray
+    iid_benchmark: float | np.ndarray
+    large_n_approx: float | np.ndarray
 
     def __post_init__(self) -> None:
         tol = 1e-12
-        if not (
-            -tol <= self.lower <= self.iid_benchmark + tol
-            and self.iid_benchmark <= self.upper + tol
-            and self.upper <= 1.0 + tol
+        if not np.all(
+            (-tol <= self.lower)
+            & (self.lower <= self.iid_benchmark + tol)
+            & (self.iid_benchmark <= self.upper + tol)
+            & (self.upper <= 1.0 + tol)
         ):
             raise ValueError(f"envelope ordering violated: {self}")
 
 
-def outage_envelope(gamma: float, params: BetaPrimeParams, N: int) -> OutageEnvelope:
-    """Selection-outage envelope over N ports at threshold gamma.
+def outage_envelope(gamma, params: BetaPrimeParams, N: int) -> OutageEnvelope:
+    """Selection-outage envelope over N ports at threshold gamma, a number
+    or an array of thresholds (a grid is one call; a number is its
+    one-point case, with float fields).
 
     upper = F, iid_benchmark = F^N and lower = max(0, 1 - N SF), with F and
     SF = 1 - F taken from one evaluation, so 0 <= lower <= iid_benchmark <=
-    upper holds exactly.
+    upper holds exactly.  ln B(a, b) is computed once per call; the
+    incomplete Beta continued fraction, F^N and exp(-N SF) run per
+    threshold in scalar math, so a grid's values equal the one-point
+    calls bit for bit.
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
-    if gamma <= 0.0:
+    grid = np.asarray(gamma, dtype=float)
+    if np.any(grid <= 0.0):
         raise ValueError(f"threshold must be > 0, got {gamma}")
     # One evaluation of the smaller tail (the side reg_inc_beta evaluates
     # directly) gives both F and SF = 1 - F, so the bounds cannot drift
     # apart by the rounding of two separate evaluations.
-    a, b = params.a, params.b
-    if gamma / (1.0 + gamma) < (a + 1.0) / (a + b + 2.0):
-        f = betaprime_cdf(gamma, params)
-        eps = 1.0 - f
-        lower = f - (N - 1) * eps  # 1 - N SF without 1 - (1 - F)
+    a, b = float(params.a), float(params.b)
+    ln_b = ln_beta(a, b)
+    switch = (a + 1.0) / (a + b + 2.0)
+    size = grid.size
+    f, eps = np.empty(size), np.empty(size)
+    iid, large_n = np.empty(size), np.empty(size)
+    direct = np.empty(size, dtype=bool)
+    for i, g in enumerate(grid.ravel().tolist()):
+        # betaprime_cdf or betaprime_sf at g, sharing ln B.
+        y = g / (1.0 + g)
+        direct[i] = y < switch
+        if y < switch:
+            f_i = _reg_inc_beta(y, a, b, ln_b)
+            eps_i = 1.0 - f_i
+        else:
+            eps_i = _reg_inc_beta(1.0 / (1.0 + g), b, a, ln_b)
+            f_i = 1.0 - eps_i
+        f[i], eps[i] = f_i, eps_i
+        iid[i] = f_i**N
+        large_n[i] = math.exp(-N * eps_i)
+    # 1 - N SF, without 1 - (1 - F) on the direct side.
+    lower = np.where(direct, f - (N - 1) * eps, 1.0 - N * eps)
+    # Bernoulli's inequality 1 - N SF <= F^N; the cap only absorbs rounding
+    # where the two differ by less than it.
+    lower = np.minimum(np.maximum(0.0, lower), iid)
+    fields = [grid.ravel(), f, f, lower, iid, large_n]
+    if grid.ndim == 0:
+        fields = [float(v[0]) for v in fields]
     else:
-        eps = betaprime_sf(gamma, params)
-        f = 1.0 - eps
-        lower = 1.0 - N * eps
-    iid = f**N
-    return OutageEnvelope(
-        gamma=gamma,
-        single_port=f,
-        upper=f,
-        # Bernoulli's inequality 1 - N SF <= F^N; the cap only absorbs
-        # rounding where the two differ by less than it.
-        lower=min(max(0.0, lower), iid),
-        iid_benchmark=iid,
-        large_n_approx=math.exp(-N * eps),
-    )
+        fields = [v.reshape(grid.shape) for v in fields]
+    return OutageEnvelope(*fields)
 
 
 def asymptote_small_gamma(gamma: float, scheme: str, M: int, U: int) -> float:

@@ -14,11 +14,13 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import math
 import os
 import sys
 import time
-from collections.abc import Iterator
+import zlib
+from collections.abc import Iterable, Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
@@ -33,7 +35,7 @@ from .analytic_stats import (
     betaprime_params,
     betaprime_sf,
 )
-from .channel_geom import SystemConfig
+from .channel_geom import SystemConfig, geometry_for_config
 from .mc_engine import (
     _CORRELATION_U_REFUSAL,
     resolve_workers,
@@ -196,15 +198,20 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def write_curve_csv(path: str, rows: list[tuple]) -> None:
-    """Gamma-indexed curve family: one row per (gamma, curve) pair.
+_CURVE_HEADER = "gamma,gamma_db,value,ci_low,ci_high,curve_id\n"
 
-    Each family repeats one grid, so a threshold's `gamma,gamma_db` text is
-    formatted once per file, and a row whose CI columns are its value
-    object (an analytic curve's) formats that value once.
+
+def curve_text(rows: Iterable[tuple], gamma_text: dict | None = None) -> str:
+    """CSV lines of gamma-indexed curve rows, (gamma, value, ci_low,
+    ci_high, curve_id) each.
+
+    A threshold's `gamma,gamma_db` text is formatted once and kept in
+    gamma_text (pass one dict to share it between the files of one grid),
+    and a row whose CI columns are its value object (an analytic curve's)
+    formats that value once.
     """
-    gamma_text: dict = {}
-    lines = ["gamma,gamma_db,value,ci_low,ci_high,curve_id\n"]
+    gamma_text = {} if gamma_text is None else gamma_text
+    lines = []
     for gamma, value, ci_low, ci_high, curve_id in rows:
         head = gamma_text.get(gamma)
         if head is None:
@@ -216,8 +223,15 @@ def write_curve_csv(path: str, rows: list[tuple]) -> None:
         else:
             lines.append(f"{head},{text},{_fmt(ci_low)},{_fmt(ci_high)},"
                          f"{curve_id}\n")
+    return "".join(lines)
+
+
+def write_curve_csv(path: str, rows: Iterable[tuple] | str) -> None:
+    """Gamma-indexed curve family: one row per (gamma, curve) pair, given
+    as row tuples or as their curve_text."""
+    text = rows if isinstance(rows, str) else curve_text(rows)
     with _atomic_open(path) as fh:
-        fh.write("".join(lines))
+        fh.write(_CURVE_HEADER + text)
 
 
 def write_pair_csv(path: str, rows: list[tuple]) -> None:
@@ -228,18 +242,24 @@ def write_pair_csv(path: str, rows: list[tuple]) -> None:
             fh.write(f"{k},{l},{_fmt(value)},{_fmt(ci_low)},{_fmt(ci_high)},{curve_id}\n")
 
 
-def _analytic_rows(grid, values, curve_id):
-    return [(g, v, v, v, curve_id) for g, v in zip(grid, values)]
+def _analytic_rows(grid, values, curve_id) -> Iterator[tuple]:
+    """Analytic curve rows: the value in all three columns.
+
+    The row helpers yield rows as they are formatted, so a file's rows are
+    never all alive at once, and rows hold Python floats, which format to
+    the same text as numpy scalars, only faster.
+    """
+    return ((g, v, v, v, curve_id)
+            for g, v in zip(np.asarray(grid).tolist(), np.asarray(values).tolist()))
 
 
-def _empirical_rows(grid, p, n, curve_id):
+def _empirical_rows(grid, p, n, curve_id) -> Iterator[tuple]:
     """Empirical curve rows: value +- the 95% Wilson half-length, clipped
     to [0, 1]."""
     ci = wilson_half_width(p, n)
-    return [
-        (g, v, max(0.0, v - c), min(1.0, v + c), curve_id)
-        for g, v, c in zip(grid, p, ci)
-    ]
+    return zip(np.asarray(grid).tolist(), np.asarray(p).tolist(),
+               np.maximum(0.0, p - ci).tolist(), np.minimum(1.0, p + ci).tolist(),
+               itertools.repeat(curve_id))
 
 
 def _scheme_configs(config: SystemConfig) -> Iterator[SystemConfig]:
@@ -317,18 +337,26 @@ def run_fig3(config: SystemConfig, out_dir: str, workers: int,
               f"{res.max_abs_deviation:.4f} ({res.reference_mode} mode)")
 
 
-def _outage_rows(res) -> list[tuple]:
-    rows = []
-    rows += _empirical_rows(res.gamma_grid, res.correlated, res.realizations,
-                            "empirical_correlated")
-    rows += _empirical_rows(res.gamma_grid, res.iid, res.realizations,
-                            "empirical_iid")
-    rows += _analytic_rows(res.gamma_grid, res.upper, "upper_bound")
-    rows += _analytic_rows(res.gamma_grid, res.lower, "lower_bound")
-    rows += _analytic_rows(res.gamma_grid, res.iid_analytic, "iid_benchmark")
-    rows += _analytic_rows(res.gamma_grid, res.large_n, "large_n_approx")
-    rows += _analytic_rows(res.gamma_grid, res.single_port, "single_port")
-    return rows
+def _w_invariant_rows(res) -> Iterator[tuple]:
+    """The outage curves that do not depend on the aperture W: the i.i.d.
+    selection curve and the analytic envelope."""
+    grid = res.gamma_grid
+    return itertools.chain(
+        _empirical_rows(grid, res.iid, res.realizations, "empirical_iid"),
+        _analytic_rows(grid, res.upper, "upper_bound"),
+        _analytic_rows(grid, res.lower, "lower_bound"),
+        _analytic_rows(grid, res.iid_analytic, "iid_benchmark"),
+        _analytic_rows(grid, res.large_n, "large_n_approx"),
+        _analytic_rows(grid, res.single_port, "single_port"))
+
+
+def _correlated_rows(res) -> Iterator[tuple]:
+    return _empirical_rows(res.gamma_grid, res.correlated, res.realizations,
+                           "empirical_correlated")
+
+
+def _outage_rows(res) -> Iterator[tuple]:
+    return itertools.chain(_correlated_rows(res), _w_invariant_rows(res))
 
 
 def run_fig4(config: SystemConfig, out_dir: str, workers: int,
@@ -386,8 +414,9 @@ def run_sweep(config: SystemConfig, out_dir: str, workers: int,
     """Outage over the grid; every point is built and checked before the
     first one runs, so a bad point writes no CSV.
 
-    W is the innermost axis, so each run of consecutive points that differ
-    only in W forms one group, which run_outage_group serves from one draw.
+    The points of one (scheme, M, U), which differ only in N and W, form
+    a frame group that run_outage_group serves from one frame draw per
+    chunk (_sweep_group).
     """
     per_user = {U: {name: _per_user(getattr(config, name), U, name)
                     for name in ("beta", "powers")} for U in grids["U"]}
@@ -398,8 +427,8 @@ def run_sweep(config: SystemConfig, out_dir: str, workers: int,
                 if scheme == "ZF" and M < U:
                     print(f"sweep: skipping ZF M={M} < U={U}")
                     continue
+                group = []
                 for N in grids["N"]:
-                    group = []
                     for W in grids["W"]:
                         try:
                             group.append(replace(config, M=M, U=U, N=N, W=W,
@@ -408,38 +437,84 @@ def run_sweep(config: SystemConfig, out_dir: str, workers: int,
                             raise ConfigError(
                                 f"sweep point scheme={scheme} M={M} U={U} "
                                 f"N={N} W={W:g}: {exc}") from exc
-                    groups.append(group)
+                groups.append(group)
     # Several groups share one pool, each group whole in one worker; a
-    # single group keeps chunk-level parallelism.  Every chunk has its own
-    # stream, so the CSVs do not depend on where a group runs.  Results
-    # come back in grid order and each CSV is written as its group's
-    # results arrive.  On any failure the queued groups are cancelled, not
-    # run.
+    # single group keeps chunk-level parallelism.  The groups are submitted
+    # largest first (_group_work), so that no large group starts last while
+    # the other workers idle.  Every chunk has its own stream, so the CSVs
+    # do not depend on where a group runs.  The groups' CSVs are written in
+    # grid order, each group's once its texts are in.  On any failure the
+    # queued groups are cancelled, not run.
     pool = None
-    if workers > 1 and len(groups) > 1:
-        pool = ProcessPoolExecutor(max_workers=min(workers, len(groups)))
-        results = pool.map(_sweep_group, groups)
-    else:
-        results = (run_outage_group(group, workers=workers) for group in groups)
     try:
-        for group, group_results in zip(groups, results):
-            for cfg, res in zip(group, group_results):
-                name = (f"sweep_{cfg.scheme.lower()}_M{cfg.M}_U{cfg.U}_"
-                        f"N{cfg.N}_W{cfg.W:g}.csv")
-                write_curve_csv(os.path.join(out_dir, name), _outage_rows(res))
-                manifest.outputs.append(name)
-                manifest.experiments.append((name[:-4], "realizations",
-                                             res.realizations))
-                print(f"sweep: wrote {name}")
+        if workers > 1 and len(groups) > 1:
+            pool = ProcessPoolExecutor(max_workers=min(workers, len(groups)))
+            futures = {}
+            for i in sorted(range(len(groups)),
+                            key=lambda i: -_group_work(groups[i])):
+                futures[i] = pool.submit(_pooled_sweep_group, groups[i])
+            outputs = (_unpacked(futures.pop(i).result())
+                       for i in range(len(groups)))
+        else:
+            outputs = (_sweep_group(group, workers) for group in groups)
+        for group_outputs in outputs:
+            for shared, points in group_outputs:
+                for name, text, realizations in points:
+                    write_curve_csv(os.path.join(out_dir, name), text + shared)
+                    manifest.outputs.append(name)
+                    manifest.experiments.append((name[:-4], "realizations",
+                                                 realizations))
+                    print(f"sweep: wrote {name}")
     finally:
         if pool is not None:
             pool.shutdown(wait=True, cancel_futures=True)
 
 
-def _sweep_group(group: list[SystemConfig]):
-    """One W-group of the sweep in a pool worker; its chunks run in that
-    worker."""
-    return run_outage_group(group, workers=1)
+def _group_work(group: list[SystemConfig]) -> int:
+    """Work of a frame group per realization, to order the sweep's pool
+    tasks: every point computes each of its P port SIRs from U beam
+    projections and selects among them, so a point costs P * (U + 1)."""
+    return sum(geometry_for_config(cfg).num_ports * (cfg.U + 1) for cfg in group)
+
+
+def _sweep_group(group: list[SystemConfig], workers: int = 1) -> list[tuple]:
+    """The CSV texts of one frame group's points, from run_outage_group:
+    for each N in grid order, (W-invariant text, [(CSV name,
+    correlated-curve text, realizations) for each W]).  A CSV's rows are
+    its correlated-curve text, then its N's W-invariant text
+    (_w_invariant_rows), which is formatted once per N."""
+    gamma_text: dict = {}
+    by_n: dict = {}
+    for cfg, res in zip(group, run_outage_group(group, workers=workers)):
+        if cfg.N not in by_n:
+            by_n[cfg.N] = (curve_text(_w_invariant_rows(res), gamma_text), [])
+        name = (f"sweep_{cfg.scheme.lower()}_M{cfg.M}_U{cfg.U}_"
+                f"N{cfg.N}_W{cfg.W:g}.csv")
+        by_n[cfg.N][1].append((name, curve_text(_correlated_rows(res), gamma_text),
+                               res.realizations))
+    return list(by_n.values())
+
+
+def _pooled_sweep_group(group: list[SystemConfig]) -> list[tuple]:
+    """_sweep_group in a pool worker, whose chunks run in that worker, with
+    its texts zlib-compressed (about 4.5 times smaller).  Groups finish
+    largest first but are written in grid order, so the parent holds
+    finished groups' texts until their turn; held compressed, they do not
+    grow the parent's heap, which the pool's next workers would inherit."""
+    def pack(text):
+        return zlib.compress(text.encode("ascii"), 1)
+
+    return [(pack(shared), [(name, pack(text), n) for name, text, n in points])
+            for shared, points in _sweep_group(group)]
+
+
+def _unpacked(outputs: list[tuple]) -> list[tuple]:
+    """The texts of _pooled_sweep_group, decompressed."""
+    def unpack(blob):
+        return zlib.decompress(blob).decode("ascii")
+
+    return [(unpack(shared), [(name, unpack(text), n) for name, text, n in points])
+            for shared, points in outputs]
 
 
 def run_validate(config: SystemConfig, out_dir: str | None) -> int:

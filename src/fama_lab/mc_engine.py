@@ -22,10 +22,15 @@ entry, over the nonzero triangle only: R and its MRT beams are
 upper-triangular, its ZF beams lower-triangular.  No call is made per
 realization.
 
-Outage runs that differ only in the aperture W share their draws
-(run_outage_group): W enters only through the port correlations mu_k, so
-a chunk draws R, its beams and the port innovations once and computes the
-SIRs once per aperture.
+Outage runs that differ only in the port count N and the aperture W form
+a frame group (run_outage_group) and share their draws.  Neither changes R
+or its beams, so a chunk draws them once; it keeps the generator state
+right after them and, restoring it, draws each port count's innovations
+exactly as a run of that count alone would.  W enters only through the
+port correlations mu_k, so the SIRs are then computed once per config.
+The i.i.d. benchmark and the analytic envelope run once per N.  The sweep
+(cli.run_sweep) makes one frame group of each (scheme, M, U) and submits
+the groups to its pool largest first.
 """
 
 from __future__ import annotations
@@ -149,9 +154,10 @@ class EmpiricalCdf:
 
     @staticmethod
     def bin_samples(grid: np.ndarray, samples: np.ndarray) -> np.ndarray:
-        """Per-grid-point cumulative counts for one batch of samples."""
-        idx = np.searchsorted(grid, samples, side="left")
-        return np.cumsum(np.bincount(idx, minlength=len(grid) + 1))[: len(grid)]
+        """Per-grid-point cumulative counts for one batch of samples: the
+        number of samples <= each threshold of the sorted grid.  Samples
+        that are inf or nan are never counted."""
+        return np.searchsorted(np.sort(samples), grid, side="right")
 
 
 @dataclass
@@ -493,18 +499,25 @@ def _chunk_marginal_sf_count(stream: RngStream, n: int, a: int, b: int, gamma: f
     return int(np.count_nonzero(x > gamma))
 
 
+def _draw_beams(gen, n: int, M: int, U: int, scheme: str, beta):
+    """The factor R (see _reference_factor) and its beams F = Q^H W by the
+    MRT/ZF rule, with any ZF redraws of R.  Returns (R, F, resampled)."""
+    R = _reference_factor(gen, n, M, U, beta)
+    redraw = partial(_reference_factor, M=M, U=U, beta=beta)
+    F, resampled, R = _weights_for_scheme(gen, R, scheme, redraw)
+    return R, F, resampled
+
+
 def _draw_frame(gen, n: int, M: int, U: int, scheme: str, beta, ports: int):
-    """Everything of a port chunk that the aperture does not change: the
-    factor R (see _reference_factor), its beams F = Q^H W by the MRT/ZF
-    rule, and the innovations g ~ CN(0, I_r), (n, ports-1, r), of ports
-    2..ports, the law of Q^H x_k.  Returns (R, F, g, resampled).
+    """Everything of a port chunk that the aperture does not change: R and
+    its beams (_draw_beams), then the innovations g ~ CN(0, I_r),
+    (n, ports-1, r), of ports 2..ports, the law of Q^H x_k.  Returns
+    (R, F, g, resampled).
 
     Draw order: R (diagonal Gammas, then the entries above the diagonal),
     any ZF redraws of R, then g.
     """
-    R = _reference_factor(gen, n, M, U, beta)
-    redraw = partial(_reference_factor, M=M, U=U, beta=beta)
-    F, resampled, R = _weights_for_scheme(gen, R, scheme, redraw)
+    R, F, resampled = _draw_beams(gen, n, M, U, scheme, beta)
     g = _cgauss(gen, (n, ports - 1, R.shape[1]))
     return R, F, g, resampled
 
@@ -578,29 +591,40 @@ def _chunk_physref(stream: RngStream, n: int, M: int, U: int, scheme: str,
 
 
 def _chunk_outage_physical(
-    stream, n, M, U, scheme, beta, powers, mus, sel_idx, grid
+    stream, n, M, U, scheme, beta, powers, mus, sel_idxs, grid
 ):
-    """Selection outage counts of one chunk at every aperture of a group:
-    ((K, grid) counts, (K,) infinite counts, resample count) for the K
-    mu vectors in `mus`, which share one port count.
+    """Selection outage counts of one chunk for every config of a frame
+    group: ((K, grid) counts, (K,) infinite counts, resample count) for the
+    K configs' mu vectors `mus` and selectable port indices `sel_idxs`.
 
-    The draw (_draw_frame) does not depend on mu, so it is made once and
-    the SIRs, selection and binning run once per mu vector; each row
-    equals the one a chunk of that aperture alone would give.
+    R and its beams (_draw_beams) depend on neither N nor W, so they are
+    drawn once.  The generator state right after them is kept, and each
+    port count's innovations are drawn from that state, so every config
+    sees exactly the draws of a chunk of its own; the SIRs, selection and
+    binning then run once per config.  One port count's innovations are
+    alive at a time.
     """
-    R, F, g, resampled = _draw_frame(stream.generator(), n, M, U, scheme,
-                                     beta, len(mus[0]))
+    gen = stream.generator()
+    R, F, resampled = _draw_beams(gen, n, M, U, scheme, beta)
+    after_beams = gen.bit_generator.state
+    r0 = R[:, :, 0]
     beta0 = float(np.asarray(beta)[0])
-    sel_idx = np.asarray(sel_idx, dtype=int)
     grid = np.asarray(grid)
     counts = np.empty((len(mus), len(grid)), dtype=np.int64)
     inf_counts = np.empty(len(mus), dtype=np.int64)
-    for k, mu in enumerate(mus):
-        sel = _frame_sirs(R[:, :, 0], g, F, scheme, beta0, powers, mu)[:, sel_idx]
-        inf_counts[k] = np.count_nonzero(~np.isfinite(sel))
-        # Outage counts: INFINITE selections are never in outage and
-        # naturally land beyond the grid.
-        counts[k] = EmpiricalCdf.bin_samples(grid, sel.max(axis=1))
+    for ports in dict.fromkeys(len(mu) for mu in mus):
+        gen.bit_generator.state = after_beams
+        g = _cgauss(gen, (n, ports - 1, R.shape[1]))
+        for k, (mu, sel_idx) in enumerate(zip(mus, sel_idxs)):
+            if len(mu) != ports:
+                continue
+            sel = _frame_sirs(r0, g, F, scheme, beta0, powers,
+                              mu)[:, np.asarray(sel_idx, dtype=int)]
+            inf_counts[k] = np.count_nonzero(~np.isfinite(sel))
+            # Outage counts: INFINITE selections are never in outage and
+            # naturally land beyond the grid.
+            counts[k] = EmpiricalCdf.bin_samples(grid, sel.max(axis=1))
+        del g
     return counts, inf_counts, resampled
 
 
@@ -861,16 +885,19 @@ def run_outage_group(
     realizations: int | None = None,
     workers: int | None = None,
 ) -> list[OutageExperimentResult]:
-    """Outage experiments of configs that differ only in the aperture W,
-    from one draw: one result per config, in order, each equal to the
-    config's own run_outage_experiment.
+    """Outage experiments of configs that differ only in the port count N
+    and the aperture W (a frame group), from one frame draw per chunk: one
+    result per config, in order, each equal to the config's own
+    run_outage_experiment.
 
-    The chunk streams, the port count, R, the beams, the innovations, the
-    i.i.d. benchmark and the analytic envelope do not depend on W; it
-    enters only through mu_k = J0(2 pi d_k) in the SIRs.  So each chunk is
-    drawn once for the group (common random numbers), and the i.i.d. curve
-    and the envelope are computed once and shared by the results.  Configs
-    that differ in any other field are refused, by the field's name.
+    The chunk streams, R and its beams do not depend on N or W.  So each
+    chunk draws them once for the group and then, from the generator state
+    right after them, the innovations of each port count, which is exactly
+    the stream a config would use alone (_chunk_outage_physical).  W enters
+    only through mu_k = J0(2 pi d_k) in the SIRs.  The i.i.d. benchmark and
+    the analytic envelope depend on N alone, so they run once per N.
+    Configs that differ in any other field are refused, by the field's
+    name.
     """
     configs = list(configs)
     if not configs:
@@ -879,53 +906,55 @@ def run_outage_group(
     for cfg in configs[1:]:
         for f in fields(SystemConfig):
             mine, theirs = getattr(first, f.name), getattr(cfg, f.name)
-            if f.name != "W" and mine != theirs:
+            if f.name not in ("N", "W") and mine != theirs:
                 raise ValueError(
-                    f"configs of one outage group may differ only in W, not "
-                    f"in {f.name}: {mine!r} != {theirs!r}")
+                    f"configs of one outage group may differ only in N and W, "
+                    f"not in {f.name}: {mine!r} != {theirs!r}")
     grid = DEFAULT_GAMMA_GRID if gamma_grid is None else np.asarray(gamma_grid)
     if np.any(grid <= 0.0) or np.any(np.diff(grid) < 0.0):
         raise ValueError("gamma grid must be positive and sorted")
     params = betaprime_params(first.scheme, first.M, first.U)
-    sel_idx = selectable_port_indices(first)
+    sel_idxs = [tuple(selectable_port_indices(cfg)) for cfg in configs]
     mus = tuple(tuple(geometry_for_config(cfg).mu) for cfg in configs)
     n = realizations or first.realizations or DEFAULT_PHYSICAL_REALIZATIONS
     workers = resolve_workers(workers)
     phys = _run_chunked(
         _chunk_outage_physical,
         (first.M, first.U, first.scheme, first.beta, first.powers, mus,
-         tuple(sel_idx), grid),
+         tuple(sel_idxs), grid),
         n, first.seed, _BASE_OUTAGE_PHYSICAL, workers,
     )
     counts, inf_counts, resampled = _merge_counts(phys)
-    iid_runs = _run_chunked(
-        _chunk_outage_iid, (params.a, params.b, len(sel_idx), grid),
-        n, first.seed, _BASE_OUTAGE_IID, workers,
-    )
-    iid_counts, _, _ = _merge_counts(iid_runs)
-    p_iid = iid_counts / n
-    envelopes = [outage_envelope(g, params, len(sel_idx)) for g in grid]
-    shared = dict(
-        scheme=first.scheme,
-        reference_mode=first.resolved_reference_mode(),
-        gamma_grid=grid,
-        iid=p_iid,
-        iid_ci=wilson_half_width(p_iid, n),
-        single_port=np.array([e.single_port for e in envelopes]),
-        upper=np.array([e.upper for e in envelopes]),
-        lower=np.array([e.lower for e in envelopes]),
-        iid_analytic=np.array([e.iid_benchmark for e in envelopes]),
-        large_n=np.array([e.large_n_approx for e in envelopes]),
-        realizations=n,
-        selection_ports=np.asarray(sel_idx) + 1,
-        resampled_count=resampled,
-    )
+    # The curves that depend on the selectable port count alone.
+    shared = {}
+    for selectable in dict.fromkeys(len(sel) for sel in sel_idxs):
+        iid_runs = _run_chunked(
+            _chunk_outage_iid, (params.a, params.b, selectable, grid),
+            n, first.seed, _BASE_OUTAGE_IID, workers,
+        )
+        p_iid = _merge_counts(iid_runs)[0] / n
+        env = outage_envelope(grid, params, selectable)
+        shared[selectable] = dict(
+            scheme=first.scheme,
+            reference_mode=first.resolved_reference_mode(),
+            gamma_grid=grid,
+            iid=p_iid,
+            iid_ci=wilson_half_width(p_iid, n),
+            single_port=env.single_port,
+            upper=env.upper,
+            lower=env.lower,
+            iid_analytic=env.iid_benchmark,
+            large_n=env.large_n_approx,
+            realizations=n,
+            resampled_count=resampled,
+        )
     results = []
-    for row, inf_count in zip(counts, inf_counts):
+    for row, inf_count, sel_idx in zip(counts, inf_counts, sel_idxs):
         p_corr = row / n
         results.append(OutageExperimentResult(
             correlated=p_corr, correlated_ci=wilson_half_width(p_corr, n),
-            infinite_count=int(inf_count), **shared))
+            selection_ports=np.asarray(sel_idx) + 1,
+            infinite_count=int(inf_count), **shared[len(sel_idx)]))
     return results
 
 

@@ -148,11 +148,19 @@ def reg_inc_beta(y: float, a: float, b: float) -> float:
     y = (a+1)/(a+b+2), which keeps the fraction uniformly convergent.
     """
     y, a, b = _check_inc_beta_args(y, a, b)
+    return _reg_inc_beta(y, a, b, ln_beta(a, b))
+
+
+def _reg_inc_beta(y: float, a: float, b: float, ln_b: float) -> float:
+    """reg_inc_beta for checked float arguments, given ln_b = ln B(a, b).
+
+    ln B is symmetric, so one value serves I_y(a, b) and I_{1-y}(b, a).
+    """
     if y == 0.0:
         return 0.0
     if y == 1.0:
         return 1.0
-    ln_front = a * math.log(y) + b * math.log1p(-y) - ln_beta(a, b)
+    ln_front = a * math.log(y) + b * math.log1p(-y) - ln_b
     if y < (a + 1.0) / (a + b + 2.0):
         return math.exp(ln_front) * _betacf(a, b, y) / a
     return 1.0 - math.exp(ln_front) * _betacf(b, a, 1.0 - y) / b

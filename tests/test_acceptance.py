@@ -15,6 +15,8 @@ with the F_k read on the outage run's own realizations.  The analytic
 margins of the physical curve are still reported.
 """
 
+import json
+
 from fama_lab.acceptance import (
     SUITE_SEED,
     criterion_01_cross_form_identity,
@@ -31,6 +33,8 @@ from fama_lab.acceptance import (
 
 
 def _report(result):
+    # The verdict is a plain bool, which a JSON report can hold.
+    assert json.loads(json.dumps(result.passed)) is result.passed
     status = "PASS" if result.passed else "FAIL"
     print(f"[acceptance {result.index:2d}] {status} {result.name}: "
           f"{result.detail}")

@@ -26,6 +26,7 @@ from fama_lab.analytic_stats import (
     rho_u_approx,
     rho_x_approx,
 )
+from fama_lab.mc_engine import DEFAULT_GAMMA_GRID
 
 
 def _binomial_tail_cdf(gamma, a, b):
@@ -202,6 +203,48 @@ class TestOutageEnvelope:
             env = outage_envelope(gamma, params, 1)
             assert env.lower == env.iid_benchmark == env.upper
         assert env.lower > 0.0
+
+    def test_grid_equals_scalar_bit_for_bit(self):
+        # One call over the grid reproduces, bit for bit, the per-threshold
+        # envelope built from betaprime_cdf and betaprime_sf (the
+        # smaller-tail rule), and the one-point calls; the ordering
+        # invariant holds on the arrays.
+        def bits(x):
+            return np.asarray(x, dtype=float).tobytes()
+
+        grid = DEFAULT_GAMMA_GRID
+        for a in (1, 2, 3, 5, 8, 13, 21, 34, 55, 64):
+            for b in (1, 2, 3, 7, 15):
+                params = BetaPrimeParams(a, b)
+                direct = grid / (1.0 + grid) < (a + 1.0) / (a + b + 2.0)
+                f = np.array([betaprime_cdf(g, params) if d
+                              else 1.0 - betaprime_sf(g, params)
+                              for g, d in zip(grid, direct)])
+                eps = np.array([1.0 - v if d else betaprime_sf(g, params)
+                                for g, v, d in zip(grid, f, direct)])
+                for n in (1, 2, 8):
+                    env = outage_envelope(grid, params, n)
+                    iid = [v**n for v in f.tolist()]
+                    lower = [min(max(0.0, v - (n - 1) * e if d else 1.0 - n * e), i)
+                             for v, e, d, i in zip(f.tolist(), eps.tolist(),
+                                                   direct, iid)]
+                    assert bits(env.gamma) == bits(grid)
+                    assert bits(env.single_port) == bits(f)
+                    assert bits(env.upper) == bits(f)
+                    assert bits(env.lower) == bits(lower)
+                    assert bits(env.iid_benchmark) == bits(iid)
+                    assert bits(env.large_n_approx) == bits(
+                        [math.exp(-n * e) for e in eps.tolist()])
+                    assert np.all(0.0 <= env.lower)
+                    assert np.all(env.lower <= env.iid_benchmark)
+                    assert np.all(env.iid_benchmark <= env.upper)
+                    assert np.all(env.upper <= 1.0)
+                    for k in range(0, len(grid), 37):
+                        one = outage_envelope(float(grid[k]), params, n)
+                        assert bits([one.lower, one.iid_benchmark, one.upper,
+                                     one.large_n_approx]) == bits(
+                            [env.lower[k], env.iid_benchmark[k], env.upper[k],
+                             env.large_n_approx[k]])
 
     def test_large_n_exponential_regime_bound(self):
         n = 8

@@ -289,12 +289,15 @@ class TestSweepPool:
     @pytest.mark.parametrize("failure", ["raise", "crash", "interrupt"])
     def test_failure_cancels_queued_points(self, tmp_path, monkeypatch, capsys,
                                            failure):
-        # 32 points in 16 W-groups of 2.  "raise" and "crash" fail the
-        # second group in its worker, while the first is written;
-        # "interrupt" stops the parent at its first write.  The patches are
-        # made before the pool forks.  A pool of 2 runs 2 groups and holds
-        # 3 more in its call queue, which cancelling cannot reach, so the
-        # grid needs more groups than that for a cancelled one to show.
+        # 64 points in 16 frame groups (one per M) of 4.  "raise" and
+        # "crash" fail the first group in its worker; "interrupt" stops the
+        # parent at its first write.  The patches are made before the pool
+        # forks.  A pool of 2 runs 2 groups and holds 3 more in its call
+        # queue, which cancelling cannot reach, so the grid needs more
+        # groups than that for a cancelled one to show.  Every group has
+        # the same work estimate (M >= U, so only N and W set it), so the
+        # groups are submitted in grid order and the first group is among
+        # the first to run.
         log = tmp_path / "points.log"
         real_run, real_write = cli.run_outage_group, cli.write_curve_csv
         parent = os.getpid()
@@ -303,8 +306,7 @@ class TestSweepPool:
             with open(log, "a", encoding="utf-8") as fh:
                 fh.writelines(f"{cfg.scheme}_M{cfg.M}_N{cfg.N}_W{cfg.W:g}\n"
                               for cfg in configs)
-            if failure != "interrupt" and ("MRT", 4, 3) in {
-                    (cfg.scheme, cfg.M, cfg.N) for cfg in configs}:
+            if failure != "interrupt" and configs[0].M == 4:
                 if failure == "crash" and os.getpid() != parent:
                     os._exit(3)
                 raise RuntimeError("injected group failure")
@@ -321,15 +323,16 @@ class TestSweepPool:
         monkeypatch.setenv("FAMA_LAB_WORKERS", "2")
         out = tmp_path / "sw"
         try:
-            code = main(["sweep", "--realizations", "1000", "--sweep-M", "4,8",
-                         "--sweep-N", "2,3,4,5", "--sweep-W", "0.25,4",
-                         "--sweep-scheme", "MRT,ZF", "--out", str(out)])
+            code = main(["sweep", "--realizations", "1000", "--sweep-M",
+                         ",".join(str(M) for M in range(4, 20)),
+                         "--sweep-N", "2,3", "--sweep-W", "0.25,4",
+                         "--sweep-scheme", "MRT", "--out", str(out)])
         except KeyboardInterrupt:
             pytest.fail("the interrupt escaped cli.main")
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert os.listdir(out) == []
-        assert len(log.read_text().split()) < 32
+        assert len(log.read_text().split()) < 64
 
 
 class TestCurveCsv:

@@ -487,6 +487,21 @@ def test_cgauss_scales_the_draws_in_place():
     assert np.array_equal(z, np.sqrt(0.5) * raw.view(np.complex128)[..., 0])
 
 
+def test_bin_samples_equals_bincount_form():
+    # Sorted-sample counts equal the cumulative bincount of each sample's
+    # grid slot, with samples on grid points, beyond both ends, inf and nan.
+    grid = DEFAULT_GAMMA_GRID
+    gen = np.random.default_rng(3)
+    x = np.concatenate([gen.gamma(4.0, size=3000) / gen.gamma(3.0, size=3000),
+                        grid[::7], [np.inf, np.nan, 0.0, 1e-9, 2e3]])
+    gen.shuffle(x)
+    slots = np.searchsorted(grid, x, side="left")
+    expect = np.cumsum(np.bincount(slots, minlength=len(grid) + 1))[: len(grid)]
+    counts = EmpiricalCdf.bin_samples(grid, x)
+    assert counts.dtype == expect.dtype
+    assert np.array_equal(counts, expect)
+
+
 _OUTAGE_FIELDS = [f.name for f in dataclasses.fields(OutageExperimentResult)]
 
 
@@ -495,15 +510,16 @@ class TestOutageGroup:
         ("MRT", "member", None), ("ZF", "external", None),
         ("ZF", "external", 1.0 / 40.0)])
     def test_equals_per_config_runs(self, monkeypatch, scheme, mode, tolerance):
-        # The group shares one draw per chunk; each of its results equals
-        # the config's own run field for field.  With the condition limit
-        # at 40, ZF redraws a share of R in every chunk, so the shared
-        # redraw is pinned too.
+        # The group shares one frame draw per chunk and draws each port
+        # count's innovations from the state right after it; each result
+        # equals the config's own run field for field.  With the condition
+        # limit at 40, ZF redraws a share of R in every chunk, so the state
+        # restored after the redraws is pinned too.
         if tolerance is not None:
             monkeypatch.setattr(mc_engine, "_GRAM_TOLERANCE", tolerance)
-        configs = [SystemConfig(M=8, U=4, N=4, W=W, scheme=scheme,
+        configs = [SystemConfig(M=8, U=4, N=N, W=W, scheme=scheme,
                                 reference_mode=mode, seed=61)
-                   for W in (0.0, 0.25, 4.0)]
+                   for N in (2, 4, 8) for W in (0.0, 0.25, 4.0)]
         group = run_outage_group(configs, realizations=5_000)
         assert len(group) == len(configs)
         if tolerance is not None:
@@ -512,13 +528,16 @@ class TestOutageGroup:
             single = run_outage_experiment(cfg, realizations=5_000)
             for name in _OUTAGE_FIELDS:
                 a, b = getattr(res, name), getattr(single, name)
-                assert np.array_equal(a, b), name
-        # The apertures differ, so their selection curves do too.
-        assert not np.array_equal(group[0].correlated, group[2].correlated)
+                assert np.array_equal(a, b), (cfg.N, cfg.W, name)
+        # The apertures and the port counts differ, so their selection
+        # curves do too.
+        assert not np.array_equal(group[1].correlated, group[2].correlated)
+        assert not np.array_equal(group[2].correlated, group[8].correlated)
 
     @pytest.mark.parametrize("field, value", [
-        ("M", 16), ("N", 5), ("scheme", "ZF"), ("seed", 7),
-        ("powers", (2.0, 1.0, 1.0, 1.0)), ("reference_mode", "external")])
+        ("M", 16), ("include_reference_in_selection", False), ("scheme", "ZF"),
+        ("seed", 7), ("powers", (2.0, 1.0, 1.0, 1.0)),
+        ("reference_mode", "external")])
     def test_refuses_configs_differing_beyond_w(self, field, value):
         base = SystemConfig(M=8, U=4, N=4, W=0.25, seed=62)
         other = dataclasses.replace(base, W=4.0, **{field: value})
