@@ -19,7 +19,6 @@ import math
 import os
 import sys
 import time
-import zlib
 from collections.abc import Iterable, Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
@@ -416,7 +415,7 @@ def run_sweep(config: SystemConfig, out_dir: str, workers: int,
 
     The points of one (scheme, M, U), which differ only in N and W, form
     a frame group that run_outage_group serves from one frame draw per
-    chunk (_sweep_group).
+    chunk.
     """
     per_user = {U: {name: _per_user(getattr(config, name), U, name)
                     for name in ("beta", "powers")} for U in grids["U"]}
@@ -443,7 +442,7 @@ def run_sweep(config: SystemConfig, out_dir: str, workers: int,
     # largest first (_group_work), so that no large group starts last while
     # the other workers idle.  Every chunk has its own stream, so the CSVs
     # do not depend on where a group runs.  The groups' CSVs are written in
-    # grid order, each group's once its texts are in.  On any failure the
+    # grid order, each group's once its results are in.  On any failure the
     # queued groups are cancelled, not run.
     pool = None
     try:
@@ -452,19 +451,28 @@ def run_sweep(config: SystemConfig, out_dir: str, workers: int,
             futures = {}
             for i in sorted(range(len(groups)),
                             key=lambda i: -_group_work(groups[i])):
-                futures[i] = pool.submit(_pooled_sweep_group, groups[i])
-            outputs = (_unpacked(futures.pop(i).result())
-                       for i in range(len(groups)))
+                futures[i] = pool.submit(_sweep_group, groups[i])
+            results = (futures.pop(i).result() for i in range(len(groups)))
         else:
-            outputs = (_sweep_group(group, workers) for group in groups)
-        for group_outputs in outputs:
-            for shared, points in group_outputs:
-                for name, text, realizations in points:
-                    write_curve_csv(os.path.join(out_dir, name), text + shared)
-                    manifest.outputs.append(name)
-                    manifest.experiments.append((name[:-4], "realizations",
-                                                 realizations))
-                    print(f"sweep: wrote {name}")
+            results = (run_outage_group(group, workers=workers) for group in groups)
+        for group, group_results in zip(groups, results):
+            # The W-invariant curves (_w_invariant_rows) are formatted once
+            # per N and shared by that N's CSVs; one gamma,gamma_db cache
+            # serves the whole group.
+            gamma_text: dict = {}
+            shared: dict = {}
+            for cfg, res in zip(group, group_results):
+                if cfg.N not in shared:
+                    shared[cfg.N] = curve_text(_w_invariant_rows(res), gamma_text)
+                name = (f"sweep_{cfg.scheme.lower()}_M{cfg.M}_U{cfg.U}_"
+                        f"N{cfg.N}_W{cfg.W:g}.csv")
+                write_curve_csv(os.path.join(out_dir, name),
+                                curve_text(_correlated_rows(res), gamma_text)
+                                + shared[cfg.N])
+                manifest.outputs.append(name)
+                manifest.experiments.append((name[:-4], "realizations",
+                                             res.realizations))
+                print(f"sweep: wrote {name}")
     finally:
         if pool is not None:
             pool.shutdown(wait=True, cancel_futures=True)
@@ -477,44 +485,10 @@ def _group_work(group: list[SystemConfig]) -> int:
     return sum(geometry_for_config(cfg).num_ports * (cfg.U + 1) for cfg in group)
 
 
-def _sweep_group(group: list[SystemConfig], workers: int = 1) -> list[tuple]:
-    """The CSV texts of one frame group's points, from run_outage_group:
-    for each N in grid order, (W-invariant text, [(CSV name,
-    correlated-curve text, realizations) for each W]).  A CSV's rows are
-    its correlated-curve text, then its N's W-invariant text
-    (_w_invariant_rows), which is formatted once per N."""
-    gamma_text: dict = {}
-    by_n: dict = {}
-    for cfg, res in zip(group, run_outage_group(group, workers=workers)):
-        if cfg.N not in by_n:
-            by_n[cfg.N] = (curve_text(_w_invariant_rows(res), gamma_text), [])
-        name = (f"sweep_{cfg.scheme.lower()}_M{cfg.M}_U{cfg.U}_"
-                f"N{cfg.N}_W{cfg.W:g}.csv")
-        by_n[cfg.N][1].append((name, curve_text(_correlated_rows(res), gamma_text),
-                               res.realizations))
-    return list(by_n.values())
-
-
-def _pooled_sweep_group(group: list[SystemConfig]) -> list[tuple]:
-    """_sweep_group in a pool worker, whose chunks run in that worker, with
-    its texts zlib-compressed (about 4.5 times smaller).  Groups finish
-    largest first but are written in grid order, so the parent holds
-    finished groups' texts until their turn; held compressed, they do not
-    grow the parent's heap, which the pool's next workers would inherit."""
-    def pack(text):
-        return zlib.compress(text.encode("ascii"), 1)
-
-    return [(pack(shared), [(name, pack(text), n) for name, text, n in points])
-            for shared, points in _sweep_group(group)]
-
-
-def _unpacked(outputs: list[tuple]) -> list[tuple]:
-    """The texts of _pooled_sweep_group, decompressed."""
-    def unpack(blob):
-        return zlib.decompress(blob).decode("ascii")
-
-    return [(unpack(shared), [(name, unpack(text), n) for name, text, n in points])
-            for shared, points in outputs]
+def _sweep_group(group: list[SystemConfig]):
+    """One frame group of the sweep in a pool worker; its chunks run in
+    that worker."""
+    return run_outage_group(group, workers=1)
 
 
 def run_validate(config: SystemConfig, out_dir: str | None) -> int:

@@ -290,15 +290,17 @@ class TestSweepPool:
     def test_failure_cancels_queued_points(self, tmp_path, monkeypatch, capsys,
                                            failure):
         # 64 points in 16 frame groups (one per M) of 4.  "raise" and
-        # "crash" fail the first group in its worker; "interrupt" stops the
-        # parent at its first write.  The patches are made before the pool
-        # forks.  A pool of 2 runs 2 groups and holds 3 more in its call
-        # queue, which cancelling cannot reach, so the grid needs more
-        # groups than that for a cancelled one to show.  Every group has
-        # the same work estimate (M >= U, so only N and W set it), so the
-        # groups are submitted in grid order and the first group is among
-        # the first to run.
+        # "crash" fail the second group (M = 5) in its worker, once the
+        # parent has written the first group's CSVs, so the run must remove
+        # outputs it has already written; "interrupt" stops the parent at
+        # its first write.  The patches are made before the pool forks.  A
+        # pool of 2 runs 2 groups and holds 3 more in its call queue, which
+        # cancelling cannot reach, so the grid needs more groups than that
+        # for a cancelled one to show.  Every group has the same work
+        # estimate (M >= U, so only N and W set it), so the groups are
+        # submitted in grid order and the first two run together.
         log = tmp_path / "points.log"
+        out = tmp_path / "sw"
         real_run, real_write = cli.run_outage_group, cli.write_curve_csv
         parent = os.getpid()
 
@@ -306,7 +308,11 @@ class TestSweepPool:
             with open(log, "a", encoding="utf-8") as fh:
                 fh.writelines(f"{cfg.scheme}_M{cfg.M}_N{cfg.N}_W{cfg.W:g}\n"
                               for cfg in configs)
-            if failure != "interrupt" and configs[0].M == 4:
+            if failure != "interrupt" and configs[0].M == 5:
+                last_of_first = out / f"sweep_mrt_M4_U{configs[0].U}_N3_W4.csv"
+                deadline = time.monotonic() + 60.0
+                while not last_of_first.exists() and time.monotonic() < deadline:
+                    time.sleep(0.01)
                 if failure == "crash" and os.getpid() != parent:
                     os._exit(3)
                 raise RuntimeError("injected group failure")
@@ -321,7 +327,6 @@ class TestSweepPool:
         monkeypatch.setattr(cli, "run_outage_group", run)
         monkeypatch.setattr(cli, "write_curve_csv", write)
         monkeypatch.setenv("FAMA_LAB_WORKERS", "2")
-        out = tmp_path / "sw"
         try:
             code = main(["sweep", "--realizations", "1000", "--sweep-M",
                          ",".join(str(M) for M in range(4, 20)),
@@ -330,7 +335,11 @@ class TestSweepPool:
         except KeyboardInterrupt:
             pytest.fail("the interrupt escaped cli.main")
         assert code == 1
-        assert capsys.readouterr().err.startswith("error: ")
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        if failure != "interrupt":
+            assert ("sweep: wrote sweep_mrt_M4_U4_N3_W4.csv"
+                    in captured.out.splitlines())
         assert os.listdir(out) == []
         assert len(log.read_text().split()) < 64
 
