@@ -20,7 +20,7 @@ import os
 import sys
 import time
 from collections.abc import Iterable, Iterator
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -34,7 +34,7 @@ from .analytic_stats import (
     betaprime_params,
     betaprime_sf,
 )
-from .channel_geom import SystemConfig, geometry_for_config
+from .channel_geom import SystemConfig
 from .mc_engine import (
     _CORRELATION_U_REFUSAL,
     resolve_workers,
@@ -438,51 +438,58 @@ def run_sweep(config: SystemConfig, out_dir: str, workers: int,
                                 f"N={N} W={W:g}: {exc}") from exc
                 groups.append(group)
     # Several groups share one pool, each group whole in one worker; a
-    # single group keeps chunk-level parallelism.  The groups are submitted
-    # largest first (_group_work), so that no large group starts last while
-    # the other workers idle.  Every chunk has its own stream, so the CSVs
-    # do not depend on where a group runs.  The groups' CSVs are written in
-    # grid order, each group's once its results are in.  On any failure the
-    # queued groups are cancelled, not run.
+    # single group keeps chunk-level parallelism.  Every chunk has its own
+    # stream, so the CSVs do not depend on where a group runs.  Each
+    # group's CSVs are written as soon as it completes, so the parent
+    # formats while the workers still run; the manifest lists them in grid
+    # order.  On any failure the queued groups are cancelled, not run, and
+    # main removes every CSV already written (manifest.outputs).
     pool = None
+    start = len(manifest.outputs)
+    written = {}
     try:
         if workers > 1 and len(groups) > 1:
             pool = ProcessPoolExecutor(max_workers=min(workers, len(groups)))
-            futures = {}
-            for i in sorted(range(len(groups)),
-                            key=lambda i: -_group_work(groups[i])):
-                futures[i] = pool.submit(_sweep_group, groups[i])
-            results = (futures.pop(i).result() for i in range(len(groups)))
+            futures = {pool.submit(_sweep_group, group): i
+                       for i, group in enumerate(groups)}
+            done = ((futures[f], f.result()) for f in as_completed(futures))
         else:
-            results = (run_outage_group(group, workers=workers) for group in groups)
-        for group, group_results in zip(groups, results):
-            # The W-invariant curves (_w_invariant_rows) are formatted once
-            # per N and shared by that N's CSVs; one gamma,gamma_db cache
-            # serves the whole group.
-            gamma_text: dict = {}
-            shared: dict = {}
-            for cfg, res in zip(group, group_results):
-                if cfg.N not in shared:
-                    shared[cfg.N] = curve_text(_w_invariant_rows(res), gamma_text)
-                name = (f"sweep_{cfg.scheme.lower()}_M{cfg.M}_U{cfg.U}_"
-                        f"N{cfg.N}_W{cfg.W:g}.csv")
-                write_curve_csv(os.path.join(out_dir, name),
-                                curve_text(_correlated_rows(res), gamma_text)
-                                + shared[cfg.N])
-                manifest.outputs.append(name)
-                manifest.experiments.append((name[:-4], "realizations",
-                                             res.realizations))
-                print(f"sweep: wrote {name}")
+            done = ((i, run_outage_group(group, workers=workers))
+                    for i, group in enumerate(groups))
+        for i, group_results in done:
+            written[i] = _write_sweep_group(groups[i], group_results, out_dir,
+                                            manifest)
     finally:
         if pool is not None:
             pool.shutdown(wait=True, cancel_futures=True)
+    rows = [row for i in range(len(groups)) for row in written[i]]
+    manifest.outputs[start:] = [name for name, _ in rows]
+    manifest.experiments += [(name[:-4], "realizations", n) for name, n in rows]
 
 
-def _group_work(group: list[SystemConfig]) -> int:
-    """Work of a frame group per realization, to order the sweep's pool
-    tasks: every point computes each of its P port SIRs from U beam
-    projections and selects among them, so a point costs P * (U + 1)."""
-    return sum(geometry_for_config(cfg).num_ports * (cfg.U + 1) for cfg in group)
+def _write_sweep_group(group: list[SystemConfig], results, out_dir: str,
+                       manifest: RunManifest) -> list[tuple[str, int]]:
+    """Write one frame group's CSVs, each listed in manifest.outputs once
+    it exists; returns (file name, realizations) per point.
+
+    The W-invariant curves (_w_invariant_rows) are formatted once per N and
+    shared by that N's CSVs; one gamma,gamma_db cache serves the group.
+    """
+    gamma_text: dict = {}
+    shared: dict = {}
+    rows = []
+    for cfg, res in zip(group, results):
+        if cfg.N not in shared:
+            shared[cfg.N] = curve_text(_w_invariant_rows(res), gamma_text)
+        name = (f"sweep_{cfg.scheme.lower()}_M{cfg.M}_U{cfg.U}_"
+                f"N{cfg.N}_W{cfg.W:g}.csv")
+        write_curve_csv(os.path.join(out_dir, name),
+                        curve_text(_correlated_rows(res), gamma_text)
+                        + shared[cfg.N])
+        manifest.outputs.append(name)
+        rows.append((name, res.realizations))
+        print(f"sweep: wrote {name}")
+    return rows
 
 
 def _sweep_group(group: list[SystemConfig]):

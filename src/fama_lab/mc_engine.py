@@ -20,17 +20,22 @@ contiguous (n,) vector over the chunk.  The ZF inverse (_lower_inverse) and
 the port projections (_frame_sirs) are sums of such vectors, entry by
 entry, over the nonzero triangle only: R and its MRT beams are
 upper-triangular, its ZF beams lower-triangular.  No call is made per
-realization.
+realization, and no chunk kernel calls BLAS, so a pool worker starts no
+BLAS threads.
 
 Outage runs that differ only in the port count N and the aperture W form
 a frame group (run_outage_group) and share their draws.  Neither changes R
 or its beams, so a chunk draws them once; it keeps the generator state
 right after them and, restoring it, draws each port count's innovations
 exactly as a run of that count alone would.  W enters only through the
-port correlations mu_k, so the SIRs are then computed once per config.
-The i.i.d. benchmark and the analytic envelope run once per N.  The sweep
-(cli.run_sweep) makes one frame group of each (scheme, M, U) and submits
-the groups to its pool largest first.
+port correlations mu_k, and only in frame row 0 and the scale sigma_k of
+the innovations: the projections of rows 1..r-1 onto the beams are
+summed once per port count and shared by its apertures (_frame_sirs).
+Selection and binning run once per config.  The i.i.d. benchmark and the
+analytic envelope run once per N, and one pool (_run_chunked) serves the
+physical and every N's i.i.d. chunks.  The sweep (cli.run_sweep) makes
+one frame group of each (scheme, M, U) and writes each group's CSVs as
+the group completes.
 """
 
 from __future__ import annotations
@@ -440,52 +445,98 @@ def _sir(num, den):
 
 
 def _frame_sirs(r0: np.ndarray, g: np.ndarray, F: np.ndarray, scheme: str,
-                beta0: float, powers, mu) -> np.ndarray:
+                beta0: float, powers, mus) -> list[np.ndarray]:
     """User-0 SIR X_k = P_0 |z_k^H f_0|^2 / sum_{i>=1} P_i |z_k^H f_i|^2 at
-    every port, (n, P), in the frame Q of the reference channels H = QR.
+    every port, (n, P), for each aperture's mu vector in `mus` (all of one
+    port count P), in the frame Q of the reference channels H = QR.
 
     r0 = Q^H h_{0,1} (n, r) is user 0's column of R, zero below R_00, g
     (n, P-1, r) holds the frame innovations of ports 2..P and F = Q^H W
     (n, r, U) the beams that `scheme` builds from R.  Port k is
-    z_k = Q^H h_{0,k} = mu_k r0 + sqrt(1 - mu_k^2) sqrt(beta0) g_k, so mu_k
-    enters row 0 only, and the reference port's projections are
-    conj(F_0u) R_00: exactly 0 for u >= 1 under ZF.
+    z_k = Q^H h_{0,k} = mu_k r0 + sigma_k g_k, sigma_k = sqrt((1 - mu_k^2)
+    beta0), so z_k = w_k e_0 + sigma_k (0, g_k1, ..., g_k,r-1) with
+    w_k = mu_k R_00 + sigma_k g_k0, and
 
-    Ports 2..P are assembled batch-last, (P-1, r, n), and each projection
-    z_k^H f_u is summed entry by entry over F's nonzero triangle only:
-    rows j <= u under MRT, where F = R D^{-1} is upper-triangular, and
-    rows j >= u under ZF, where F = R^{-H} D^{-1} is lower-triangular.
+        z_k^H f_u = conj(w_k) F_0u + sigma_k s_ku,
+        s_ku = sum_{j>=1} conj(g_kj) F_ju.
+
+    The projections s_ku do not depend on the aperture, so each is summed
+    once for all of `mus`, entry by entry over F's nonzero triangle only:
+    rows j <= u under MRT, where F = R D^{-1} is upper-triangular, and rows
+    j >= u under ZF, where F = R^{-H} D^{-1} is lower-triangular.  An
+    aperture adds only its row conj(w_k) and its scalars sigma_k.  Under
+    ZF, F_0u = 0 for u >= 1, so user u's interference at port k is
+    sigma_k^2 |s_ku|^2 and the weighted sum over u >= 1 is shared too.  The
+    reference port's projections are R_00 F_0u, aperture-invariant.
+
+    The work runs one beam u at a time on (P-1, n) arrays, batch-last, and
+    makes no BLAS call.  No temporary spans all beams: glibc hands freed
+    chunk-sized arrays back to the OS, and every chunk would fault them in
+    again.  The SIRs of one mu vector do not depend on the others in
+    `mus`: they are the same, bit for bit, as a call with that vector
+    alone.
     """
-    mu = np.asarray(mu, dtype=float)
     n, r = r0.shape
     U = F.shape[2]
-    r00 = r0[:, 0]
-    sigma = np.sqrt(np.maximum(0.0, 1.0 - mu[1:] ** 2)) * math.sqrt(beta0)
-    z = np.empty((len(mu) - 1, r, n), dtype=complex)
-    np.multiply(sigma[:, None, None], g.transpose(1, 2, 0), out=z)
-    z[:, 0] += mu[1:, None] * r00
-    F = F.transpose(1, 2, 0)
-    gains = np.empty((U, len(mu), n))
-    # The reference port: only F's row 0 meets R_00, all of it under MRT
-    # and only f_0 under ZF.
-    cols = 1 if scheme == "ZF" else U
-    ref = F[0, :cols].conj() * r00
-    np.square(ref.real, out=gains[:cols, 0])
-    gains[:cols, 0] += np.square(ref.imag)
-    gains[cols:, 0] = 0.0
-    term = np.empty((len(mu) - 1, n), dtype=complex)
-    square = np.empty((len(mu) - 1, n))
-    for u in range(U):
-        rows = range(u, r) if scheme == "ZF" else range(min(u + 1, r))
-        # |z^H f|^2 = |f^H z|^2: conjugating f is cheaper than z.
-        proj = F[rows[0], u].conj() * z[:, rows[0]]
-        for j in rows[1:]:
-            proj += np.multiply(F[j, u].conj(), z[:, j], out=term)
-        np.square(proj.real, out=gains[u, 1:])
-        gains[u, 1:] += np.square(proj.imag, out=square)
+    ports = g.shape[1]
     powers = np.asarray(powers, dtype=float)
-    interference = np.tensordot(powers[1:], gains[1:], axes=1)
-    return _sir(powers[0] * gains[0], interference).T
+    zf = scheme == "ZF"
+    F = F.transpose(1, 2, 0)
+    r00c = r0[:, 0].conj()
+    # conj(g), one contiguous (P-1, n) row per frame coordinate j.
+    rows = [np.conjugate(g[:, :, j].T, out=np.empty((ports, n), dtype=complex))
+            for j in range(r)]
+    sigmas, rows0 = [], []
+    for mu in mus:
+        mu = np.asarray(mu, dtype=float)[1:, None]
+        sigma = np.sqrt(np.maximum(0.0, 1.0 - mu**2)) * math.sqrt(beta0)
+        row0 = sigma * rows[0]
+        row0 += mu * r00c
+        sigmas.append(sigma)
+        rows0.append(row0)
+    sirs = np.empty((len(mus), ports + 1, n))
+    interference = np.zeros((len(mus), ports, n))
+    shared = np.zeros((ports, n))
+    ref_inter = np.zeros(n)
+    s, term, proj = (np.empty((ports, n), dtype=complex) for _ in range(3))
+    gain, square = np.empty((ports, n)), np.empty((ports, n))
+    for u in range(U):
+        js = range(max(u, 1), r) if zf else range(1, min(u + 1, r))
+        if len(js):
+            np.multiply(F[js[0], u], rows[js[0]], out=s)
+            for j in js[1:]:
+                s += np.multiply(F[j, u], rows[j], out=term)
+        if zf and u:
+            # F_0u = 0: the interference is sigma_k^2 |s_ku|^2.
+            np.square(s.real, out=gain)
+            gain += np.square(s.imag, out=square)
+            gain *= powers[u]
+            shared += gain
+            continue
+        ref_u = F[0, u] * r00c
+        ref_u = np.square(ref_u.real) + np.square(ref_u.imag)
+        if u:
+            ref_inter += powers[u] * ref_u
+        else:
+            ref_desired = ref_u
+        for k, (sigma, row0) in enumerate(zip(sigmas, rows0)):
+            np.multiply(F[0, u], row0, out=proj)
+            if len(js):
+                proj += np.multiply(s, sigma, out=term)
+            # The desired gains wait in the SIR rows until the end.
+            out = sirs[k, 1:] if u == 0 else gain
+            np.square(proj.real, out=out)
+            out += np.square(proj.imag, out=square)
+            if u:
+                out *= powers[u]
+                interference[k] += out
+    ref_sir = _sir(powers[0] * ref_desired, ref_inter)
+    for x, sigma, inter in zip(sirs, sigmas, interference):
+        x[0] = ref_sir
+        if zf:
+            inter += sigma**2 * shared
+        x[1:] = _sir(powers[0] * x[1:], inter)
+    return [x.T for x in sirs]
 
 
 def _chunk_marginal_counts(stream: RngStream, n: int, a: int, b: int, grid):
@@ -534,7 +585,7 @@ def _chunk_ports_sir(stream: RngStream, n: int, M: int, U: int, scheme: str,
     R, F, g, resampled = _draw_frame(stream.generator(), n, M, U, scheme,
                                      beta, len(mu))
     beta0 = float(np.asarray(beta)[0])
-    return _frame_sirs(R[:, :, 0], g, F, scheme, beta0, powers, mu), resampled
+    return _frame_sirs(R[:, :, 0], g, F, scheme, beta0, powers, [mu])[0], resampled
 
 
 def _physref_sirs(gen, n: int, M: int, U: int, scheme: str, beta,
@@ -578,7 +629,7 @@ def _physref_sirs(gen, n: int, M: int, U: int, scheme: str, beta,
         terms = np.abs(math.sqrt(beta0) * proj) ** 2
     else:
         terms = beta0 * gen.standard_exponential((n, U - 1))
-    return _sir(powers[0] * desired, terms @ powers[1:]), resampled
+    return _sir(powers[0] * desired, (terms * powers[1:]).sum(axis=1)), resampled
 
 
 def _chunk_physref(stream: RngStream, n: int, M: int, U: int, scheme: str,
@@ -600,9 +651,10 @@ def _chunk_outage_physical(
     R and its beams (_draw_beams) depend on neither N nor W, so they are
     drawn once.  The generator state right after them is kept, and each
     port count's innovations are drawn from that state, so every config
-    sees exactly the draws of a chunk of its own; the SIRs, selection and
-    binning then run once per config.  One port count's innovations are
-    alive at a time.
+    sees exactly the draws of a chunk of its own.  The SIRs of a port
+    count's configs come from one _frame_sirs call, which shares the
+    aperture-invariant projections; selection and binning run once per
+    config.  One port count's innovations are alive at a time.
     """
     gen = stream.generator()
     R, F, resampled = _draw_beams(gen, n, M, U, scheme, beta)
@@ -615,16 +667,16 @@ def _chunk_outage_physical(
     for ports in dict.fromkeys(len(mu) for mu in mus):
         gen.bit_generator.state = after_beams
         g = _cgauss(gen, (n, ports - 1, R.shape[1]))
-        for k, (mu, sel_idx) in enumerate(zip(mus, sel_idxs)):
-            if len(mu) != ports:
-                continue
-            sel = _frame_sirs(r0, g, F, scheme, beta0, powers,
-                              mu)[:, np.asarray(sel_idx, dtype=int)]
+        ks = [k for k, mu in enumerate(mus) if len(mu) == ports]
+        sirs = _frame_sirs(r0, g, F, scheme, beta0, powers, [mus[k] for k in ks])
+        del g
+        for k, x in zip(ks, sirs):
+            # x is the (n, P) view of (P, n) memory: select whole rows.
+            sel = x.T[np.asarray(sel_idxs[k], dtype=int)]
             inf_counts[k] = np.count_nonzero(~np.isfinite(sel))
             # Outage counts: INFINITE selections are never in outage and
             # naturally land beyond the grid.
-            counts[k] = EmpiricalCdf.bin_samples(grid, sel.max(axis=1))
-        del g
+            counts[k] = EmpiricalCdf.bin_samples(grid, sel.max(axis=0))
     return counts, inf_counts, resampled
 
 
@@ -682,13 +734,15 @@ def _exec_task(task):
     return fn(RngStream(seed, stream_id), n, *args)
 
 
-def _run_chunked(fn, args: tuple, total: int, seed: int, stream_base: int,
-                 workers: int, chunk_size: int = CHUNK_SIZE) -> list:
-    """Run fn(stream, n, *args) over fixed chunks; results in chunk order.
+def _run_chunked(jobs, total: int, seed: int, workers: int,
+                 chunk_size: int = CHUNK_SIZE) -> list[list]:
+    """Run each job (fn, args, stream_base) of `jobs` as fn(stream, n, *args)
+    over the fixed chunks of `total` realizations; one list of results per
+    job, in chunk order.  Every job's chunks share one pool.
 
-    Chunk i draws from stream stream_base + i, so a run needing more than
-    _STREAM_SPAN chunks would reach into the next namespace's streams; it is
-    refused before anything is drawn.
+    Chunk i of a job draws from stream stream_base + i, so a run needing
+    more than _STREAM_SPAN chunks would reach into the next namespace's
+    streams; it is refused before anything is drawn.
     """
     chunks = -(-total // chunk_size)
     if chunks > _STREAM_SPAN:
@@ -697,14 +751,18 @@ def _run_chunked(fn, args: tuple, total: int, seed: int, stream_base: int,
             f"than the {_STREAM_SPAN} streams of one namespace")
     tasks = [
         (fn, seed, stream_base + idx, n, args)
+        for fn, args, stream_base in jobs
         for idx, n in _iter_chunks(total, chunk_size)
     ]
     if workers <= 1 or len(tasks) <= 1:
-        return [_exec_task(t) for t in tasks]
-    # Tasks go to the workers in batches: each pickles the args, grid included.
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_exec_task, tasks,
-                             chunksize=max(1, len(tasks) // (4 * workers))))
+        results = [_exec_task(t) for t in tasks]
+    else:
+        # Tasks go to the workers in batches: each pickles the args, grid
+        # included.
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_exec_task, tasks,
+                                    chunksize=max(1, len(tasks) // (4 * workers))))
+    return [results[i * chunks:(i + 1) * chunks] for i in range(len(jobs))]
 
 
 def _merge_counts(results) -> tuple[np.ndarray, int, int]:
@@ -742,16 +800,12 @@ def run_cdf_experiment(
     )
     workers = resolve_workers(workers)
     if mode == "marginal":
-        results = _run_chunked(
-            _chunk_marginal_counts, (params.a, params.b, grid),
-            n, config.seed, _BASE_CDF, workers,
-        )
+        job = (_chunk_marginal_counts, (params.a, params.b, grid), _BASE_CDF)
     else:
-        results = _run_chunked(
-            _chunk_physref,
-            (config.M, config.U, config.scheme, config.beta, config.powers, grid),
-            n, config.seed, _BASE_CDF_PHYSICAL, workers,
-        )
+        job = (_chunk_physref,
+               (config.M, config.U, config.scheme, config.beta, config.powers, grid),
+               _BASE_CDF_PHYSICAL)
+    [results] = _run_chunked([job], n, config.seed, workers)
     counts, inf_count, resampled = _merge_counts(results)
     empirical = EmpiricalCdf(grid=grid, counts=counts, n=n)
     analytic = np.array([betaprime_cdf(g, params) for g in grid])
@@ -778,9 +832,9 @@ def estimate_marginal_tail(
     """Monte-Carlo estimate of P(X > gamma) under the exact marginal law."""
     params = betaprime_params(config.scheme, config.M, config.U)
     workers = resolve_workers(workers)
-    results = _run_chunked(
-        _chunk_marginal_sf_count, (params.a, params.b, float(gamma)),
-        realizations, config.seed, _BASE_TAIL, workers,
+    [results] = _run_chunked(
+        [(_chunk_marginal_sf_count, (params.a, params.b, float(gamma)), _BASE_TAIL)],
+        realizations, config.seed, workers,
     )
     return sum(results) / realizations
 
@@ -838,11 +892,12 @@ def run_correlation_experiment(
     est_idx = np.arange(1, geometry.num_ports)
     n = realizations or config.realizations or DEFAULT_PHYSICAL_REALIZATIONS
     workers = resolve_workers(workers)
-    results = _run_chunked(
-        _chunk_corr_moments,
-        (config.M, config.U, config.scheme, config.beta, config.powers,
-         tuple(geometry.mu), tuple(est_idx)),
-        n, config.seed, _BASE_CORRELATION, workers,
+    [results] = _run_chunked(
+        [(_chunk_corr_moments,
+          (config.M, config.U, config.scheme, config.beta, config.powers,
+           tuple(geometry.mu), tuple(est_idx)),
+          _BASE_CORRELATION)],
+        n, config.seed, workers,
     )
     _, m2, used = _merge_moments((r[0], r[1], r[2]) for r in results)
     dropped = sum(r[3] for r in results)
@@ -918,21 +973,23 @@ def run_outage_group(
     mus = tuple(tuple(geometry_for_config(cfg).mu) for cfg in configs)
     n = realizations or first.realizations or DEFAULT_PHYSICAL_REALIZATIONS
     workers = resolve_workers(workers)
-    phys = _run_chunked(
-        _chunk_outage_physical,
-        (first.M, first.U, first.scheme, first.beta, first.powers, mus,
-         tuple(sel_idxs), grid),
-        n, first.seed, _BASE_OUTAGE_PHYSICAL, workers,
+    selectables = list(dict.fromkeys(len(sel) for sel in sel_idxs))
+    # One pool runs the physical chunks and every selectable count's i.i.d.
+    # chunks.
+    phys, *iid_runs = _run_chunked(
+        [(_chunk_outage_physical,
+          (first.M, first.U, first.scheme, first.beta, first.powers, mus,
+           tuple(sel_idxs), grid),
+          _BASE_OUTAGE_PHYSICAL)]
+        + [(_chunk_outage_iid, (params.a, params.b, selectable, grid),
+            _BASE_OUTAGE_IID) for selectable in selectables],
+        n, first.seed, workers,
     )
     counts, inf_counts, resampled = _merge_counts(phys)
     # The curves that depend on the selectable port count alone.
     shared = {}
-    for selectable in dict.fromkeys(len(sel) for sel in sel_idxs):
-        iid_runs = _run_chunked(
-            _chunk_outage_iid, (params.a, params.b, selectable, grid),
-            n, first.seed, _BASE_OUTAGE_IID, workers,
-        )
-        p_iid = _merge_counts(iid_runs)[0] / n
+    for selectable, iid_run in zip(selectables, iid_runs):
+        p_iid = _merge_counts(iid_run)[0] / n
         env = outage_envelope(grid, params, selectable)
         shared[selectable] = dict(
             scheme=first.scheme,

@@ -286,6 +286,62 @@ class TestSweepPool:
                                    "--out", str(tmp_path / "sw")]) == 0
         assert log.read_text().split() == [str(os.getpid())]
 
+    @pytest.mark.parametrize("argv, pools", [
+        (["sweep", "--sweep-N", "2,8", "--sweep-W", "0.25,4"], 1),
+        (["fig4"], 2)])
+    def test_one_pool_per_outage_group(self, tmp_path, monkeypatch, argv,
+                                       pools):
+        # A lone frame group runs its physical chunks and the i.i.d. chunks
+        # of every N in one pool; fig4 runs one group per scheme.
+        log = tmp_path / "pools.log"
+
+        class CountingPool(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                with open(log, "a", encoding="utf-8") as fh:
+                    fh.write(f"{os.getpid()}\n")
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(mc_engine, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setenv("FAMA_LAB_WORKERS", "2")
+        assert main(argv + ["--realizations", "5000",
+                            "--out", str(tmp_path / "out")]) == 0
+        assert log.read_text().split() == [str(os.getpid())] * pools
+
+    def test_groups_written_as_they_complete(self, tmp_path, monkeypatch,
+                                             capsys):
+        # The first group (M = 4) waits in its worker until the second
+        # (M = 8) is written, so the parent writes M = 8 first; the manifest
+        # still lists the outputs and experiments in grid order.
+        out = tmp_path / "sw"
+        real_run = cli.run_outage_group
+
+        def run(configs, workers=None):
+            if configs[0].M == 4:
+                last_of_second = out / "sweep_mrt_M8_U4_N3_W4.csv"
+                deadline = time.monotonic() + 60.0
+                while not last_of_second.exists() and time.monotonic() < deadline:
+                    time.sleep(0.01)
+            return real_run(configs, workers=workers)
+
+        monkeypatch.setattr(cli, "run_outage_group", run)
+        monkeypatch.setenv("FAMA_LAB_WORKERS", "2")
+        assert main(["sweep", "--realizations", "1000", "--sweep-M", "4,8",
+                     "--sweep-N", "2,3", "--sweep-W", "0.25,4",
+                     "--sweep-scheme", "MRT", "--out", str(out)]) == 0
+        grid = [f"sweep_mrt_M{M}_U4_N{N}_W{W}" for M in (4, 8) for N in (2, 3)
+                for W in ("0.25", "4")]
+        wrote = [line[len("sweep: wrote "):-len(".csv")]
+                 for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("sweep: wrote ")]
+        assert wrote == grid[4:] + grid[:4]
+        assert sorted(os.listdir(out)) == sorted(
+            [name + ".csv" for name in grid] + ["manifest.txt"])
+        manifest = (out / "manifest.txt").read_text().splitlines()
+        assert f"outputs: {', '.join(name + '.csv' for name in grid)}" in manifest
+        assert [line for line in manifest if line.startswith("experiment.")] == [
+            f"experiment.{name}.realizations: 1000" for name in grid]
+
     @pytest.mark.parametrize("failure", ["raise", "crash", "interrupt"])
     def test_failure_cancels_queued_points(self, tmp_path, monkeypatch, capsys,
                                            failure):

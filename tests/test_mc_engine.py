@@ -242,7 +242,7 @@ class TestPortsKernel:
             RngStream(40, 0).generator(), R, scheme,
             partial(_reference_factor, M=M, U=U, beta=beta))
         assert resampled == 0
-        got = _frame_sirs(R[:, :, 0], g, F, scheme, beta[0], powers, mu)
+        got = _frame_sirs(R[:, :, 0], g, F, scheme, beta[0], powers, [mu])[0]
         expect = physical_sirs(H, e, scheme, beta[0], powers, mu)
         assert np.array_equal(np.isinf(got), np.isinf(expect))
         finite = np.isfinite(expect)
@@ -329,7 +329,7 @@ class TestPortsKernel:
         # matmul of the assembled ports with all U x U beam entries.
         mu = np.array([1.0, 0.8, 0.3, -0.2])
         g = _cgauss(gen, (5, len(mu) - 1, U))
-        got = _frame_sirs(R_used[:, :, 0], g, W, "ZF", beta[0], powers, mu)
+        got = _frame_sirs(R_used[:, :, 0], g, W, "ZF", beta[0], powers, [mu])[0]
         sigma = np.sqrt(1.0 - mu[1:] ** 2) * math.sqrt(beta[0])
         z = np.concatenate([R_used[:, None, :, 0],
                             mu[1:, None] * R_used[:, None, :, 0]
@@ -403,15 +403,17 @@ def _full_pass_sirs(r0, g, F, scheme, beta0, powers, mu):
 # (M, U, N, W, reference mode); None takes the scheme's default mode.
 _PINNED_CONFIGS = [(8, 4, 8, 4.0, "member"), (16, 8, 2, 0.25, "external"),
                    (4, 2, 8, 0.25, None), (8, 4, 2, 4.0, None),
-                   (4, 4, 8, 4.0, None)]
+                   (4, 4, 8, 4.0, None), (8, 4, 8, 0.0, None),
+                   (8, 4, 4, 0.01, None)]
 
 
 class TestFrameSirsPinned:
     @pytest.mark.parametrize("scheme", ["MRT", "ZF"])
     @pytest.mark.parametrize("M, U, N, W, mode", _PINNED_CONFIGS)
     def test_equal_to_full_pass(self, M, U, N, W, mode, scheme):
-        # Skipping r0's zero rows and the reference port's zero projections
-        # changes no bit of any SIR, on the draws the kernel makes.
+        # Splitting each projection into its row-0 term and the shared sum
+        # over rows j >= 1 moves the rounding only: every SIR is within a
+        # relative 1e-12 of the full pass, and the same ones are infinite.
         beta = _FRAME_BETA[:U]
         powers = (3.0, 1.0, 0.5, 2.0, 1.0, 0.8, 1.5, 0.6)[:U]
         cfg = SystemConfig(M=M, U=U, N=N, W=W, scheme=scheme, beta=beta,
@@ -419,9 +421,34 @@ class TestFrameSirsPinned:
         mu = tuple(geometry_for_config(cfg).mu)
         R, F, g, _ = _draw_frame(RngStream(45, M).generator(), 2048, M, U,
                                  scheme, beta, len(mu))
-        got = _frame_sirs(R[:, :, 0], g, F, scheme, beta[0], powers, mu)
+        got = _frame_sirs(R[:, :, 0], g, F, scheme, beta[0], powers, [mu])[0]
         expect = _full_pass_sirs(R[:, :, 0], g, F, scheme, beta[0], powers, mu)
-        assert np.array_equal(got, expect)
+        assert np.array_equal(np.isinf(got), np.isinf(expect))
+        finite = np.isfinite(expect)
+        assert np.allclose(got[finite], expect[finite], rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("M, U, N, scheme", [
+        (8, 4, 8, "MRT"), (8, 4, 8, "ZF"), (16, 8, 2, "ZF"), (3, 5, 4, "MRT"),
+        (4, 1, 3, "MRT"), (4, 1, 3, "ZF")])
+    def test_apertures_sharing_one_pass_equal_single_calls(self, M, U, N,
+                                                           scheme):
+        # K apertures served from one pass over the shared projections give
+        # the SIRs of K single-aperture calls, bit for bit, W = 0 included.
+        beta = _FRAME_BETA[:U]
+        powers = (3.0, 1.0, 0.5, 2.0, 1.0, 0.8, 1.5, 0.6)[:U]
+        mus = [tuple(geometry_for_config(SystemConfig(
+            M=M, U=U, N=N, W=W, scheme=scheme, beta=beta, powers=powers)).mu)
+            for W in (0.0, 0.01, 0.25, 4.0)]
+        R, F, g, _ = _draw_frame(RngStream(46, M).generator(), 2048, M, U,
+                                 scheme, beta, len(mus[0]))
+        shared = _frame_sirs(R[:, :, 0], g, F, scheme, beta[0], powers, mus)
+        assert len(shared) == len(mus)
+        for mu, got in zip(mus, shared):
+            alone = _frame_sirs(R[:, :, 0], g, F, scheme, beta[0], powers, [mu])
+            assert np.array_equal(got, alone[0])
+        # With a single user nothing interferes and every SIR is infinite.
+        assert np.all(np.isinf(shared[3])) == (U == 1)
+        assert np.array_equal(shared[2], shared[3]) == (U == 1)
 
 
 class TestPhysicalReference:
@@ -571,7 +598,7 @@ class TestExperiments:
             raise AssertionError("a chunk ran")
 
         with pytest.raises(ValueError, match="streams of one namespace"):
-            _run_chunked(draw, (), 2 * _STREAM_SPAN + 1, 1, 0, 1, chunk_size=2)
+            _run_chunked([(draw, (), 0)], 2 * _STREAM_SPAN + 1, 1, 1, chunk_size=2)
 
     def test_bad_mode(self):
         with pytest.raises(ValueError):
