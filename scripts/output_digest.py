@@ -1,14 +1,17 @@
-"""Digests of every output file of fig2-fig5 and a 32-point sweep.
+"""Digests of every output file of fig2-fig5 and two sweeps.
 
     PYTHONPATH=src python3 scripts/output_digest.py --seed 7 --baseline OTHER/src
 
-Runs `fama-lab fig2`, `fig3`, `fig4`, `fig5` and
-`sweep --realizations 20000 --sweep-M 4,8 --sweep-U 2,4 --sweep-N 2,8
---sweep-W 0.25,4 --sweep-scheme MRT,ZF` (the benchmark's sweep grid) at one
-seed, each in a fresh process with FAMA_LAB_WORKERS set to each of
---workers (default 1,2,8), into temporary directories.  Prints the sha256 of
-each CSV and of each manifest.txt with its `wall_seconds` line removed, one
-line per file: `<sha256>  <tree> <command> w<workers> <file>`.
+Runs `fama-lab fig2`, `fig3`, `fig4`, `fig5`, the benchmark's 32-point
+sweep (`sweep`: `--realizations 20000 --sweep-M 4,8 --sweep-U 2,4
+--sweep-N 2,8 --sweep-W 0.25,4 --sweep-scheme MRT,ZF`) and a 14-point sweep
+in external mode (`sweep-external`: `--realizations 20000 --sweep-M 2,4
+--sweep-U 2,4 --sweep-N 2,5 --sweep-W 0.5 --sweep-scheme MRT,ZF
+--reference-mode external`), whose M = 2, U = 4 group holds MRT points
+only, at one seed, each in a fresh process with FAMA_LAB_WORKERS set to
+each of --workers (default 1,2,8), into temporary directories.  Prints the
+sha256 of each CSV and of each manifest.txt with its `wall_seconds` line
+removed, one line per file: `<sha256>  <tree> <run> w<workers> <file>`.
 
 Exits 1 if a CSV differs between worker counts, or if a manifest lists
 other outputs in another order.  With --baseline, the fama_lab package under
@@ -28,22 +31,27 @@ from pathlib import Path
 
 HERE_SRC = Path(__file__).resolve().parent.parent / "src"
 
-SWEEP_ARGS = ["--realizations", "20000", "--sweep-M", "4,8", "--sweep-U", "2,4",
-              "--sweep-N", "2,8", "--sweep-W", "0.25,4", "--sweep-scheme", "MRT,ZF"]
+# Run name -> fama-lab arguments.
 COMMANDS = {
-    "fig2": [],
-    "fig3": [],
-    "fig4": [],
-    "fig5": [],
-    "sweep": SWEEP_ARGS,
+    "fig2": ["fig2"],
+    "fig3": ["fig3"],
+    "fig4": ["fig4"],
+    "fig5": ["fig5"],
+    "sweep": ["sweep", "--realizations", "20000", "--sweep-M", "4,8",
+              "--sweep-U", "2,4", "--sweep-N", "2,8", "--sweep-W", "0.25,4",
+              "--sweep-scheme", "MRT,ZF"],
+    "sweep-external": ["sweep", "--realizations", "20000", "--sweep-M", "2,4",
+                       "--sweep-U", "2,4", "--sweep-N", "2,5", "--sweep-W",
+                       "0.5", "--sweep-scheme", "MRT,ZF",
+                       "--reference-mode", "external"],
 }
 
 
 def run_tree(src: Path, seed: int, workers: int, command: str, out: Path) -> None:
     env = dict(os.environ, PYTHONPATH=str(src), FAMA_LAB_WORKERS=str(workers),
                OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
-    argv = [sys.executable, "-m", "fama_lab.cli", command, "--seed", str(seed),
-            "--out", str(out)] + COMMANDS[command]
+    argv = [sys.executable, "-m", "fama_lab.cli", *COMMANDS[command], "--seed",
+            str(seed), "--out", str(out)]
     proc = subprocess.run(argv, env=env, stdout=subprocess.DEVNULL)
     if proc.returncode != 0:
         raise SystemExit(f"{src}: {command} with {workers} workers exited "
@@ -77,7 +85,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--baseline", type=Path,
                         help="src/ directory of another fama_lab tree")
     parser.add_argument("--commands", default=",".join(COMMANDS),
-                        help="comma list of commands to run")
+                        help="comma list of runs (names above) to run")
     args = parser.parse_args(argv)
     worker_counts = [int(w) for w in args.workers.split(",")]
     commands = args.commands.split(",")

@@ -40,7 +40,6 @@ from .mc_engine import (
     resolve_workers,
     run_cdf_experiment,
     run_correlation_experiment,
-    run_outage_experiment,
     run_outage_group,
     wilson_half_width,
 )
@@ -198,30 +197,31 @@ def _fmt(x: float) -> str:
 
 
 _CURVE_HEADER = "gamma,gamma_db,value,ci_low,ci_high,curve_id\n"
+# A row after its `gamma,gamma_db,` head; %.12g formats as _fmt does.
+_CURVE_ROW = "%s%.12g,%.12g,%.12g,%s\n"
 
 
 def curve_text(rows: Iterable[tuple], gamma_text: dict | None = None) -> str:
     """CSV lines of gamma-indexed curve rows, (gamma, value, ci_low,
     ci_high, curve_id) each.
 
-    A threshold's `gamma,gamma_db` text is formatted once and kept in
-    gamma_text (pass one dict to share it between the files of one grid),
-    and a row whose CI columns are its value object (an analytic curve's)
-    formats that value once.
+    A threshold's `gamma,gamma_db,` text is formatted once and kept in
+    gamma_text (pass one dict to share it between the files of one grid).
+    A row whose CI columns are its value object (an analytic curve's)
+    formats that value once; any other row is one % template.
     """
     gamma_text = {} if gamma_text is None else gamma_text
     lines = []
     for gamma, value, ci_low, ci_high, curve_id in rows:
         head = gamma_text.get(gamma)
         if head is None:
-            head = gamma_text[gamma] = (f"{_fmt(gamma)},"
-                                        f"{_fmt(10.0 * math.log10(gamma))}")
-        text = _fmt(value)
+            head = gamma_text[gamma] = "%.12g,%.12g," % (
+                gamma, 10.0 * math.log10(gamma))
         if ci_low is value and ci_high is value:
-            lines.append(f"{head},{text},{text},{text},{curve_id}\n")
+            text = "%.12g" % value
+            lines.append(f"{head}{text},{text},{text},{curve_id}\n")
         else:
-            lines.append(f"{head},{text},{_fmt(ci_low)},{_fmt(ci_high)},"
-                         f"{curve_id}\n")
+            lines.append(_CURVE_ROW % (head, value, ci_low, ci_high, curve_id))
     return "".join(lines)
 
 
@@ -360,8 +360,10 @@ def _outage_rows(res) -> Iterator[tuple]:
 
 def run_fig4(config: SystemConfig, out_dir: str, workers: int,
              manifest: RunManifest, name_suffix: str = "") -> None:
-    for cfg in _scheme_configs(config):
-        res = run_outage_experiment(cfg, workers=workers)
+    """Outage under MRT and ZF, run as one frame group (one pool): each
+    scheme's result equals its own run_outage_experiment."""
+    configs = list(_scheme_configs(config))
+    for cfg, res in zip(configs, run_outage_group(configs, workers=workers)):
         name = f"fig4_{cfg.scheme.lower()}{name_suffix}.csv"
         write_curve_csv(os.path.join(out_dir, name), _outage_rows(res))
         manifest.outputs.append(name)
@@ -413,30 +415,34 @@ def run_sweep(config: SystemConfig, out_dir: str, workers: int,
     """Outage over the grid; every point is built and checked before the
     first one runs, so a bad point writes no CSV.
 
-    The points of one (scheme, M, U), which differ only in N and W, form
-    a frame group that run_outage_group serves from one frame draw per
-    chunk.
+    The points of one (M, U), which differ only in the scheme, N and W,
+    form a frame group that run_outage_group serves from one frame draw per
+    chunk.  ZF is skipped where M < U, so such a group holds MRT points
+    only.
     """
     per_user = {U: {name: _per_user(getattr(config, name), U, name)
                     for name in ("beta", "powers")} for U in grids["U"]}
-    groups = []
+    # (grid index, config) pairs per (M, U); the grid order is scheme-major.
+    cells = {(M, U): [] for M in grids["M"] for U in grids["U"]}
+    index = 0
     for scheme in grids["scheme"]:
         for M in grids["M"]:
             for U in grids["U"]:
                 if scheme == "ZF" and M < U:
                     print(f"sweep: skipping ZF M={M} < U={U}")
                     continue
-                group = []
                 for N in grids["N"]:
                     for W in grids["W"]:
                         try:
-                            group.append(replace(config, M=M, U=U, N=N, W=W,
-                                                 scheme=scheme, **per_user[U]))
+                            cfg = replace(config, M=M, U=U, N=N, W=W,
+                                          scheme=scheme, **per_user[U])
                         except ValueError as exc:
                             raise ConfigError(
                                 f"sweep point scheme={scheme} M={M} U={U} "
                                 f"N={N} W={W:g}: {exc}") from exc
-                groups.append(group)
+                        cells[M, U].append((index, cfg))
+                        index += 1
+    groups = [tuple(zip(*cell)) for cell in cells.values() if cell]
     # Several groups share one pool, each group whole in one worker; a
     # single group keeps chunk-level parallelism.  Every chunk has its own
     # stream, so the CSVs do not depend on where a group runs.  Each
@@ -451,18 +457,19 @@ def run_sweep(config: SystemConfig, out_dir: str, workers: int,
         if workers > 1 and len(groups) > 1:
             pool = ProcessPoolExecutor(max_workers=min(workers, len(groups)))
             futures = {pool.submit(_sweep_group, group): i
-                       for i, group in enumerate(groups)}
+                       for i, (_, group) in enumerate(groups)}
             done = ((futures[f], f.result()) for f in as_completed(futures))
         else:
             done = ((i, run_outage_group(group, workers=workers))
-                    for i, group in enumerate(groups))
+                    for i, (_, group) in enumerate(groups))
         for i, group_results in done:
-            written[i] = _write_sweep_group(groups[i], group_results, out_dir,
-                                            manifest)
+            indices, group = groups[i]
+            written.update(zip(indices, _write_sweep_group(
+                group, group_results, out_dir, manifest)))
     finally:
         if pool is not None:
             pool.shutdown(wait=True, cancel_futures=True)
-    rows = [row for i in range(len(groups)) for row in written[i]]
+    rows = [written[i] for i in sorted(written)]
     manifest.outputs[start:] = [name for name, _ in rows]
     manifest.experiments += [(name[:-4], "realizations", n) for name, n in rows]
 
@@ -472,20 +479,22 @@ def _write_sweep_group(group: list[SystemConfig], results, out_dir: str,
     """Write one frame group's CSVs, each listed in manifest.outputs once
     it exists; returns (file name, realizations) per point.
 
-    The W-invariant curves (_w_invariant_rows) are formatted once per N and
-    shared by that N's CSVs; one gamma,gamma_db cache serves the group.
+    The W-invariant curves (_w_invariant_rows) are formatted once per
+    (scheme, N) and shared by that pair's CSVs; one gamma,gamma_db cache
+    serves the group.
     """
     gamma_text: dict = {}
     shared: dict = {}
     rows = []
     for cfg, res in zip(group, results):
-        if cfg.N not in shared:
-            shared[cfg.N] = curve_text(_w_invariant_rows(res), gamma_text)
+        key = cfg.scheme, cfg.N
+        if key not in shared:
+            shared[key] = curve_text(_w_invariant_rows(res), gamma_text)
         name = (f"sweep_{cfg.scheme.lower()}_M{cfg.M}_U{cfg.U}_"
                 f"N{cfg.N}_W{cfg.W:g}.csv")
         write_curve_csv(os.path.join(out_dir, name),
                         curve_text(_correlated_rows(res), gamma_text)
-                        + shared[cfg.N])
+                        + shared[key])
         manifest.outputs.append(name)
         rows.append((name, res.realizations))
         print(f"sweep: wrote {name}")

@@ -23,19 +23,26 @@ upper-triangular, its ZF beams lower-triangular.  No call is made per
 realization, and no chunk kernel calls BLAS, so a pool worker starts no
 BLAS threads.
 
-Outage runs that differ only in the port count N and the aperture W form
-a frame group (run_outage_group) and share their draws.  Neither changes R
-or its beams, so a chunk draws them once; it keeps the generator state
-right after them and, restoring it, draws each port count's innovations
-exactly as a run of that count alone would.  W enters only through the
-port correlations mu_k, and only in frame row 0 and the scale sigma_k of
-the innovations: the projections of rows 1..r-1 onto the beams are
-summed once per port count and shared by its apertures (_frame_sirs).
-Selection and binning run once per config.  The i.i.d. benchmark and the
-analytic envelope run once per N, and one pool (_run_chunked) serves the
-physical and every N's i.i.d. chunks.  The sweep (cli.run_sweep) makes
-one frame group of each (scheme, M, U) and writes each group's CSVs as
-the group completes.
+Outage runs of one (M, U) that differ only in the scheme, the port count
+N and the aperture W form a frame group (run_outage_group) and share
+their draws (common random numbers).  None of the three changes R, so a
+chunk draws it once and keeps the generator state right after it; each
+scheme builds its beams from that state.  MRT draws nothing more, and ZF
+draws only when it redraws an ill-conditioned R, so every scheme whose
+beams drew nothing shares one innovation draw from that state, while a
+ZF chunk that redraws keeps its own post-redraw state and its own draw.
+Each innovation draw is made for the largest port count; a smaller
+count's innovations are its contiguous prefix, exactly what a draw of
+that size returns.  So every config reads exactly the draws of a run of
+its own.  W enters only through the port correlations mu_k, and only in
+frame row 0 and the scale sigma_k of the innovations: the projections of
+rows 1..r-1 onto the beams are summed once per (scheme, port count) and
+shared by its apertures (_frame_sirs).  Selection and binning run once
+per config.  The i.i.d. benchmark and the analytic envelope run once per
+(shapes, selectable count), and one pool (_run_chunked) serves the
+physical and every i.i.d. job.  The sweep (cli.run_sweep) makes one frame
+group of each (M, U), and fig4 one of its MRT and ZF configs; the sweep
+writes each group's CSVs as the group completes.
 """
 
 from __future__ import annotations
@@ -550,25 +557,18 @@ def _chunk_marginal_sf_count(stream: RngStream, n: int, a: int, b: int, gamma: f
     return int(np.count_nonzero(x > gamma))
 
 
-def _draw_beams(gen, n: int, M: int, U: int, scheme: str, beta):
-    """The factor R (see _reference_factor) and its beams F = Q^H W by the
-    MRT/ZF rule, with any ZF redraws of R.  Returns (R, F, resampled)."""
-    R = _reference_factor(gen, n, M, U, beta)
-    redraw = partial(_reference_factor, M=M, U=U, beta=beta)
-    F, resampled, R = _weights_for_scheme(gen, R, scheme, redraw)
-    return R, F, resampled
-
-
 def _draw_frame(gen, n: int, M: int, U: int, scheme: str, beta, ports: int):
-    """Everything of a port chunk that the aperture does not change: R and
-    its beams (_draw_beams), then the innovations g ~ CN(0, I_r),
-    (n, ports-1, r), of ports 2..ports, the law of Q^H x_k.  Returns
-    (R, F, g, resampled).
+    """Everything of a port chunk that the aperture does not change: R (see
+    _reference_factor) and its beams F = Q^H W by the MRT/ZF rule, then the
+    innovations g ~ CN(0, I_r), (n, ports-1, r), of ports 2..ports, the law
+    of Q^H x_k.  Returns (R, F, g, resampled).
 
     Draw order: R (diagonal Gammas, then the entries above the diagonal),
     any ZF redraws of R, then g.
     """
-    R, F, resampled = _draw_beams(gen, n, M, U, scheme, beta)
+    R = _reference_factor(gen, n, M, U, beta)
+    redraw = partial(_reference_factor, M=M, U=U, beta=beta)
+    F, resampled, R = _weights_for_scheme(gen, R, scheme, redraw)
     g = _cgauss(gen, (n, ports - 1, R.shape[1]))
     return R, F, g, resampled
 
@@ -642,41 +642,69 @@ def _chunk_physref(stream: RngStream, n: int, M: int, U: int, scheme: str,
 
 
 def _chunk_outage_physical(
-    stream, n, M, U, scheme, beta, powers, mus, sel_idxs, grid
+    stream, n, M, U, schemes, beta, powers, mus, sel_idxs, grid
 ):
     """Selection outage counts of one chunk for every config of a frame
-    group: ((K, grid) counts, (K,) infinite counts, resample count) for the
-    K configs' mu vectors `mus` and selectable port indices `sel_idxs`.
+    group: ((K, grid) counts, (K,) infinite counts, (K,) resample counts)
+    for the K configs' schemes `schemes`, mu vectors `mus` and selectable
+    port indices `sel_idxs`.
 
-    R and its beams (_draw_beams) depend on neither N nor W, so they are
-    drawn once.  The generator state right after them is kept, and each
-    port count's innovations are drawn from that state, so every config
-    sees exactly the draws of a chunk of its own.  The SIRs of a port
-    count's configs come from one _frame_sirs call, which shares the
-    aperture-invariant projections; selection and binning run once per
-    config.  One port count's innovations are alive at a time.
+    R (_reference_factor) depends on neither the scheme, N nor W, so it is
+    drawn once, and the generator state right after it is kept.  Each
+    scheme builds its beams from that state.  MRT draws nothing more, and
+    ZF draws only when it redraws an ill-conditioned R: the schemes whose
+    beams drew nothing share one innovation draw from that state, and a ZF
+    chunk that redraws draws its own from the state after its redraws.  So
+    every config sees exactly the draws of a chunk of its own.
+
+    An innovation draw is made once, for the largest port count of the
+    configs that share it.  A smaller count's innovations are the
+    contiguous prefix of that draw, which is exactly what a draw of the
+    smaller size returns: standard_normal fills its output in order.  The
+    SIRs of one (scheme, port count) come from one _frame_sirs call, which
+    shares the aperture-invariant projections; selection and binning run
+    once per config.
     """
     gen = stream.generator()
-    R, F, resampled = _draw_beams(gen, n, M, U, scheme, beta)
-    after_beams = gen.bit_generator.state
-    r0 = R[:, :, 0]
+    R = _reference_factor(gen, n, M, U, beta)
+    after_r = gen.bit_generator.state
+    redraw = partial(_reference_factor, M=M, U=U, beta=beta)
+    r = R.shape[1]
     beta0 = float(np.asarray(beta)[0])
     grid = np.asarray(grid)
     counts = np.empty((len(mus), len(grid)), dtype=np.int64)
     inf_counts = np.empty(len(mus), dtype=np.int64)
-    for ports in dict.fromkeys(len(mu) for mu in mus):
-        gen.bit_generator.state = after_beams
-        g = _cgauss(gen, (n, ports - 1, R.shape[1]))
-        ks = [k for k, mu in enumerate(mus) if len(mu) == ports]
-        sirs = _frame_sirs(r0, g, F, scheme, beta0, powers, [mus[k] for k in ks])
-        del g
-        for k, x in zip(ks, sirs):
-            # x is the (n, P) view of (P, n) memory: select whole rows.
-            sel = x.T[np.asarray(sel_idxs[k], dtype=int)]
-            inf_counts[k] = np.count_nonzero(~np.isfinite(sel))
-            # Outage counts: INFINITE selections are never in outage and
-            # naturally land beyond the grid.
-            counts[k] = EmpiricalCdf.bin_samples(grid, sel.max(axis=0))
+    resampled = np.empty(len(mus), dtype=np.int64)
+    # Each scheme's (r0, F), and per innovation draw the generator state it
+    # starts from and the schemes that share it.
+    beams, draws = {}, {}
+    for scheme in dict.fromkeys(schemes):
+        gen.bit_generator.state = after_r
+        F, count, R_s = _weights_for_scheme(gen, R, scheme, redraw)
+        beams[scheme] = R_s[:, :, 0], F
+        resampled[[k for k, s in enumerate(schemes) if s == scheme]] = count
+        if count:
+            draws[scheme] = gen.bit_generator.state, {scheme}
+        else:
+            draws.setdefault(None, (after_r, set()))[1].add(scheme)
+    for state, members in draws.values():
+        ks = [k for k, s in enumerate(schemes) if s in members]
+        gen.bit_generator.state = state
+        flat = _cgauss(gen, (n, max(len(mus[k]) for k in ks) - 1, r)).reshape(-1)
+        for scheme, ports in dict.fromkeys((schemes[k], len(mus[k])) for k in ks):
+            same = [k for k in ks if schemes[k] == scheme and len(mus[k]) == ports]
+            g = flat[:n * (ports - 1) * r].reshape(n, ports - 1, r)
+            r0, F = beams[scheme]
+            sirs = _frame_sirs(r0, g, F, scheme, beta0, powers,
+                               [mus[k] for k in same])
+            for k, x in zip(same, sirs):
+                # x is the (n, P) view of (P, n) memory: select whole rows.
+                sel = x.T[np.asarray(sel_idxs[k], dtype=int)]
+                inf_counts[k] = np.count_nonzero(~np.isfinite(sel))
+                # Outage counts: INFINITE selections are never in outage
+                # and naturally land beyond the grid.
+                counts[k] = EmpiricalCdf.bin_samples(grid, sel.max(axis=0))
+        del flat, g
     return counts, inf_counts, resampled
 
 
@@ -940,19 +968,24 @@ def run_outage_group(
     realizations: int | None = None,
     workers: int | None = None,
 ) -> list[OutageExperimentResult]:
-    """Outage experiments of configs that differ only in the port count N
-    and the aperture W (a frame group), from one frame draw per chunk: one
-    result per config, in order, each equal to the config's own
-    run_outage_experiment.
+    """Outage experiments of configs that differ only in the scheme, the
+    port count N and the aperture W (a frame group, one (M, U)), from one
+    frame draw per chunk: one result per config, in order, each equal to
+    the config's own run_outage_experiment.
 
-    The chunk streams, R and its beams do not depend on N or W.  So each
-    chunk draws them once for the group and then, from the generator state
-    right after them, the innovations of each port count, which is exactly
-    the stream a config would use alone (_chunk_outage_physical).  W enters
-    only through mu_k = J0(2 pi d_k) in the SIRs.  The i.i.d. benchmark and
-    the analytic envelope depend on N alone, so they run once per N.
-    Configs that differ in any other field are refused, by the field's
-    name.
+    The chunk streams and R do not depend on the scheme, N or W.  So each
+    chunk draws R once for the group and builds each scheme's beams from
+    the generator state right after it; the schemes whose beams drew
+    nothing more (MRT always, ZF on a chunk with no redraw) share one
+    innovation draw, and a ZF chunk that redraws keeps its own
+    (_chunk_outage_physical).  Each config thus reads exactly the stream it
+    would use alone.  W enters only through mu_k = J0(2 pi d_k) in the
+    SIRs.  The reference mode, and with it the port count and the
+    selectable ports, is resolved per config: unset, it is member under MRT
+    and external under ZF.  The i.i.d. benchmark and the analytic envelope
+    depend only on the Beta-prime shapes (a, b) and the selectable port
+    count, so they run once per distinct (a, b, count).  Configs that
+    differ in any other field are refused, by the field's name.
     """
     configs = list(configs)
     if not configs:
@@ -961,39 +994,38 @@ def run_outage_group(
     for cfg in configs[1:]:
         for f in fields(SystemConfig):
             mine, theirs = getattr(first, f.name), getattr(cfg, f.name)
-            if f.name not in ("N", "W") and mine != theirs:
+            if f.name not in ("scheme", "N", "W") and mine != theirs:
                 raise ValueError(
-                    f"configs of one outage group may differ only in N and W, "
-                    f"not in {f.name}: {mine!r} != {theirs!r}")
+                    f"configs of one outage group may differ only in scheme, "
+                    f"N and W, not in {f.name}: {mine!r} != {theirs!r}")
     grid = DEFAULT_GAMMA_GRID if gamma_grid is None else np.asarray(gamma_grid)
     if np.any(grid <= 0.0) or np.any(np.diff(grid) < 0.0):
         raise ValueError("gamma grid must be positive and sorted")
-    params = betaprime_params(first.scheme, first.M, first.U)
     sel_idxs = [tuple(selectable_port_indices(cfg)) for cfg in configs]
     mus = tuple(tuple(geometry_for_config(cfg).mu) for cfg in configs)
+    keys = [(betaprime_params(cfg.scheme, cfg.M, cfg.U), len(sel))
+            for cfg, sel in zip(configs, sel_idxs)]
     n = realizations or first.realizations or DEFAULT_PHYSICAL_REALIZATIONS
     workers = resolve_workers(workers)
-    selectables = list(dict.fromkeys(len(sel) for sel in sel_idxs))
-    # One pool runs the physical chunks and every selectable count's i.i.d.
-    # chunks.
+    iid_keys = list(dict.fromkeys(keys))
+    # One pool runs the physical chunks and the i.i.d. chunks of every
+    # (shapes, selectable count).
     phys, *iid_runs = _run_chunked(
         [(_chunk_outage_physical,
-          (first.M, first.U, first.scheme, first.beta, first.powers, mus,
-           tuple(sel_idxs), grid),
+          (first.M, first.U, tuple(cfg.scheme for cfg in configs), first.beta,
+           first.powers, mus, tuple(sel_idxs), grid),
           _BASE_OUTAGE_PHYSICAL)]
         + [(_chunk_outage_iid, (params.a, params.b, selectable, grid),
-            _BASE_OUTAGE_IID) for selectable in selectables],
+            _BASE_OUTAGE_IID) for params, selectable in iid_keys],
         n, first.seed, workers,
     )
     counts, inf_counts, resampled = _merge_counts(phys)
-    # The curves that depend on the selectable port count alone.
+    # The curves that depend on the shapes and the selectable count alone.
     shared = {}
-    for selectable, iid_run in zip(selectables, iid_runs):
+    for (params, selectable), iid_run in zip(iid_keys, iid_runs):
         p_iid = _merge_counts(iid_run)[0] / n
         env = outage_envelope(grid, params, selectable)
-        shared[selectable] = dict(
-            scheme=first.scheme,
-            reference_mode=first.resolved_reference_mode(),
+        shared[params, selectable] = dict(
             gamma_grid=grid,
             iid=p_iid,
             iid_ci=wilson_half_width(p_iid, n),
@@ -1003,15 +1035,16 @@ def run_outage_group(
             iid_analytic=env.iid_benchmark,
             large_n=env.large_n_approx,
             realizations=n,
-            resampled_count=resampled,
         )
     results = []
-    for row, inf_count, sel_idx in zip(counts, inf_counts, sel_idxs):
-        p_corr = row / n
+    for k, (cfg, sel_idx) in enumerate(zip(configs, sel_idxs)):
+        p_corr = counts[k] / n
         results.append(OutageExperimentResult(
+            scheme=cfg.scheme, reference_mode=cfg.resolved_reference_mode(),
             correlated=p_corr, correlated_ci=wilson_half_width(p_corr, n),
             selection_ports=np.asarray(sel_idx) + 1,
-            infinite_count=int(inf_count), **shared[len(sel_idx)]))
+            infinite_count=int(inf_counts[k]),
+            resampled_count=int(resampled[k]), **shared[keys[k]]))
     return results
 
 

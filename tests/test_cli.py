@@ -202,10 +202,15 @@ class TestSweep:
         cfg.write_text("powers = 4,1,1,1\nbeta = 2,1,1,1\n")
         common = ["--config", str(cfg), "--realizations", "4000", "--seed", "5"]
         assert main(["fig4"] + common + ["--out", str(tmp_path / "f4")]) == 0
-        assert main(["sweep"] + common + ["--out", str(tmp_path / "sw")]) == 0
-        blobs = [(tmp_path / sub / name).read_bytes() for sub, name in
-                 (("f4", "fig4_mrt.csv"), ("sw", "sweep_mrt_M8_U4_N8_W0.25.csv"))]
-        assert blobs[0] == blobs[1]
+        # MRT and ZF run as one frame group; each keeps its own i.i.d. curve
+        # and envelope.
+        assert main(["sweep", "--sweep-scheme", "MRT,ZF"] + common
+                    + ["--out", str(tmp_path / "sw")]) == 0
+        for scheme in ("mrt", "zf"):
+            blobs = [(tmp_path / sub / name).read_bytes() for sub, name in
+                     (("f4", f"fig4_{scheme}.csv"),
+                      ("sw", f"sweep_{scheme}_M8_U4_N8_W0.25.csv"))]
+            assert blobs[0] == blobs[1], scheme
 
     def test_swept_u_resizes_only_equal_per_user_tuples(self, tmp_path, capsys):
         def sweep(powers, name):
@@ -288,11 +293,12 @@ class TestSweepPool:
 
     @pytest.mark.parametrize("argv, pools", [
         (["sweep", "--sweep-N", "2,8", "--sweep-W", "0.25,4"], 1),
-        (["fig4"], 2)])
+        (["fig4"], 1)])
     def test_one_pool_per_outage_group(self, tmp_path, monkeypatch, argv,
                                        pools):
         # A lone frame group runs its physical chunks and the i.i.d. chunks
-        # of every N in one pool; fig4 runs one group per scheme.
+        # of every N in one pool; fig4 runs its MRT and ZF configs as one
+        # group.
         log = tmp_path / "pools.log"
 
         class CountingPool(ProcessPoolExecutor):
@@ -352,9 +358,8 @@ class TestSweepPool:
         # its first write.  The patches are made before the pool forks.  A
         # pool of 2 runs 2 groups and holds 3 more in its call queue, which
         # cancelling cannot reach, so the grid needs more groups than that
-        # for a cancelled one to show.  Every group has the same work
-        # estimate (M >= U, so only N and W set it), so the groups are
-        # submitted in grid order and the first two run together.
+        # for a cancelled one to show.  The groups are submitted in grid
+        # order, so the first two run together.
         log = tmp_path / "points.log"
         out = tmp_path / "sw"
         real_run, real_write = cli.run_outage_group, cli.write_curve_csv
@@ -428,17 +433,20 @@ class TestErrors:
 
     def test_experiment_error_cleans_partial_outputs(self, tmp_path,
                                                      monkeypatch):
-        # The ZF run fails after the MRT CSV is written; that CSV goes too.
-        real = cli.run_outage_experiment
+        # The ZF output fails after the MRT CSV is written; that CSV goes
+        # too.
+        real, written = cli.write_curve_csv, []
 
-        def fail_zf(cfg, workers=None):
-            if cfg.scheme == "ZF":
-                raise RuntimeError("injected experiment failure")
-            return real(cfg, workers=workers)
+        def fail_zf(path, rows):
+            if os.path.basename(path) == "fig4_zf.csv":
+                raise RuntimeError("injected output failure")
+            real(path, rows)
+            written.append(os.path.basename(path))
 
-        monkeypatch.setattr(cli, "run_outage_experiment", fail_zf)
+        monkeypatch.setattr(cli, "write_curve_csv", fail_zf)
         out = str(tmp_path / "broken")
         assert main(["fig4", "--realizations", "1000", "--out", out]) == 1
+        assert written == ["fig4_mrt.csv"]
         assert not os.path.exists(os.path.join(out, "manifest.txt"))
         assert not any(n.endswith(".csv") for n in os.listdir(out))
 

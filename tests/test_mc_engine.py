@@ -11,11 +11,17 @@ import pytest
 from scipy import stats
 
 from fama_lab.analytic_stats import BetaPrimeParams, betaprime_cdf
-from fama_lab.channel_geom import SystemConfig, geometry_for_config
+from fama_lab.channel_geom import (
+    SystemConfig,
+    geometry_for_config,
+    selectable_port_indices,
+)
 from fama_lab.mc_engine import (
+    CHUNK_SIZE,
     DEFAULT_GAMMA_GRID,
     EmpiricalCdf,
     OutageExperimentResult,
+    _BASE_OUTAGE_PHYSICAL,
     _STREAM_SPAN,
     _cgauss,
     _chunk_physref,
@@ -514,6 +520,19 @@ def test_cgauss_scales_the_draws_in_place():
     assert np.array_equal(z, np.sqrt(0.5) * raw.view(np.complex128)[..., 0])
 
 
+@pytest.mark.parametrize("ports", [0, 1, 3, 6])
+def test_cgauss_smaller_draw_is_prefix_of_larger(ports):
+    # A frame group draws the innovations once, for its largest port count
+    # P, and serves a smaller count p < P - 1 from the contiguous prefix:
+    # that holds only while standard_normal fills its output in order.
+    n, P, r = 300, 8, 4
+    big = _cgauss(RngStream(48, 0).generator(), (n, P - 1, r))
+    small = _cgauss(RngStream(48, 0).generator(), (n, ports, r))
+    prefix = big.reshape(-1)[:n * ports * r].reshape(n, ports, r)
+    assert np.shares_memory(prefix, big) or ports == 0
+    assert np.array_equal(small, prefix)
+
+
 def test_bin_samples_equals_bincount_form():
     # Sorted-sample counts equal the cumulative bincount of each sample's
     # grid slot, with samples on grid points, beyond both ends, inf and nan.
@@ -532,39 +551,66 @@ def test_bin_samples_equals_bincount_form():
 _OUTAGE_FIELDS = [f.name for f in dataclasses.fields(OutageExperimentResult)]
 
 
+def _replayed_selection_outage(cfg, n):
+    """The physical selection curve of cfg's outage run rebuilt chunk by
+    chunk from _chunk_ports_sir, which draws R, any ZF redraws and then
+    the innovations from one unbroken stream."""
+    sel = selectable_port_indices(cfg)
+    mu = tuple(geometry_for_config(cfg).mu)
+    counts = 0
+    for start in range(0, n, CHUNK_SIZE):
+        stream = RngStream(cfg.seed, _BASE_OUTAGE_PHYSICAL + start // CHUNK_SIZE)
+        sirs = _chunk_ports_sir(stream, min(CHUNK_SIZE, n - start), cfg.M,
+                                cfg.U, cfg.scheme, cfg.beta, cfg.powers, mu)[0]
+        counts = counts + EmpiricalCdf.bin_samples(DEFAULT_GAMMA_GRID,
+                                                   sirs[:, sel].max(axis=1))
+    return counts / n
+
+
 class TestOutageGroup:
     @pytest.mark.parametrize("scheme, mode, tolerance", [
         ("MRT", "member", None), ("ZF", "external", None),
-        ("ZF", "external", 1.0 / 40.0)])
+        ("ZF", "external", 1.0 / 40.0), ("MRT,ZF", None, None),
+        ("MRT,ZF", None, 1.0 / 40.0)])
     def test_equals_per_config_runs(self, monkeypatch, scheme, mode, tolerance):
-        # The group shares one frame draw per chunk and draws each port
-        # count's innovations from the state right after it; each result
-        # equals the config's own run field for field.  With the condition
-        # limit at 40, ZF redraws a share of R in every chunk, so the state
-        # restored after the redraws is pinned too.
+        # The group shares one draw of R per chunk, builds each scheme's
+        # beams from the state right after it, and serves every port count
+        # from one innovation draw per state; each result equals the
+        # config's own run field for field.  With the condition limit at
+        # 40, ZF redraws a share of R in every chunk, so the state after
+        # the redraws is pinned too, beside MRT's shared one.  "MRT,ZF"
+        # leaves the reference mode unset: member under MRT (P = N) and
+        # external under ZF (P = N + 1).
         if tolerance is not None:
             monkeypatch.setattr(mc_engine, "_GRAM_TOLERANCE", tolerance)
-        configs = [SystemConfig(M=8, U=4, N=N, W=W, scheme=scheme,
+        configs = [SystemConfig(M=8, U=4, N=N, W=W, scheme=s,
                                 reference_mode=mode, seed=61)
+                   for s in scheme.split(",")
                    for N in (2, 4, 8) for W in (0.0, 0.25, 4.0)]
         group = run_outage_group(configs, realizations=5_000)
         assert len(group) == len(configs)
-        if tolerance is not None:
-            assert group[0].resampled_count > 0
+        for cfg, res in zip(configs, group):
+            if cfg.scheme == "MRT":
+                assert res.resampled_count == 0
+            elif tolerance is not None:
+                assert res.resampled_count > 0
         for cfg, res in zip(configs, group):
             single = run_outage_experiment(cfg, realizations=5_000)
             for name in _OUTAGE_FIELDS:
                 a, b = getattr(res, name), getattr(single, name)
                 assert np.array_equal(a, b), (cfg.N, cfg.W, name)
+            # A lone run takes the same group path, so the draws are also
+            # checked against a kernel that never restores a state.
+            assert np.array_equal(res.correlated,
+                                  _replayed_selection_outage(cfg, 5_000))
         # The apertures and the port counts differ, so their selection
         # curves do too.
         assert not np.array_equal(group[1].correlated, group[2].correlated)
         assert not np.array_equal(group[2].correlated, group[8].correlated)
 
     @pytest.mark.parametrize("field, value", [
-        ("M", 16), ("include_reference_in_selection", False), ("scheme", "ZF"),
-        ("seed", 7), ("powers", (2.0, 1.0, 1.0, 1.0)),
-        ("reference_mode", "external")])
+        ("M", 16), ("include_reference_in_selection", False), ("seed", 7),
+        ("reference_mode", "external"), ("powers", (2.0, 1.0, 1.0, 1.0))])
     def test_refuses_configs_differing_beyond_w(self, field, value):
         base = SystemConfig(M=8, U=4, N=4, W=0.25, seed=62)
         other = dataclasses.replace(base, W=4.0, **{field: value})
