@@ -1,4 +1,4 @@
-"""Digests of every output file of fig2-fig5 and two sweeps.
+"""Digests of every output file of fig2-fig5, two sweeps and validate.
 
     PYTHONPATH=src python3 scripts/output_digest.py --seed 7 --baseline OTHER/src
 
@@ -8,15 +8,19 @@ sweep (`sweep`: `--realizations 20000 --sweep-M 4,8 --sweep-U 2,4
 in external mode (`sweep-external`: `--realizations 20000 --sweep-M 2,4
 --sweep-U 2,4 --sweep-N 2,5 --sweep-W 0.5 --sweep-scheme MRT,ZF
 --reference-mode external`), whose M = 2, U = 4 group holds MRT points
-only, at one seed, each in a fresh process with FAMA_LAB_WORKERS set to
-each of --workers (default 1,2,8), into temporary directories.  Prints the
-sha256 of each CSV and of each manifest.txt with its `wall_seconds` line
-removed, one line per file: `<sha256>  <tree> <run> w<workers> <file>`.
+only, and the acceptance suite (`validate`), at one seed, each in a fresh
+process with FAMA_LAB_WORKERS set to each of --workers (default 1,2,8),
+into temporary directories.  Prints the sha256 of each CSV, of each
+manifest.txt with its `wall_seconds` line removed and of
+validate_report.txt with its timings removed (the `(  x.xs)` column and
+each `runtime ...s` phrase), one line per file:
+`<sha256>  <tree> <run> w<workers> <file>`.
 
-Exits 1 if a CSV differs between worker counts, or if a manifest lists
-other outputs in another order.  With --baseline, the fama_lab package under
-that src/ directory is run the same way, and any file whose digest differs
-between the two trees at the same worker count also exits 1.
+Exits 1 if a CSV or the validate report differs between worker counts, or
+if a manifest lists other outputs in another order.  With --baseline, the
+fama_lab package under that src/ directory is run the same way, and any
+file whose digest differs between the two trees at the same worker count
+also exits 1: so every criterion reading is compared, not only the CSVs.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -44,7 +49,12 @@ COMMANDS = {
                        "--sweep-U", "2,4", "--sweep-N", "2,5", "--sweep-W",
                        "0.5", "--sweep-scheme", "MRT,ZF",
                        "--reference-mode", "external"],
+    "validate": ["validate"],
 }
+
+# The timing fields of validate_report.txt: the per-criterion seconds
+# column and the `runtime 1.4s` phrases of the timed criteria.
+_REPORT_TIMINGS = re.compile(rb"\(\s*[0-9.]+s\)|runtime [0-9.]+s")
 
 
 def run_tree(src: Path, seed: int, workers: int, command: str, out: Path) -> None:
@@ -59,19 +69,26 @@ def run_tree(src: Path, seed: int, workers: int, command: str, out: Path) -> Non
 
 
 def digests(out: Path) -> dict[str, str]:
-    """sha256 of each output, the manifest's without its wall_seconds line."""
+    """sha256 of each output, the manifest's without its wall_seconds line
+    and the validate report's without its timings."""
     found = {}
     for path in sorted(out.iterdir()):
         data = path.read_bytes()
         if path.name == "manifest.txt":
             data = b"".join(line for line in data.splitlines(keepends=True)
                             if not line.startswith(b"wall_seconds: "))
+        elif path.name == "validate_report.txt":
+            data = _REPORT_TIMINGS.sub(b"", data)
         found[path.name] = hashlib.sha256(data).hexdigest()
     return found
 
 
 def manifest_outputs(out: Path) -> str:
-    for line in (out / "manifest.txt").read_text(encoding="utf-8").splitlines():
+    """The manifest's outputs line; validate writes no manifest."""
+    manifest = out / "manifest.txt"
+    if not manifest.exists():
+        return ""
+    for line in manifest.read_text(encoding="utf-8").splitlines():
         if line.startswith("outputs: "):
             return line
     return ""
@@ -110,7 +127,8 @@ def main(argv: list[str] | None = None) -> int:
         for command, by_workers in by_command.items():
             (_, (first, first_outputs)), *rest = by_workers.items()
             for workers, (found, outputs) in rest:
-                csvs = {n for n in {**first, **found} if n.endswith(".csv")}
+                csvs = {n for n in {**first, **found}
+                        if n.endswith(".csv") or n == "validate_report.txt"}
                 for name in sorted(csvs):
                     if first.get(name) != found.get(name):
                         problems.append(f"{tree} {command}: {name} differs between "

@@ -31,7 +31,6 @@ from .mc_engine import (
     DEFAULT_GAMMA_GRID,
     CorrEstimate,
     EmpiricalCdf,
-    SirBatch,
     ks_distance,
     marginal_model_sample,
     pearson_correlation,
@@ -39,7 +38,6 @@ from .mc_engine import (
     run_correlation_experiment,
     run_outage_experiment,
     run_outage_group,
-    simulate_sir_batch,
     surrogate_gain_sample,
 )
 from .randlin import RngStream

@@ -24,17 +24,19 @@ from .analytic_stats import (
     betaprime_sf,
     ln_betaprime_cdf,
 )
-from .channel_geom import SystemConfig, geometry_for_config, selectable_port_indices
+from .channel_geom import SystemConfig, selectable_port_indices
 from .mc_engine import (
     _BASE_OUTAGE_PHYSICAL,
-    _BASE_SIR_BATCH,
-    CHUNK_SIZE,
-    EmpiricalCdf,
+    _BASE_PER_PORT,
+    _chunk_outage_physical,
     _chunk_ports_sir,
     _draw_frame,
-    _iter_chunks,
+    _merge_counts,
+    _outage_physical_args,
+    _run_chunked,
     estimate_marginal_tail,
     pearson_correlation,
+    resolve_workers,
     run_cdf_experiment,
     run_correlation_experiment,
     run_outage_group,
@@ -186,29 +188,32 @@ def criterion_05_correlation_model(seed: int = SUITE_SEED) -> CriterionResult:
     return CriterionResult(5, "correlation model", passed, detail, secs)
 
 
-def _per_port_cdfs(config: SystemConfig, grid, realizations: int,
-                   stream_base: int):
-    """Empirical CDFs F_k of every selectable port, (ports, len(grid)), and
-    the CDF of the selected (largest) SIR, (len(grid),).
+def _group_port_cdfs(group: list[SystemConfig], grid, realizations: int):
+    """Per config of a frame group: the CDFs F_k of its selectable ports
+    on an independent stream, (ports, len(grid)), the same CDFs paired with
+    its outage run, and its selection curve on the outage run's streams,
+    (len(grid),).
 
-    Each CHUNK_SIZE block of realizations is drawn by _chunk_ports_sir on
-    stream stream_base + block, the layout run_outage_experiment uses.  So
-    stream_base = _BASE_OUTAGE_PHYSICAL replays the outage run's own
-    realizations (each chunk's stream is rebuilt from its (seed, id) pair),
-    and _BASE_SIR_BATCH draws ports independent of it.
+    One _run_chunked call runs the group's kernel (_chunk_outage_physical)
+    on two stream bases: _BASE_OUTAGE_PHYSICAL, the outage run's own
+    chunk streams, and _BASE_PER_PORT, independent of them.  Its curves
+    are each config's selectable set and one singleton set per selectable
+    port.
     """
-    geometry = geometry_for_config(config)
-    sel_idx = selectable_port_indices(config)
-    counts = np.zeros((len(sel_idx), len(grid)))
-    selected = np.zeros(len(grid))
-    for block, size in _iter_chunks(realizations, CHUNK_SIZE):
-        sirs = _chunk_ports_sir(
-            RngStream(config.seed, stream_base + block), size, config.M,
-            config.U, config.scheme, config.beta, config.powers,
-            tuple(geometry.mu))[0][:, sel_idx]
-        counts += [EmpiricalCdf.bin_samples(grid, port) for port in sirs.T]
-        selected += EmpiricalCdf.bin_samples(grid, sirs.max(axis=1))
-    return counts / realizations, selected / realizations
+    sel_idxs = [tuple(selectable_port_indices(cfg)) for cfg in group]
+    curves = list(enumerate(sel_idxs))
+    curves += [(k, (j,)) for k, sel in enumerate(sel_idxs) for j in sel]
+    args = _outage_physical_args(group, curves, grid)
+    runs = _run_chunked([(_chunk_outage_physical, args, _BASE_OUTAGE_PHYSICAL),
+                         (_chunk_outage_physical, args, _BASE_PER_PORT)],
+                        realizations, group[0].seed, resolve_workers())
+    paired, independent = (_merge_counts(run)[0] / realizations for run in runs)
+    out, start = [], len(group)
+    for k, sel in enumerate(sel_idxs):
+        ports = slice(start, start + len(sel))
+        out.append((independent[ports], paired[ports], paired[k]))
+        start += len(sel)
+    return out
 
 
 def criterion_06_outage_sandwich(seed: int = SUITE_SEED) -> CriterionResult:
@@ -228,12 +233,16 @@ def criterion_06_outage_sandwich(seed: int = SUITE_SEED) -> CriterionResult:
     more as mu_k falls (n = 1e5, seed 1).
     So the physical curve P is held to the same bounds in their per-port
     form, built from each selectable port's CDF F_k estimated on an
-    independent stream:
+    independent stream.  The F_k come from the outage kernel itself
+    (_group_port_cdfs): one run of each M's group bins a singleton curve
+    per selectable port beside each selection curve, on the independent
+    stream base _BASE_PER_PORT and on the outage run's own:
       - Frechet sandwich max(0, 1 - sum_k (1 - F_k)) <= P <= min_k F_k;
       - independent limit P >= prod_k F_k;
       - W > 0 (ports differ): selection gain, min_k F_k - P above 2x its
         Wilson half-width at some gamma, with F_k read on the outage run's
-        own realizations (its chunk streams replayed).  Paired, F_k - P is
+        own realizations (its chunk streams drawn again; the selection
+        curve of that draw must equal P).  Paired, F_k - P is
         the share of realizations in which port k is in outage and the
         selection is not, so a fixed-port rule reads exactly 0;
       - W = 4: |P - prod_k F_k| <= 0.05 in the band;
@@ -255,17 +264,19 @@ def criterion_06_outage_sandwich(seed: int = SUITE_SEED) -> CriterionResult:
         all_ok = True
         n = 100_000
         # Each M's two port counts and three apertures run as one frame
-        # group, one frame draw per chunk.
+        # group, one frame draw per chunk, and so do their per-port CDFs.
         runs = {}
         for M in (4, 8):
             group = [SystemConfig(M=M, U=4, N=N, W=W, scheme="MRT", seed=seed)
                      for N in (2, 8) for W in (0.25, 4.0, 0.0)]
-            for cfg, res in zip(group, run_outage_group(group, realizations=n)):
-                runs[M, cfg.N, cfg.W] = cfg, res
+            results = run_outage_group(group, realizations=n)
+            ports = _group_port_cdfs(group, results[0].gamma_grid, n)
+            for cfg, res, port_cdfs in zip(group, results, ports):
+                runs[M, cfg.N, cfg.W] = res, port_cdfs
         for (M, N, W) in [(4, 2, 0.25), (4, 2, 4.0), (4, 8, 0.25), (4, 8, 4.0),
                           (8, 2, 0.25), (8, 2, 4.0), (8, 8, 0.25), (8, 8, 4.0),
                           (4, 2, 0.0), (4, 8, 0.0), (8, 2, 0.0), (8, 8, 0.0)]:
-            cfg, res = runs[M, N, W]
+            res, (f_k, paired, replay) = runs[M, N, W]
             band = (res.iid_analytic >= 0.05) & (res.iid_analytic <= 0.95)
             tol = 2.0 * res.iid_ci
             iid_sandwich = bool(np.all(res.iid >= res.lower - tol)
@@ -273,7 +284,6 @@ def criterion_06_outage_sandwich(seed: int = SUITE_SEED) -> CriterionResult:
             iid_prox = float(np.max(np.abs(res.iid - res.iid_analytic)[band]))
 
             p, h_p = res.correlated, res.correlated_ci
-            f_k, _ = _per_port_cdfs(cfg, res.gamma_grid, n, _BASE_SIR_BATCH)
             h_k = wilson_half_width(f_k, n)
             frechet = np.maximum(0.0, 1.0 - np.sum(1.0 - f_k, axis=0))
             h_frechet = np.where(frechet > 0.0, h_k.sum(axis=0), 0.0)
@@ -305,8 +315,6 @@ def criterion_06_outage_sandwich(seed: int = SUITE_SEED) -> CriterionResult:
                 # read on the outage run's own realizations: F_k - P is then
                 # the share in which port k is in outage and the selection
                 # is not, a proportion of n, and it exceeds 2 CI somewhere.
-                paired, replay = _per_port_cdfs(cfg, res.gamma_grid, n,
-                                                _BASE_OUTAGE_PHYSICAL)
                 replayed = bool(np.array_equal(replay, p))
                 gain = np.min(paired, axis=0) - p
                 half = wilson_half_width(np.clip(gain, 0.0, 1.0), n)

@@ -30,7 +30,6 @@ from .acceptance import run_all_criteria
 from .analytic_stats import (
     asymptote_small_gamma,
     asymptote_tail,
-    betaprime_cdf,
     betaprime_params,
     betaprime_sf,
 )
@@ -359,15 +358,15 @@ def _outage_rows(res) -> Iterator[tuple]:
 
 
 def run_fig4(config: SystemConfig, out_dir: str, workers: int,
-             manifest: RunManifest, name_suffix: str = "") -> None:
+             manifest: RunManifest) -> None:
     """Outage under MRT and ZF, run as one frame group (one pool): each
     scheme's result equals its own run_outage_experiment."""
     configs = list(_scheme_configs(config))
     for cfg, res in zip(configs, run_outage_group(configs, workers=workers)):
-        name = f"fig4_{cfg.scheme.lower()}{name_suffix}.csv"
+        name = f"fig4_{cfg.scheme.lower()}.csv"
         write_curve_csv(os.path.join(out_dir, name), _outage_rows(res))
         manifest.outputs.append(name)
-        tag = f"fig4_{cfg.scheme.lower()}{name_suffix}"
+        tag = f"fig4_{cfg.scheme.lower()}"
         ports = [int(p) for p in res.selection_ports]
         manifest.experiments += [
             (tag, "realizations", res.realizations),
@@ -388,13 +387,12 @@ def run_fig5(config: SystemConfig, out_dir: str, workers: int,
         emp = run_cdf_experiment(cfg, mode="marginal", gamma_grid=grid,
                                  workers=workers)
         rows = []
-        f = np.array([betaprime_cdf(g, params) for g in grid])
         sf = np.array([betaprime_sf(g, params) for g in grid])
         small = np.array(
             [asymptote_small_gamma(g, cfg.scheme, cfg.M, cfg.U) for g in grid]
         )
         tail = np.array([asymptote_tail(g, params) for g in grid])
-        rows += _analytic_rows(grid, f, "analytic_cdf")
+        rows += _analytic_rows(grid, emp.analytic, "analytic_cdf")
         rows += _analytic_rows(grid, sf, "analytic_sf")
         rows += _analytic_rows(grid, small, "small_gamma_asymptote")
         rows += _analytic_rows(grid, tail, "tail_asymptote")

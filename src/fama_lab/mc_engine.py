@@ -9,8 +9,9 @@ that return plain arrays; merging happens in chunk order.
 The physical kernels work in the orthonormal frame Q of the reference
 channels H = QR (_draw_frame).  They draw the triangular factor R and
 r = min(M, U) dimensional innovations, never an M-dimensional vector, so
-their cost does not grow with M: the per-port kernel (_chunk_ports_sir),
-the fig2 physical reference (_physref_sirs) and criterion 4 alike.  Under
+their cost does not grow with M: the outage kernel (_chunk_outage_physical),
+the per-port kernel of the correlation run (_chunk_ports_sir), the fig2
+physical reference (_physref_sirs) and criterion 4 alike.  Under
 ZF the beams are R^{-H}: R^H is already the Cholesky factor of the Gram
 R^H R, so no Gram is formed or factored (_frame_zf_beams).
 
@@ -37,12 +38,20 @@ that size returns.  So every config reads exactly the draws of a run of
 its own.  W enters only through the port correlations mu_k, and only in
 frame row 0 and the scale sigma_k of the innovations: the projections of
 rows 1..r-1 onto the beams are summed once per (scheme, port count) and
-shared by its apertures (_frame_sirs).  Selection and binning run once
-per config.  The i.i.d. benchmark and the analytic envelope run once per
-(shapes, selectable count), and one pool (_run_chunked) serves the
-physical and every i.i.d. job.  The sweep (cli.run_sweep) makes one frame
-group of each (M, U), and fig4 one of its MRT and ZF configs; the sweep
-writes each group's CSVs as the group completes.
+shared by its apertures (_frame_sirs).
+
+_chunk_outage_physical is the one place where a physical SIR is selected
+and binned.  It bins curves, each the largest SIR of one config over a set
+of port indices: an outage run asks for one curve per config, its
+selectable set, and criterion 6 adds a singleton set per selectable port
+to read every per-port CDF from the same draws.  Every marginal count
+(the i.i.d. benchmark, fig2's and fig5's marginal CDFs, criterion 8's tail)
+comes from one kernel too, _chunk_outage_iid, with N = 1 for a single port.
+The i.i.d. benchmark and the analytic envelope run once per (shapes,
+selectable count), and one pool (_run_chunked) serves the physical and
+every i.i.d. job.  The sweep (cli.run_sweep) makes one frame group of each
+(M, U), and fig4 one of its MRT and ZF configs; the sweep writes each
+group's CSVs as the group completes.
 """
 
 from __future__ import annotations
@@ -70,7 +79,6 @@ __all__ = [
     "DEFAULT_GAMMA_GRID",
     "INTERFERENCE_FLOOR",
     "EmpiricalCdf",
-    "SirBatch",
     "CorrEstimate",
     "CdfExperimentResult",
     "CorrelationExperimentResult",
@@ -83,7 +91,6 @@ __all__ = [
     "run_correlation_experiment",
     "run_outage_experiment",
     "run_outage_group",
-    "simulate_sir_batch",
     "resolve_workers",
     "wilson_half_width",
 ]
@@ -123,7 +130,7 @@ _BASE_OUTAGE_IID = 2 * _STREAM_SPAN
 _BASE_CORRELATION = 3 * _STREAM_SPAN
 _BASE_TAIL = 4 * _STREAM_SPAN
 _BASE_CDF_PHYSICAL = 5 * _STREAM_SPAN
-_BASE_SIR_BATCH = 6 * _STREAM_SPAN
+_BASE_PER_PORT = 6 * _STREAM_SPAN
 
 
 def resolve_workers(workers: int | None = None) -> int:
@@ -170,17 +177,6 @@ class EmpiricalCdf:
         number of samples <= each threshold of the sorted grid.  Samples
         that are inf or nan are never counted."""
         return np.searchsorted(np.sort(samples), grid, side="right")
-
-
-@dataclass
-class SirBatch:
-    """Per-realization per-port SIRs with the FAMA selection applied."""
-
-    sirs: np.ndarray            # (n, P) float, np.inf marks nulled interference
-    selected_port: np.ndarray   # (n,) 1-based port numbers
-    selected_value: np.ndarray  # (n,)
-    resampled: int = 0
-    infinite_count: int = 0
 
 
 @dataclass
@@ -546,17 +542,6 @@ def _frame_sirs(r0: np.ndarray, g: np.ndarray, F: np.ndarray, scheme: str,
     return [x.T for x in sirs]
 
 
-def _chunk_marginal_counts(stream: RngStream, n: int, a: int, b: int, grid):
-    x = marginal_model_sample(stream, BetaPrimeParams(a, b), size=n)
-    return EmpiricalCdf.bin_samples(np.asarray(grid), x), 0, 0
-
-
-def _chunk_marginal_sf_count(stream: RngStream, n: int, a: int, b: int, gamma: float):
-    """Count of marginal samples exceeding a single threshold (tail estimate)."""
-    x = marginal_model_sample(stream, BetaPrimeParams(a, b), size=n)
-    return int(np.count_nonzero(x > gamma))
-
-
 def _draw_frame(gen, n: int, M: int, U: int, scheme: str, beta, ports: int):
     """Everything of a port chunk that the aperture does not change: R (see
     _reference_factor) and its beams F = Q^H W by the MRT/ZF rule, then the
@@ -642,12 +627,16 @@ def _chunk_physref(stream: RngStream, n: int, M: int, U: int, scheme: str,
 
 
 def _chunk_outage_physical(
-    stream, n, M, U, schemes, beta, powers, mus, sel_idxs, grid
+    stream, n, M, U, schemes, beta, powers, mus, curves, grid
 ):
-    """Selection outage counts of one chunk for every config of a frame
-    group: ((K, grid) counts, (K,) infinite counts, (K,) resample counts)
-    for the K configs' schemes `schemes`, mu vectors `mus` and selectable
-    port indices `sel_idxs`.
+    """Selection outage counts of one chunk for every curve of a frame
+    group: ((C, grid) counts and (C,) infinite counts, one per curve, and
+    (K,) resample counts, one per config) for the K configs' schemes
+    `schemes` and mu vectors `mus`.  Curve c of `curves` is a pair (k,
+    ports): the largest SIR of config k over the port indices `ports`, so a
+    config's selectable set gives its selection curve and a singleton (j,)
+    the CDF of port j alone.  This is the one place where a physical SIR is
+    selected and binned.
 
     R (_reference_factor) depends on neither the scheme, N nor W, so it is
     drawn once, and the generator state right after it is kept.  Each
@@ -663,7 +652,7 @@ def _chunk_outage_physical(
     smaller size returns: standard_normal fills its output in order.  The
     SIRs of one (scheme, port count) come from one _frame_sirs call, which
     shares the aperture-invariant projections; selection and binning run
-    once per config.
+    once per curve, and adding curves changes no other curve's counts.
     """
     gen = stream.generator()
     R = _reference_factor(gen, n, M, U, beta)
@@ -672,8 +661,8 @@ def _chunk_outage_physical(
     r = R.shape[1]
     beta0 = float(np.asarray(beta)[0])
     grid = np.asarray(grid)
-    counts = np.empty((len(mus), len(grid)), dtype=np.int64)
-    inf_counts = np.empty(len(mus), dtype=np.int64)
+    counts = np.empty((len(curves), len(grid)), dtype=np.int64)
+    inf_counts = np.empty(len(curves), dtype=np.int64)
     resampled = np.empty(len(mus), dtype=np.int64)
     # Each scheme's (r0, F), and per innovation draw the generator state it
     # starts from and the schemes that share it.
@@ -698,17 +687,23 @@ def _chunk_outage_physical(
             sirs = _frame_sirs(r0, g, F, scheme, beta0, powers,
                                [mus[k] for k in same])
             for k, x in zip(same, sirs):
-                # x is the (n, P) view of (P, n) memory: select whole rows.
-                sel = x.T[np.asarray(sel_idxs[k], dtype=int)]
-                inf_counts[k] = np.count_nonzero(~np.isfinite(sel))
-                # Outage counts: INFINITE selections are never in outage
-                # and naturally land beyond the grid.
-                counts[k] = EmpiricalCdf.bin_samples(grid, sel.max(axis=0))
+                for c, (config, sel_idx) in enumerate(curves):
+                    if config != k:
+                        continue
+                    # x is the (n, P) view of (P, n) memory: select whole rows.
+                    sel = x.T[np.asarray(sel_idx, dtype=int)]
+                    inf_counts[c] = np.count_nonzero(~np.isfinite(sel))
+                    # Outage counts: INFINITE selections are never in outage
+                    # and naturally land beyond the grid.
+                    counts[c] = EmpiricalCdf.bin_samples(grid, sel.max(axis=0))
         del flat, g
     return counts, inf_counts, resampled
 
 
 def _chunk_outage_iid(stream, n, a, b, N, grid):
+    """Counts of the largest of N independent Beta-prime(a, b) draws per
+    realization at or below each grid threshold: (counts, 0, 0).  N = 1
+    bins the marginal law itself."""
     x = marginal_model_sample(stream, BetaPrimeParams(a, b), size=n * N)
     best = x.reshape(n, N).max(axis=1)
     return EmpiricalCdf.bin_samples(np.asarray(grid), best), 0, 0
@@ -828,7 +823,7 @@ def run_cdf_experiment(
     )
     workers = resolve_workers(workers)
     if mode == "marginal":
-        job = (_chunk_marginal_counts, (params.a, params.b, grid), _BASE_CDF)
+        job = (_chunk_outage_iid, (params.a, params.b, 1, grid), _BASE_CDF)
     else:
         job = (_chunk_physref,
                (config.M, config.U, config.scheme, config.beta, config.powers, grid),
@@ -857,44 +852,16 @@ def estimate_marginal_tail(
     realizations: int,
     workers: int | None = None,
 ) -> float:
-    """Monte-Carlo estimate of P(X > gamma) under the exact marginal law."""
+    """Monte-Carlo estimate of P(X > gamma) under the exact marginal law:
+    the share of single-port draws (_chunk_outage_iid, N = 1) above
+    gamma."""
     params = betaprime_params(config.scheme, config.M, config.U)
     workers = resolve_workers(workers)
     [results] = _run_chunked(
-        [(_chunk_marginal_sf_count, (params.a, params.b, float(gamma)), _BASE_TAIL)],
+        [(_chunk_outage_iid, (params.a, params.b, 1, (float(gamma),)), _BASE_TAIL)],
         realizations, config.seed, workers,
     )
-    return sum(results) / realizations
-
-
-def simulate_sir_batch(
-    config: SystemConfig,
-    realizations: int,
-    stream_id: int = 0,
-) -> SirBatch:
-    """Physical per-port SIRs for user 0 with the FAMA selection applied.
-
-    Ports follow the geometry implied by the config's reference mode;
-    selection runs over the configured selectable set with ties broken
-    toward the smallest port number (np.argmax keeps the first maximum).
-    """
-    geometry = geometry_for_config(config)
-    sel_idx = selectable_port_indices(config)
-    sirs, resampled = _chunk_ports_sir(
-        RngStream(config.seed, _BASE_SIR_BATCH + stream_id), realizations,
-        config.M, config.U, config.scheme, config.beta, config.powers,
-        tuple(geometry.mu),
-    )
-    sel = sirs[:, sel_idx]
-    best = np.argmax(sel, axis=1)
-    rows = np.arange(realizations)
-    return SirBatch(
-        sirs=sirs,
-        selected_port=np.asarray(sel_idx)[best] + 1,
-        selected_value=sel[rows, best],
-        resampled=resampled,
-        infinite_count=int(np.count_nonzero(~np.isfinite(sel))),
-    )
+    return (realizations - int(_merge_counts(results)[0][0])) / realizations
 
 
 def run_correlation_experiment(
@@ -962,6 +929,16 @@ def run_correlation_experiment(
     )
 
 
+def _outage_physical_args(configs: list[SystemConfig], curves, grid) -> tuple:
+    """The arguments of _chunk_outage_physical after (stream, n) for a frame
+    group `configs` (one (M, U), as run_outage_group checks) and its
+    `curves`, (config index, port indices) pairs."""
+    first = configs[0]
+    return (first.M, first.U, tuple(cfg.scheme for cfg in configs), first.beta,
+            first.powers, tuple(tuple(geometry_for_config(cfg).mu) for cfg in configs),
+            tuple(curves), grid)
+
+
 def run_outage_group(
     configs: list[SystemConfig],
     gamma_grid: np.ndarray | None = None,
@@ -1002,7 +979,6 @@ def run_outage_group(
     if np.any(grid <= 0.0) or np.any(np.diff(grid) < 0.0):
         raise ValueError("gamma grid must be positive and sorted")
     sel_idxs = [tuple(selectable_port_indices(cfg)) for cfg in configs]
-    mus = tuple(tuple(geometry_for_config(cfg).mu) for cfg in configs)
     keys = [(betaprime_params(cfg.scheme, cfg.M, cfg.U), len(sel))
             for cfg, sel in zip(configs, sel_idxs)]
     n = realizations or first.realizations or DEFAULT_PHYSICAL_REALIZATIONS
@@ -1012,8 +988,7 @@ def run_outage_group(
     # (shapes, selectable count).
     phys, *iid_runs = _run_chunked(
         [(_chunk_outage_physical,
-          (first.M, first.U, tuple(cfg.scheme for cfg in configs), first.beta,
-           first.powers, mus, tuple(sel_idxs), grid),
+          _outage_physical_args(configs, enumerate(sel_idxs), grid),
           _BASE_OUTAGE_PHYSICAL)]
         + [(_chunk_outage_iid, (params.a, params.b, selectable, grid),
             _BASE_OUTAGE_IID) for params, selectable in iid_keys],

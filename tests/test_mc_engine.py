@@ -24,10 +24,12 @@ from fama_lab.mc_engine import (
     _BASE_OUTAGE_PHYSICAL,
     _STREAM_SPAN,
     _cgauss,
+    _chunk_outage_physical,
     _chunk_physref,
     _chunk_ports_sir,
     _draw_frame,
     _frame_sirs,
+    _outage_physical_args,
     _physref_sirs,
     _reference_factor,
     _run_chunked,
@@ -40,7 +42,6 @@ from fama_lab.mc_engine import (
     run_correlation_experiment,
     run_outage_experiment,
     run_outage_group,
-    simulate_sir_batch,
     surrogate_gain_sample,
 )
 from fama_lab import mc_engine
@@ -84,40 +85,66 @@ class TestPhysicalSir:
         assert np.all(np.isinf(sirs))
 
 
+def _port_curves(cfg, n, stream_id=0):
+    """One config's kernel chunk (_chunk_outage_physical) with its selection
+    curve first, then one singleton curve per selectable port, and the
+    per-port SIRs of the same stream (_chunk_ports_sir), (n, P)."""
+    sel = tuple(selectable_port_indices(cfg))
+    curves = [(0, sel)] + [(0, (j,)) for j in sel]
+    counts, inf_counts, _ = _chunk_outage_physical(
+        RngStream(cfg.seed, stream_id), n,
+        *_outage_physical_args([cfg], curves, DEFAULT_GAMMA_GRID))
+    sirs = _chunk_ports_sir(RngStream(cfg.seed, stream_id), n, cfg.M, cfg.U,
+                            cfg.scheme, cfg.beta, cfg.powers,
+                            tuple(geometry_for_config(cfg).mu))[0]
+    return sel, counts, inf_counts, sirs
+
+
 class TestSelectBestPort:
-    """The FAMA selection of simulate_sir_batch."""
+    """The FAMA selection of the outage kernel (_chunk_outage_physical)."""
 
     def test_strongest(self):
-        batch = simulate_sir_batch(SystemConfig(N=3, W=2.0, seed=20), 256)
-        assert np.array_equal(batch.selected_value, batch.sirs.max(axis=1))
-        rows = np.arange(256)
-        assert np.array_equal(batch.sirs[rows, batch.selected_port - 1],
-                              batch.selected_value)
+        # The selection curve bins the largest SIR of each realization, so
+        # it is never above any single port's curve.
+        sel, counts, _, sirs = _port_curves(SystemConfig(N=3, W=2.0, seed=20), 256)
+        assert sel == (0, 1, 2)
+        assert np.array_equal(counts[0], EmpiricalCdf.bin_samples(
+            DEFAULT_GAMMA_GRID, sirs.max(axis=1)))
+        assert np.all(counts[0] <= counts[1:].min(axis=0))
+        assert np.any(counts[0] < counts[1:].min(axis=0))
 
     def test_tie_breaks_low(self):
-        # W = 0: every port equals the reference, so all ports tie.
-        batch = simulate_sir_batch(SystemConfig(N=3, W=0.0, seed=21), 64)
-        assert np.all(batch.selected_port == 1)
+        # W = 0: every port equals the reference, so all ports tie and each
+        # singleton curve is the selection curve.
+        _, counts, inf_counts, _ = _port_curves(
+            SystemConfig(N=3, W=0.0, seed=21), 64)
+        assert np.all(counts == counts[0])
+        assert np.all(inf_counts == 0)
 
     def test_infinite_dominates(self):
+        # ZF nulls every co-user at the member reference port: its SIR is
+        # infinite, so the selection is never in outage.
         cfg = SystemConfig(M=8, U=4, N=3, W=0.5, scheme="ZF",
                            reference_mode="member", seed=22)
-        batch = simulate_sir_batch(cfg, 64)
-        assert np.all(np.isfinite(batch.sirs[:, 1:]))
-        assert np.all(batch.selected_port == 1)
-        assert np.all(np.isinf(batch.selected_value))
+        res = run_outage_experiment(cfg, realizations=64)
+        assert res.infinite_count == 64
+        assert np.all(res.correlated == 0.0)
+        _, counts, inf_counts, _ = _port_curves(cfg, 64)
+        assert list(inf_counts) == [64, 64, 0, 0]
+        assert np.all(counts[:2] == 0) and counts[2:, -1].min() > 0
 
     def test_subset_selection(self):
         cfg = SystemConfig(M=8, U=4, N=3, W=0.5, scheme="ZF", reference_mode="member",
                            include_reference_in_selection=False, seed=23)
-        batch = simulate_sir_batch(cfg, 64)
-        assert np.all(batch.selected_port >= 2)
-        assert np.array_equal(batch.selected_value, batch.sirs[:, 1:].max(axis=1))
+        res = run_outage_experiment(cfg, realizations=64)
+        assert list(res.selection_ports) == [2, 3]
+        assert res.infinite_count == 0
+        assert np.array_equal(res.correlated, _replayed_selection_outage(cfg, 64))
 
     def test_empty_set(self):
         cfg = SystemConfig(N=1, include_reference_in_selection=False)
         with pytest.raises(ValueError):
-            simulate_sir_batch(cfg, 8)
+            run_outage_experiment(cfg, realizations=8)
 
 
 class TestMarginalSampler:
@@ -608,6 +635,40 @@ class TestOutageGroup:
         assert not np.array_equal(group[1].correlated, group[2].correlated)
         assert not np.array_equal(group[2].correlated, group[8].correlated)
 
+    def test_singleton_curves_equal_port_replay(self, monkeypatch):
+        # Singleton curves are per-port CDFs on the group's own draws: each
+        # equals a per-port binning of the config's _chunk_ports_sir chunk,
+        # ZF rows redrawn at the condition limit of 40 included.  Adding
+        # them leaves every selection curve as the kernel computes it alone.
+        monkeypatch.setattr(mc_engine, "_GRAM_TOLERANCE", 1.0 / 40.0)
+        configs = [SystemConfig(M=8, U=4, N=N, W=W, scheme=s, seed=63)
+                   for s in ("MRT", "ZF") for N in (2, 5) for W in (0.0, 0.5)]
+        sels = [tuple(selectable_port_indices(cfg)) for cfg in configs]
+        ports = [(k, (j,)) for k, sel in enumerate(sels) for j in sel]
+        n = 1024
+
+        def kernel(curves):
+            return _chunk_outage_physical(
+                RngStream(63, 5), n,
+                *_outage_physical_args(configs, curves, DEFAULT_GAMMA_GRID))
+
+        counts, inf_counts, resampled = kernel(list(enumerate(sels)) + ports)
+        alone = kernel(enumerate(sels))
+        assert np.array_equal(counts[:len(configs)], alone[0])
+        assert np.array_equal(inf_counts[:len(configs)], alone[1])
+        assert np.array_equal(resampled, alone[2])
+        for c, (k, (j,)) in enumerate(ports, start=len(configs)):
+            cfg = configs[k]
+            sirs, count = _chunk_ports_sir(RngStream(63, 5), n, cfg.M, cfg.U,
+                                           cfg.scheme, cfg.beta, cfg.powers,
+                                           tuple(geometry_for_config(cfg).mu))
+            assert resampled[k] == count
+            assert np.array_equal(counts[c], EmpiricalCdf.bin_samples(
+                DEFAULT_GAMMA_GRID, sirs[:, j])), (k, j)
+            assert inf_counts[c] == np.count_nonzero(~np.isfinite(sirs[:, j]))
+        assert all(resampled[k] > 0 for k, cfg in enumerate(configs)
+                   if cfg.scheme == "ZF")
+
     @pytest.mark.parametrize("field, value", [
         ("M", 16), ("include_reference_in_selection", False), ("seed", 7),
         ("reference_mode", "external"), ("powers", (2.0, 1.0, 1.0, 1.0))])
@@ -757,14 +818,17 @@ class TestExperiments:
         assert np.all(res.deviations >= 0.0)
 
     def test_sir_batch_selection_consistency(self):
+        # Each singleton curve bins one port's SIRs and the selection curve
+        # their largest, realization by realization, on the same stream.
         cfg = SystemConfig(M=8, U=4, N=5, W=0.8, seed=57)
-        batch = simulate_sir_batch(cfg, realizations=512)
-        assert batch.sirs.shape == (512, 5)
-        for i in (0, 100, 511):
-            port = int(np.argmax(batch.sirs[i])) + 1
-            assert batch.selected_port[i] == port
-            assert batch.selected_value[i] == batch.sirs[i, port - 1]
-        assert batch.selected_value[0] == batch.sirs[0].max()
+        sel, counts, inf_counts, sirs = _port_curves(cfg, 512)
+        assert sirs.shape == (512, 5)
+        assert np.array_equal(counts[0], EmpiricalCdf.bin_samples(
+            DEFAULT_GAMMA_GRID, sirs[:, sel].max(axis=1)))
+        for row, j in enumerate(sel, start=1):
+            assert np.array_equal(counts[row], EmpiricalCdf.bin_samples(
+                DEFAULT_GAMMA_GRID, sirs[:, j]))
+        assert np.all(inf_counts == 0)
 
 
 class TestResolveWorkers:
