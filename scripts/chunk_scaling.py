@@ -1,22 +1,27 @@
-"""Chunk throughput of the per-port SIR kernel against M, U and chunk rows.
+"""Chunk throughput of the outage kernel against M, U and chunk rows.
 
     OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 PYTHONPATH=src \
         python3 scripts/chunk_scaling.py --repeats 15 --baseline OTHER/src
 
-Times one call of mc_engine._chunk_ports_sir per (scheme, M, U, rows) at
---N ports over an aperture of --W wavelengths (defaults N=8, W=4: MRT in
-member mode, 8 ports; ZF in external mode, 9 ports; ZF points with M < U are
-skipped) and prints one JSON object with the median realizations per second
-of each point.  --rows is the realizations per call (default CHUNK_SIZE),
-so several values compare chunk sizes.  With one --U value (the default is
-4) the points are named SCHEME_M<M> and "U" is that value; with several
-they are named SCHEME_M<M>_U<U> and "U" is the list.
-With several --rows values each name gains _R<rows> and "rows" is the list.
-With --baseline, the fama_lab package under that src/ directory is
-imported under another name and its kernel is timed call by call in
-alternation with this one, so a drift in machine speed hits both alike; the
-ratio reported is the median over the pairs of calls.  The outage_zf_gram
-benchmark's chunk (M=16, U=8, N=2, W=0.25) and its smaller-U neighbours are
+Times one call of mc_engine._chunk_outage_physical, the chunk kernel of
+every outage run (fig4, sweep and the benchmark workloads), per (scheme, M,
+U, rows).  Each call serves one config at --N ports over an aperture of
+--W wavelengths (defaults N=8, W=4: MRT in member mode, 8 ports; ZF in
+external mode, 9 ports; ZF points with M < U are skipped) and bins its
+selection curve over its selectable ports on DEFAULT_GAMMA_GRID, with the
+arguments mc_engine._outage_physical_args builds.  Prints one JSON object
+with the median realizations per second of each point.  --rows is the
+realizations per call (default CHUNK_SIZE), so several values compare
+chunk sizes.  With one --U value (the default is 4) the points are named
+SCHEME_M<M> and "U" is that value; with several they are named
+SCHEME_M<M>_U<U> and "U" is the list.  With several --rows values each
+name gains _R<rows> and "rows" is the list.  With --baseline, the fama_lab
+package under that src/ directory is imported under another name and its
+kernel is timed call by call in alternation with this one, on the same
+arguments, so a drift in machine speed hits both alike; the ratio reported
+is the median over the pairs of calls.  The baseline's kernel must take
+the same arguments.  The outage_zf_gram benchmark's chunk (M=16, U=8, N=2,
+W=0.25) and its smaller-U neighbours are
 
     PYTHONPATH=src python3 scripts/chunk_scaling.py --M 16 --U 2,4,8 \
         --N 2 --W 0.25 --baseline OTHER/src
@@ -32,8 +37,13 @@ import sys
 import time
 from pathlib import Path
 
-from fama_lab.channel_geom import SystemConfig, geometry_for_config
-from fama_lab.mc_engine import CHUNK_SIZE, _chunk_ports_sir
+from fama_lab.channel_geom import SystemConfig, selectable_port_indices
+from fama_lab.mc_engine import (
+    CHUNK_SIZE,
+    DEFAULT_GAMMA_GRID,
+    _chunk_outage_physical,
+    _outage_physical_args,
+)
 from fama_lab.randlin import RngStream
 
 
@@ -66,10 +76,11 @@ def main() -> None:
                         help="comma list of realizations per call")
     parser.add_argument("--baseline", type=Path, help="src/ directory of a version to compare")
     args = parser.parse_args()
-    kernels = {"change": (_chunk_ports_sir, RngStream)}
+    kernels = {"change": (_chunk_outage_physical, RngStream)}
     if args.baseline:
         base = load_baseline(args.baseline)
-        kernels["baseline"] = (base.mc_engine._chunk_ports_sir, base.randlin.RngStream)
+        kernels["baseline"] = (base.mc_engine._chunk_outage_physical,
+                               base.randlin.RngStream)
     users = [int(u) for u in args.U.split(",")]
     rows = [int(n) for n in args.rows.split(",")]
     grid = [(scheme, M, U, n) for U in users for scheme in ("MRT", "ZF")
@@ -78,8 +89,8 @@ def main() -> None:
     points = {}
     for scheme, M, U, n in grid:
         cfg = SystemConfig(M=M, U=U, N=args.N, W=args.W, scheme=scheme)
-        call = (n, M, cfg.U, scheme, cfg.beta, cfg.powers,
-                tuple(geometry_for_config(cfg).mu))
+        curves = [(0, tuple(selectable_port_indices(cfg)))]
+        call = (n, *_outage_physical_args([cfg], curves, DEFAULT_GAMMA_GRID))
         times = {name: [] for name in kernels}
         for name, (kernel, stream) in kernels.items():
             call_seconds(kernel, stream, 0, call)  # warm-up

@@ -37,6 +37,7 @@ __all__ = [
     "rho_u_approx",
     "rho_x_approx",
     "outage_envelope",
+    "outage_envelopes",
     "asymptote_small_gamma",
     "asymptote_large_m",
     "asymptote_tail",
@@ -215,8 +216,20 @@ def outage_envelope(gamma, params: BetaPrimeParams, N: int) -> OutageEnvelope:
     threshold in scalar math, so a grid's values equal the one-point
     calls bit for bit.
     """
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
+    [envelope] = outage_envelopes(gamma, params, (N,))
+    return envelope
+
+
+def outage_envelopes(gamma, params: BetaPrimeParams,
+                     counts) -> list[OutageEnvelope]:
+    """outage_envelope(gamma, params, N) for each port count N of counts, in
+    order and bit for bit, from one evaluation of F and SF per threshold:
+    the continued fraction does not depend on N, so only F^N,
+    max(0, 1 - N SF) and exp(-N SF) run per count."""
+    counts = list(counts)
+    for N in counts:
+        if N < 1:
+            raise ValueError(f"N must be >= 1, got {N}")
     grid = np.asarray(gamma, dtype=float)
     if np.any(grid <= 0.0):
         raise ValueError(f"threshold must be > 0, got {gamma}")
@@ -228,7 +241,6 @@ def outage_envelope(gamma, params: BetaPrimeParams, N: int) -> OutageEnvelope:
     switch = (a + 1.0) / (a + b + 2.0)
     size = grid.size
     f, eps = np.empty(size), np.empty(size)
-    iid, large_n = np.empty(size), np.empty(size)
     direct = np.empty(size, dtype=bool)
     for i, g in enumerate(grid.ravel().tolist()):
         # betaprime_cdf or betaprime_sf at g, sharing ln B.
@@ -241,19 +253,23 @@ def outage_envelope(gamma, params: BetaPrimeParams, N: int) -> OutageEnvelope:
             eps_i = _reg_inc_beta(1.0 / (1.0 + g), b, a, ln_b)
             f_i = 1.0 - eps_i
         f[i], eps[i] = f_i, eps_i
-        iid[i] = f_i**N
-        large_n[i] = math.exp(-N * eps_i)
-    # 1 - N SF, without 1 - (1 - F) on the direct side.
-    lower = np.where(direct, f - (N - 1) * eps, 1.0 - N * eps)
-    # Bernoulli's inequality 1 - N SF <= F^N; the cap only absorbs rounding
-    # where the two differ by less than it.
-    lower = np.minimum(np.maximum(0.0, lower), iid)
-    fields = [grid.ravel(), f, f, lower, iid, large_n]
-    if grid.ndim == 0:
-        fields = [float(v[0]) for v in fields]
-    else:
-        fields = [v.reshape(grid.shape) for v in fields]
-    return OutageEnvelope(*fields)
+    f_list, eps_list = f.tolist(), eps.tolist()
+    envelopes = []
+    for N in counts:
+        iid = np.array([f_i**N for f_i in f_list])
+        large_n = np.array([math.exp(-N * eps_i) for eps_i in eps_list])
+        # 1 - N SF, without 1 - (1 - F) on the direct side.
+        lower = np.where(direct, f - (N - 1) * eps, 1.0 - N * eps)
+        # Bernoulli's inequality 1 - N SF <= F^N; the cap only absorbs
+        # rounding where the two differ by less than it.
+        lower = np.minimum(np.maximum(0.0, lower), iid)
+        fields = [grid.ravel(), f, f, lower, iid, large_n]
+        if grid.ndim == 0:
+            fields = [float(v[0]) for v in fields]
+        else:
+            fields = [v.reshape(grid.shape) for v in fields]
+        envelopes.append(OutageEnvelope(*fields))
+    return envelopes
 
 
 def asymptote_small_gamma(gamma: float, scheme: str, M: int, U: int) -> float:

@@ -442,20 +442,24 @@ def run_sweep(config: SystemConfig, out_dir: str, workers: int,
                         index += 1
     groups = [tuple(zip(*cell)) for cell in cells.values() if cell]
     # Several groups share one pool, each group whole in one worker; a
-    # single group keeps chunk-level parallelism.  Every chunk has its own
-    # stream, so the CSVs do not depend on where a group runs.  Each
-    # group's CSVs are written as soon as it completes, so the parent
-    # formats while the workers still run; the manifest lists them in grid
-    # order.  On any failure the queued groups are cancelled, not run, and
-    # main removes every CSV already written (manifest.outputs).
+    # single group keeps chunk-level parallelism.  The pool gets the groups
+    # largest work estimate first (_group_work), ties in grid order, so no
+    # worker is left idle while the last heavy group runs.  Every chunk has
+    # its own stream, so the CSVs do not depend on where or when a group
+    # runs.  Each group's CSVs are written as soon as it completes, so the
+    # parent formats while the workers still run; the manifest lists them
+    # in grid order.  On any failure the queued groups are cancelled, not
+    # run, and main removes every CSV already written (manifest.outputs).
     pool = None
     start = len(manifest.outputs)
     written = {}
     try:
         if workers > 1 and len(groups) > 1:
             pool = ProcessPoolExecutor(max_workers=min(workers, len(groups)))
-            futures = {pool.submit(_sweep_group, group): i
-                       for i, (_, group) in enumerate(groups)}
+            order = sorted(range(len(groups)), reverse=True,
+                           key=lambda i: _group_work(groups[i][1]))
+            futures = {pool.submit(_sweep_group, groups[i][1]): i
+                       for i in order}
             done = ((futures[f], f.result()) for f in as_completed(futures))
         else:
             done = ((i, run_outage_group(group, workers=workers))
@@ -497,6 +501,15 @@ def _write_sweep_group(group: list[SystemConfig], results, out_dir: str,
         rows.append((name, res.realizations))
         print(f"sweep: wrote {name}")
     return rows
+
+
+def _group_work(group: tuple[SystemConfig, ...]) -> int:
+    """Work estimate of a sweep frame group, for the order in which the
+    pool gets the groups: U per config.  Each config's SIR pass projects
+    its ports onto U beams, so a chunk's work grows with U and with the
+    configs it serves; the frame draw does not grow with M, so M does not
+    enter."""
+    return sum(cfg.U for cfg in group)
 
 
 def _sweep_group(group: list[SystemConfig]):

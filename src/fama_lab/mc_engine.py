@@ -47,10 +47,14 @@ selectable set, and criterion 6 adds a singleton set per selectable port
 to read every per-port CDF from the same draws.  Every marginal count
 (the i.i.d. benchmark, fig2's and fig5's marginal CDFs, criterion 8's tail)
 comes from one kernel too, _chunk_outage_iid, with N = 1 for a single port.
-The i.i.d. benchmark and the analytic envelope run once per (shapes,
-selectable count), and one pool (_run_chunked) serves the physical and
+The i.i.d. benchmark runs once per (shapes, selectable count); its chunk
+takes the largest of each realization's N draws as a running maximum over
+strided columns (_strided_max).  The analytic envelope evaluates F and SF
+once per shape pair and derives every selectable count's bounds from them
+(outage_envelopes).  One pool (_run_chunked) serves the physical and
 every i.i.d. job.  The sweep (cli.run_sweep) makes one frame group of each
-(M, U), and fig4 one of its MRT and ZF configs; the sweep writes each
+(M, U), and fig4 one of its MRT and ZF configs; the sweep's pool gets its
+groups largest work estimate first (cli._group_work) and writes each
 group's CSVs as the group completes.
 """
 
@@ -68,7 +72,7 @@ from .analytic_stats import (
     BetaPrimeParams,
     betaprime_cdf,
     betaprime_params,
-    outage_envelope,
+    outage_envelopes,
     rho_x_approx,
 )
 from .channel_geom import SystemConfig, geometry_for_config, selectable_port_indices
@@ -705,8 +709,17 @@ def _chunk_outage_iid(stream, n, a, b, N, grid):
     realization at or below each grid threshold: (counts, 0, 0).  N = 1
     bins the marginal law itself."""
     x = marginal_model_sample(stream, BetaPrimeParams(a, b), size=n * N)
-    best = x.reshape(n, N).max(axis=1)
-    return EmpiricalCdf.bin_samples(np.asarray(grid), best), 0, 0
+    return EmpiricalCdf.bin_samples(np.asarray(grid), _strided_max(x, N)), 0, 0
+
+
+def _strided_max(x: np.ndarray, N: int) -> np.ndarray:
+    """x.reshape(-1, N).max(axis=1), as a running maximum over the N strided
+    columns x[k::N]: numpy's reduction over a short last axis is slow, and
+    max is exact, so the result is the same bit for bit."""
+    best = x[::N]
+    for k in range(1, N):
+        best = np.maximum(best, x[k::N])
+    return best
 
 
 def _chunk_corr_moments(stream, n, M, U, scheme, beta, powers, mu, est_idx):
@@ -961,8 +974,9 @@ def run_outage_group(
     selectable ports, is resolved per config: unset, it is member under MRT
     and external under ZF.  The i.i.d. benchmark and the analytic envelope
     depend only on the Beta-prime shapes (a, b) and the selectable port
-    count, so they run once per distinct (a, b, count).  Configs that
-    differ in any other field are refused, by the field's name.
+    count, so they run once per distinct (a, b, count), and the envelope's
+    F and SF once per (a, b) (outage_envelopes).  Configs that differ in
+    any other field are refused, by the field's name.
     """
     configs = list(configs)
     if not configs:
@@ -995,11 +1009,20 @@ def run_outage_group(
         n, first.seed, workers,
     )
     counts, inf_counts, resampled = _merge_counts(phys)
-    # The curves that depend on the shapes and the selectable count alone.
+    # The curves that depend on the shapes and the selectable count alone;
+    # F and SF are evaluated once per shape pair.
+    by_shapes = {}
+    for params, selectable in iid_keys:
+        by_shapes.setdefault(params, []).append(selectable)
+    envelopes = {}
+    for params, selectables in by_shapes.items():
+        for selectable, env in zip(selectables, outage_envelopes(
+                grid, params, selectables)):
+            envelopes[params, selectable] = env
     shared = {}
     for (params, selectable), iid_run in zip(iid_keys, iid_runs):
         p_iid = _merge_counts(iid_run)[0] / n
-        env = outage_envelope(grid, params, selectable)
+        env = envelopes[params, selectable]
         shared[params, selectable] = dict(
             gamma_grid=grid,
             iid=p_iid,

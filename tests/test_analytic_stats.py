@@ -2,6 +2,7 @@
 outage envelopes, and asymptotes, checked against independent oracles."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from scipy import integrate
 
 from fama_lab.analytic_stats import (
     BetaPrimeParams,
+    OutageEnvelope,
     asymptote_large_m,
     asymptote_small_gamma,
     asymptote_tail,
@@ -23,6 +25,7 @@ from fama_lab.analytic_stats import (
     ln_betaprime_cdf,
     m_eff,
     outage_envelope,
+    outage_envelopes,
     rho_u_approx,
     rho_x_approx,
 )
@@ -366,3 +369,19 @@ class TestProperties:
         env = outage_envelope(gamma, BetaPrimeParams(a, b), n)
         assert 0.0 <= env.lower <= env.iid_benchmark
         assert env.iid_benchmark <= env.upper <= 1.0
+
+    @_properties
+    @given(a=_shapes, b=_shapes,
+           grid=st.lists(_thresholds, min_size=1, max_size=20),
+           counts=st.lists(st.integers(min_value=1, max_value=256),
+                           min_size=1, max_size=4, unique=True))
+    def test_envelopes_equal_one_count_calls(self, a, b, grid, counts):
+        # One F and SF evaluation per shape pair gives every count's
+        # envelope bit for bit, over a grid and at one threshold.
+        params = BetaPrimeParams(a, b)
+        for gamma in (np.array(grid), grid[0]):
+            for N, env in zip(counts, outage_envelopes(gamma, params, counts)):
+                one = outage_envelope(gamma, params, N)
+                for f in fields(OutageEnvelope):
+                    assert np.asarray(getattr(env, f.name)).tobytes() == \
+                        np.asarray(getattr(one, f.name)).tobytes()

@@ -257,6 +257,21 @@ class TestSweep:
 # A grid of 4 points: M in {4, 8} under MRT and ZF at U=4, N=2.
 _SMALL_GRID = ["sweep", "--sweep-M", "4,8", "--sweep-N", "2",
                "--sweep-scheme", "MRT,ZF"]
+# The benchmark's grid: 32 points in 4 frame groups of 8, one per (M, U).
+_BENCH_GRID = ["sweep", "--sweep-M", "4,8", "--sweep-U", "2,4", "--sweep-N",
+               "2,8", "--sweep-W", "0.25,4", "--sweep-scheme", "MRT,ZF"]
+
+
+def _spy_on_submit(monkeypatch, submitted: list) -> None:
+    """Record the (M, U) of each frame group the sweep pool gets, in
+    order."""
+
+    class SpyPool(ProcessPoolExecutor):
+        def submit(self, fn, group):
+            submitted.append((group[0].M, group[0].U))
+            return super().submit(fn, group)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SpyPool)
 
 
 class TestSweepPool:
@@ -290,6 +305,39 @@ class TestSweepPool:
         assert main(_SMALL_GRID + ["--realizations", "16500",
                                    "--out", str(tmp_path / "sw")]) == 0
         assert log.read_text().split() == [str(os.getpid())]
+
+    def test_groups_submitted_largest_first(self, tmp_path, monkeypatch):
+        # The U = 4 groups of the benchmark grid go to the pool first; the
+        # two groups of each U have equal estimates and keep grid order.
+        submitted = []
+        _spy_on_submit(monkeypatch, submitted)
+        monkeypatch.setenv("FAMA_LAB_WORKERS", "2")
+        assert main(_BENCH_GRID + ["--realizations", "1000",
+                                   "--out", str(tmp_path / "sw")]) == 0
+        assert submitted == [(4, 4), (8, 4), (4, 2), (8, 2)]
+
+    def test_submission_order_changes_no_output(self, tmp_path, monkeypatch):
+        # With the estimate replaced by one that reverses the submission
+        # order, every CSV and the manifest (but its wall time) are the
+        # same bytes.
+        monkeypatch.setenv("FAMA_LAB_WORKERS", "2")
+        runs = {}
+        for name, work in (("estimate", cli._group_work),
+                           ("reversed", lambda group: (-group[0].U, group[0].M))):
+            submitted = []
+            _spy_on_submit(monkeypatch, submitted)
+            monkeypatch.setattr(cli, "_group_work", work)
+            out = tmp_path / name
+            assert main(_BENCH_GRID + ["--realizations", "3000", "--seed", "5",
+                                       "--out", str(out)]) == 0
+            files = {n: (out / n).read_bytes() for n in sorted(os.listdir(out))}
+            files["manifest.txt"] = b"".join(
+                line for line in files["manifest.txt"].splitlines(keepends=True)
+                if not line.startswith(b"wall_seconds: "))
+            runs[name] = submitted, files
+        assert runs["reversed"][0] == runs["estimate"][0][::-1]
+        assert len(runs["estimate"][1]) == 33
+        assert runs["reversed"][1] == runs["estimate"][1]
 
     @pytest.mark.parametrize("argv, pools", [
         (["sweep", "--sweep-N", "2,8", "--sweep-W", "0.25,4"], 1),
@@ -358,8 +406,9 @@ class TestSweepPool:
         # its first write.  The patches are made before the pool forks.  A
         # pool of 2 runs 2 groups and holds 3 more in its call queue, which
         # cancelling cannot reach, so the grid needs more groups than that
-        # for a cancelled one to show.  The groups are submitted in grid
-        # order, so the first two run together.
+        # for a cancelled one to show.  The groups have one U, so their work
+        # estimates are equal and the pool gets them in grid order: the
+        # first two run together.
         log = tmp_path / "points.log"
         out = tmp_path / "sw"
         real_run, real_write = cli.run_outage_group, cli.write_curve_csv

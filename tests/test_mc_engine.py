@@ -8,6 +8,8 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from fama_lab.analytic_stats import BetaPrimeParams, betaprime_cdf
@@ -24,6 +26,7 @@ from fama_lab.mc_engine import (
     _BASE_OUTAGE_PHYSICAL,
     _STREAM_SPAN,
     _cgauss,
+    _chunk_outage_iid,
     _chunk_outage_physical,
     _chunk_physref,
     _chunk_ports_sir,
@@ -33,6 +36,7 @@ from fama_lab.mc_engine import (
     _physref_sirs,
     _reference_factor,
     _run_chunked,
+    _strided_max,
     _weights_for_scheme,
     ks_distance,
     marginal_model_sample,
@@ -162,6 +166,25 @@ class TestMarginalSampler:
         x = marginal_model_sample(RngStream(32, 0), BetaPrimeParams(5, 3),
                                   size=1_000_000)
         assert np.mean(x <= 1.0) == pytest.approx(29.0 / 128.0, abs=0.002)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(a=st.integers(min_value=1, max_value=64),
+           b=st.integers(min_value=1, max_value=64),
+           n=st.integers(min_value=1, max_value=300),
+           N=st.integers(min_value=1, max_value=16),
+           seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_strided_max_equals_row_max(self, a, b, n, N, seed):
+        # The i.i.d. chunk's running max over strided columns is the
+        # row-wise max of the (n, N) draws bit for bit, and so are its
+        # counts.
+        params = BetaPrimeParams(a, b)
+        x = marginal_model_sample(RngStream(seed, 0), params, size=n * N)
+        best = x.reshape(n, N).max(axis=1)
+        assert _strided_max(x, N).tobytes() == best.tobytes()
+        counts, _, _ = _chunk_outage_iid(RngStream(seed, 0), n, a, b, N,
+                                         DEFAULT_GAMMA_GRID)
+        assert np.array_equal(
+            counts, EmpiricalCdf.bin_samples(DEFAULT_GAMMA_GRID, best))
 
 
 class TestSurrogateSampler:
