@@ -26,7 +26,6 @@ from .analytic_stats import (
 )
 from .channel_geom import SystemConfig, selectable_port_indices
 from .mc_engine import (
-    _BASE_OUTAGE_PHYSICAL,
     _BASE_PER_PORT,
     _chunk_outage_physical,
     _chunk_ports_sir,
@@ -189,29 +188,26 @@ def criterion_05_correlation_model(seed: int = SUITE_SEED) -> CriterionResult:
 
 
 def _group_port_cdfs(group: list[SystemConfig], grid, realizations: int):
-    """Per config of a frame group: the CDFs F_k of its selectable ports
-    on an independent stream, (ports, len(grid)), the same CDFs paired with
-    its outage run, and its selection curve on the outage run's streams,
-    (len(grid),).
+    """Per config of a frame group: the CDFs F_k of its selectable ports,
+    (ports, len(grid)), and its selection curve P_own, (len(grid),), both
+    from one run independent of the outage run's.
 
     One _run_chunked call runs the group's kernel (_chunk_outage_physical)
-    on two stream bases: _BASE_OUTAGE_PHYSICAL, the outage run's own
-    chunk streams, and _BASE_PER_PORT, independent of them.  Its curves
-    are each config's selectable set and one singleton set per selectable
-    port.
+    once, on the stream base _BASE_PER_PORT.  Its curves are each config's
+    selectable set and one singleton set per selectable port, so each
+    config's F_k and P_own are binned from the same realizations.
     """
     sel_idxs = [tuple(selectable_port_indices(cfg)) for cfg in group]
     curves = list(enumerate(sel_idxs))
     curves += [(k, (j,)) for k, sel in enumerate(sel_idxs) for j in sel]
-    args = _outage_physical_args(group, curves, grid)
-    runs = _run_chunked([(_chunk_outage_physical, args, _BASE_OUTAGE_PHYSICAL),
-                         (_chunk_outage_physical, args, _BASE_PER_PORT)],
-                        realizations, group[0].seed, resolve_workers())
-    paired, independent = (_merge_counts(run)[0] / realizations for run in runs)
+    (run,) = _run_chunked([(_chunk_outage_physical,
+                            _outage_physical_args(group, curves, grid),
+                            _BASE_PER_PORT)],
+                          realizations, group[0].seed, resolve_workers())
+    cdfs = _merge_counts(run)[0] / realizations
     out, start = [], len(group)
     for k, sel in enumerate(sel_idxs):
-        ports = slice(start, start + len(sel))
-        out.append((independent[ports], paired[ports], paired[k]))
+        out.append((cdfs[start:start + len(sel)], cdfs[k]))
         start += len(sel)
     return out
 
@@ -234,17 +230,16 @@ def criterion_06_outage_sandwich(seed: int = SUITE_SEED) -> CriterionResult:
     So the physical curve P is held to the same bounds in their per-port
     form, built from each selectable port's CDF F_k estimated on an
     independent stream.  The F_k come from the outage kernel itself
-    (_group_port_cdfs): one run of each M's group bins a singleton curve
-    per selectable port beside each selection curve, on the independent
-    stream base _BASE_PER_PORT and on the outage run's own:
+    (_group_port_cdfs): one run of each M's group on the stream base
+    _BASE_PER_PORT bins a singleton curve per selectable port beside each
+    selection curve P_own, so the F_k and P_own share realizations:
       - Frechet sandwich max(0, 1 - sum_k (1 - F_k)) <= P <= min_k F_k;
       - independent limit P >= prod_k F_k;
-      - W > 0 (ports differ): selection gain, min_k F_k - P above 2x its
-        Wilson half-width at some gamma, with F_k read on the outage run's
-        own realizations (its chunk streams drawn again; the selection
-        curve of that draw must equal P).  Paired, F_k - P is
-        the share of realizations in which port k is in outage and the
-        selection is not, so a fixed-port rule reads exactly 0;
+      - W > 0 (ports differ): selection gain, min_k F_k - P_own above 2x
+        its Wilson half-width at some gamma.  The F_k and the gain's P_own
+        come from one independent run, so F_k - P_own is the share of
+        realizations in which port k is in outage and the selection is
+        not, and a fixed-port rule reads exactly 0;
       - W = 4: |P - prod_k F_k| <= 0.05 in the band;
       - W = 0 (all ports are the reference, the fully correlated limit):
         |P - min_k F_k| within the tolerance.
@@ -276,7 +271,7 @@ def criterion_06_outage_sandwich(seed: int = SUITE_SEED) -> CriterionResult:
         for (M, N, W) in [(4, 2, 0.25), (4, 2, 4.0), (4, 8, 0.25), (4, 8, 4.0),
                           (8, 2, 0.25), (8, 2, 4.0), (8, 8, 0.25), (8, 8, 4.0),
                           (4, 2, 0.0), (4, 8, 0.0), (8, 2, 0.0), (8, 8, 0.0)]:
-            res, (f_k, paired, replay) = runs[M, N, W]
+            res, (f_k, p_own) = runs[M, N, W]
             band = (res.iid_analytic >= 0.05) & (res.iid_analytic <= 0.95)
             tol = 2.0 * res.iid_ci
             iid_sandwich = bool(np.all(res.iid >= res.lower - tol)
@@ -312,17 +307,16 @@ def criterion_06_outage_sandwich(seed: int = SUITE_SEED) -> CriterionResult:
                              f"({used:.2f} of 2CI)")
             if W > 0.0:
                 # Selecting the strongest port gains over every single port,
-                # read on the outage run's own realizations: F_k - P is then
-                # the share in which port k is in outage and the selection
-                # is not, a proportion of n, and it exceeds 2 CI somewhere.
-                replayed = bool(np.array_equal(replay, p))
-                gain = np.min(paired, axis=0) - p
+                # read on the realizations the F_k were binned from: F_k -
+                # P_own is then the share in which port k is in outage and
+                # the selection is not, a proportion of n, and it exceeds
+                # 2 CI somewhere.
+                gain = np.min(f_k, axis=0) - p_own
                 half = wilson_half_width(np.clip(gain, 0.0, 1.0), n)
                 used = float(np.max(gain / (2.0 * half)))
-                ok = ok and replayed and used > 1.0
+                ok = ok and used > 1.0
                 parts.append(f"paired min_k F_k-P>={float(np.max(gain)):.4f} "
-                             f"({used:.2f} of 2CI, needs > 1"
-                             f"{'' if replayed else ', replay MISMATCH'})")
+                             f"({used:.2f} of 2CI, needs > 1)")
             if W == 4.0:
                 prox = float(np.max(np.abs(p - prod)[band]))
                 ok = ok and prox <= 0.05

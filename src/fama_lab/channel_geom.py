@@ -68,9 +68,7 @@ class SystemConfig:
             raise ValueError(f"ZF requires M >= U, got M={self.M}, U={self.U}")
         if self.W < 0.0:
             raise ValueError(f"W must be >= 0, got {self.W}")
-        if self.N >= 2 and self.W == 0.0:
-            # Allowed: all ports collapse onto the reference (mu_k = 1).
-            pass
+        # W = 0 is allowed: every port collapses onto the reference (mu_k = 1).
         if self.beta is None:
             self.beta = (1.0,) * self.U
         else:

@@ -11,14 +11,18 @@ to the same bounds in per-port form, from each port's measured CDF F_k:
 the Frechet sandwich, P >= prod_k F_k, proximity to prod_k F_k at W = 4,
 and to min_k F_k at W = 0, the fully correlated limit.  At W > 0 it also
 needs a selection gain, min_k F_k - P above twice its Wilson half-width,
-with the F_k read on the outage run's own realizations.  The analytic
-margins of the physical curve are still reported.
+with the F_k and that P from one independent run.  The analytic margins
+of the physical curve are still reported.
 """
 
 import json
 
+import numpy as np
+
+from fama_lab import acceptance
 from fama_lab.acceptance import (
     SUITE_SEED,
+    _group_port_cdfs,
     criterion_01_cross_form_identity,
     criterion_02_marginal_goodness_of_fit,
     criterion_03_physical_model_fidelity,
@@ -29,6 +33,12 @@ from fama_lab.acceptance import (
     criterion_08_large_sir_tail,
     criterion_09_large_n_regime,
     criterion_10_reproducibility,
+)
+from fama_lab.channel_geom import SystemConfig
+from fama_lab.mc_engine import (
+    DEFAULT_GAMMA_GRID,
+    _BASE_PER_PORT,
+    _chunk_outage_physical,
 )
 
 
@@ -79,3 +89,30 @@ def test_criterion_09_large_n_regime():
 
 def test_criterion_10_reproducibility():
     _report(criterion_10_reproducibility(SUITE_SEED))
+
+
+def test_group_port_cdfs_share_one_run(monkeypatch):
+    # One kernel job on the independent base gives each config's F_k and
+    # its own selection curve.  Their integer counts then obey the Frechet
+    # sandwich exactly, which counts from different realizations need not.
+    jobs = []
+    run_chunked = acceptance._run_chunked
+
+    def spy(job_list, *args, **kwargs):
+        jobs.extend((fn, base) for fn, _, base in job_list)
+        return run_chunked(job_list, *args, **kwargs)
+
+    monkeypatch.setattr(acceptance, "_run_chunked", spy)
+    n = 4096
+    group = [SystemConfig(M=4, U=4, N=N, W=W, scheme="MRT", seed=SUITE_SEED)
+             for N in (2, 5) for W in (0.0, 0.25, 4.0)]
+    out = _group_port_cdfs(group, DEFAULT_GAMMA_GRID, n)
+    assert jobs == [(_chunk_outage_physical, _BASE_PER_PORT)]
+    assert len(out) == len(group)
+    for cfg, (f_k, p_own) in zip(group, out):
+        assert f_k.shape == (cfg.N, len(DEFAULT_GAMMA_GRID))
+        # n is a power of two, so the CDFs times n are the exact counts.
+        ports, own = f_k * n, p_own * n
+        assert np.array_equal(ports, np.round(ports))
+        assert np.all(own <= ports.min(axis=0))
+        assert np.all(own >= n - np.sum(n - ports, axis=0))

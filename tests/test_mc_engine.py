@@ -840,7 +840,7 @@ class TestExperiments:
         assert np.allclose(np.diag(res.overlay), 1.0)
         assert np.all(res.deviations >= 0.0)
 
-    def test_sir_batch_selection_consistency(self):
+    def test_selection_curve_is_row_max_of_singletons(self):
         # Each singleton curve bins one port's SIRs and the selection curve
         # their largest, realization by realization, on the same stream.
         cfg = SystemConfig(M=8, U=4, N=5, W=0.8, seed=57)
