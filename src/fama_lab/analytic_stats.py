@@ -304,7 +304,16 @@ def asymptote_tail(gamma: float, params: BetaPrimeParams) -> float:
 
 
 def diversity_orders(scheme: str, M: int, U: int, N: int) -> int:
-    """Effective selection diversity order M_eff * N."""
+    """Selection diversity order M_eff * N of the i.i.d.-port marginal
+    model: N independent Beta-prime(M_eff, L) ports, whose selection
+    outage falls as gamma^(M_eff N) at small gamma.
+
+    The physical simulator's ports are not independent: given the
+    reference channels they share one R, and each port with mu_k < 1 has
+    a conditional outage of order gamma.  Its measured slope is near the
+    selectable port count instead: 3.93 (MRT) and 3.99 (ZF) at M=8, U=4,
+    N=4, W=4, against 32 and 20 here.
+    """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     return m_eff(scheme, M, U) * N

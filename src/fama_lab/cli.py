@@ -12,7 +12,6 @@ CSVs byte for byte.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import itertools
 import math
@@ -20,13 +19,12 @@ import os
 import sys
 import time
 from collections.abc import Iterable, Iterator
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field, fields, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__
-from .acceptance import run_all_criteria
 from .analytic_stats import (
     asymptote_small_gamma,
     asymptote_tail,
@@ -36,12 +34,16 @@ from .analytic_stats import (
 from .channel_geom import SystemConfig
 from .mc_engine import (
     _CORRELATION_U_REFUSAL,
+    ProcessPoolExecutor,
     resolve_workers,
     run_cdf_experiment,
     run_correlation_experiment,
     run_outage_group,
     wilson_half_width,
 )
+
+if TYPE_CHECKING:
+    import argparse
 
 _CONFIG_KEYS = {
     "M": int,
@@ -455,6 +457,8 @@ def run_sweep(config: SystemConfig, out_dir: str, workers: int,
     written = {}
     try:
         if workers > 1 and len(groups) > 1:
+            from concurrent.futures import as_completed
+
             pool = ProcessPoolExecutor(max_workers=min(workers, len(groups)))
             order = sorted(range(len(groups)), reverse=True,
                            key=lambda i: _group_work(groups[i][1]))
@@ -519,6 +523,8 @@ def _sweep_group(group: list[SystemConfig]):
 
 
 def run_validate(config: SystemConfig, out_dir: str | None) -> int:
+    from .acceptance import run_all_criteria
+
     results = run_all_criteria(seed=config.seed)
     width = max(len(r.name) for r in results)
     lines = []
@@ -549,6 +555,8 @@ def _split_list(raw: str | None, kind, fallback):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="fama-lab",
         description="Fluid-antenna multiple access statistics laboratory",

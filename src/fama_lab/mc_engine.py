@@ -52,17 +52,19 @@ takes the largest of each realization's N draws as a running maximum over
 strided columns (_strided_max).  The analytic envelope evaluates F and SF
 once per shape pair and derives every selectable count's bounds from them
 (outage_envelopes).  One pool (_run_chunked) serves the physical and
-every i.i.d. job.  The sweep (cli.run_sweep) makes one frame group of each
-(M, U), and fig4 one of its MRT and ZF configs; the sweep's pool gets its
-groups largest work estimate first (cli._group_work) and writes each
-group's CSVs as the group completes.
+every i.i.d. job.  The pool machinery, concurrent.futures with
+multiprocessing, is imported when the first pool starts
+(ProcessPoolExecutor), so a run that starts no pool never loads it.  The
+sweep (cli.run_sweep) makes one frame group of each (M, U), and fig4 one
+of its MRT and ZF configs; the sweep's pool gets its groups largest work
+estimate first (cli._group_work) and writes each group's CSVs as the
+group completes.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from functools import partial
 
@@ -765,6 +767,16 @@ def _iter_chunks(total: int, chunk_size: int):
         done += n
 
 
+def ProcessPoolExecutor(max_workers: int):
+    """A concurrent.futures process pool.  The module and multiprocessing
+    behind it are imported on the first call, so a run that starts no pool
+    never loads them.  _run_chunked and cli.run_sweep look this name up
+    when they start their pool."""
+    from concurrent.futures import ProcessPoolExecutor as pool
+
+    return pool(max_workers=max_workers)
+
+
 def _exec_task(task):
     fn, seed, stream_id, n, args = task
     return fn(RngStream(seed, stream_id), n, *args)
@@ -829,6 +841,11 @@ def run_cdf_experiment(
     if mode not in ("marginal", "physical_reference"):
         raise ValueError(f"unknown cdf experiment mode {mode!r}")
     grid = DEFAULT_GAMMA_GRID if gamma_grid is None else np.asarray(gamma_grid)
+    # An unsorted grid is fine: binning searches the sorted samples.
+    bad = grid[~(np.isfinite(grid) & (grid >= 0.0))]
+    if bad.size:
+        raise ValueError(
+            f"gamma grid thresholds must be finite and >= 0, got {bad.tolist()}")
     params = betaprime_params(config.scheme, config.M, config.U)
     n = realizations or config.realizations or (
         DEFAULT_MARGINAL_REALIZATIONS if mode == "marginal"
@@ -990,8 +1007,12 @@ def run_outage_group(
                     f"configs of one outage group may differ only in scheme, "
                     f"N and W, not in {f.name}: {mine!r} != {theirs!r}")
     grid = DEFAULT_GAMMA_GRID if gamma_grid is None else np.asarray(gamma_grid)
-    if np.any(grid <= 0.0) or np.any(np.diff(grid) < 0.0):
-        raise ValueError("gamma grid must be positive and sorted")
+    bad = grid[~(np.isfinite(grid) & (grid > 0.0))]
+    if bad.size:
+        raise ValueError(
+            f"gamma grid thresholds must be finite and > 0, got {bad.tolist()}")
+    if np.any(np.diff(grid) < 0.0):
+        raise ValueError("gamma grid must be sorted")
     sel_idxs = [tuple(selectable_port_indices(cfg)) for cfg in configs]
     keys = [(betaprime_params(cfg.scheme, cfg.M, cfg.U), len(sel))
             for cfg, sel in zip(configs, sel_idxs)]

@@ -2,6 +2,8 @@
 
 import math
 import os
+import subprocess
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 
@@ -272,6 +274,26 @@ def _spy_on_submit(monkeypatch, submitted: list) -> None:
             return super().submit(fn, group)
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", SpyPool)
+
+
+class TestStartupImports:
+    def test_cli_import_loads_no_pool_suite_or_parser(self):
+        # A one-worker run starts no pool and only validate runs the
+        # acceptance suite, so importing the CLI loads neither, nor
+        # argparse.  numpy itself loads tempfile and threading.
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        code = ("import sys, fama_lab, fama_lab.cli\n"
+                "print(*(m for m in ('multiprocessing', 'concurrent.futures', "
+                "'fama_lab.acceptance', 'argparse') if m in sys.modules))")
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, timeout=120,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert run.stdout.split() == []
+        # The sweep and _run_chunked start their pools through one
+        # constructor, the name that tests and tracers rebind.
+        assert (vars(cli)["ProcessPoolExecutor"]
+                is vars(mc_engine)["ProcessPoolExecutor"])
 
 
 class TestSweepPool:

@@ -507,6 +507,28 @@ class TestFrameSirsPinned:
         assert np.array_equal(shared[2], shared[3]) == (U == 1)
 
 
+class TestMrtReferenceFloor:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(M=st.integers(min_value=1, max_value=16),
+           gains=st.lists(st.tuples(st.floats(0.05, 20.0), st.floats(0.05, 20.0)),
+                          min_size=2, max_size=8),
+           mu=st.lists(st.floats(0.0, 1.0), max_size=4),
+           seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_reference_sir_never_below_floor(self, M, gains, mu, seed):
+        # Under MRT the frame beams are F = R D^{-1}, so F_00 = 1 and, by
+        # Cauchy-Schwarz, |F_0u| <= 1: the reference port's SIR
+        # P_0 |F_00|^2 / sum_{u>=1} P_u |F_0u|^2 is at least
+        # P_0 / sum_{u>=1} P_u, whatever M, U, beta and the powers.
+        beta, powers = (tuple(v) for v in zip(*gains))
+        U = len(gains)
+        mu = (1.0, *mu)
+        R, F, g, _ = _draw_frame(RngStream(seed, 0).generator(), 256, M, U,
+                                 "MRT", beta, len(mu))
+        ref = _frame_sirs(R[:, :, 0], g, F, "MRT", beta[0], powers, [mu])[0][:, 0]
+        floor = powers[0] / sum(powers[1:])
+        assert np.all(ref >= floor * (1.0 - 1e-12))
+
+
 class TestPhysicalReference:
     """fig2's reference-port kernel (_physref_sirs) in the frame."""
 
@@ -733,6 +755,41 @@ class TestExperiments:
     def test_bad_mode(self):
         with pytest.raises(ValueError):
             run_cdf_experiment(SystemConfig(), mode="bogus")
+
+    @pytest.mark.parametrize("run, grid", [
+        ("outage", [0.5, math.nan, 2.0]),
+        ("outage", [0.5, 2.0, math.inf]),
+        ("outage", [0.0, 0.5, 2.0]),
+        ("outage", [2.0, 0.5]),
+        ("marginal", [0.5, math.nan, 2.0]),
+        ("physical_reference", [0.5, -math.inf, 2.0]),
+        ("marginal", [0.5, -1.0, 2.0]),
+    ])
+    def test_bad_gamma_grid_refused_before_any_chunk(self, monkeypatch, run,
+                                                     grid):
+        # NaN passes `<= 0` and `diff < 0` alike; a threshold the CDF code
+        # cannot evaluate is refused before any chunk runs.
+        calls = []
+        monkeypatch.setattr(mc_engine, "_run_chunked",
+                            lambda *a, **k: calls.append(a))
+        experiment = (run_outage_experiment if run == "outage"
+                      else partial(run_cdf_experiment, mode=run))
+        with pytest.raises(ValueError, match="gamma grid"):
+            experiment(SystemConfig(M=4, U=2, N=2), gamma_grid=np.array(grid),
+                       realizations=2048)
+        assert calls == []
+
+    def test_cdf_grid_may_be_unsorted(self):
+        # The CDF bins by searchsorted over the sorted samples, so an
+        # unsorted grid (zero included) gives the sorted grid's counts.
+        cfg = SystemConfig(M=4, U=2, seed=61)
+        grid = np.array([2.0, 0.0, 0.5, 8.0])
+        got = run_cdf_experiment(cfg, gamma_grid=grid, realizations=4096)
+        order = np.argsort(grid)
+        sorted_run = run_cdf_experiment(cfg, gamma_grid=grid[order],
+                                        realizations=4096)
+        assert np.array_equal(got.empirical.counts[order],
+                              sorted_run.empirical.counts)
 
     def test_outage_single_port_degenerate(self):
         cfg = SystemConfig(M=8, U=4, N=1, W=0.0, seed=52)
