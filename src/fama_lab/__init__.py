@@ -42,7 +42,6 @@ from .mc_engine import (
 )
 from .randlin import RngStream
 from .specialfn import (
-    RealInterval,
     bessel_j0,
     beta_fn,
     ln_binomial,

@@ -602,14 +602,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = parse_config(args.config, overrides,
                               both_schemes=args.command in _BOTH_SCHEME_COMMANDS)
-    except ConfigError as exc:
+        workers = resolve_workers(None)
+    except ValueError as exc:  # a ConfigError, or a bad FAMA_LAB_WORKERS
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
     if args.command == "validate":
         return run_validate(config, args.out)
 
-    workers = resolve_workers(None)
     out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)
     _remove_listed_outputs(out_dir)

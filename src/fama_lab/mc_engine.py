@@ -26,19 +26,16 @@ BLAS threads.
 
 Outage runs of one (M, U) that differ only in the scheme, the port count
 N and the aperture W form a frame group (run_outage_group) and share
-their draws (common random numbers).  None of the three changes R, so a
-chunk draws it once and keeps the generator state right after it; each
-scheme builds its beams from that state.  MRT draws nothing more, and ZF
-draws only when it redraws an ill-conditioned R, so every scheme whose
-beams drew nothing shares one innovation draw from that state, while a
-ZF chunk that redraws keeps its own post-redraw state and its own draw.
-Each innovation draw is made for the largest port count; a smaller
-count's innovations are its contiguous prefix, exactly what a draw of
-that size returns.  So every config reads exactly the draws of a run of
-its own.  W enters only through the port correlations mu_k, and only in
-frame row 0 and the scale sigma_k of the innovations: the projections of
-rows 1..r-1 onto the beams are summed once per (scheme, port count) and
-shared by its apertures (_frame_sirs).
+their draws (common random numbers).  None of the three changes R, and
+no precoder advances the chunk stream (a ZF redraw of an ill-conditioned
+R draws from a child of it), so a chunk draws R, then one innovation
+block for the largest port count, and builds every scheme's beams from R.
+A smaller count's innovations are the block's contiguous prefix, exactly
+what a draw of that size returns.  So every config reads exactly the
+draws of a run of its own.  W enters only through the port correlations
+mu_k, and only in frame row 0 and the scale sigma_k of the innovations:
+the projections of rows 1..r-1 onto the beams are summed once per
+(scheme, port count) and shared by its apertures (_frame_sirs).
 
 _chunk_outage_physical is the one place where a physical SIR is selected
 and binned.  It bins curves, each the largest SIR of one config over a set
@@ -79,7 +76,6 @@ from .analytic_stats import (
 )
 from .channel_geom import SystemConfig, geometry_for_config, selectable_port_indices
 from .randlin import RngStream
-from .specialfn import RealInterval
 
 __all__ = [
     "DEFAULT_GAMMA_GRID",
@@ -102,8 +98,7 @@ __all__ = [
 ]
 
 # Fixed 200-point log grid over the SIR range the experiment commands cover.
-DEFAULT_GAMMA_RANGE = RealInterval(1e-3, 1e3)
-DEFAULT_GAMMA_GRID = DEFAULT_GAMMA_RANGE.log_grid(200)
+DEFAULT_GAMMA_GRID = np.logspace(-3.0, 3.0, 200)
 
 # Interference at or below this (with O(1) channel gains) means the beams
 # null this port exactly; the SIR is reported as the INFINITE sentinel.
@@ -143,7 +138,11 @@ def resolve_workers(workers: int | None = None) -> int:
     """Worker count: FAMA_LAB_WORKERS caps explicit requests and supplies
     the count when none is given (default 1)."""
     cap = os.environ.get("FAMA_LAB_WORKERS")
-    cap_n = max(1, int(cap)) if cap else None
+    try:
+        cap_n = max(1, int(cap)) if cap else None
+    except ValueError:
+        raise ValueError(
+            f"FAMA_LAB_WORKERS must be an integer, got {cap!r}") from None
     if workers is None:
         return cap_n or 1
     requested = max(1, int(workers))
@@ -413,13 +412,15 @@ def _zf_weights(gen, R: np.ndarray, redraw) -> tuple[np.ndarray, int, np.ndarray
 
     redraw(gen, count) is R's sampler: failing rows are redrawn from it
     into a copy, so a redrawn row keeps its R form and the caller's array
-    is left alone.  Returns (F, resampled, R); the beams pair with the
-    returned R.
+    is left alone.  The redraws come from a child spawned off gen, once and
+    only when a row fails, so the precoder never advances gen itself.
+    Returns (F, resampled, R); the beams pair with the returned R.
     """
     F, bad = _frame_zf_beams(R)
     rows = np.flatnonzero(bad)
     resampled = 0
     if len(rows):
+        gen = gen.spawn(1)[0]
         R = R.copy(order="K")
     for _ in range(_MAX_RESAMPLE_ROUNDS):
         if not len(rows):
@@ -550,17 +551,18 @@ def _frame_sirs(r0: np.ndarray, g: np.ndarray, F: np.ndarray, scheme: str,
 
 def _draw_frame(gen, n: int, M: int, U: int, scheme: str, beta, ports: int):
     """Everything of a port chunk that the aperture does not change: R (see
-    _reference_factor) and its beams F = Q^H W by the MRT/ZF rule, then the
-    innovations g ~ CN(0, I_r), (n, ports-1, r), of ports 2..ports, the law
-    of Q^H x_k.  Returns (R, F, g, resampled).
+    _reference_factor), the innovations g ~ CN(0, I_r), (n, ports-1, r), of
+    ports 2..ports, the law of Q^H x_k, and the beams F = Q^H W that the
+    MRT/ZF rule builds from R.  Returns (R, F, g, resampled).
 
     Draw order: R (diagonal Gammas, then the entries above the diagonal),
-    any ZF redraws of R, then g.
+    then g.  The beams draw nothing from gen: ZF redraws come from a child
+    of it (_zf_weights).
     """
     R = _reference_factor(gen, n, M, U, beta)
+    g = _cgauss(gen, (n, ports - 1, R.shape[1]))
     redraw = partial(_reference_factor, M=M, U=U, beta=beta)
     F, resampled, R = _weights_for_scheme(gen, R, scheme, redraw)
-    g = _cgauss(gen, (n, ports - 1, R.shape[1]))
     return R, F, g, resampled
 
 
@@ -606,8 +608,8 @@ def _physref_sirs(gen, n: int, M: int, U: int, scheme: str, beta,
       independent terms.  The desired gain still comes from the ZF solve;
       a direct Gamma(M - U + 1) draw would test the sampler against itself.
 
-    Draw order: R and any ZF redraws, then g (MRT) or the L exponentials
-    (ZF).
+    Draw order: R, then g (MRT) or the L exponentials (ZF); any ZF redraws
+    of R come from a child of gen (_zf_weights).
     """
     # MRT takes one frame innovation g for the independent channel, ZF none.
     R, F, g, resampled = _draw_frame(gen, n, M, U, scheme, beta,
@@ -645,52 +647,35 @@ def _chunk_outage_physical(
     selected and binned.
 
     R (_reference_factor) depends on neither the scheme, N nor W, so it is
-    drawn once, and the generator state right after it is kept.  Each
-    scheme builds its beams from that state.  MRT draws nothing more, and
-    ZF draws only when it redraws an ill-conditioned R: the schemes whose
-    beams drew nothing share one innovation draw from that state, and a ZF
-    chunk that redraws draws its own from the state after its redraws.  So
-    every config sees exactly the draws of a chunk of its own.
-
-    An innovation draw is made once, for the largest port count of the
-    configs that share it.  A smaller count's innovations are the
-    contiguous prefix of that draw, which is exactly what a draw of the
-    smaller size returns: standard_normal fills its output in order.  The
-    SIRs of one (scheme, port count) come from one _frame_sirs call, which
-    shares the aperture-invariant projections; selection and binning run
-    once per curve, and adding curves changes no other curve's counts.
+    drawn once, and one innovation draw follows it, made for the group's
+    largest port count.  A smaller count's innovations are the contiguous
+    prefix of that draw, which is exactly what a draw of the smaller size
+    returns: standard_normal fills its output in order.  Each scheme then
+    builds its beams from R without advancing the stream (ZF redraws come
+    from a child of it, _zf_weights), so every config sees exactly the
+    draws of a chunk of its own, as _draw_frame makes them.  The SIRs of one
+    (scheme, port count) come from one _frame_sirs call, which shares the
+    aperture-invariant projections; selection and binning run once per
+    curve, and adding curves changes no other curve's counts.
     """
     gen = stream.generator()
     R = _reference_factor(gen, n, M, U, beta)
-    after_r = gen.bit_generator.state
-    redraw = partial(_reference_factor, M=M, U=U, beta=beta)
     r = R.shape[1]
+    flat = _cgauss(gen, (n, max(len(mu) for mu in mus) - 1, r)).reshape(-1)
+    redraw = partial(_reference_factor, M=M, U=U, beta=beta)
     beta0 = float(np.asarray(beta)[0])
     grid = np.asarray(grid)
     counts = np.empty((len(curves), len(grid)), dtype=np.int64)
     inf_counts = np.empty(len(curves), dtype=np.int64)
     resampled = np.empty(len(mus), dtype=np.int64)
-    # Each scheme's (r0, F), and per innovation draw the generator state it
-    # starts from and the schemes that share it.
-    beams, draws = {}, {}
     for scheme in dict.fromkeys(schemes):
-        gen.bit_generator.state = after_r
         F, count, R_s = _weights_for_scheme(gen, R, scheme, redraw)
-        beams[scheme] = R_s[:, :, 0], F
-        resampled[[k for k, s in enumerate(schemes) if s == scheme]] = count
-        if count:
-            draws[scheme] = gen.bit_generator.state, {scheme}
-        else:
-            draws.setdefault(None, (after_r, set()))[1].add(scheme)
-    for state, members in draws.values():
-        ks = [k for k, s in enumerate(schemes) if s in members]
-        gen.bit_generator.state = state
-        flat = _cgauss(gen, (n, max(len(mus[k]) for k in ks) - 1, r)).reshape(-1)
-        for scheme, ports in dict.fromkeys((schemes[k], len(mus[k])) for k in ks):
-            same = [k for k in ks if schemes[k] == scheme and len(mus[k]) == ports]
+        ks = [k for k, s in enumerate(schemes) if s == scheme]
+        resampled[ks] = count
+        for ports in dict.fromkeys(len(mus[k]) for k in ks):
+            same = [k for k in ks if len(mus[k]) == ports]
             g = flat[:n * (ports - 1) * r].reshape(n, ports - 1, r)
-            r0, F = beams[scheme]
-            sirs = _frame_sirs(r0, g, F, scheme, beta0, powers,
+            sirs = _frame_sirs(R_s[:, :, 0], g, F, scheme, beta0, powers,
                                [mus[k] for k in same])
             for k, x in zip(same, sirs):
                 for c, (config, sel_idx) in enumerate(curves):
@@ -702,7 +687,6 @@ def _chunk_outage_physical(
                     # Outage counts: INFINITE selections are never in outage
                     # and naturally land beyond the grid.
                     counts[c] = EmpiricalCdf.bin_samples(grid, sel.max(axis=0))
-        del flat, g
     return counts, inf_counts, resampled
 
 
@@ -824,6 +808,17 @@ def _merge_counts(results) -> tuple[np.ndarray, int, int]:
 # Experiments
 
 
+def _checked_thresholds(grid) -> np.ndarray:
+    """grid as an array, refused unless every threshold is finite and
+    >= 0, before anything is drawn."""
+    grid = np.asarray(grid)
+    bad = grid[~(np.isfinite(grid) & (grid >= 0.0))]
+    if bad.size:
+        raise ValueError(
+            f"gamma grid thresholds must be finite and >= 0, got {bad.tolist()}")
+    return grid
+
+
 def run_cdf_experiment(
     config: SystemConfig,
     mode: str = "marginal",
@@ -840,12 +835,9 @@ def run_cdf_experiment(
     """
     if mode not in ("marginal", "physical_reference"):
         raise ValueError(f"unknown cdf experiment mode {mode!r}")
-    grid = DEFAULT_GAMMA_GRID if gamma_grid is None else np.asarray(gamma_grid)
     # An unsorted grid is fine: binning searches the sorted samples.
-    bad = grid[~(np.isfinite(grid) & (grid >= 0.0))]
-    if bad.size:
-        raise ValueError(
-            f"gamma grid thresholds must be finite and >= 0, got {bad.tolist()}")
+    grid = _checked_thresholds(
+        DEFAULT_GAMMA_GRID if gamma_grid is None else gamma_grid)
     params = betaprime_params(config.scheme, config.M, config.U)
     n = realizations or config.realizations or (
         DEFAULT_MARGINAL_REALIZATIONS if mode == "marginal"
@@ -884,11 +876,13 @@ def estimate_marginal_tail(
 ) -> float:
     """Monte-Carlo estimate of P(X > gamma) under the exact marginal law:
     the share of single-port draws (_chunk_outage_iid, N = 1) above
-    gamma."""
+    gamma.  A non-finite or negative gamma is refused before any chunk
+    runs."""
+    grid = _checked_thresholds([float(gamma)])
     params = betaprime_params(config.scheme, config.M, config.U)
     workers = resolve_workers(workers)
     [results] = _run_chunked(
-        [(_chunk_outage_iid, (params.a, params.b, 1, (float(gamma),)), _BASE_TAIL)],
+        [(_chunk_outage_iid, (params.a, params.b, 1, grid), _BASE_TAIL)],
         realizations, config.seed, workers,
     )
     return (realizations - int(_merge_counts(results)[0][0])) / realizations
@@ -980,11 +974,10 @@ def run_outage_group(
     frame draw per chunk: one result per config, in order, each equal to
     the config's own run_outage_experiment.
 
-    The chunk streams and R do not depend on the scheme, N or W.  So each
-    chunk draws R once for the group and builds each scheme's beams from
-    the generator state right after it; the schemes whose beams drew
-    nothing more (MRT always, ZF on a chunk with no redraw) share one
-    innovation draw, and a ZF chunk that redraws keeps its own
+    The chunk streams, R and the innovations do not depend on the scheme,
+    N or W, and no precoder advances a chunk stream (ZF redraws come from
+    a child of it).  So each chunk draws R and one innovation block for
+    the group, and every scheme builds its beams from that R
     (_chunk_outage_physical).  Each config thus reads exactly the stream it
     would use alone.  W enters only through mu_k = J0(2 pi d_k) in the
     SIRs.  The reference mode, and with it the port count and the

@@ -10,12 +10,10 @@ they raise ValueError on domain violations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "RealInterval",
     "ln_gamma",
     "beta_fn",
     "ln_beta",
@@ -25,31 +23,6 @@ __all__ = [
     "ln_binomial",
 ]
 
-
-@dataclass(frozen=True)
-class RealInterval:
-    """Closed interval used to build evaluation grids."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise ValueError(f"interval endpoints must be finite: {self}")
-        if self.lo > self.hi:
-            raise ValueError(f"interval requires lo <= hi: {self}")
-
-    def linear_grid(self, points: int) -> np.ndarray:
-        if points < 2:
-            raise ValueError("grid needs at least 2 points")
-        return np.linspace(self.lo, self.hi, points)
-
-    def log_grid(self, points: int) -> np.ndarray:
-        if points < 2:
-            raise ValueError("grid needs at least 2 points")
-        if self.lo <= 0.0:
-            raise ValueError("log grid requires lo > 0")
-        return np.logspace(math.log10(self.lo), math.log10(self.hi), points)
 
 # Lanczos coefficients (g = 7, 9 terms); relative error below 1e-13 for x > 0.
 _LANCZOS_G = 7.0

@@ -502,6 +502,17 @@ class TestErrors:
         p.write_text("bogus_key = 1\n")
         assert main(["fig2", "--config", str(p), "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("command", ["fig5", "validate"])
+    def test_bad_worker_variable_refused_by_name(self, tmp_path, capsys,
+                                                 monkeypatch, command):
+        monkeypatch.setenv("FAMA_LAB_WORKERS", "abc")
+        out = tmp_path / command
+        assert main([command, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: FAMA_LAB_WORKERS")
+        assert "'abc'" in err
+        assert not out.exists()
+
     def test_experiment_error_cleans_partial_outputs(self, tmp_path,
                                                      monkeypatch):
         # The ZF output fails after the MRT CSV is written; that CSV goes

@@ -38,6 +38,7 @@ from fama_lab.mc_engine import (
     _run_chunked,
     _strided_max,
     _weights_for_scheme,
+    estimate_marginal_tail,
     ks_distance,
     marginal_model_sample,
     pearson_correlation,
@@ -625,8 +626,9 @@ _OUTAGE_FIELDS = [f.name for f in dataclasses.fields(OutageExperimentResult)]
 
 def _replayed_selection_outage(cfg, n):
     """The physical selection curve of cfg's outage run rebuilt chunk by
-    chunk from _chunk_ports_sir, which draws R, any ZF redraws and then
-    the innovations from one unbroken stream."""
+    chunk from _chunk_ports_sir, which draws R and then the innovations of
+    cfg's own port count from the chunk stream, and any ZF redraws from a
+    child of it."""
     sel = selectable_port_indices(cfg)
     mu = tuple(geometry_for_config(cfg).mu)
     counts = 0
@@ -645,14 +647,14 @@ class TestOutageGroup:
         ("ZF", "external", 1.0 / 40.0), ("MRT,ZF", None, None),
         ("MRT,ZF", None, 1.0 / 40.0)])
     def test_equals_per_config_runs(self, monkeypatch, scheme, mode, tolerance):
-        # The group shares one draw of R per chunk, builds each scheme's
-        # beams from the state right after it, and serves every port count
-        # from one innovation draw per state; each result equals the
+        # The group shares one draw of R and one innovation draw per chunk,
+        # serves every port count from a prefix of the innovations and
+        # builds each scheme's beams from R; each result equals the
         # config's own run field for field.  With the condition limit at
-        # 40, ZF redraws a share of R in every chunk, so the state after
-        # the redraws is pinned too, beside MRT's shared one.  "MRT,ZF"
-        # leaves the reference mode unset: member under MRT (P = N) and
-        # external under ZF (P = N + 1).
+        # 40, ZF redraws a share of R in every chunk from a child of the
+        # chunk stream, so the innovations after those redraws are pinned
+        # too.  "MRT,ZF" leaves the reference mode unset: member under MRT
+        # (P = N) and external under ZF (P = N + 1).
         if tolerance is not None:
             monkeypatch.setattr(mc_engine, "_GRAM_TOLERANCE", tolerance)
         configs = [SystemConfig(M=8, U=4, N=N, W=W, scheme=s,
@@ -672,13 +674,39 @@ class TestOutageGroup:
                 a, b = getattr(res, name), getattr(single, name)
                 assert np.array_equal(a, b), (cfg.N, cfg.W, name)
             # A lone run takes the same group path, so the draws are also
-            # checked against a kernel that never restores a state.
+            # checked against _chunk_ports_sir, which draws for one config.
             assert np.array_equal(res.correlated,
                                   _replayed_selection_outage(cfg, 5_000))
         # The apertures and the port counts differ, so their selection
         # curves do too.
         assert not np.array_equal(group[1].correlated, group[2].correlated)
         assert not np.array_equal(group[2].correlated, group[8].correlated)
+
+    def test_schemes_share_one_innovation_draw(self, monkeypatch):
+        # ZF redraws R in every chunk at the condition limit of 40, yet
+        # every _frame_sirs call of a mixed MRT + ZF group reads a prefix
+        # of the one innovation block the chunk drew.
+        monkeypatch.setattr(mc_engine, "_GRAM_TOLERANCE", 1.0 / 40.0)
+        seen = []
+        real = mc_engine._frame_sirs
+
+        def spy(r0, g, *args):
+            seen.append(g)
+            return real(r0, g, *args)
+
+        monkeypatch.setattr(mc_engine, "_frame_sirs", spy)
+        configs = [SystemConfig(M=8, U=4, N=N, W=0.5, scheme=s, seed=64)
+                   for s in ("MRT", "ZF") for N in (2, 5)]
+        curves = enumerate(tuple(selectable_port_indices(cfg)) for cfg in configs)
+        _, _, resampled = _chunk_outage_physical(
+            RngStream(64, 0), 1024,
+            *_outage_physical_args(configs, curves, DEFAULT_GAMMA_GRID))
+        assert resampled[2] > 0 and resampled[3] > 0
+        assert len(seen) == 4
+        block = max(seen, key=lambda g: g.size).reshape(-1)
+        for g in seen:
+            assert np.shares_memory(g, block)
+            assert np.array_equal(g.reshape(-1), block[:g.size])
 
     def test_singleton_curves_equal_port_replay(self, monkeypatch):
         # Singleton curves are per-port CDFs on the group's own draws: each
@@ -764,16 +792,25 @@ class TestExperiments:
         ("marginal", [0.5, math.nan, 2.0]),
         ("physical_reference", [0.5, -math.inf, 2.0]),
         ("marginal", [0.5, -1.0, 2.0]),
+        ("tail", [math.nan]),
+        ("tail", [-1.0]),
+        ("tail", [math.inf]),
     ])
     def test_bad_gamma_grid_refused_before_any_chunk(self, monkeypatch, run,
                                                      grid):
         # NaN passes `<= 0` and `diff < 0` alike; a threshold the CDF code
-        # cannot evaluate is refused before any chunk runs.
+        # cannot evaluate is refused before any chunk runs.  The marginal
+        # tail takes its one threshold as a grid of one.
         calls = []
         monkeypatch.setattr(mc_engine, "_run_chunked",
                             lambda *a, **k: calls.append(a))
-        experiment = (run_outage_experiment if run == "outage"
-                      else partial(run_cdf_experiment, mode=run))
+        if run == "outage":
+            experiment = run_outage_experiment
+        elif run == "tail":
+            def experiment(config, gamma_grid, realizations):
+                return estimate_marginal_tail(config, gamma_grid[0], realizations)
+        else:
+            experiment = partial(run_cdf_experiment, mode=run)
         with pytest.raises(ValueError, match="gamma grid"):
             experiment(SystemConfig(M=4, U=2, N=2), gamma_grid=np.array(grid),
                        realizations=2048)

@@ -98,6 +98,19 @@ class TestZf:
         assert np.max(cross[:, [0, 1], [1, 0]]) < 1e-12
 
 
+    def test_resample_leaves_generator_alone(self):
+        # The redraw comes from a child of the generator, so the caller's
+        # stream is where it was before the precoder ran.
+        R = _factor(9, 6, 4, 2)
+        R[4, :, 1] = 2.0 * R[4, :, 0]  # rank-1 Gram in row 4
+        gen = RngStream(9, 1).generator()
+        # The SFC64 state holds an array, so it is compared as its repr.
+        before = repr(gen.bit_generator.state)
+        _, resampled, _ = _weights_for_scheme(gen, R, "ZF", _sampler(4, 2))
+        assert resampled == 1
+        assert repr(gen.bit_generator.state) == before
+
+
 class TestGainLaws:
     def _gains(self, seed, n, scheme):
         """|h_0^H w_0|^2 = |R[:, 0]^H F[:, 0]|^2 at M = 8, U = 4."""

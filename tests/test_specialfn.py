@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from fama_lab.specialfn import (
-    RealInterval,
     bessel_j0,
     beta_fn,
     ln_binomial,
@@ -34,25 +33,6 @@ def _binomial_tail(y, a, b):
     return sum(
         math.comb(n, j) * y**j * (1.0 - y) ** (n - j) for j in range(a, n + 1)
     )
-
-
-class TestRealInterval:
-    def test_grids(self):
-        iv = RealInterval(1e-3, 1e3)
-        log = iv.log_grid(200)
-        assert len(log) == 200
-        assert log[0] == pytest.approx(1e-3)
-        assert log[-1] == pytest.approx(1e3)
-        lin = RealInterval(0.0, 1.0).linear_grid(11)
-        assert np.allclose(lin, np.linspace(0, 1, 11))
-
-    def test_invariants(self):
-        with pytest.raises(ValueError):
-            RealInterval(2.0, 1.0)
-        with pytest.raises(ValueError):
-            RealInterval(0.0, math.inf)
-        with pytest.raises(ValueError):
-            RealInterval(0.0, 1.0).log_grid(10)
 
 
 class TestLnGamma:
