@@ -819,6 +819,17 @@ def _checked_thresholds(grid) -> np.ndarray:
     return grid
 
 
+def _sample_size(realizations: int | None, config: SystemConfig,
+                 default: int) -> int:
+    """The realization count of a run: `realizations`, else the config's,
+    else `default`; refused below 1 before any chunk runs."""
+    if realizations is None:
+        realizations = config.realizations or default
+    if realizations < 1:
+        raise ValueError(f"realizations must be >= 1, got {realizations}")
+    return realizations
+
+
 def run_cdf_experiment(
     config: SystemConfig,
     mode: str = "marginal",
@@ -839,10 +850,9 @@ def run_cdf_experiment(
     grid = _checked_thresholds(
         DEFAULT_GAMMA_GRID if gamma_grid is None else gamma_grid)
     params = betaprime_params(config.scheme, config.M, config.U)
-    n = realizations or config.realizations or (
-        DEFAULT_MARGINAL_REALIZATIONS if mode == "marginal"
-        else DEFAULT_PHYSICAL_REALIZATIONS
-    )
+    n = _sample_size(realizations, config,
+                     DEFAULT_MARGINAL_REALIZATIONS if mode == "marginal"
+                     else DEFAULT_PHYSICAL_REALIZATIONS)
     workers = resolve_workers(workers)
     if mode == "marginal":
         job = (_chunk_outage_iid, (params.a, params.b, 1, grid), _BASE_CDF)
@@ -876,16 +886,17 @@ def estimate_marginal_tail(
 ) -> float:
     """Monte-Carlo estimate of P(X > gamma) under the exact marginal law:
     the share of single-port draws (_chunk_outage_iid, N = 1) above
-    gamma.  A non-finite or negative gamma is refused before any chunk
-    runs."""
+    gamma.  A non-finite or negative gamma, or fewer than one
+    realization, is refused before any chunk runs."""
     grid = _checked_thresholds([float(gamma)])
+    n = _sample_size(realizations, config, DEFAULT_MARGINAL_REALIZATIONS)
     params = betaprime_params(config.scheme, config.M, config.U)
     workers = resolve_workers(workers)
     [results] = _run_chunked(
         [(_chunk_outage_iid, (params.a, params.b, 1, grid), _BASE_TAIL)],
-        realizations, config.seed, workers,
+        n, config.seed, workers,
     )
-    return (realizations - int(_merge_counts(results)[0][0])) / realizations
+    return (n - int(_merge_counts(results)[0][0])) / n
 
 
 def run_correlation_experiment(
@@ -909,7 +920,7 @@ def run_correlation_experiment(
     mode = config.resolved_reference_mode()
     geometry = geometry_for_config(config)
     est_idx = np.arange(1, geometry.num_ports)
-    n = realizations or config.realizations or DEFAULT_PHYSICAL_REALIZATIONS
+    n = _sample_size(realizations, config, DEFAULT_PHYSICAL_REALIZATIONS)
     workers = resolve_workers(workers)
     [results] = _run_chunked(
         [(_chunk_corr_moments,
@@ -1009,7 +1020,7 @@ def run_outage_group(
     sel_idxs = [tuple(selectable_port_indices(cfg)) for cfg in configs]
     keys = [(betaprime_params(cfg.scheme, cfg.M, cfg.U), len(sel))
             for cfg, sel in zip(configs, sel_idxs)]
-    n = realizations or first.realizations or DEFAULT_PHYSICAL_REALIZATIONS
+    n = _sample_size(realizations, first, DEFAULT_PHYSICAL_REALIZATIONS)
     workers = resolve_workers(workers)
     iid_keys = list(dict.fromkeys(keys))
     # One pool runs the physical chunks and the i.i.d. chunks of every

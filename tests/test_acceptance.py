@@ -16,24 +16,13 @@ of the physical curve are still reported.
 """
 
 import json
+import re
+import tempfile
 
 import numpy as np
 
 from fama_lab import acceptance
-from fama_lab.acceptance import (
-    SUITE_SEED,
-    _group_port_cdfs,
-    criterion_01_cross_form_identity,
-    criterion_02_marginal_goodness_of_fit,
-    criterion_03_physical_model_fidelity,
-    criterion_04_zf_nulling_and_gains,
-    criterion_05_correlation_model,
-    criterion_06_outage_sandwich,
-    criterion_07_small_gamma_asymptote,
-    criterion_08_large_sir_tail,
-    criterion_09_large_n_regime,
-    criterion_10_reproducibility,
-)
+from fama_lab.acceptance import SUITE_SEED, _group_port_cdfs, run_criterion
 from fama_lab.channel_geom import SystemConfig
 from fama_lab.mc_engine import (
     DEFAULT_GAMMA_GRID,
@@ -42,53 +31,44 @@ from fama_lab.mc_engine import (
 )
 
 
-def _report(result):
-    # The verdict is a plain bool, which a JSON report can hold.
-    assert json.loads(json.dumps(result.passed)) is result.passed
-    status = "PASS" if result.passed else "FAIL"
-    print(f"[acceptance {result.index:2d}] {status} {result.name}: "
-          f"{result.detail}")
-    assert result.passed, f"criterion {result.index} failed: {result.detail}"
+def _criterion_test(index):
+    def test():
+        result = run_criterion(index, SUITE_SEED)
+        # The verdict is a plain bool, which a JSON report can hold.
+        assert json.loads(json.dumps(result.passed)) is result.passed
+        status = "PASS" if result.passed else "FAIL"
+        print(f"[acceptance {result.index:2d}] {status} {result.name}: "
+              f"{result.detail}")
+        assert result.passed, f"criterion {index} failed: {result.detail}"
+    return test
 
 
-def test_criterion_01_cross_form_identity():
-    _report(criterion_01_cross_form_identity(SUITE_SEED))
+# One test per criterion, named after its check (test_criterion_01_...), so
+# `pytest -k` selects one criterion.
+for _index, _, _check, _ in acceptance._CRITERIA:
+    globals()[f"test_{_check.__name__}"] = _criterion_test(_index)
 
 
-def test_criterion_02_marginal_goodness_of_fit():
-    _report(criterion_02_marginal_goodness_of_fit(SUITE_SEED))
+def test_overrun_budget_fails(monkeypatch):
+    # Criterion 9 passes in well under a millisecond; with a budget of 0 s
+    # the runner fails it and reports the runtime against that budget.
+    table = list(acceptance._CRITERIA)
+    index, name, check, _ = table[8]
+    table[8] = (index, name, check, 0.0)
+    monkeypatch.setattr(acceptance, "_CRITERIA", table)
+    assert check(SUITE_SEED)[0]
+    result = run_criterion(9, SUITE_SEED)
+    assert result.passed is False
+    assert re.search(r"; runtime [0-9.]+s \(< 0s\)$", result.detail)
 
 
-def test_criterion_03_physical_model_fidelity():
-    _report(criterion_03_physical_model_fidelity(SUITE_SEED))
-
-
-def test_criterion_04_zf_nulling_and_gains():
-    _report(criterion_04_zf_nulling_and_gains(SUITE_SEED))
-
-
-def test_criterion_05_correlation_model():
-    _report(criterion_05_correlation_model(SUITE_SEED))
-
-
-def test_criterion_06_outage_sandwich():
-    _report(criterion_06_outage_sandwich(SUITE_SEED))
-
-
-def test_criterion_07_small_gamma_asymptote():
-    _report(criterion_07_small_gamma_asymptote(SUITE_SEED))
-
-
-def test_criterion_08_large_sir_tail():
-    _report(criterion_08_large_sir_tail(SUITE_SEED))
-
-
-def test_criterion_09_large_n_regime():
-    _report(criterion_09_large_n_regime(SUITE_SEED))
-
-
-def test_criterion_10_reproducibility():
-    _report(criterion_10_reproducibility(SUITE_SEED))
+def test_reproducibility_leaves_nothing_behind(monkeypatch, tmp_path, capsys):
+    # Criterion 10's fig2 runs write into temporary directories that it
+    # removes, and their progress lines stay out of validate's table.
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    assert run_criterion(10, SUITE_SEED).passed
+    assert list(tmp_path.iterdir()) == []
+    assert capsys.readouterr().out == ""
 
 
 def test_group_port_cdfs_share_one_run(monkeypatch):

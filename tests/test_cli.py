@@ -309,25 +309,6 @@ class TestSweepPool:
         assert len(blobs[1]) == 4
         assert blobs[1] == blobs[2] == blobs[3]
 
-    def test_one_pool_per_sweep(self, tmp_path, monkeypatch):
-        # Each pool, in the parent or in a forked worker, logs the pid that
-        # built it.  Points of several chunks each would give a pool per
-        # point if every point ran its own chunks in a pool.
-        log = tmp_path / "pools.log"
-
-        class CountingPool(ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                with open(log, "a", encoding="utf-8") as fh:
-                    fh.write(f"{os.getpid()}\n")
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", CountingPool, raising=False)
-        monkeypatch.setattr(mc_engine, "ProcessPoolExecutor", CountingPool)
-        monkeypatch.setenv("FAMA_LAB_WORKERS", "2")
-        assert main(_SMALL_GRID + ["--realizations", "16500",
-                                   "--out", str(tmp_path / "sw")]) == 0
-        assert log.read_text().split() == [str(os.getpid())]
-
     def test_groups_submitted_largest_first(self, tmp_path, monkeypatch):
         # The U = 4 groups of the benchmark grid go to the pool first; the
         # two groups of each U have equal estimates and keep grid order.
@@ -363,12 +344,16 @@ class TestSweepPool:
 
     @pytest.mark.parametrize("argv, pools", [
         (["sweep", "--sweep-N", "2,8", "--sweep-W", "0.25,4"], 1),
-        (["fig4"], 1)])
+        (["fig4"], 1),
+        (_SMALL_GRID, 1)])
     def test_one_pool_per_outage_group(self, tmp_path, monkeypatch, argv,
                                        pools):
         # A lone frame group runs its physical chunks and the i.i.d. chunks
         # of every N in one pool; fig4 runs its MRT and ZF configs as one
-        # group.
+        # group.  A sweep of several groups runs them all in one pool: each
+        # pool, in the parent or in a forked worker, logs the pid that built
+        # it, and points of several chunks each would give a pool per point
+        # if every point ran its own chunks in a pool.
         log = tmp_path / "pools.log"
 
         class CountingPool(ProcessPoolExecutor):

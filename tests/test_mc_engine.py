@@ -816,6 +816,28 @@ class TestExperiments:
                        realizations=2048)
         assert calls == []
 
+    @pytest.mark.parametrize("realizations", [0, -3])
+    @pytest.mark.parametrize("experiment", [
+        partial(run_cdf_experiment, mode="marginal"),
+        partial(run_cdf_experiment, mode="physical_reference"),
+        lambda config, realizations: estimate_marginal_tail(config, 1.0,
+                                                            realizations),
+        run_correlation_experiment,
+        lambda config, realizations: run_outage_group([config],
+                                                      realizations=realizations),
+    ], ids=["marginal", "physical_reference", "tail", "correlation", "outage"])
+    def test_non_positive_sample_size_refused_before_any_chunk(
+            self, monkeypatch, experiment, realizations):
+        # 0 used to run the default count, and a negative count an empty
+        # run; both are refused by name before any chunk runs.
+        calls = []
+        monkeypatch.setattr(mc_engine, "_run_chunked",
+                            lambda *a, **k: calls.append(a))
+        with pytest.raises(ValueError,
+                           match=f"realizations must be >= 1, got {realizations}"):
+            experiment(SystemConfig(M=4, U=4, N=3), realizations=realizations)
+        assert calls == []
+
     def test_cdf_grid_may_be_unsorted(self):
         # The CDF bins by searchsorted over the sorted samples, so an
         # unsorted grid (zero included) gives the sorted grid's counts.
