@@ -18,6 +18,7 @@ kernel is exposed separately via correlation_matrix.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,13 @@ __all__ = [
 
 _SCHEMES = ("MRT", "ZF")
 _REFERENCE_MODES = ("member", "external")
+
+
+def _is_integer(value) -> bool:
+    """An int, or a float with an integral value (so 8.0 passes, 8.5, nan
+    and inf do not)."""
+    return isinstance(value, numbers.Integral) or (
+        isinstance(value, float) and value.is_integer())
 
 
 @dataclass
@@ -62,12 +70,16 @@ class SystemConfig:
     def __post_init__(self) -> None:
         if self.scheme not in _SCHEMES:
             raise ValueError(f"scheme must be one of {_SCHEMES}, got {self.scheme!r}")
+        if not all(_is_integer(v) for v in (self.M, self.U, self.N)):
+            raise ValueError(
+                f"M, U and N must be integers, got M={self.M}, U={self.U}, N={self.N}")
+        self.M, self.U, self.N = int(self.M), int(self.U), int(self.N)
         if self.M < 1 or self.U < 1 or self.N < 1:
             raise ValueError("M, U, N must all be >= 1")
         if self.scheme == "ZF" and self.M < self.U:
             raise ValueError(f"ZF requires M >= U, got M={self.M}, U={self.U}")
-        if self.W < 0.0:
-            raise ValueError(f"W must be >= 0, got {self.W}")
+        if not (math.isfinite(self.W) and self.W >= 0.0):
+            raise ValueError(f"W must be finite and >= 0, got {self.W}")
         # W = 0 is allowed: every port collapses onto the reference (mu_k = 1).
         if self.beta is None:
             self.beta = (1.0,) * self.U
@@ -83,10 +95,10 @@ class SystemConfig:
             raise ValueError(
                 f"powers must have U={self.U} entries, got {len(self.powers)}"
             )
-        if any(b <= 0.0 for b in self.beta):
-            raise ValueError("all beta entries must be positive")
-        if any(p <= 0.0 for p in self.powers):
-            raise ValueError("all power entries must be positive")
+        for name, values in (("beta", self.beta), ("powers", self.powers)):
+            if not all(math.isfinite(v) and v > 0.0 for v in values):
+                raise ValueError(
+                    f"every {name} entry must be finite and > 0, got {values}")
         if self.reference_mode is not None and self.reference_mode not in _REFERENCE_MODES:
             raise ValueError(
                 f"reference_mode must be one of {_REFERENCE_MODES}, got "

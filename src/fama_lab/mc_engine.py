@@ -17,12 +17,14 @@ R^H R, so no Gram is formed or factored (_frame_zf_beams).
 
 The frame kernel keeps R, its beams and the port vectors batch-last: its
 (n, r, U) arrays are views of (r, U, n) memory, so each matrix entry is one
-contiguous (n,) vector over the chunk.  The ZF inverse (_lower_inverse) and
-the port projections (_frame_sirs) are sums of such vectors, entry by
-entry, over the nonzero triangle only: R and its MRT beams are
-upper-triangular, its ZF beams lower-triangular.  No call is made per
-realization, and no chunk kernel calls BLAS, so a pool worker starts no
-BLAS threads.
+contiguous (n,) vector over the chunk.  Every pass touches the nonzero
+triangle only: R and its MRT beams are upper-triangular, its ZF beams
+lower-triangular.  The ZF inverse (_lower_inverse) pushes each finished
+row into all later rows with one broadcast block multiply; the beam norms,
+the condition test and the normalisation (_frame_zf_beams) run row by row
+over the triangles; the port projections (_frame_sirs) are sums of such
+vectors, entry by entry.  No call is made per realization, and no chunk
+kernel calls BLAS, so a pool worker starts no BLAS threads.
 
 Outage runs of one (M, U) that differ only in the scheme, the port count
 N and the aperture W form a frame group (run_outage_group) and share
@@ -341,41 +343,47 @@ def _reference_factor(gen, n: int, M: int, U: int, beta) -> np.ndarray:
     r = min(M, U)
     root_beta = np.sqrt(np.asarray(beta, dtype=float))
     diag = np.arange(r)
-    rows, cols = np.triu_indices(r, 1, U)
     R = np.zeros((r, U, n), dtype=complex)
     gains = gen.standard_gamma(M - diag, size=(n, r))
     R[diag, diag] = (np.sqrt(gains) * root_beta[:r]).T
-    R[rows, cols] = (_cgauss(gen, (n, len(rows))) * root_beta[cols]).T
+    upper = _cgauss(gen, (n, r * U - r * (r + 1) // 2))
+    start = 0
+    for i in range(r):
+        # Row i's entries above the diagonal, R[i, i+1:], are one block.
+        block = slice(start, start + U - i - 1)
+        np.multiply(upper[:, block].T, root_beta[i + 1:, None], out=R[i, i + 1:])
+        start = block.stop
     return R.transpose(2, 0, 1)
 
 
 def _lower_inverse(chol: np.ndarray) -> np.ndarray:
-    """Inverses X = L^{-1} of lower-triangular matrices L (n, U, U) by
-    forward substitution, one entry at a time over the whole batch:
-    X_ii = 1 / L_ii and, below the diagonal,
-    X_ij = -(sum_{k=j}^{i-1} L_ik X_kj) / L_ii.
+    """Inverses X = L^{-1} of lower-triangular matrices L (n, U, U), the
+    diagonal possibly complex, by right-looking forward substitution over
+    the whole batch.  Row k of X is finished by scaling with 1 / L_kk:
+    X_kk = 1 / L_kk, and X_kj (j < k) is the sum it has collected times
+    1 / L_kk.  Its contribution is then pushed into every later row at
+    once, X_i,:k+1 -= L_ik X_k,:k+1 for i > k: one broadcast multiply into
+    a reused buffer and one in-place subtraction.
 
     The work is batch-last: each entry is an (n,) vector, contiguous when
-    L is the view of (U, U, n) memory (as the frame factor's R^T is), each
-    X_ij is one einsum over the i - j vectors of its sum, and no zero
-    above either diagonal is read or written.  X is returned as the
-    (n, U, U) view of a (U, U, n) array.
+    L is the view of (U, U, n) memory (as the frame factor's R^T is), and
+    no zero above either diagonal is read or written.  X is returned as
+    the (n, U, U) view of a (U, U, n) array.
     """
     L = chol.transpose(1, 2, 0)
+    U, n = L.shape[1:]
     inv = np.zeros(L.shape, dtype=complex)
-    for i in range(L.shape[0]):
-        inv[i, i] = 1.0 / L[i, i]
-        minus_recip = -inv[i, i]
-        for j in range(i):
-            inv[i, j] = np.einsum("kn,kn->n", L[i, j:i], inv[j:i, j]) * minus_recip
+    # Row k's update is a (U - k - 1, k + 1) block of (n,) vectors.
+    buf = np.empty(max((U - k - 1) * (k + 1) for k in range(U)) * n, dtype=complex)
+    for k in range(U):
+        recip = inv[k, k]
+        np.divide(1.0, L[k, k], out=recip)
+        inv[k, :k] *= recip
+        if k + 1 < U:
+            block = buf[:(U - k - 1) * (k + 1) * n].reshape(U - k - 1, k + 1, n)
+            np.multiply(L[k + 1:, k, None], inv[k, None, :k + 1], out=block)
+            inv[k + 1:, :k + 1] -= block
     return inv.transpose(2, 0, 1)
-
-
-def _sq_norm(v: np.ndarray, subscripts: str) -> np.ndarray:
-    """Sums of |v|^2 over the axes that einsum `subscripts` (for v, v)
-    drops."""
-    return (np.einsum(subscripts, v.real, v.real)
-            + np.einsum(subscripts, v.imag, v.imag))
 
 
 def _frame_zf_beams(R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -389,20 +397,41 @@ def _frame_zf_beams(R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     The Gram's lower Cholesky factor is L = R^H, so the raw beams
     R (R^H R)^{-1} = R^{-H} are L^{-1} itself, and tr(G) tr(G^{-1}) =
     ||R||_F^2 ||L^{-1}||_F^2, whose second factor sums the squared beam
-    norms: no Gram is formed or factored.  The beams are the (n, U, U) view
-    of batch-last memory, as R is.
+    norms: no Gram is formed or factored.  Every pass runs row by row over
+    the nonzero triangles only, on the interleaved (re, im) floats of the
+    batch-last rows: the squared column norms of X = R^{-T} over its lower
+    triangle, ||R||_F^2 over R's upper triangle, and the conjugation and
+    normalisation of X in place, re * s and im * (-s).  The beams are the
+    (n, U, U) view of batch-last memory, as R is.
     """
+    n, _, U = R.shape
     # A singular R (a zero on its diagonal) makes inf or nan below; its
     # condition product then fails the test like any other bad row.
     with np.errstate(divide="ignore", invalid="ignore"):
         # R^{-T} is the conjugate of the raw beams R^{-H} and has their norms.
         inv = _lower_inverse(np.swapaxes(R, 1, 2))
         X = inv.transpose(1, 2, 0)
-        col_sq = _sq_norm(X, "ijn,ijn->jn")
-        cond = _sq_norm(R, "nij,nij->n") * col_sq.sum(axis=0)
-        # Conjugate and normalise in one real pass, (re, im) * (1/c, -1/c).
-        scale = 1.0 / np.sqrt(col_sq)
-        X.view(float)[...] *= np.stack([scale, -scale], axis=-1).reshape(len(X), -1)
+        Xf = X.view(float).reshape(U, U, n, 2)
+        # Batch-last already unless R holds redrawn rows, R[rows].
+        Rf = np.ascontiguousarray(R.transpose(1, 2, 0)).view(float).reshape(U, U, n, 2)
+        # (re^2, im^2) pairs summed per column: X's rows i, columns :i+1,
+        # and R's rows i, columns i:.
+        sq = np.empty((U, n, 2))
+        col_sq = np.zeros((U, n, 2))
+        r_sq = np.zeros((U, n, 2))
+        for i in range(U):
+            np.multiply(Xf[i, :i + 1], Xf[i, :i + 1], out=sq[:i + 1])
+            col_sq[:i + 1] += sq[:i + 1]
+            np.multiply(Rf[i, i:], Rf[i, i:], out=sq[:U - i])
+            r_sq[i:] += sq[:U - i]
+        col_sq = col_sq[..., 0] + col_sq[..., 1]
+        r_sq = r_sq.sum(axis=0)
+        cond = (r_sq[:, 0] + r_sq[:, 1]) * col_sq.sum(axis=0)
+        scale = np.empty((U, n, 2))
+        np.divide(1.0, np.sqrt(col_sq), out=scale[..., 0])
+        np.negative(scale[..., 0], out=scale[..., 1])
+        for i in range(U):
+            Xf[i, :i + 1] *= scale[:i + 1]
     return inv, ~(cond <= 1.0 / _GRAM_TOLERANCE)
 
 

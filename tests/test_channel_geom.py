@@ -41,14 +41,27 @@ class TestSystemConfig:
                             ).resolved_reference_mode() == "member"
 
     def test_bad_values(self):
-        with pytest.raises(ValueError):
-            SystemConfig(W=-1.0)
-        with pytest.raises(ValueError):
-            SystemConfig(scheme="MMSE")
-        with pytest.raises(ValueError):
-            SystemConfig(beta=(1.0, 1.0))
-        with pytest.raises(ValueError):
-            SystemConfig(powers=(1.0, -1.0, 1.0, 1.0))
+        nan, inf = math.nan, math.inf
+        cases = [
+            (dict(W=-1.0), "W"),
+            (dict(W=nan), "W"),
+            (dict(W=inf), "W"),
+            (dict(scheme="MMSE"), "scheme"),
+            (dict(beta=(1.0, 1.0)), "beta"),
+            (dict(beta=(nan, 1.0, 1.0, 1.0)), "beta"),
+            (dict(beta=(1.0, inf, 1.0, 1.0)), "beta"),
+            (dict(powers=(1.0, -1.0, 1.0, 1.0)), "powers"),
+            (dict(powers=(inf, 1.0, 1.0, 1.0)), "powers"),
+            (dict(powers=(1.0, 1.0, nan, 1.0)), "powers"),
+            (dict(N=2.5), r"must be integers.*N=2\.5"),
+            (dict(M=8.5), r"must be integers.*M=8\.5"),
+            (dict(U=4.5), r"must be integers.*U=4\.5"),
+        ]
+        for kwargs, name in cases:
+            with pytest.raises(ValueError, match=name):
+                SystemConfig(**kwargs)
+        # An integral float is an integer.
+        assert type(SystemConfig(M=8.0).M) is int
 
 
 class TestDisplacements:

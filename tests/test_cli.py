@@ -498,6 +498,11 @@ class TestErrors:
         assert "'abc'" in err
         assert not out.exists()
 
+    def test_non_finite_aperture_refused_by_name(self, tmp_path, capsys):
+        out = tmp_path / "fig4"
+        assert main(["fig4", "--W", "nan", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: W")
+
     def test_experiment_error_cleans_partial_outputs(self, tmp_path,
                                                      monkeypatch):
         # The ZF output fails after the MRT CSV is written; that CSV goes

@@ -216,6 +216,23 @@ class TestFrameZf:
                          * sum(ginv[i, i] for i in range(U))).real
                 assert abs(value / float(exact) - 1.0) <= 1e-12
 
+    @pytest.mark.parametrize("U", [1, 3, 8])
+    def test_lower_inverse_of_a_general_triangle(self, U):
+        # A C-order batch, as redrawn rows R[rows] reach the inverse, with a
+        # non-real diagonal of modulus 1-2.
+        gen = np.random.default_rng(55 + U)
+        n = 64
+        L = np.tril(gen.standard_normal((n, U, U))
+                    + 1j * gen.standard_normal((n, U, U)), -1)
+        idx = np.arange(U)
+        # Phases 0.2-1.3 rad off an axis keep |Im| >= 0.19 |L_ii|.
+        phase = gen.uniform(0.2, 1.3, (n, U)) + np.pi / 2 * gen.integers(0, 4, (n, U))
+        L[:, idx, idx] = gen.uniform(1.0, 2.0, (n, U)) * np.exp(1j * phase)
+        X = _lower_inverse(L)
+        assert X.shape == (n, U, U)
+        assert np.all(X[:, ~np.tri(U, dtype=bool)] == 0.0)
+        assert np.max(np.abs(L @ X - np.eye(U))) <= 1e-12
+
     def test_condition_test_at_the_limit(self, no_gram_factorisation):
         # R = diag(1, s) has the product (1 + s^2)(1 + 1/s^2); the rows sit
         # just below and just above 1 / _GRAM_TOLERANCE.
