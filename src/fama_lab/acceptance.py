@@ -30,18 +30,12 @@ from .analytic_stats import (
     betaprime_sf,
     ln_betaprime_cdf,
 )
-from .channel_geom import SystemConfig, selectable_port_indices
+from .channel_geom import SystemConfig
 from .mc_engine import (
-    _BASE_PER_PORT,
-    _chunk_outage_physical,
     _chunk_ports_sir,
     _draw_frame,
-    _merge_counts,
-    _outage_physical_args,
-    _run_chunked,
     estimate_marginal_tail,
     pearson_correlation,
-    resolve_workers,
     run_cdf_experiment,
     run_correlation_experiment,
     run_outage_group,
@@ -156,31 +150,6 @@ def criterion_05_correlation_model(seed: int = SUITE_SEED) -> tuple[bool, str]:
                 f"physical max pair dev {res.max_abs_deviation:.4f} (tol 0.1)")
 
 
-def _group_port_cdfs(group: list[SystemConfig], grid, realizations: int):
-    """Per config of a frame group: the CDFs F_k of its selectable ports,
-    (ports, len(grid)), and its selection curve P_own, (len(grid),), both
-    from one run independent of the outage run's.
-
-    One _run_chunked call runs the group's kernel (_chunk_outage_physical)
-    once, on the stream base _BASE_PER_PORT.  Its curves are each config's
-    selectable set and one singleton set per selectable port, so each
-    config's F_k and P_own are binned from the same realizations.
-    """
-    sel_idxs = [tuple(selectable_port_indices(cfg)) for cfg in group]
-    curves = list(enumerate(sel_idxs))
-    curves += [(k, (j,)) for k, sel in enumerate(sel_idxs) for j in sel]
-    (run,) = _run_chunked([(_chunk_outage_physical,
-                            _outage_physical_args(group, curves, grid),
-                            _BASE_PER_PORT)],
-                          realizations, group[0].seed, resolve_workers())
-    cdfs = _merge_counts(run)[0] / realizations
-    out, start = [], len(group)
-    for k, sel in enumerate(sel_idxs):
-        out.append((cdfs[start:start + len(sel)], cdfs[k]))
-        start += len(sel)
-    return out
-
-
 def criterion_06_outage_sandwich(seed: int = SUITE_SEED) -> tuple[bool, str]:
     """Outage bounds where their premise holds, plus aperture-regime targets.
 
@@ -198,10 +167,11 @@ def criterion_06_outage_sandwich(seed: int = SUITE_SEED) -> tuple[bool, str]:
     more as mu_k falls (n = 1e5, seed 1).
     So the physical curve P is held to the same bounds in their per-port
     form, built from each selectable port's CDF F_k estimated on an
-    independent stream.  The F_k come from the outage kernel itself
-    (_group_port_cdfs): one run of each M's group on the stream base
-    _BASE_PER_PORT bins a singleton curve per selectable port beside each
-    selection curve P_own, so the F_k and P_own share realizations:
+    independent stream.  The F_k come from the outage run itself: with
+    per_port, each M's group run bins, on the independent stream base
+    _BASE_PER_PORT, a singleton curve per selectable port (port_<k>)
+    beside each selection curve P_own (port_selection), so the F_k and
+    P_own share realizations:
       - Frechet sandwich max(0, 1 - sum_k (1 - F_k)) <= P <= min_k F_k;
       - independent limit P >= prod_k F_k;
       - W > 0 (ports differ): selection gain, min_k F_k - P_own above 2x
@@ -226,26 +196,30 @@ def criterion_06_outage_sandwich(seed: int = SUITE_SEED) -> tuple[bool, str]:
     all_ok = True
     n = 100_000
     # Each M's two port counts and three apertures run as one frame
-    # group, one frame draw per chunk, and so do their per-port CDFs.
+    # group, one frame draw per chunk, in one pool with their per-port CDFs.
     runs = {}
     for M in (4, 8):
         group = [SystemConfig(M=M, U=4, N=N, W=W, scheme="MRT", seed=seed)
                  for N in (2, 8) for W in (0.25, 4.0, 0.0)]
-        results = run_outage_group(group, realizations=n)
-        ports = _group_port_cdfs(group, results[0].gamma_grid, n)
-        for cfg, res, port_cdfs in zip(group, results, ports):
-            runs[M, cfg.N, cfg.W] = res, port_cdfs
+        for cfg, res in zip(group, run_outage_group(group, realizations=n,
+                                                     per_port=True)):
+            runs[M, cfg.N, cfg.W] = res
     for (M, N, W) in [(4, 2, 0.25), (4, 2, 4.0), (4, 8, 0.25), (4, 8, 4.0),
                       (8, 2, 0.25), (8, 2, 4.0), (8, 8, 0.25), (8, 8, 4.0),
                       (4, 2, 0.0), (4, 8, 0.0), (8, 2, 0.0), (8, 8, 0.0)]:
-        res, (f_k, p_own) = runs[M, N, W]
-        band = (res.iid_analytic >= 0.05) & (res.iid_analytic <= 0.95)
-        tol = 2.0 * res.iid_ci
-        iid_sandwich = bool(np.all(res.iid >= res.lower - tol)
-                            and np.all(res.iid <= res.upper + tol))
-        iid_prox = float(np.max(np.abs(res.iid - res.iid_analytic)[band]))
+        res = runs[M, N, W]
+        curve = {name: values for name, (values, _) in res.curves.items()}
+        iid, iid_ci = res.curves["empirical_iid"]
+        f_n = curve["iid_benchmark"]
+        band = (f_n >= 0.05) & (f_n <= 0.95)
+        tol = 2.0 * iid_ci
+        iid_sandwich = bool(np.all(iid >= curve["lower_bound"] - tol)
+                            and np.all(iid <= curve["upper_bound"] + tol))
+        iid_prox = float(np.max(np.abs(iid - f_n)[band]))
 
-        p, h_p = res.correlated, res.correlated_ci
+        p, h_p = res.curves["empirical_correlated"]
+        f_k = np.array([curve[f"port_{k}"] for k in res.selection_ports])
+        p_own = curve["port_selection"]
         h_k = wilson_half_width(f_k, n)
         frechet = np.maximum(0.0, 1.0 - np.sum(1.0 - f_k, axis=0))
         h_frechet = np.where(frechet > 0.0, h_k.sum(axis=0), 0.0)
@@ -288,9 +262,10 @@ def criterion_06_outage_sandwich(seed: int = SUITE_SEED) -> tuple[bool, str]:
             prox = float(np.max(np.abs(p - prod)[band]))
             ok = ok and prox <= 0.05
             parts.append(f"|P-prod_k F_k|={prox:.3f}")
-        analytic = res.iid_analytic if W == 4.0 else res.single_port
+        analytic = f_n if W == 4.0 else curve["single_port"]
+        over_f = float(np.max(p - curve["upper_bound"]))
         parts.append(
-            f"[analytic, unchecked: max P-F={float(np.max(p - res.upper)):.3f}"
+            f"[analytic, unchecked: max P-F={over_f:.3f}"
             f" |P-{'F^N' if W == 4.0 else 'F'}|="
             f"{float(np.max(np.abs(p - analytic)[band])):.3f}]")
         all_ok = all_ok and ok

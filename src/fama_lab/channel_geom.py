@@ -104,8 +104,20 @@ class SystemConfig:
                 f"reference_mode must be one of {_REFERENCE_MODES}, got "
                 f"{self.reference_mode!r}"
             )
-        if self.realizations is not None and self.realizations < 1:
-            raise ValueError("realizations must be >= 1")
+        if not _is_integer(self.seed):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        self.seed = int(self.seed)
+        if self.realizations is not None:
+            if not _is_integer(self.realizations):
+                raise ValueError(
+                    f"realizations must be an integer, got {self.realizations!r}")
+            self.realizations = int(self.realizations)
+            if self.realizations < 1:
+                raise ValueError("realizations must be >= 1")
+        if not isinstance(self.include_reference_in_selection, (bool, np.bool_)):
+            raise ValueError("include_reference_in_selection must be True or "
+                             f"False, got {self.include_reference_in_selection!r}")
+        self.include_reference_in_selection = bool(self.include_reference_in_selection)
 
     @property
     def L(self) -> int:

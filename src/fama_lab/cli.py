@@ -253,13 +253,22 @@ def _analytic_rows(grid, values, curve_id) -> Iterator[tuple]:
             for g, v in zip(np.asarray(grid).tolist(), np.asarray(values).tolist()))
 
 
-def _empirical_rows(grid, p, n, curve_id) -> Iterator[tuple]:
-    """Empirical curve rows: value +- the 95% Wilson half-length, clipped
-    to [0, 1]."""
-    ci = wilson_half_width(p, n)
+def _curve_rows(grid, curve_id: str, curve: tuple) -> Iterator[tuple]:
+    """Rows of one (values, half-width) curve of an outage result's map:
+    an empirical curve's value +- its half-width, clipped to [0, 1], or an
+    analytic curve's (half-width None) value in all three columns."""
+    p, ci = curve
+    if ci is None:
+        return _analytic_rows(grid, p, curve_id)
     return zip(np.asarray(grid).tolist(), np.asarray(p).tolist(),
                np.maximum(0.0, p - ci).tolist(), np.minimum(1.0, p + ci).tolist(),
                itertools.repeat(curve_id))
+
+
+def _empirical_rows(grid, p, n, curve_id) -> Iterator[tuple]:
+    """Empirical curve rows: value +- the 95% Wilson half-length, clipped
+    to [0, 1]."""
+    return _curve_rows(grid, curve_id, (p, wilson_half_width(p, n)))
 
 
 def _scheme_configs(config: SystemConfig) -> Iterator[SystemConfig]:
@@ -337,28 +346,6 @@ def run_fig3(config: SystemConfig, out_dir: str, workers: int,
               f"{res.max_abs_deviation:.4f} ({res.reference_mode} mode)")
 
 
-def _w_invariant_rows(res) -> Iterator[tuple]:
-    """The outage curves that do not depend on the aperture W: the i.i.d.
-    selection curve and the analytic envelope."""
-    grid = res.gamma_grid
-    return itertools.chain(
-        _empirical_rows(grid, res.iid, res.realizations, "empirical_iid"),
-        _analytic_rows(grid, res.upper, "upper_bound"),
-        _analytic_rows(grid, res.lower, "lower_bound"),
-        _analytic_rows(grid, res.iid_analytic, "iid_benchmark"),
-        _analytic_rows(grid, res.large_n, "large_n_approx"),
-        _analytic_rows(grid, res.single_port, "single_port"))
-
-
-def _correlated_rows(res) -> Iterator[tuple]:
-    return _empirical_rows(res.gamma_grid, res.correlated, res.realizations,
-                           "empirical_correlated")
-
-
-def _outage_rows(res) -> Iterator[tuple]:
-    return itertools.chain(_correlated_rows(res), _w_invariant_rows(res))
-
-
 def run_fig4(config: SystemConfig, out_dir: str, workers: int,
              manifest: RunManifest) -> None:
     """Outage under MRT and ZF, run as one frame group (one pool): each
@@ -366,7 +353,8 @@ def run_fig4(config: SystemConfig, out_dir: str, workers: int,
     configs = list(_scheme_configs(config))
     for cfg, res in zip(configs, run_outage_group(configs, workers=workers)):
         name = f"fig4_{cfg.scheme.lower()}.csv"
-        write_curve_csv(os.path.join(out_dir, name), _outage_rows(res))
+        write_curve_csv(os.path.join(out_dir, name), itertools.chain.from_iterable(
+            _curve_rows(res.gamma_grid, *item) for item in res.curves.items()))
         manifest.outputs.append(name)
         tag = f"fig4_{cfg.scheme.lower()}"
         ports = [int(p) for p in res.selection_ports]
@@ -485,22 +473,23 @@ def _write_sweep_group(group: list[SystemConfig], results, out_dir: str,
     """Write one frame group's CSVs, each listed in manifest.outputs once
     it exists; returns (file name, realizations) per point.
 
-    The W-invariant curves (_w_invariant_rows) are formatted once per
-    (scheme, N) and shared by that pair's CSVs; one gamma,gamma_db cache
-    serves the group.
+    Each curve object of the results' maps is formatted once: the points
+    of one (shapes, selectable count) share their W-invariant curves'
+    objects (run_outage_group), also after the pickling of a pool worker's
+    results.  One gamma,gamma_db cache serves the group.
     """
     gamma_text: dict = {}
-    shared: dict = {}
+    texts: dict = {}
     rows = []
     for cfg, res in zip(group, results):
-        key = cfg.scheme, cfg.N
-        if key not in shared:
-            shared[key] = curve_text(_w_invariant_rows(res), gamma_text)
+        for curve_id, curve in res.curves.items():
+            if id(curve) not in texts:
+                texts[id(curve)] = curve_text(
+                    _curve_rows(res.gamma_grid, curve_id, curve), gamma_text)
         name = (f"sweep_{cfg.scheme.lower()}_M{cfg.M}_U{cfg.U}_"
                 f"N{cfg.N}_W{cfg.W:g}.csv")
         write_curve_csv(os.path.join(out_dir, name),
-                        curve_text(_correlated_rows(res), gamma_text)
-                        + shared[key])
+                        "".join(texts[id(curve)] for curve in res.curves.values()))
         manifest.outputs.append(name)
         rows.append((name, res.realizations))
         print(f"sweep: wrote {name}")

@@ -23,8 +23,9 @@ lower-triangular.  The ZF inverse (_lower_inverse) pushes each finished
 row into all later rows with one broadcast block multiply; the beam norms,
 the condition test and the normalisation (_frame_zf_beams) run row by row
 over the triangles; the port projections (_frame_sirs) are sums of such
-vectors, entry by entry.  No call is made per realization, and no chunk
-kernel calls BLAS, so a pool worker starts no BLAS threads.
+vectors, entry by entry.  No call is made per realization, and the one
+BLAS call of a chunk kernel is the correlation run's centred moment matrix
+dev.T @ dev (_chunk_corr_moments: fig3 and criterion 5).
 
 Outage runs of one (M, U) that differ only in the scheme, the port count
 N and the aperture W form a frame group (run_outage_group) and share
@@ -42,10 +43,11 @@ the projections of rows 1..r-1 onto the beams are summed once per
 _chunk_outage_physical is the one place where a physical SIR is selected
 and binned.  It bins curves, each the largest SIR of one config over a set
 of port indices: an outage run asks for one curve per config, its
-selectable set, and criterion 6 adds a singleton set per selectable port
-to read every per-port CDF from the same draws.  Every marginal count
-(the i.i.d. benchmark, fig2's and fig5's marginal CDFs, criterion 8's tail)
-comes from one kernel too, _chunk_outage_iid, with N = 1 for a single port.
+selectable set; with per_port (criterion 6) a second job, on streams of
+its own, bins each config's selection curve and a singleton set per
+selectable port.  Every marginal count (the i.i.d. benchmark, fig2's and
+fig5's marginal CDFs, criterion 8's tail) comes from one kernel too,
+_chunk_outage_iid, with N = 1 for a single port.
 The i.i.d. benchmark runs once per (shapes, selectable count); its chunk
 takes the largest of each realization's N draws as a running maximum over
 strided columns (_strided_max).  The analytic envelope evaluates F and SF
@@ -227,26 +229,27 @@ class CorrelationExperimentResult:
 class OutageExperimentResult:
     """Outage curves on one threshold grid.
 
-    correlated_ci and iid_ci are the half-lengths of the 95% Wilson score
-    intervals of the two empirical curves (see wilson_half_width).
+    curves maps each curve_id to (values, half-width), in the order every
+    outage CSV writes them: the half-length of the 95% Wilson score
+    interval of an empirical curve (wilson_half_width), None for an
+    analytic one.  run_outage_group decides the curves.
     """
 
     scheme: str
     reference_mode: str
     gamma_grid: np.ndarray
-    correlated: np.ndarray
-    correlated_ci: np.ndarray
-    iid: np.ndarray
-    iid_ci: np.ndarray
-    single_port: np.ndarray
-    upper: np.ndarray
-    lower: np.ndarray
-    iid_analytic: np.ndarray
-    large_n: np.ndarray
+    curves: dict
     realizations: int
     selection_ports: np.ndarray = field(default_factory=lambda: np.array([]))
     infinite_count: int = 0
     resampled_count: int = 0
+
+    # The benchmark's outage workload reads these four; they stay until it
+    # reads the map (ROADMAP item 1).
+    correlated = property(lambda self: self.curves["empirical_correlated"][0])
+    correlated_ci = property(lambda self: self.curves["empirical_correlated"][1])
+    iid = property(lambda self: self.curves["empirical_iid"][0])
+    iid_ci = property(lambda self: self.curves["empirical_iid"][1])
 
 
 # ---------------------------------------------------------------------------
@@ -1008,6 +1011,8 @@ def run_outage_group(
     gamma_grid: np.ndarray | None = None,
     realizations: int | None = None,
     workers: int | None = None,
+    *,
+    per_port: bool = False,
 ) -> list[OutageExperimentResult]:
     """Outage experiments of configs that differ only in the scheme, the
     port count N and the aperture W (a frame group, one (M, U)), from one
@@ -1027,6 +1032,15 @@ def run_outage_group(
     count, so they run once per distinct (a, b, count), and the envelope's
     F and SF once per (a, b) (outage_envelopes).  Configs that differ in
     any other field are refused, by the field's name.
+
+    This is the one place that decides the curves of a result's map:
+    empirical_correlated (the physical selection), empirical_iid (the
+    largest of N i.i.d. marginal draws) and the analytic upper_bound,
+    lower_bound, iid_benchmark, large_n_approx and single_port, the last
+    six one object per (a, b, count).  per_port adds a physical job on the
+    stream base _BASE_PER_PORT, and to each map port_<k>, the CDF of
+    selectable geometry port k (1-based), and port_selection, both binned
+    from that job's draws.
     """
     configs = list(configs)
     if not configs:
@@ -1052,16 +1066,24 @@ def run_outage_group(
     n = _sample_size(realizations, first, DEFAULT_PHYSICAL_REALIZATIONS)
     workers = resolve_workers(workers)
     iid_keys = list(dict.fromkeys(keys))
-    # One pool runs the physical chunks and the i.i.d. chunks of every
-    # (shapes, selectable count).
-    phys, *iid_runs = _run_chunked(
-        [(_chunk_outage_physical,
-          _outage_physical_args(configs, enumerate(sel_idxs), grid),
-          _BASE_OUTAGE_PHYSICAL)]
-        + [(_chunk_outage_iid, (params.a, params.b, selectable, grid),
-            _BASE_OUTAGE_IID) for params, selectable in iid_keys],
-        n, first.seed, workers,
-    )
+    # One pool runs the physical chunks, the i.i.d. chunks of every
+    # (shapes, selectable count) and, on request, the per-port chunks.
+    jobs = [(_chunk_outage_physical,
+             _outage_physical_args(configs, enumerate(sel_idxs), grid),
+             _BASE_OUTAGE_PHYSICAL)]
+    jobs += [(_chunk_outage_iid, (params.a, params.b, selectable, grid),
+              _BASE_OUTAGE_IID) for params, selectable in iid_keys]
+    if per_port:
+        # The per-port job's curves, named: every selectable singleton,
+        # then each config's selection curve.
+        port_curves = [(k, (j,), f"port_{j + 1}")
+                       for k, sel in enumerate(sel_idxs) for j in sel]
+        port_curves += [(k, sel, "port_selection")
+                        for k, sel in enumerate(sel_idxs)]
+        jobs.append((_chunk_outage_physical, _outage_physical_args(
+            configs, [(k, ports) for k, ports, _ in port_curves], grid),
+            _BASE_PER_PORT))
+    phys, *runs = _run_chunked(jobs, n, first.seed, workers)
     counts, inf_counts, resampled = _merge_counts(phys)
     # The curves that depend on the shapes and the selectable count alone;
     # F and SF are evaluated once per shape pair.
@@ -1074,29 +1096,32 @@ def run_outage_group(
                 grid, params, selectables)):
             envelopes[params, selectable] = env
     shared = {}
-    for (params, selectable), iid_run in zip(iid_keys, iid_runs):
+    for (params, selectable), iid_run in zip(iid_keys, runs):
         p_iid = _merge_counts(iid_run)[0] / n
         env = envelopes[params, selectable]
-        shared[params, selectable] = dict(
-            gamma_grid=grid,
-            iid=p_iid,
-            iid_ci=wilson_half_width(p_iid, n),
-            single_port=env.single_port,
-            upper=env.upper,
-            lower=env.lower,
-            iid_analytic=env.iid_benchmark,
-            large_n=env.large_n_approx,
-            realizations=n,
-        )
+        shared[params, selectable] = {
+            "empirical_iid": (p_iid, wilson_half_width(p_iid, n)),
+            "upper_bound": (env.upper, None),
+            "lower_bound": (env.lower, None),
+            "iid_benchmark": (env.iid_benchmark, None),
+            "large_n_approx": (env.large_n_approx, None),
+            "single_port": (env.single_port, None),
+        }
     results = []
     for k, (cfg, sel_idx) in enumerate(zip(configs, sel_idxs)):
         p_corr = counts[k] / n
+        curves = {"empirical_correlated": (p_corr, wilson_half_width(p_corr, n))}
+        curves.update(shared[keys[k]])
         results.append(OutageExperimentResult(
             scheme=cfg.scheme, reference_mode=cfg.resolved_reference_mode(),
-            correlated=p_corr, correlated_ci=wilson_half_width(p_corr, n),
+            gamma_grid=grid, curves=curves, realizations=n,
             selection_ports=np.asarray(sel_idx) + 1,
             infinite_count=int(inf_counts[k]),
-            resampled_count=int(resampled[k]), **shared[keys[k]]))
+            resampled_count=int(resampled[k])))
+    if per_port:
+        cdfs = _merge_counts(runs[-1])[0] / n
+        for cdf, (k, _, name) in zip(cdfs, port_curves):
+            results[k].curves[name] = (cdf, wilson_half_width(cdf, n))
     return results
 
 
@@ -1106,8 +1131,6 @@ def run_outage_experiment(
     realizations: int | None = None,
     workers: int | None = None,
 ) -> OutageExperimentResult:
-    """FAMA outage versus threshold: correlated physical selection, the
-    i.i.d. benchmark (N independent marginal draws), the analytic envelope,
-    and the half-lengths of the 95% Wilson score intervals of both
-    empirical curves.  The one-config case of run_outage_group."""
+    """FAMA outage versus threshold, the curves of run_outage_group's map:
+    its one-config case."""
     return run_outage_group([config], gamma_grid, realizations, workers)[0]

@@ -21,13 +21,14 @@ import tempfile
 
 import numpy as np
 
-from fama_lab import acceptance
-from fama_lab.acceptance import SUITE_SEED, _group_port_cdfs, run_criterion
+from fama_lab import acceptance, mc_engine
+from fama_lab.acceptance import SUITE_SEED, run_criterion
 from fama_lab.channel_geom import SystemConfig
 from fama_lab.mc_engine import (
     DEFAULT_GAMMA_GRID,
     _BASE_PER_PORT,
     _chunk_outage_physical,
+    run_outage_group,
 )
 
 
@@ -72,24 +73,32 @@ def test_reproducibility_leaves_nothing_behind(monkeypatch, tmp_path, capsys):
 
 
 def test_group_port_cdfs_share_one_run(monkeypatch):
-    # One kernel job on the independent base gives each config's F_k and
-    # its own selection curve.  Their integer counts then obey the Frechet
-    # sandwich exactly, which counts from different realizations need not.
-    jobs = []
-    run_chunked = acceptance._run_chunked
+    # Criterion 6's call: with per_port, the group's one _run_chunked call
+    # gets one more kernel job, on the independent base, which gives each
+    # config's F_k and its own selection curve.  Their integer counts then
+    # obey the Frechet sandwich exactly, which counts from different
+    # realizations need not.
+    calls = []
+    run_chunked = mc_engine._run_chunked
 
     def spy(job_list, *args, **kwargs):
-        jobs.extend((fn, base) for fn, _, base in job_list)
+        calls.append([(fn, base) for fn, _, base in job_list])
         return run_chunked(job_list, *args, **kwargs)
 
-    monkeypatch.setattr(acceptance, "_run_chunked", spy)
+    monkeypatch.setattr(mc_engine, "_run_chunked", spy)
     n = 4096
     group = [SystemConfig(M=4, U=4, N=N, W=W, scheme="MRT", seed=SUITE_SEED)
              for N in (2, 5) for W in (0.0, 0.25, 4.0)]
-    out = _group_port_cdfs(group, DEFAULT_GAMMA_GRID, n)
-    assert jobs == [(_chunk_outage_physical, _BASE_PER_PORT)]
-    assert len(out) == len(group)
-    for cfg, (f_k, p_own) in zip(group, out):
+    results = run_outage_group(group, realizations=n, per_port=True)
+    assert len(calls) == 1
+    assert calls[0].count((_chunk_outage_physical, _BASE_PER_PORT)) == 1
+    for cfg, res in zip(group, results):
+        # The per-port curves follow the seven outage curves, by 1-based
+        # geometry port.
+        ports = [f"port_{k}" for k in res.selection_ports]
+        assert list(res.curves)[7:] == ports + ["port_selection"]
+        f_k = np.array([res.curves[name][0] for name in ports])
+        p_own = res.curves["port_selection"][0]
         assert f_k.shape == (cfg.N, len(DEFAULT_GAMMA_GRID))
         # n is a power of two, so the CDFs times n are the exact counts.
         ports, own = f_k * n, p_own * n

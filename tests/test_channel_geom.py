@@ -56,12 +56,17 @@ class TestSystemConfig:
             (dict(N=2.5), r"must be integers.*N=2\.5"),
             (dict(M=8.5), r"must be integers.*M=8\.5"),
             (dict(U=4.5), r"must be integers.*U=4\.5"),
+            (dict(realizations=2500.5), "realizations"),
+            (dict(seed=1.5), "seed"),
+            (dict(include_reference_in_selection="no"),
+             "include_reference_in_selection"),
         ]
         for kwargs, name in cases:
             with pytest.raises(ValueError, match=name):
                 SystemConfig(**kwargs)
         # An integral float is an integer.
         assert type(SystemConfig(M=8.0).M) is int
+        assert type(SystemConfig(realizations=2500.0).realizations) is int
 
 
 class TestDisplacements:

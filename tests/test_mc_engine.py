@@ -3,6 +3,7 @@ the chunked experiment drivers."""
 
 import dataclasses
 import math
+import pickle
 import tracemalloc
 from functools import partial
 
@@ -622,6 +623,9 @@ def test_bin_samples_equals_bincount_form():
 
 
 _OUTAGE_FIELDS = [f.name for f in dataclasses.fields(OutageExperimentResult)]
+# An outage result's curve map, in CSV order.
+_CURVE_IDS = ["empirical_correlated", "empirical_iid", "upper_bound",
+              "lower_bound", "iid_benchmark", "large_n_approx", "single_port"]
 
 
 def _replayed_selection_outage(cfg, n):
@@ -672,7 +676,13 @@ class TestOutageGroup:
             single = run_outage_experiment(cfg, realizations=5_000)
             for name in _OUTAGE_FIELDS:
                 a, b = getattr(res, name), getattr(single, name)
-                assert np.array_equal(a, b), (cfg.N, cfg.W, name)
+                if name == "curves":
+                    assert list(a) == list(b) == _CURVE_IDS
+                    for curve_id in _CURVE_IDS:
+                        for x, y in zip(a[curve_id], b[curve_id]):
+                            assert np.array_equal(x, y), (cfg.N, cfg.W, curve_id)
+                else:
+                    assert np.array_equal(a, b), (cfg.N, cfg.W, name)
             # A lone run takes the same group path, so the draws are also
             # checked against _chunk_ports_sir, which draws for one config.
             assert np.array_equal(res.correlated,
@@ -754,6 +764,41 @@ class TestOutageGroup:
     def test_refuses_empty_group(self):
         with pytest.raises(ValueError, match="at least one config"):
             run_outage_group([])
+
+    def test_plain_run_bins_selection_curves_only(self, monkeypatch):
+        # Without per_port the kernel gets one curve per config, its
+        # selectable set, and no singleton: per-port curves cost chunk
+        # time, so they are binned only on request.
+        jobs = []
+        run_chunked = mc_engine._run_chunked
+
+        def spy(job_list, *args, **kwargs):
+            jobs.extend(job_list)
+            return run_chunked(job_list, *args, **kwargs)
+
+        monkeypatch.setattr(mc_engine, "_run_chunked", spy)
+        configs = [SystemConfig(M=8, U=4, N=N, W=W, scheme=s, seed=65)
+                   for s in ("MRT", "ZF") for N in (2, 5) for W in (0.25, 4.0)]
+        results = run_outage_group(configs, realizations=1000)
+        physical = [args for fn, args, _ in jobs if fn is _chunk_outage_physical]
+        assert len(physical) == 1
+        # The curves argument of _outage_physical_args.
+        assert physical[0][6] == tuple(
+            (k, tuple(selectable_port_indices(cfg))) for k, cfg in enumerate(configs))
+        assert all(list(res.curves) == _CURVE_IDS for res in results)
+
+    def test_w_invariant_curves_are_shared_objects(self):
+        # Configs that differ only in W share every curve that W does not
+        # change, as one object, also after pickling the result list (as a
+        # sweep's pool worker returns it); each has its own selection curve.
+        configs = [SystemConfig(M=8, U=4, N=4, W=W, seed=66) for W in (0.25, 4.0)]
+        for a, b in (run_outage_group(configs, realizations=1000),
+                     pickle.loads(pickle.dumps(
+                         run_outage_group(configs, realizations=1000)))):
+            for curve_id in _CURVE_IDS[1:]:
+                assert a.curves[curve_id] is b.curves[curve_id]
+            assert a.curves["empirical_correlated"] is not b.curves[
+                "empirical_correlated"]
 
 
 class TestExperiments:
@@ -853,30 +898,32 @@ class TestExperiments:
     def test_outage_single_port_degenerate(self):
         cfg = SystemConfig(M=8, U=4, N=1, W=0.0, seed=52)
         res = run_outage_experiment(cfg, realizations=30_000)
-        assert np.allclose(res.upper, res.single_port)
-        assert np.allclose(res.lower, res.single_port)
-        assert np.allclose(res.iid_analytic, res.single_port)
+        curve = {name: values for name, (values, _) in res.curves.items()}
+        assert np.allclose(curve["upper_bound"], curve["single_port"])
+        assert np.allclose(curve["lower_bound"], curve["single_port"])
+        assert np.allclose(curve["iid_benchmark"], curve["single_port"])
         # The i.i.d. benchmark is the exact law, so its empirical CDF lies in
         # the Dvoretzky-Kiefer-Wolfowitz band (Massart's constant) around F
         # with probability at least 1 - alpha, at every grid point at once.
         alpha = 1e-3
         eps = math.sqrt(math.log(2.0 / alpha) / (2.0 * res.realizations))
-        assert np.max(np.abs(res.iid - res.single_port)) <= eps
+        assert np.max(np.abs(res.iid - curve["single_port"])) <= eps
 
     def test_iid_benchmark_consistency(self):
         cfg = SystemConfig(M=8, U=4, N=8, W=4.0, seed=53)
         res = run_outage_experiment(cfg, realizations=50_000)
+        curve = {name: values for name, (values, _) in res.curves.items()}
         # The i.i.d. curve is the empirical CDF of the maximum of N exact
         # draws, so the DKW band (Massart's constant) holds around F^N at
         # every grid point at once with probability at least 1 - alpha.
         alpha = 1e-3
         eps = math.sqrt(math.log(2.0 / alpha) / (2.0 * res.realizations))
-        assert np.max(np.abs(res.iid - res.iid_analytic)) <= eps
+        assert np.max(np.abs(res.iid - curve["iid_benchmark"])) <= eps
         # The i.i.d. curve is drawn from the exact law, so the envelope's
         # premise holds; p = 1 above F < 1 must sit inside the interval.
         tol = 2.0 * res.iid_ci
-        assert np.all(res.iid >= res.lower - tol)
-        assert np.all(res.iid <= res.upper + tol)
+        assert np.all(res.iid >= curve["lower_bound"] - tol)
+        assert np.all(res.iid <= curve["upper_bound"] + tol)
 
     def test_outage_ci_positive_at_zero_and_one(self):
         cfg = SystemConfig(M=4, U=4, N=8, W=4.0, seed=59)
