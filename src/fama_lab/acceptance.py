@@ -115,14 +115,14 @@ def criterion_04_zf_nulling_and_gains(seed: int = SUITE_SEED) -> tuple[bool, str
     """
     M, U = 8, 4
     beta = (1.0,) * U
-    R, F, _, _ = _draw_frame(RngStream(seed, 77).generator(), 10_000, M, U,
-                             "ZF", beta, 1)
+    _, [(F, _, R)] = _draw_frame(RngStream(seed, 77).generator(), 10_000, M,
+                                 U, ("ZF",), beta, 1)
     proj = np.abs(np.einsum("nru,nrv->nuv", R.conj(), F))
     proj[:, np.arange(U), np.arange(U)] = 0.0
     worst = float(np.max(proj / np.linalg.norm(R, axis=1)[:, :, None]))
     n = 100_000
-    R, F, _, _ = _draw_frame(RngStream(seed, 78).generator(), n, M, U,
-                             "ZF", beta, 1)
+    _, [(F, _, R)] = _draw_frame(RngStream(seed, 78).generator(), n, M,
+                                 U, ("ZF",), beta, 1)
     zf_gains = np.abs(R[:, 0, 0] * F[:, 0, 0]) ** 2
     mrt_gains = np.sum(np.abs(R[:, :, 0]) ** 2, axis=1)
     zf_tol = 3.0 * math.sqrt(5.0 / n)

@@ -351,22 +351,44 @@ def run_fig4(config: SystemConfig, out_dir: str, workers: int,
     """Outage under MRT and ZF, run as one frame group (one pool): each
     scheme's result equals its own run_outage_experiment."""
     configs = list(_scheme_configs(config))
-    for cfg, res in zip(configs, run_outage_group(configs, workers=workers)):
-        name = f"fig4_{cfg.scheme.lower()}.csv"
-        write_curve_csv(os.path.join(out_dir, name), itertools.chain.from_iterable(
-            _curve_rows(res.gamma_grid, *item) for item in res.curves.items()))
+    results = run_outage_group(configs, workers=workers)
+    names = [f"fig4_{cfg.scheme.lower()}.csv" for cfg in configs]
+    for rows in _write_outage_csvs(names, results, out_dir, manifest):
+        manifest.experiments += rows
+    for cfg, res in zip(configs, results):
+        print(f"fig4 {cfg.scheme}: {res.reference_mode} mode, selection ports "
+              f"{res.selection_ports.tolist()}, infinite SIRs {res.infinite_count}")
+
+
+def _write_outage_csvs(names: list[str], results, out_dir: str,
+                       manifest: RunManifest) -> list[list[tuple]]:
+    """Write one outage CSV per result, under the file name at its place
+    in `names`, each listed in manifest.outputs once it exists; returns
+    each result's manifest rows, tagged with its file name.
+
+    Each curve object of the results' maps is formatted once: the results
+    of one (shapes, selectable count) share their W-invariant curves'
+    objects (run_outage_group), also after the pickling of a pool worker's
+    results.  One gamma,gamma_db cache serves the call.
+    """
+    gamma_text: dict = {}
+    texts: dict = {}
+    rows = []
+    for name, res in zip(names, results):
+        for curve_id, curve in res.curves.items():
+            if id(curve) not in texts:
+                texts[id(curve)] = curve_text(
+                    _curve_rows(res.gamma_grid, curve_id, curve), gamma_text)
+        write_curve_csv(os.path.join(out_dir, name),
+                        "".join(texts[id(curve)] for curve in res.curves.values()))
         manifest.outputs.append(name)
-        tag = f"fig4_{cfg.scheme.lower()}"
-        ports = [int(p) for p in res.selection_ports]
-        manifest.experiments += [
-            (tag, "realizations", res.realizations),
-            (tag, "reference_mode", res.reference_mode),
-            (tag, "selection_ports", ports),
-            (tag, "resampled", res.resampled_count),
-            (tag, "infinite", res.infinite_count),
-        ]
-        print(f"fig4 {cfg.scheme}: {res.reference_mode} mode, "
-              f"selection ports {ports}, infinite SIRs {res.infinite_count}")
+        tag = name[:-len(".csv")]
+        rows.append([(tag, "realizations", res.realizations),
+                     (tag, "reference_mode", res.reference_mode),
+                     (tag, "selection_ports", res.selection_ports.tolist()),
+                     (tag, "resampled", res.resampled_count),
+                     (tag, "infinite", res.infinite_count)])
+    return rows
 
 
 def run_fig5(config: SystemConfig, out_dir: str, workers: int,
@@ -401,7 +423,8 @@ def run_fig5(config: SystemConfig, out_dir: str, workers: int,
 def run_sweep(config: SystemConfig, out_dir: str, workers: int,
               manifest: RunManifest, grids: dict) -> None:
     """Outage over the grid; every point is built and checked before the
-    first one runs, so a bad point writes no CSV.
+    first one runs, so a bad point, or two points that would write one
+    file, write no CSV.
 
     The points of one (M, U), which differ only in the scheme, N and W,
     form a frame group that run_outage_group serves from one frame draw per
@@ -410,9 +433,10 @@ def run_sweep(config: SystemConfig, out_dir: str, workers: int,
     """
     per_user = {U: {name: _per_user(getattr(config, name), U, name)
                     for name in ("beta", "powers")} for U in grids["U"]}
-    # (grid index, config) pairs per (M, U); the grid order is scheme-major.
+    # (grid index, config, file name) per (M, U); the grid order is
+    # scheme-major.
     cells = {(M, U): [] for M in grids["M"] for U in grids["U"]}
-    index = 0
+    labels = {}  # file name -> the point that writes it
     for scheme in grids["scheme"]:
         for M in grids["M"]:
             for U in grids["U"]:
@@ -421,15 +445,21 @@ def run_sweep(config: SystemConfig, out_dir: str, workers: int,
                     continue
                 for N in grids["N"]:
                     for W in grids["W"]:
+                        point = f"scheme={scheme} M={M} U={U} N={N} W={W}"
                         try:
                             cfg = replace(config, M=M, U=U, N=N, W=W,
                                           scheme=scheme, **per_user[U])
                         except ValueError as exc:
                             raise ConfigError(
-                                f"sweep point scheme={scheme} M={M} U={U} "
-                                f"N={N} W={W:g}: {exc}") from exc
-                        cells[M, U].append((index, cfg))
-                        index += 1
+                                f"sweep point {point}: {exc}") from exc
+                        name = (f"sweep_{scheme.lower()}_M{M}_U{U}_N{N}_"
+                                f"W{W:g}.csv")
+                        if name in labels:
+                            raise ConfigError(
+                                f"sweep points {labels[name]} and {point} "
+                                f"would both write {name}")
+                        labels[name] = point
+                        cells[M, U].append((len(labels) - 1, cfg, name))
     groups = [tuple(zip(*cell)) for cell in cells.values() if cell]
     # Several groups share one pool, each group whole in one worker; a
     # single group keeps chunk-level parallelism.  The pool gets the groups
@@ -438,8 +468,9 @@ def run_sweep(config: SystemConfig, out_dir: str, workers: int,
     # its own stream, so the CSVs do not depend on where or when a group
     # runs.  Each group's CSVs are written as soon as it completes, so the
     # parent formats while the workers still run; the manifest lists them
-    # in grid order.  On any failure the queued groups are cancelled, not
-    # run, and main removes every CSV already written (manifest.outputs).
+    # and their rows in grid order.  On any failure the queued groups are
+    # cancelled, not run, and main removes every CSV already written
+    # (manifest.outputs).
     pool = None
     start = len(manifest.outputs)
     written = {}
@@ -455,45 +486,19 @@ def run_sweep(config: SystemConfig, out_dir: str, workers: int,
             done = ((futures[f], f.result()) for f in as_completed(futures))
         else:
             done = ((i, run_outage_group(group, workers=workers))
-                    for i, (_, group) in enumerate(groups))
+                    for i, (_, group, _) in enumerate(groups))
         for i, group_results in done:
-            indices, group = groups[i]
-            written.update(zip(indices, _write_sweep_group(
-                group, group_results, out_dir, manifest)))
+            indices, _, names = groups[i]
+            rows = _write_outage_csvs(names, group_results, out_dir, manifest)
+            written.update(zip(indices, zip(names, rows)))
+            for name in names:
+                print(f"sweep: wrote {name}")
     finally:
         if pool is not None:
             pool.shutdown(wait=True, cancel_futures=True)
-    rows = [written[i] for i in sorted(written)]
-    manifest.outputs[start:] = [name for name, _ in rows]
-    manifest.experiments += [(name[:-4], "realizations", n) for name, n in rows]
-
-
-def _write_sweep_group(group: list[SystemConfig], results, out_dir: str,
-                       manifest: RunManifest) -> list[tuple[str, int]]:
-    """Write one frame group's CSVs, each listed in manifest.outputs once
-    it exists; returns (file name, realizations) per point.
-
-    Each curve object of the results' maps is formatted once: the points
-    of one (shapes, selectable count) share their W-invariant curves'
-    objects (run_outage_group), also after the pickling of a pool worker's
-    results.  One gamma,gamma_db cache serves the group.
-    """
-    gamma_text: dict = {}
-    texts: dict = {}
-    rows = []
-    for cfg, res in zip(group, results):
-        for curve_id, curve in res.curves.items():
-            if id(curve) not in texts:
-                texts[id(curve)] = curve_text(
-                    _curve_rows(res.gamma_grid, curve_id, curve), gamma_text)
-        name = (f"sweep_{cfg.scheme.lower()}_M{cfg.M}_U{cfg.U}_"
-                f"N{cfg.N}_W{cfg.W:g}.csv")
-        write_curve_csv(os.path.join(out_dir, name),
-                        "".join(texts[id(curve)] for curve in res.curves.values()))
-        manifest.outputs.append(name)
-        rows.append((name, res.realizations))
-        print(f"sweep: wrote {name}")
-    return rows
+    ordered = [written[i] for i in sorted(written)]
+    manifest.outputs[start:] = [name for name, _ in ordered]
+    manifest.experiments += [row for _, rows in ordered for row in rows]
 
 
 def _group_work(group: tuple[SystemConfig, ...]) -> int:
@@ -592,6 +597,14 @@ def main(argv: list[str] | None = None) -> int:
         config = parse_config(args.config, overrides,
                               both_schemes=args.command in _BOTH_SCHEME_COMMANDS)
         workers = resolve_workers(None)
+        if os.path.exists(args.out) and not os.path.isdir(args.out):
+            raise ConfigError(f"--out {args.out!r} exists and is not a directory")
+        if args.command != "validate" and len(set(config.powers)) > 1:
+            # Equal powers cancel from every SIR; unequal ones change the
+            # law that the analytic curves and the i.i.d. benchmark assume.
+            raise ConfigError(
+                f"powers must be equal for {args.command}, got {config.powers}: "
+                "its analytic curves hold for equal powers only")
     except ValueError as exc:  # a ConfigError, or a bad FAMA_LAB_WORKERS
         print(f"config error: {exc}", file=sys.stderr)
         return 2

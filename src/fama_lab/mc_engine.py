@@ -256,22 +256,20 @@ class OutageExperimentResult:
 # Samplers and estimators
 
 
-def marginal_model_sample(
-    stream: RngStream, params: BetaPrimeParams, size: int | None = None
-):
-    """Exact Beta-prime(a, b) samples as a ratio of independent Gammas."""
+def marginal_model_sample(stream: RngStream, params: BetaPrimeParams,
+                          size: int) -> np.ndarray:
+    """`size` exact Beta-prime(a, b) samples as a ratio of independent
+    Gammas."""
     gen = stream.generator()
-    n = 1 if size is None else int(size)
-    num = gen.standard_gamma(params.a, n)
-    den = gen.standard_gamma(params.b, n)
-    out = num / den
-    return float(out[0]) if size is None else out
+    num = gen.standard_gamma(params.a, size)
+    den = gen.standard_gamma(params.b, size)
+    return num / den
 
 
-def surrogate_gain_sample(
-    stream: RngStream, mu, m_effective: int, L: int, size: int | None = None
-):
-    """Correlated desired-gain surrogate U_k = mu_k^2 S_c + S_k.
+def surrogate_gain_sample(stream: RngStream, mu, m_effective: int, L: int,
+                          size: int) -> np.ndarray:
+    """Correlated desired-gain surrogate U_k = mu_k^2 S_c + S_k, (size,
+    len(mu)).
 
     One shared S_c ~ Gamma(M_eff, 1) per realization, independent
     S_k ~ Gamma(L, 1) per port.
@@ -282,11 +280,9 @@ def surrogate_gain_sample(
     # The shapes are those of the Beta-prime(M_eff, L) SIR law: integers >= 1.
     BetaPrimeParams(m_effective, L)
     gen = stream.generator()
-    n = 1 if size is None else int(size)
-    common = gen.standard_gamma(m_effective, n)
-    local = gen.standard_gamma(L, n * len(mu)).reshape(n, len(mu))
-    out = (mu**2)[None, :] * common[:, None] + local
-    return out[0] if size is None else out
+    common = gen.standard_gamma(m_effective, size)
+    local = gen.standard_gamma(L, size * len(mu)).reshape(size, len(mu))
+    return (mu**2)[None, :] * common[:, None] + local
 
 
 def pearson_correlation(samples_x, samples_y) -> float:
@@ -309,11 +305,9 @@ def pearson_correlation(samples_x, samples_y) -> float:
 
 
 def ks_distance(empirical: EmpiricalCdf, analytic_cdf) -> float:
-    """Max over the grid of |F_hat - F| against an analytic CDF."""
-    if callable(analytic_cdf):
-        analytic = np.array([analytic_cdf(g) for g in empirical.grid])
-    else:
-        analytic = np.asarray(analytic_cdf, dtype=float)
+    """Max over the grid of |F_hat - F| against the analytic CDF's values
+    on that grid."""
+    analytic = np.asarray(analytic_cdf, dtype=float)
     if analytic.shape != empirical.grid.shape:
         raise ValueError("analytic CDF values must match the grid")
     return float(np.max(np.abs(empirical.values() - analytic)))
@@ -581,21 +575,25 @@ def _frame_sirs(r0: np.ndarray, g: np.ndarray, F: np.ndarray, scheme: str,
     return [x.T for x in sirs]
 
 
-def _draw_frame(gen, n: int, M: int, U: int, scheme: str, beta, ports: int):
+def _draw_frame(gen, n: int, M: int, U: int, schemes: tuple[str, ...], beta,
+                ports: int):
     """Everything of a port chunk that the aperture does not change: R (see
     _reference_factor), the innovations g ~ CN(0, I_r), (n, ports-1, r), of
-    ports 2..ports, the law of Q^H x_k, and the beams F = Q^H W that the
-    MRT/ZF rule builds from R.  Returns (R, F, g, resampled).
+    ports 2..ports, the law of Q^H x_k, and the beams F = Q^H W that each
+    MRT/ZF rule of `schemes` (distinct) builds from R.  Returns (g, frames),
+    frames one (F, resampled, R) per scheme, in order (_weights_for_scheme).
 
     Draw order: R (diagonal Gammas, then the entries above the diagonal),
     then g.  The beams draw nothing from gen: ZF redraws come from a child
-    of it (_zf_weights).
+    of it (_zf_weights).  So a smaller port count's innovations are the
+    contiguous prefix of g, exactly what a draw of that size returns
+    (standard_normal fills its output in order), and each scheme sees the
+    draws of a frame of its own.
     """
     R = _reference_factor(gen, n, M, U, beta)
     g = _cgauss(gen, (n, ports - 1, R.shape[1]))
     redraw = partial(_reference_factor, M=M, U=U, beta=beta)
-    F, resampled, R = _weights_for_scheme(gen, R, scheme, redraw)
-    return R, F, g, resampled
+    return g, [_weights_for_scheme(gen, R, scheme, redraw) for scheme in schemes]
 
 
 def _chunk_ports_sir(stream: RngStream, n: int, M: int, U: int, scheme: str,
@@ -607,8 +605,8 @@ def _chunk_ports_sir(stream: RngStream, n: int, M: int, U: int, scheme: str,
     reference channels H = QR (see _draw_frame).  Nothing is
     M-dimensional, so the work does not grow with M.
     """
-    R, F, g, resampled = _draw_frame(stream.generator(), n, M, U, scheme,
-                                     beta, len(mu))
+    g, [(F, resampled, R)] = _draw_frame(stream.generator(), n, M, U,
+                                         (scheme,), beta, len(mu))
     beta0 = float(np.asarray(beta)[0])
     return _frame_sirs(R[:, :, 0], g, F, scheme, beta0, powers, [mu])[0], resampled
 
@@ -644,8 +642,8 @@ def _physref_sirs(gen, n: int, M: int, U: int, scheme: str, beta,
     of R come from a child of gen (_zf_weights).
     """
     # MRT takes one frame innovation g for the independent channel, ZF none.
-    R, F, g, resampled = _draw_frame(gen, n, M, U, scheme, beta,
-                                     2 if scheme == "MRT" else 1)
+    g, [(F, resampled, R)] = _draw_frame(gen, n, M, U, (scheme,), beta,
+                                         2 if scheme == "MRT" else 1)
     beta0 = float(np.asarray(beta)[0])
     powers = np.asarray(powers, dtype=float)
     desired = np.abs(R[:, 0, 0] * F[:, 0, 0]) ** 2
@@ -678,36 +676,32 @@ def _chunk_outage_physical(
     the CDF of port j alone.  This is the one place where a physical SIR is
     selected and binned.
 
-    R (_reference_factor) depends on neither the scheme, N nor W, so it is
-    drawn once, and one innovation draw follows it, made for the group's
-    largest port count.  A smaller count's innovations are the contiguous
-    prefix of that draw, which is exactly what a draw of the smaller size
-    returns: standard_normal fills its output in order.  Each scheme then
-    builds its beams from R without advancing the stream (ZF redraws come
-    from a child of it, _zf_weights), so every config sees exactly the
-    draws of a chunk of its own, as _draw_frame makes them.  The SIRs of one
-    (scheme, port count) come from one _frame_sirs call, which shares the
+    R depends on neither the scheme, N nor W, so one frame draw
+    (_draw_frame) serves the group: R, one innovation block for the
+    group's largest port count, whose contiguous prefix is a smaller
+    count's innovations, and each scheme's beams.  So every config sees
+    exactly the draws of a chunk of its own.  The SIRs of one (scheme,
+    port count) come from one _frame_sirs call, which shares the
     aperture-invariant projections; selection and binning run once per
     curve, and adding curves changes no other curve's counts.
     """
-    gen = stream.generator()
-    R = _reference_factor(gen, n, M, U, beta)
-    r = R.shape[1]
-    flat = _cgauss(gen, (n, max(len(mu) for mu in mus) - 1, r)).reshape(-1)
-    redraw = partial(_reference_factor, M=M, U=U, beta=beta)
+    unique = tuple(dict.fromkeys(schemes))
+    g, frames = _draw_frame(stream.generator(), n, M, U, unique, beta,
+                            max(len(mu) for mu in mus))
+    r = g.shape[2]
+    flat = g.reshape(-1)
     beta0 = float(np.asarray(beta)[0])
     grid = np.asarray(grid)
     counts = np.empty((len(curves), len(grid)), dtype=np.int64)
     inf_counts = np.empty(len(curves), dtype=np.int64)
     resampled = np.empty(len(mus), dtype=np.int64)
-    for scheme in dict.fromkeys(schemes):
-        F, count, R_s = _weights_for_scheme(gen, R, scheme, redraw)
+    for scheme, (F, count, R) in zip(unique, frames):
         ks = [k for k, s in enumerate(schemes) if s == scheme]
         resampled[ks] = count
         for ports in dict.fromkeys(len(mus[k]) for k in ks):
             same = [k for k in ks if len(mus[k]) == ports]
             g = flat[:n * (ports - 1) * r].reshape(n, ports - 1, r)
-            sirs = _frame_sirs(R_s[:, :, 0], g, F, scheme, beta0, powers,
+            sirs = _frame_sirs(R[:, :, 0], g, F, scheme, beta0, powers,
                                [mus[k] for k in same])
             for k, x in zip(same, sirs):
                 for c, (config, sel_idx) in enumerate(curves):
@@ -1008,7 +1002,6 @@ def _outage_physical_args(configs: list[SystemConfig], curves, grid) -> tuple:
 
 def run_outage_group(
     configs: list[SystemConfig],
-    gamma_grid: np.ndarray | None = None,
     realizations: int | None = None,
     workers: int | None = None,
     *,
@@ -1017,7 +1010,7 @@ def run_outage_group(
     """Outage experiments of configs that differ only in the scheme, the
     port count N and the aperture W (a frame group, one (M, U)), from one
     frame draw per chunk: one result per config, in order, each equal to
-    the config's own run_outage_experiment.
+    the config's own run_outage_experiment, on DEFAULT_GAMMA_GRID.
 
     The chunk streams, R and the innovations do not depend on the scheme,
     N or W, and no precoder advances a chunk stream (ZF redraws come from
@@ -1053,13 +1046,7 @@ def run_outage_group(
                 raise ValueError(
                     f"configs of one outage group may differ only in scheme, "
                     f"N and W, not in {f.name}: {mine!r} != {theirs!r}")
-    grid = DEFAULT_GAMMA_GRID if gamma_grid is None else np.asarray(gamma_grid)
-    bad = grid[~(np.isfinite(grid) & (grid > 0.0))]
-    if bad.size:
-        raise ValueError(
-            f"gamma grid thresholds must be finite and > 0, got {bad.tolist()}")
-    if np.any(np.diff(grid) < 0.0):
-        raise ValueError("gamma grid must be sorted")
+    grid = DEFAULT_GAMMA_GRID
     sel_idxs = [tuple(selectable_port_indices(cfg)) for cfg in configs]
     keys = [(betaprime_params(cfg.scheme, cfg.M, cfg.U), len(sel))
             for cfg, sel in zip(configs, sel_idxs)]
@@ -1127,10 +1114,9 @@ def run_outage_group(
 
 def run_outage_experiment(
     config: SystemConfig,
-    gamma_grid: np.ndarray | None = None,
     realizations: int | None = None,
     workers: int | None = None,
 ) -> OutageExperimentResult:
     """FAMA outage versus threshold, the curves of run_outage_group's map:
     its one-config case."""
-    return run_outage_group([config], gamma_grid, realizations, workers)[0]
+    return run_outage_group([config], realizations, workers)[0]

@@ -200,8 +200,10 @@ class TestSweep:
         assert os.path.exists(os.path.join(out, "sweep_mrt_M8_U4_N2_W0.25.csv"))
 
     def test_matches_fig4_under_unequal_powers(self, tmp_path):
+        # Unequal powers are refused (TestErrors), so the per-user tuple
+        # carried into the frame group here is an unequal beta.
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("powers = 4,1,1,1\nbeta = 2,1,1,1\n")
+        cfg.write_text("beta = 2,1,1,1\n")
         common = ["--config", str(cfg), "--realizations", "4000", "--seed", "5"]
         assert main(["fig4"] + common + ["--out", str(tmp_path / "f4")]) == 0
         # MRT and ZF run as one frame group; each keeps its own i.i.d. curve
@@ -214,19 +216,55 @@ class TestSweep:
                       ("sw", f"sweep_{scheme}_M8_U4_N8_W0.25.csv"))]
             assert blobs[0] == blobs[1], scheme
 
+    def test_manifest_rows_match_fig4(self, tmp_path):
+        # A sweep point's manifest rows are fig4's for the same config: its
+        # own reference mode (external for the ZF point, whatever the base
+        # config resolves to) and its selection ports.
+        common = ["--realizations", "1000", "--seed", "5"]
+        assert main(["fig4"] + common + ["--out", str(tmp_path / "f4")]) == 0
+        assert main(["sweep", "--sweep-scheme", "MRT,ZF"] + common
+                    + ["--out", str(tmp_path / "sw")]) == 0
+        rows = {sub: [line for line in (tmp_path / sub / "manifest.txt")
+                      .read_text().splitlines() if line.startswith("experiment.")]
+                for sub in ("f4", "sw")}
+        point = "experiment.sweep_{}_M8_U4_N8_W0.25."
+        assert rows["sw"] == [
+            line.replace("experiment.fig4_mrt.", point.format("mrt"))
+                .replace("experiment.fig4_zf.", point.format("zf"))
+            for line in rows["f4"]]
+        assert point.format("zf") + "reference_mode: external" in rows["sw"]
+        assert (point.format("zf") + "selection_ports: [2, 3, 4, 5, 6, 7, 8, 9]"
+                in rows["sw"])
+        assert (point.format("mrt") + "selection_ports: [1, 2, 3, 4, 5, 6, 7, 8]"
+                in rows["sw"])
+
+    @pytest.mark.parametrize("W", ["0.25,0.25", "0.25,0.250000001"])
+    def test_colliding_file_names_refused(self, tmp_path, capsys, W):
+        # Two points whose file names agree would write one file, the
+        # later point's; the grid is refused by that name before any runs.
+        out = tmp_path / "sw"
+        assert main(["sweep", "--realizations", "1000", "--sweep-N", "2",
+                     "--sweep-scheme", "MRT", "--sweep-W", W,
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "sweep_mrt_M8_U4_N2_W0.25.csv" in err
+        assert os.listdir(out) == []
+
     def test_swept_u_resizes_only_equal_per_user_tuples(self, tmp_path, capsys):
-        def sweep(powers, name):
+        def sweep(text, name):
             cfg = tmp_path / f"{name}.cfg"
-            cfg.write_text(f"powers = {powers}\n")
+            cfg.write_text(text)
             return main(["sweep", "--config", str(cfg), "--realizations", "1000",
                          "--sweep-U", "4,2", "--out", str(tmp_path / name)])
 
-        assert sweep("2,2,2,2", "equal") == 0
+        # Equal powers of any value run: they cancel from the SIRs.
+        assert sweep("beta = 2,2,2,2\npowers = 3,3,3,3\n", "equal") == 0
         assert (tmp_path / "equal" / "sweep_mrt_M8_U2_N8_W0.25.csv").exists()
         capsys.readouterr()
         # Refused by name before the U=4 point, which it could run, is written.
-        assert sweep("4,1,1,1", "unequal") == 2
-        assert "powers" in capsys.readouterr().err
+        assert sweep("beta = 4,1,1,1\n", "unequal") == 2
+        assert "cannot resize unequal beta" in capsys.readouterr().err
         assert not any(n.endswith(".csv") for n in os.listdir(tmp_path / "unequal"))
 
     def test_bad_grid_point_refused_before_any_csv(self, tmp_path, capsys):
@@ -390,8 +428,9 @@ class TestSweepPool:
         assert main(["sweep", "--realizations", "1000", "--sweep-M", "4,8",
                      "--sweep-N", "2,3", "--sweep-W", "0.25,4",
                      "--sweep-scheme", "MRT", "--out", str(out)]) == 0
-        grid = [f"sweep_mrt_M{M}_U4_N{N}_W{W}" for M in (4, 8) for N in (2, 3)
-                for W in ("0.25", "4")]
+        points = [(f"sweep_mrt_M{M}_U4_N{N}_W{W}", N) for M in (4, 8)
+                  for N in (2, 3) for W in ("0.25", "4")]
+        grid = [name for name, _ in points]
         wrote = [line[len("sweep: wrote "):-len(".csv")]
                  for line in capsys.readouterr().out.splitlines()
                  if line.startswith("sweep: wrote ")]
@@ -400,8 +439,12 @@ class TestSweepPool:
             [name + ".csv" for name in grid] + ["manifest.txt"])
         manifest = (out / "manifest.txt").read_text().splitlines()
         assert f"outputs: {', '.join(name + '.csv' for name in grid)}" in manifest
+        # fig4's five rows per point, in grid order.
         assert [line for line in manifest if line.startswith("experiment.")] == [
-            f"experiment.{name}.realizations: 1000" for name in grid]
+            f"experiment.{name}.{row}" for name, N in points for row in (
+                "realizations: 1000", "reference_mode: member",
+                f"selection_ports: {list(range(1, N + 1))}",
+                "resampled: 0", "infinite: 0")]
 
     @pytest.mark.parametrize("failure", ["raise", "crash", "interrupt"])
     def test_failure_cancels_queued_points(self, tmp_path, monkeypatch, capsys,
@@ -496,6 +539,33 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("config error: FAMA_LAB_WORKERS")
         assert "'abc'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["fig5", "validate"])
+    def test_out_naming_a_file_refused(self, tmp_path, capsys, monkeypatch,
+                                       command):
+        # Refused by name before the command runs, and the file is left
+        # alone.
+        out = tmp_path / "taken"
+        out.write_text("not a directory\n")
+        monkeypatch.setattr(cli, f"run_{command}",
+                            lambda *args: pytest.fail(f"{command} ran"))
+        assert main([command, "--realizations", "1000", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --out")
+        assert "not a directory" in err
+        assert out.read_text() == "not a directory\n"
+
+    @pytest.mark.parametrize("command", ["fig2", "fig3", "fig4", "fig5", "sweep"])
+    def test_unequal_powers_refused_by_name(self, tmp_path, capsys, command):
+        # Every command that writes an analytic curve refuses unequal
+        # powers before it makes its output directory.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("powers = 1,4,1,1\n")
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg), "--realizations", "1000",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: powers")
         assert not out.exists()
 
     def test_non_finite_aperture_refused_by_name(self, tmp_path, capsys):

@@ -255,7 +255,8 @@ class TestKsDistance:
     def test_callable_form_and_shape_check(self):
         grid = np.array([0.5, 1.0, 2.0])
         emp = EmpiricalCdf(grid, np.array([1, 2, 4]), 4)
-        assert ks_distance(emp, lambda g: 0.5) == pytest.approx(0.5)
+        # The analytic CDF comes as its values on the grid only.
+        assert ks_distance(emp, np.full(3, 0.5)) == pytest.approx(0.5)
         with pytest.raises(ValueError):
             ks_distance(emp, np.array([0.1, 0.2]))
 
@@ -477,8 +478,8 @@ class TestFrameSirsPinned:
         cfg = SystemConfig(M=M, U=U, N=N, W=W, scheme=scheme, beta=beta,
                            powers=powers, reference_mode=mode)
         mu = tuple(geometry_for_config(cfg).mu)
-        R, F, g, _ = _draw_frame(RngStream(45, M).generator(), 2048, M, U,
-                                 scheme, beta, len(mu))
+        g, [(F, _, R)] = _draw_frame(RngStream(45, M).generator(), 2048, M,
+                                     U, (scheme,), beta, len(mu))
         got = _frame_sirs(R[:, :, 0], g, F, scheme, beta[0], powers, [mu])[0]
         expect = _full_pass_sirs(R[:, :, 0], g, F, scheme, beta[0], powers, mu)
         assert np.array_equal(np.isinf(got), np.isinf(expect))
@@ -497,8 +498,8 @@ class TestFrameSirsPinned:
         mus = [tuple(geometry_for_config(SystemConfig(
             M=M, U=U, N=N, W=W, scheme=scheme, beta=beta, powers=powers)).mu)
             for W in (0.0, 0.01, 0.25, 4.0)]
-        R, F, g, _ = _draw_frame(RngStream(46, M).generator(), 2048, M, U,
-                                 scheme, beta, len(mus[0]))
+        g, [(F, _, R)] = _draw_frame(RngStream(46, M).generator(), 2048, M,
+                                     U, (scheme,), beta, len(mus[0]))
         shared = _frame_sirs(R[:, :, 0], g, F, scheme, beta[0], powers, mus)
         assert len(shared) == len(mus)
         for mu, got in zip(mus, shared):
@@ -524,8 +525,8 @@ class TestMrtReferenceFloor:
         beta, powers = (tuple(v) for v in zip(*gains))
         U = len(gains)
         mu = (1.0, *mu)
-        R, F, g, _ = _draw_frame(RngStream(seed, 0).generator(), 256, M, U,
-                                 "MRT", beta, len(mu))
+        g, [(F, _, R)] = _draw_frame(RngStream(seed, 0).generator(), 256, M,
+                                     U, ("MRT",), beta, len(mu))
         ref = _frame_sirs(R[:, :, 0], g, F, "MRT", beta[0], powers, [mu])[0][:, 0]
         floor = powers[0] / sum(powers[1:])
         assert np.all(ref >= floor * (1.0 - 1e-12))
@@ -829,29 +830,27 @@ class TestExperiments:
         with pytest.raises(ValueError):
             run_cdf_experiment(SystemConfig(), mode="bogus")
 
+    # The case ids keep their numbers from when four outage grids led the
+    # list; outage runs take no grid now.
     @pytest.mark.parametrize("run, grid", [
-        ("outage", [0.5, math.nan, 2.0]),
-        ("outage", [0.5, 2.0, math.inf]),
-        ("outage", [0.0, 0.5, 2.0]),
-        ("outage", [2.0, 0.5]),
         ("marginal", [0.5, math.nan, 2.0]),
         ("physical_reference", [0.5, -math.inf, 2.0]),
         ("marginal", [0.5, -1.0, 2.0]),
         ("tail", [math.nan]),
         ("tail", [-1.0]),
         ("tail", [math.inf]),
-    ])
+    ], ids=["marginal-grid4", "physical_reference-grid5", "marginal-grid6",
+            "tail-grid7", "tail-grid8", "tail-grid9"])
     def test_bad_gamma_grid_refused_before_any_chunk(self, monkeypatch, run,
                                                      grid):
-        # NaN passes `<= 0` and `diff < 0` alike; a threshold the CDF code
-        # cannot evaluate is refused before any chunk runs.  The marginal
-        # tail takes its one threshold as a grid of one.
+        # NaN fails every comparison, so `< 0` alone would pass it; a
+        # threshold the CDF code cannot evaluate is refused before any
+        # chunk runs.  The marginal tail takes its one threshold as a grid
+        # of one.
         calls = []
         monkeypatch.setattr(mc_engine, "_run_chunked",
                             lambda *a, **k: calls.append(a))
-        if run == "outage":
-            experiment = run_outage_experiment
-        elif run == "tail":
+        if run == "tail":
             def experiment(config, gamma_grid, realizations):
                 return estimate_marginal_tail(config, gamma_grid[0], realizations)
         else:
