@@ -7,13 +7,14 @@ sweep (outage over a parameter grid), validate (acceptance suite).
 
 Every run writes one CSV per curve family plus a manifest that pins the
 configuration, seed, sample counts, and counters needed to reproduce the
-CSVs byte for byte.
+CSVs byte for byte.  fig2, fig4, fig5 and sweep hold each file's curves as
+one ordered map, curve_id -> (values, half-width or None), and write it
+through _write_curve_csvs.
 """
 
 from __future__ import annotations
 
 import contextlib
-import itertools
 import math
 import os
 import sys
@@ -95,7 +96,11 @@ def parse_config(path: str | None = None, overrides: dict | None = None,
     """
     values: dict = {}
     if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
+        try:
+            fh = open(path, "r", encoding="utf-8")
+        except OSError as exc:  # missing, a directory, unreadable
+            raise ConfigError(f"--config {path!r}: {exc.strerror}") from exc
+        with fh:
             for lineno, line in enumerate(fh, 1):
                 stripped = line.split("#", 1)[0].strip()
                 if not stripped:
@@ -202,36 +207,69 @@ _CURVE_HEADER = "gamma,gamma_db,value,ci_low,ci_high,curve_id\n"
 _CURVE_ROW = "%s%.12g,%.12g,%.12g,%s\n"
 
 
-def curve_text(rows: Iterable[tuple], gamma_text: dict | None = None) -> str:
-    """CSV lines of gamma-indexed curve rows, (gamma, value, ci_low,
-    ci_high, curve_id) each.
-
-    A threshold's `gamma,gamma_db,` text is formatted once and kept in
-    gamma_text (pass one dict to share it between the files of one grid).
-    A row whose CI columns are its value object (an analytic curve's)
-    formats that value once; any other row is one % template.
-    """
-    gamma_text = {} if gamma_text is None else gamma_text
-    lines = []
-    for gamma, value, ci_low, ci_high, curve_id in rows:
-        head = gamma_text.get(gamma)
-        if head is None:
-            head = gamma_text[gamma] = "%.12g,%.12g," % (
-                gamma, 10.0 * math.log10(gamma))
-        if ci_low is value and ci_high is value:
-            text = "%.12g" % value
-            lines.append(f"{head}{text},{text},{text},{curve_id}\n")
-        else:
-            lines.append(_CURVE_ROW % (head, value, ci_low, ci_high, curve_id))
-    return "".join(lines)
+def _head(gamma: float) -> str:
+    """A threshold's `gamma,gamma_db,` text."""
+    return "%.12g,%.12g," % (gamma, 10.0 * math.log10(gamma))
 
 
 def write_curve_csv(path: str, rows: Iterable[tuple] | str) -> None:
     """Gamma-indexed curve family: one row per (gamma, curve) pair, given
-    as row tuples or as their curve_text."""
-    text = rows if isinstance(rows, str) else curve_text(rows)
+    as (gamma, value, ci_low, ci_high, curve_id) tuples, each field
+    formatted on its own, or as the text of those rows."""
+    if not isinstance(rows, str):
+        heads, lines = {}, []
+        for gamma, value, ci_low, ci_high, curve_id in rows:
+            head = heads.get(gamma)
+            if head is None:
+                head = heads[gamma] = _head(gamma)
+            lines.append(_CURVE_ROW % (head, value, ci_low, ci_high, curve_id))
+        rows = "".join(lines)
     with _atomic_open(path) as fh:
-        fh.write(_CURVE_HEADER + text)
+        fh.write(_CURVE_HEADER + rows)
+
+
+def _curve_text(heads: list[str], curve_id: str, curve: tuple) -> str:
+    """CSV rows of one (values, half-width) curve of a curve map, after the
+    grid's heads: an empirical curve's value +- its half-width, clipped to
+    [0, 1], or an analytic curve's (half-width None) value in all three
+    columns, formatted once.  Rows hold Python floats, which format to the
+    same text as numpy scalars, only faster."""
+    p, ci = curve
+    p = np.asarray(p)
+    if ci is None:
+        lo = hi = p = ["%.12g" % v for v in p.tolist()]
+        row = "%s%s,%s,%s,"
+    else:
+        lo = np.maximum(0.0, p - ci).tolist()
+        hi = np.minimum(1.0, p + ci).tolist()
+        p, row = p.tolist(), "%s%.12g,%.12g,%.12g,"
+    row += curve_id + "\n"
+    return "".join([row % cols for cols in zip(heads, p, lo, hi)])
+
+
+def _write_curve_csvs(files: list[tuple], out_dir: str,
+                      manifest: RunManifest) -> None:
+    """Write one gamma-indexed CSV per (name, grid, curves) triple of
+    `files`, its curve map's curves in map order, each file listed in
+    manifest.outputs once it exists.
+
+    Each curve object is formatted once per call (the list keeps every
+    grid and curve alive, so their ids stay unique): the outage results of
+    one (shapes, selectable count) share their W-invariant curves' objects
+    (run_outage_group), also after the pickling of a pool worker's
+    results.  Each grid's heads are formatted once too.
+    """
+    heads: dict = {}
+    texts: dict = {}
+    for name, grid, curves in files:
+        if id(grid) not in heads:
+            heads[id(grid)] = [_head(g) for g in np.asarray(grid).tolist()]
+        for curve_id, curve in curves.items():
+            if id(curve) not in texts:
+                texts[id(curve)] = _curve_text(heads[id(grid)], curve_id, curve)
+        write_curve_csv(os.path.join(out_dir, name),
+                        "".join(texts[id(curve)] for curve in curves.values()))
+        manifest.outputs.append(name)
 
 
 def write_pair_csv(path: str, rows: list[tuple]) -> None:
@@ -240,35 +278,6 @@ def write_pair_csv(path: str, rows: list[tuple]) -> None:
         fh.write("port_k,port_l,value,ci_low,ci_high,curve_id\n")
         for k, l, value, ci_low, ci_high, curve_id in rows:
             fh.write(f"{k},{l},{_fmt(value)},{_fmt(ci_low)},{_fmt(ci_high)},{curve_id}\n")
-
-
-def _analytic_rows(grid, values, curve_id) -> Iterator[tuple]:
-    """Analytic curve rows: the value in all three columns.
-
-    The row helpers yield rows as they are formatted, so a file's rows are
-    never all alive at once, and rows hold Python floats, which format to
-    the same text as numpy scalars, only faster.
-    """
-    return ((g, v, v, v, curve_id)
-            for g, v in zip(np.asarray(grid).tolist(), np.asarray(values).tolist()))
-
-
-def _curve_rows(grid, curve_id: str, curve: tuple) -> Iterator[tuple]:
-    """Rows of one (values, half-width) curve of an outage result's map:
-    an empirical curve's value +- its half-width, clipped to [0, 1], or an
-    analytic curve's (half-width None) value in all three columns."""
-    p, ci = curve
-    if ci is None:
-        return _analytic_rows(grid, p, curve_id)
-    return zip(np.asarray(grid).tolist(), np.asarray(p).tolist(),
-               np.maximum(0.0, p - ci).tolist(), np.minimum(1.0, p + ci).tolist(),
-               itertools.repeat(curve_id))
-
-
-def _empirical_rows(grid, p, n, curve_id) -> Iterator[tuple]:
-    """Empirical curve rows: value +- the 95% Wilson half-length, clipped
-    to [0, 1]."""
-    return _curve_rows(grid, curve_id, (p, wilson_half_width(p, n)))
 
 
 def _scheme_configs(config: SystemConfig) -> Iterator[SystemConfig]:
@@ -290,19 +299,19 @@ def _per_user(values: tuple, U: int, name: str) -> tuple:
 
 def run_fig2(config: SystemConfig, out_dir: str, workers: int,
              manifest: RunManifest) -> None:
+    """Per-port SIR CDFs on DEFAULT_GAMMA_GRID; the MRT CSV is written
+    before ZF runs."""
     for cfg in _scheme_configs(config):
-        rows = []
         marginal = run_cdf_experiment(cfg, mode="marginal", workers=workers)
         physical = run_cdf_experiment(cfg, mode="physical_reference", workers=workers)
-        rows += _analytic_rows(marginal.gamma_grid, marginal.analytic, "analytic_cdf")
-        rows += _empirical_rows(marginal.gamma_grid, marginal.empirical.values(),
-                                marginal.realizations, "empirical_marginal")
-        rows += _empirical_rows(physical.gamma_grid, physical.empirical.values(),
-                                physical.realizations, "empirical_physical_reference")
-        name = f"fig2_{cfg.scheme.lower()}.csv"
-        write_curve_csv(os.path.join(out_dir, name), rows)
-        manifest.outputs.append(name)
+        curves = {"analytic_cdf": (marginal.analytic, None)}
+        for curve_id, res in (("empirical_marginal", marginal),
+                              ("empirical_physical_reference", physical)):
+            p = res.empirical.values()
+            curves[curve_id] = (p, wilson_half_width(p, res.realizations))
         tag = f"fig2_{cfg.scheme.lower()}"
+        _write_curve_csvs([(f"{tag}.csv", marginal.gamma_grid, curves)],
+                          out_dir, manifest)
         manifest.experiments += [
             (tag, "marginal_realizations", marginal.realizations),
             (tag, "physical_realizations", physical.realizations),
@@ -352,43 +361,24 @@ def run_fig4(config: SystemConfig, out_dir: str, workers: int,
     scheme's result equals its own run_outage_experiment."""
     configs = list(_scheme_configs(config))
     results = run_outage_group(configs, workers=workers)
-    names = [f"fig4_{cfg.scheme.lower()}.csv" for cfg in configs]
-    for rows in _write_outage_csvs(names, results, out_dir, manifest):
-        manifest.experiments += rows
+    tags = [f"fig4_{cfg.scheme.lower()}" for cfg in configs]
+    _write_curve_csvs([(f"{tag}.csv", res.gamma_grid, res.curves)
+                       for tag, res in zip(tags, results)], out_dir, manifest)
+    for tag, res in zip(tags, results):
+        manifest.experiments += _outage_rows(tag, res)
     for cfg, res in zip(configs, results):
         print(f"fig4 {cfg.scheme}: {res.reference_mode} mode, selection ports "
               f"{res.selection_ports.tolist()}, infinite SIRs {res.infinite_count}")
 
 
-def _write_outage_csvs(names: list[str], results, out_dir: str,
-                       manifest: RunManifest) -> list[list[tuple]]:
-    """Write one outage CSV per result, under the file name at its place
-    in `names`, each listed in manifest.outputs once it exists; returns
-    each result's manifest rows, tagged with its file name.
-
-    Each curve object of the results' maps is formatted once: the results
-    of one (shapes, selectable count) share their W-invariant curves'
-    objects (run_outage_group), also after the pickling of a pool worker's
-    results.  One gamma,gamma_db cache serves the call.
-    """
-    gamma_text: dict = {}
-    texts: dict = {}
-    rows = []
-    for name, res in zip(names, results):
-        for curve_id, curve in res.curves.items():
-            if id(curve) not in texts:
-                texts[id(curve)] = curve_text(
-                    _curve_rows(res.gamma_grid, curve_id, curve), gamma_text)
-        write_curve_csv(os.path.join(out_dir, name),
-                        "".join(texts[id(curve)] for curve in res.curves.values()))
-        manifest.outputs.append(name)
-        tag = name[:-len(".csv")]
-        rows.append([(tag, "realizations", res.realizations),
-                     (tag, "reference_mode", res.reference_mode),
-                     (tag, "selection_ports", res.selection_ports.tolist()),
-                     (tag, "resampled", res.resampled_count),
-                     (tag, "infinite", res.infinite_count)])
-    return rows
+def _outage_rows(tag: str, res) -> list[tuple]:
+    """The five manifest rows of one outage result, fig4's and the
+    sweep's."""
+    return [(tag, "realizations", res.realizations),
+            (tag, "reference_mode", res.reference_mode),
+            (tag, "selection_ports", res.selection_ports.tolist()),
+            (tag, "resampled", res.resampled_count),
+            (tag, "infinite", res.infinite_count)]
 
 
 def run_fig5(config: SystemConfig, out_dir: str, workers: int,
@@ -398,24 +388,19 @@ def run_fig5(config: SystemConfig, out_dir: str, workers: int,
         params = betaprime_params(cfg.scheme, cfg.M, cfg.U)
         emp = run_cdf_experiment(cfg, mode="marginal", gamma_grid=grid,
                                  workers=workers)
-        rows = []
-        sf = np.array([betaprime_sf(g, params) for g in grid])
-        small = np.array(
-            [asymptote_small_gamma(g, cfg.scheme, cfg.M, cfg.U) for g in grid]
-        )
-        tail = np.array([asymptote_tail(g, params) for g in grid])
-        rows += _analytic_rows(grid, emp.analytic, "analytic_cdf")
-        rows += _analytic_rows(grid, sf, "analytic_sf")
-        rows += _analytic_rows(grid, small, "small_gamma_asymptote")
-        rows += _analytic_rows(grid, tail, "tail_asymptote")
-        rows += _empirical_rows(grid, 1.0 - emp.empirical.values(),
-                                emp.realizations, "empirical_sf")
-        name = f"fig5_{cfg.scheme.lower()}.csv"
-        write_curve_csv(os.path.join(out_dir, name), rows)
-        manifest.outputs.append(name)
-        manifest.experiments.append(
-            (f"fig5_{cfg.scheme.lower()}", "realizations", emp.realizations)
-        )
+        sf = 1.0 - emp.empirical.values()
+        curves = {
+            "analytic_cdf": (emp.analytic, None),
+            "analytic_sf": ([betaprime_sf(g, params) for g in grid], None),
+            "small_gamma_asymptote": (
+                [asymptote_small_gamma(g, cfg.scheme, cfg.M, cfg.U) for g in grid],
+                None),
+            "tail_asymptote": ([asymptote_tail(g, params) for g in grid], None),
+            "empirical_sf": (sf, wilson_half_width(sf, emp.realizations)),
+        }
+        tag = f"fig5_{cfg.scheme.lower()}"
+        _write_curve_csvs([(f"{tag}.csv", grid, curves)], out_dir, manifest)
+        manifest.experiments.append((tag, "realizations", emp.realizations))
         print(f"fig5 {cfg.scheme}: grid {len(grid)} points, "
               f"marginal n={emp.realizations}")
 
@@ -489,8 +474,11 @@ def run_sweep(config: SystemConfig, out_dir: str, workers: int,
                     for i, (_, group, _) in enumerate(groups))
         for i, group_results in done:
             indices, _, names = groups[i]
-            rows = _write_outage_csvs(names, group_results, out_dir, manifest)
-            written.update(zip(indices, zip(names, rows)))
+            _write_curve_csvs([(name, res.gamma_grid, res.curves) for name, res
+                               in zip(names, group_results)], out_dir, manifest)
+            written.update(
+                (j, (name, _outage_rows(name[:-len(".csv")], res)))
+                for j, name, res in zip(indices, names, group_results))
             for name in names:
                 print(f"sweep: wrote {name}")
     finally:
@@ -597,8 +585,13 @@ def main(argv: list[str] | None = None) -> int:
         config = parse_config(args.config, overrides,
                               both_schemes=args.command in _BOTH_SCHEME_COMMANDS)
         workers = resolve_workers(None)
-        if os.path.exists(args.out) and not os.path.isdir(args.out):
-            raise ConfigError(f"--out {args.out!r} exists and is not a directory")
+        # The nearest existing path at or above --out must be a directory.
+        existing = os.path.abspath(args.out)
+        while not os.path.lexists(existing):
+            existing = os.path.dirname(existing)
+        if not os.path.isdir(existing):
+            raise ConfigError(f"--out {args.out!r}: {existing!r} exists and "
+                              "is not a directory")
         if args.command != "validate" and len(set(config.powers)) > 1:
             # Equal powers cancel from every SIR; unequal ones change the
             # law that the analytic curves and the i.i.d. benchmark assume.

@@ -10,7 +10,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from fama_lab import cli, mc_engine
+from fama_lab import SystemConfig, cli, mc_engine
 from fama_lab.cli import (
     ConfigError,
     build_parser,
@@ -504,6 +504,13 @@ class TestSweepPool:
         assert len(log.read_text().split()) < 64
 
 
+def _field_by_field(rows):
+    """A curve CSV's text with every field formatted on its own."""
+    return CURVE_HEADER + "\n" + "".join(
+        f"{g:.12g},{10.0 * math.log10(g):.12g},{v:.12g},{lo:.12g},"
+        f"{hi:.12g},{c}\n" for g, v, lo, hi, c in rows)
+
+
 class TestCurveCsv:
     def test_bytes_equal_row_by_row_formatting(self, tmp_path):
         # Thresholds repeat across curves and analytic rows repeat their
@@ -518,17 +525,96 @@ class TestCurveCsv:
                  for g, v in zip(grid, values)]
         path = tmp_path / "curve.csv"
         write_curve_csv(str(path), rows)
-        expect = CURVE_HEADER + "\n" + "".join(
-            f"{g:.12g},{10.0 * math.log10(g):.12g},{v:.12g},{lo:.12g},"
-            f"{hi:.12g},{c}\n" for g, v, lo, hi, c in rows)
-        assert path.read_text() == expect
+        assert path.read_text() == _field_by_field(rows)
+
+    def test_curve_map_bytes_equal_field_by_field_formatting(self, tmp_path):
+        # An analytic curve repeats its value; an empirical one is p +- its
+        # half-width, clipped at 0 and at 1.
+        grid = np.array([1e-3, 0.31622776601683794, 1.0, 12.5, 100.0])
+        analytic = np.array([0.0, -0.0, 1.0, 0.123456789012345,
+                             0.987654321098765])
+        p = np.array([0.0, 0.005, 0.5, 0.998, 1.0])
+        ci = np.array([0.01, 0.01, 0.123456789012345, 0.01, 0.01])
+        manifest = cli.RunManifest(command="t", config=SystemConfig(), workers=1)
+        cli._write_curve_csvs(
+            [("curve.csv", grid, {"analytic": (analytic, None),
+                                  "empirical": (p, ci)})],
+            str(tmp_path), manifest)
+        rows = [(g, v, v, v, "analytic") for g, v in zip(grid, analytic)]
+        rows += [(g, v, max(0.0, v - c), min(1.0, v + c), "empirical")
+                 for g, v, c in zip(grid, p, ci)]
+        assert (tmp_path / "curve.csv").read_text() == _field_by_field(rows)
+        assert manifest.outputs == ["curve.csv"]
+
+    def test_shared_curve_formatted_once(self, tmp_path, monkeypatch):
+        # A curve object in two files of one call is formatted once; an
+        # equal but distinct object is formatted on its own.
+        grid = np.array([0.5, 2.0])
+        shared, equal = (np.array([0.1, 0.2]), None), (np.array([0.1, 0.2]), None)
+        real, formatted = cli._curve_text, []
+
+        def curve_text(heads, curve_id, curve):
+            formatted.append(curve_id)
+            return real(heads, curve_id, curve)
+
+        monkeypatch.setattr(cli, "_curve_text", curve_text)
+        manifest = cli.RunManifest(command="t", config=SystemConfig(), workers=1)
+        cli._write_curve_csvs(
+            [("a.csv", grid, {"shared": shared, "own": equal}),
+             ("b.csv", grid, {"shared": shared})], str(tmp_path), manifest)
+        assert formatted == ["shared", "own"]
+        text = "0.5,-3.01029995664,0.1,0.1,0.1,shared\n2,3.01029995664,0.2,0.2,0.2,shared\n"
+        assert (tmp_path / "b.csv").read_text() == CURVE_HEADER + "\n" + text
+        assert (tmp_path / "a.csv").read_text() == (
+            CURVE_HEADER + "\n" + text + text.replace("shared", "own"))
+        assert manifest.outputs == ["a.csv", "b.csv"]
+
+    @pytest.mark.parametrize("argv, order", [
+        (["fig2"], ["analytic_cdf", "empirical_marginal",
+                    "empirical_physical_reference"]),
+        (["fig4"], None),
+        (["fig5"], ["analytic_cdf", "analytic_sf", "small_gamma_asymptote",
+                    "tail_asymptote", "empirical_sf"]),
+        (["sweep", "--sweep-M", "4,8", "--sweep-W", "0.25,4"], None),
+    ], ids=["fig2", "fig4", "fig5", "sweep"])
+    def test_one_write_per_listed_csv(self, tmp_path, monkeypatch, argv, order):
+        # Every gamma-indexed CSV goes through write_curve_csv once, the call
+        # that the benchmark times and the failure tests patch; fig2's and
+        # fig5's curves come in their map order.
+        real, written = cli.write_curve_csv, []
+
+        def write(path, rows):
+            written.append(os.path.basename(path))
+            real(path, rows)
+
+        monkeypatch.setattr(cli, "write_curve_csv", write)
+        out = tmp_path / "out"
+        assert main(argv + ["--realizations", "1000", "--out", str(out)]) == 0
+        outputs = [line for line in (out / "manifest.txt").read_text().splitlines()
+                   if line.startswith("outputs: ")]
+        listed = outputs[0][len("outputs: "):].split(", ")
+        assert sorted(written) == sorted(listed)
+        assert len(set(written)) == len(written) == (4 if argv[0] == "sweep" else 2)
+        for name in written:
+            _, rows = _read_csv(out / name)
+            ids = list(dict.fromkeys(r[-1] for r in rows))
+            assert ids == (order or ids)
 
 
 class TestErrors:
-    def test_config_error_exit_code(self, tmp_path):
+    def test_config_error_exit_code(self, tmp_path, capsys):
         p = tmp_path / "bad.cfg"
         p.write_text("bogus_key = 1\n")
         assert main(["fig2", "--config", str(p), "--out", str(tmp_path)]) == 2
+        # A config file that cannot be read is refused by name before the
+        # output directory is made.
+        out = tmp_path / "out"
+        for path in (tmp_path / "missing.cfg", tmp_path):
+            capsys.readouterr()
+            assert main(["fig2", "--config", str(path), "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error: --config {str(path)!r}")
+            assert not out.exists()
 
     @pytest.mark.parametrize("command", ["fig5", "validate"])
     def test_bad_worker_variable_refused_by_name(self, tmp_path, capsys,
@@ -541,20 +627,26 @@ class TestErrors:
         assert "'abc'" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["fig5", "validate"])
+    @pytest.mark.parametrize("command, under", [
+        pytest.param("fig5", "", id="fig5"),
+        pytest.param("validate", "", id="validate"),
+        pytest.param("fig5", "sub", id="fig5-nested"),
+        pytest.param("validate", "sub/deeper", id="validate-nested"),
+    ])
     def test_out_naming_a_file_refused(self, tmp_path, capsys, monkeypatch,
-                                       command):
-        # Refused by name before the command runs, and the file is left
-        # alone.
-        out = tmp_path / "taken"
-        out.write_text("not a directory\n")
+                                       command, under):
+        # An --out that is a file, or lies under one, is refused by name
+        # before the command runs, and the file is left alone.
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+        out = taken / under if under else taken
         monkeypatch.setattr(cli, f"run_{command}",
                             lambda *args: pytest.fail(f"{command} ran"))
         assert main([command, "--realizations", "1000", "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: --out")
-        assert "not a directory" in err
-        assert out.read_text() == "not a directory\n"
+        assert err.startswith(f"config error: --out {str(out)!r}")
+        assert f"{str(taken)!r} exists and is not a directory" in err
+        assert taken.read_text() == "not a directory\n"
 
     @pytest.mark.parametrize("command", ["fig2", "fig3", "fig4", "fig5", "sweep"])
     def test_unequal_powers_refused_by_name(self, tmp_path, capsys, command):
