@@ -21,11 +21,15 @@ if a manifest lists other outputs in another order.  With --baseline, the
 fama_lab package under that src/ directory is run the same way, and any
 file whose digest differs between the two trees at the same worker count
 also exits 1: so every criterion reading is compared, not only the CSVs.
+A manifest.txt or validate_report.txt that differs is shown too: its
+differing lines, timings and `wall_seconds` removed, go to stderr as a
+unified diff without context.
 """
 
 from __future__ import annotations
 
 import argparse
+import difflib
 import hashlib
 import os
 import re
@@ -55,6 +59,8 @@ COMMANDS = {
 # The timing fields of validate_report.txt: the per-criterion seconds
 # column and the `runtime 1.4s` phrases of the timed criteria.
 _REPORT_TIMINGS = re.compile(rb"\(\s*[0-9.]+s\)|runtime [0-9.]+s")
+# The outputs whose differing lines are shown, not only flagged.
+_TEXT_OUTPUTS = ("manifest.txt", "validate_report.txt")
 
 
 def run_tree(src: Path, seed: int, workers: int, command: str, out: Path) -> None:
@@ -68,10 +74,11 @@ def run_tree(src: Path, seed: int, workers: int, command: str, out: Path) -> Non
                          f"{proc.returncode}")
 
 
-def digests(out: Path) -> dict[str, str]:
+def digests(out: Path) -> tuple[dict[str, str], dict[str, list[str]]]:
     """sha256 of each output, the manifest's without its wall_seconds line
-    and the validate report's without its timings."""
-    found = {}
+    and the validate report's without its timings, and the lines of those
+    two as digested."""
+    found, texts = {}, {}
     for path in sorted(out.iterdir()):
         data = path.read_bytes()
         if path.name == "manifest.txt":
@@ -80,7 +87,21 @@ def digests(out: Path) -> dict[str, str]:
         elif path.name == "validate_report.txt":
             data = _REPORT_TIMINGS.sub(b"", data)
         found[path.name] = hashlib.sha256(data).hexdigest()
-    return found
+        if path.name in _TEXT_OUTPUTS:
+            texts[path.name] = data.decode("utf-8", "replace").splitlines()
+    return found, texts
+
+
+def differing_lines(name: str, old_label: str, old: dict, new_label: str,
+                    new: dict) -> str:
+    """The lines by which text output `name` differs between two runs, as
+    a unified diff without context; empty for any other output."""
+    if name not in _TEXT_OUTPUTS:
+        return ""
+    diff = difflib.unified_diff(old.get(name, []), new.get(name, []),
+                                f"{old_label} {name}", f"{new_label} {name}",
+                                n=0, lineterm="")
+    return "".join(f"\n{line}" for line in diff)
 
 
 def manifest_outputs(out: Path) -> str:
@@ -118,33 +139,38 @@ def main(argv: list[str] | None = None) -> int:
                 for tree, src in trees.items():
                     out = Path(tmp) / tree / command / f"w{workers}"
                     run_tree(src, args.seed, workers, command, out)
-                    found = digests(out)
+                    found, texts = digests(out)
                     table.setdefault(tree, {}).setdefault(command, {})[workers] = (
-                        found, manifest_outputs(out))
+                        found, manifest_outputs(out), texts)
                     for name, digest in found.items():
                         print(f"{digest}  {tree} {command} w{workers} {name}")
     for tree, by_command in table.items():
         for command, by_workers in by_command.items():
-            (_, (first, first_outputs)), *rest = by_workers.items()
-            for workers, (found, outputs) in rest:
+            (_, (first, first_outputs, first_texts)), *rest = by_workers.items()
+            for workers, (found, outputs, texts) in rest:
                 csvs = {n for n in {**first, **found}
                         if n.endswith(".csv") or n == "validate_report.txt"}
                 for name in sorted(csvs):
                     if first.get(name) != found.get(name):
-                        problems.append(f"{tree} {command}: {name} differs between "
-                                        f"w{worker_counts[0]} and w{workers}")
+                        problems.append(
+                            f"{tree} {command}: {name} differs between "
+                            f"w{worker_counts[0]} and w{workers}"
+                            + differing_lines(name, f"w{worker_counts[0]}",
+                                              first_texts, f"w{workers}", texts))
                 if outputs != first_outputs:
                     problems.append(f"{tree} {command}: manifest outputs differ "
                                     f"between w{worker_counts[0]} and w{workers}")
     if "baseline" in table:
         for command in commands:
             for workers in worker_counts:
-                mine = table["this"][command][workers][0]
-                theirs = table["baseline"][command][workers][0]
+                mine, _, my_texts = table["this"][command][workers]
+                theirs, _, their_texts = table["baseline"][command][workers]
                 for name in sorted({**mine, **theirs}):
                     if mine.get(name) != theirs.get(name):
-                        problems.append(f"{command} w{workers}: {name} differs "
-                                        f"from the baseline")
+                        problems.append(
+                            f"{command} w{workers}: {name} differs from the "
+                            "baseline" + differing_lines(
+                                name, "baseline", their_texts, "this", my_texts))
     for problem in problems:
         print(f"DIFFERENT: {problem}", file=sys.stderr)
     print(f"{'no' if not problems else len(problems)} difference(s)", file=sys.stderr)

@@ -29,8 +29,6 @@ from .channel_geom import (
 )
 from .mc_engine import (
     DEFAULT_GAMMA_GRID,
-    CorrEstimate,
-    EmpiricalCdf,
     ks_distance,
     marginal_model_sample,
     pearson_correlation,

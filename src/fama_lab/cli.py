@@ -34,8 +34,8 @@ from .analytic_stats import (
 )
 from .channel_geom import SystemConfig
 from .mc_engine import (
-    _CORRELATION_U_REFUSAL,
     ProcessPoolExecutor,
+    _check_correlation_config,
     resolve_workers,
     run_cdf_experiment,
     run_correlation_experiment,
@@ -97,25 +97,27 @@ def parse_config(path: str | None = None, overrides: dict | None = None,
     values: dict = {}
     if path is not None:
         try:
-            fh = open(path, "r", encoding="utf-8")
+            with open(path, "r", encoding="utf-8") as fh:
+                lines = fh.readlines()
         except OSError as exc:  # missing, a directory, unreadable
             raise ConfigError(f"--config {path!r}: {exc.strerror}") from exc
-        with fh:
-            for lineno, line in enumerate(fh, 1):
-                stripped = line.split("#", 1)[0].strip()
-                if not stripped:
-                    continue
-                if "=" not in stripped:
-                    raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-                key, raw = (part.strip() for part in stripped.split("=", 1))
-                if key not in _CONFIG_KEYS:
-                    raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-                if both_schemes and key == "scheme":
-                    raise ConfigError(
-                        f"{path}:{lineno}: config key 'scheme' is not used here: "
-                        "this command writes one CSV per scheme (MRT, and ZF "
-                        "when M >= U)")
-                values[key] = _parse_value(key, raw)
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"--config {path!r}: not UTF-8 text: {exc}") from exc
+        for lineno, line in enumerate(lines, 1):
+            stripped = line.split("#", 1)[0].strip()
+            if not stripped:
+                continue
+            if "=" not in stripped:
+                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+            key, raw = (part.strip() for part in stripped.split("=", 1))
+            if key not in _CONFIG_KEYS:
+                raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+            if both_schemes and key == "scheme":
+                raise ConfigError(
+                    f"{path}:{lineno}: config key 'scheme' is not used here: "
+                    "this command writes one CSV per scheme (MRT, and ZF "
+                    "when M >= U)")
+            values[key] = _parse_value(key, raw)
     for key, val in (overrides or {}).items():
         if val is None:
             continue
@@ -164,12 +166,16 @@ class RunManifest:
 def _remove_listed_outputs(out_dir: str) -> None:
     """Delete the files that an earlier run's manifest.txt in out_dir lists
     as its outputs, then that manifest, so a rerun into the directory
-    leaves only its own files.  Other files are left alone."""
+    leaves only its own files.  Other files are left alone, and so is
+    every file a manifest.txt that fama-lab did not write lists."""
     path = os.path.join(out_dir, "manifest.txt")
     if not os.path.isfile(path):
         return
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError:  # fama-lab writes its manifests as UTF-8
+        return
     if not lines or lines[0] != "fama-lab run manifest":
         return
     for line in lines:
@@ -304,11 +310,8 @@ def run_fig2(config: SystemConfig, out_dir: str, workers: int,
     for cfg in _scheme_configs(config):
         marginal = run_cdf_experiment(cfg, mode="marginal", workers=workers)
         physical = run_cdf_experiment(cfg, mode="physical_reference", workers=workers)
-        curves = {"analytic_cdf": (marginal.analytic, None)}
-        for curve_id, res in (("empirical_marginal", marginal),
-                              ("empirical_physical_reference", physical)):
-            p = res.empirical.values()
-            curves[curve_id] = (p, wilson_half_width(p, res.realizations))
+        # Both maps hold the same analytic_cdf, so the merge keeps its place.
+        curves = {**marginal.curves, **physical.curves}
         tag = f"fig2_{cfg.scheme.lower()}"
         _write_curve_csvs([(f"{tag}.csv", marginal.gamma_grid, curves)],
                           out_dir, manifest)
@@ -324,20 +327,20 @@ def run_fig2(config: SystemConfig, out_dir: str, workers: int,
 
 def run_fig3(config: SystemConfig, out_dir: str, workers: int,
              manifest: RunManifest) -> None:
-    if config.N < 3:
-        raise ConfigError(f"fig3 needs N >= 3 ports, got N={config.N}: the "
-                          "correlation is estimated over port pairs off the "
-                          "reference")
-    if config.U <= 3:
-        raise ConfigError(_CORRELATION_U_REFUSAL.format(U=config.U, L=config.L))
-    for cfg in _scheme_configs(config):
+    configs = list(_scheme_configs(config))
+    for cfg in configs:  # every refusal comes before the first run
+        try:
+            _check_correlation_config(cfg)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+    for cfg in configs:
         res = run_correlation_experiment(cfg, workers=workers)
         rows = []
         p = len(res.ports)
         for i in range(p):
             for j in range(i + 1, p):
                 k, l = int(res.ports[i]), int(res.ports[j])
-                v = res.empirical.matrix[i, j]
+                v = res.matrix[i, j]
                 rows.append((k, l, v, v, v, "empirical_rho_x"))
                 o = res.overlay[i, j]
                 rows.append((k, l, o, o, o, "analytic_rho_x"))
@@ -348,7 +351,7 @@ def run_fig3(config: SystemConfig, out_dir: str, workers: int,
         manifest.experiments += [
             (tag, "realizations", res.realizations),
             (tag, "reference_mode", res.reference_mode),
-            (tag, "dropped_rows", res.empirical.n_dropped),
+            (tag, "dropped_rows", res.n_dropped),
             (tag, "resampled", res.resampled_count),
         ]
         print(f"fig3 {cfg.scheme}: max |empirical - analytic| = "
@@ -388,9 +391,9 @@ def run_fig5(config: SystemConfig, out_dir: str, workers: int,
         params = betaprime_params(cfg.scheme, cfg.M, cfg.U)
         emp = run_cdf_experiment(cfg, mode="marginal", gamma_grid=grid,
                                  workers=workers)
-        sf = 1.0 - emp.empirical.values()
+        sf = 1.0 - emp.curves["empirical_marginal"][0]
         curves = {
-            "analytic_cdf": (emp.analytic, None),
+            "analytic_cdf": emp.curves["analytic_cdf"],
             "analytic_sf": ([betaprime_sf(g, params) for g in grid], None),
             "small_gamma_asymptote": (
                 [asymptote_small_gamma(g, cfg.scheme, cfg.M, cfg.U) for g in grid],

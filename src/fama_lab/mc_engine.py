@@ -84,8 +84,7 @@ from .randlin import RngStream
 __all__ = [
     "DEFAULT_GAMMA_GRID",
     "INTERFERENCE_FLOOR",
-    "EmpiricalCdf",
-    "CorrEstimate",
+    "bin_samples",
     "CdfExperimentResult",
     "CorrelationExperimentResult",
     "OutageExperimentResult",
@@ -117,12 +116,6 @@ DEFAULT_MARGINAL_REALIZATIONS = 1_000_000
 # Two-sided 95% normal quantile of the empirical-curve confidence intervals.
 _Z95 = 1.959963984540054
 
-# Beta-prime(a, b) has a finite variance only for b > 2, so the per-port
-# SIR with L = U - 1 interferers has one only for U >= 4.
-_CORRELATION_U_REFUSAL = (
-    "correlation experiment needs U >= 4: with U={U} there are L={L} <= 2 "
-    "interferers, the SIR has infinite variance and its Pearson coefficient "
-    "is undefined")
 
 _GRAM_TOLERANCE = 1e-12
 _MAX_RESAMPLE_ROUNDS = 100
@@ -169,43 +162,23 @@ def wilson_half_width(p, n: int):
 # Result containers
 
 
-@dataclass
-class EmpiricalCdf:
-    """Cumulative counts of samples at or below each grid threshold."""
-
-    grid: np.ndarray
-    counts: np.ndarray
-    n: int
-
-    def values(self) -> np.ndarray:
-        return self.counts / self.n
-
-    @staticmethod
-    def bin_samples(grid: np.ndarray, samples: np.ndarray) -> np.ndarray:
-        """Per-grid-point cumulative counts for one batch of samples: the
-        number of samples <= each threshold of the sorted grid.  Samples
-        that are inf or nan are never counted."""
-        return np.searchsorted(np.sort(samples), grid, side="right")
-
-
-@dataclass
-class CorrEstimate:
-    """Pairwise Pearson coefficients of the per-port SIRs."""
-
-    ports: np.ndarray           # 1-based port numbers covered by the estimate
-    matrix: np.ndarray          # (len(ports), len(ports)) symmetric, unit diag
-    n_used: int
-    n_dropped: int = 0
+def bin_samples(grid: np.ndarray, samples: np.ndarray) -> np.ndarray:
+    """Per-grid-point cumulative counts for one batch of samples: the
+    number of samples <= each threshold of the sorted grid.  Samples that
+    are inf or nan are never counted."""
+    return np.searchsorted(np.sort(samples), grid, side="right")
 
 
 @dataclass
 class CdfExperimentResult:
+    """A per-port SIR CDF: curves maps "analytic_cdf" to (values, None),
+    then "empirical_<mode>" to (values, Wilson half-width)."""
+
     scheme: str
     mode: str
     params: BetaPrimeParams
     gamma_grid: np.ndarray
-    empirical: EmpiricalCdf
-    analytic: np.ndarray
+    curves: dict
     ks: float
     realizations: int
     infinite_count: int = 0
@@ -216,12 +189,14 @@ class CdfExperimentResult:
 class CorrelationExperimentResult:
     scheme: str
     reference_mode: str
-    ports: np.ndarray
-    empirical: CorrEstimate
+    ports: np.ndarray           # 1-based port numbers covered by the estimate
+    matrix: np.ndarray          # (len(ports), len(ports)) symmetric, unit diag
     overlay: np.ndarray
     deviations: np.ndarray
     max_abs_deviation: float
     realizations: int
+    n_used: int                 # realizations whose SIRs were all finite
+    n_dropped: int
     resampled_count: int = 0
 
 
@@ -304,13 +279,14 @@ def pearson_correlation(samples_x, samples_y) -> float:
     return float(dx @ dy) / math.sqrt(sx * sy)
 
 
-def ks_distance(empirical: EmpiricalCdf, analytic_cdf) -> float:
-    """Max over the grid of |F_hat - F| against the analytic CDF's values
-    on that grid."""
+def ks_distance(values, analytic_cdf) -> float:
+    """Max over the grid of |F_hat - F|: an empirical CDF's values against
+    the analytic CDF's values on the same grid."""
+    values = np.asarray(values, dtype=float)
     analytic = np.asarray(analytic_cdf, dtype=float)
-    if analytic.shape != empirical.grid.shape:
+    if analytic.shape != values.shape:
         raise ValueError("analytic CDF values must match the grid")
-    return float(np.max(np.abs(empirical.values() - analytic)))
+    return float(np.max(np.abs(values - analytic)))
 
 
 # ---------------------------------------------------------------------------
@@ -661,7 +637,7 @@ def _chunk_physref(stream: RngStream, n: int, M: int, U: int, scheme: str,
     infinite count, resample count)."""
     x, resampled = _physref_sirs(stream.generator(), n, M, U, scheme, beta, powers)
     inf_count = int(np.count_nonzero(~np.isfinite(x)))
-    return EmpiricalCdf.bin_samples(np.asarray(grid), x), inf_count, resampled
+    return bin_samples(np.asarray(grid), x), inf_count, resampled
 
 
 def _chunk_outage_physical(
@@ -712,7 +688,7 @@ def _chunk_outage_physical(
                     inf_counts[c] = np.count_nonzero(~np.isfinite(sel))
                     # Outage counts: INFINITE selections are never in outage
                     # and naturally land beyond the grid.
-                    counts[c] = EmpiricalCdf.bin_samples(grid, sel.max(axis=0))
+                    counts[c] = bin_samples(grid, sel.max(axis=0))
     return counts, inf_counts, resampled
 
 
@@ -721,7 +697,7 @@ def _chunk_outage_iid(stream, n, a, b, N, grid):
     realization at or below each grid threshold: (counts, 0, 0).  N = 1
     bins the marginal law itself."""
     x = marginal_model_sample(stream, BetaPrimeParams(a, b), size=n * N)
-    return EmpiricalCdf.bin_samples(np.asarray(grid), _strided_max(x, N)), 0, 0
+    return bin_samples(np.asarray(grid), _strided_max(x, N)), 0, 0
 
 
 def _strided_max(x: np.ndarray, N: int) -> np.ndarray:
@@ -888,16 +864,16 @@ def run_cdf_experiment(
                _BASE_CDF_PHYSICAL)
     [results] = _run_chunked([job], n, config.seed, workers)
     counts, inf_count, resampled = _merge_counts(results)
-    empirical = EmpiricalCdf(grid=grid, counts=counts, n=n)
+    p = counts / n
     analytic = np.array([betaprime_cdf(g, params) for g in grid])
     return CdfExperimentResult(
         scheme=config.scheme,
         mode=mode,
         params=params,
         gamma_grid=grid,
-        empirical=empirical,
-        analytic=analytic,
-        ks=ks_distance(empirical, analytic),
+        curves={"analytic_cdf": (analytic, None),
+                f"empirical_{mode}": (p, wilson_half_width(p, n))},
+        ks=ks_distance(p, analytic),
         realizations=n,
         infinite_count=inf_count,
         resampled_count=resampled,
@@ -925,6 +901,29 @@ def estimate_marginal_tail(
     return (n - int(_merge_counts(results)[0][0])) / n
 
 
+def _check_correlation_config(config: SystemConfig) -> None:
+    """Refuse by name, before anything is drawn, a correlation run whose
+    Pearson coefficients are undefined.  Beta-prime(a, b) has a finite
+    variance only for b > 2, so the SIR with L = U - 1 interferers has one
+    only for U >= 4.  A port with mu_k = 1 (W = 0, or J0 rounding to 1) is
+    the reference location, whose interference ZF nulls: its SIR is
+    infinite in every realization, so every row would be dropped."""
+    if config.N < 3:
+        raise ValueError(f"correlation experiment needs N >= 3 ports, got "
+                         f"N={config.N}: it is estimated over port pairs off "
+                         "the reference")
+    if config.U <= 3:
+        raise ValueError(
+            f"correlation experiment needs U >= 4: with U={config.U} there are "
+            f"L={config.L} <= 2 interferers, the SIR has infinite variance and "
+            "its Pearson coefficient is undefined")
+    if config.scheme == "ZF" and np.any(geometry_for_config(config).mu[1:] == 1.0):
+        raise ValueError(
+            "correlation experiment under ZF needs every port off the reference "
+            f"location, but at W={config.W:g} some have mu_k = 1, so their SIRs "
+            "are infinite")
+
+
 def run_correlation_experiment(
     config: SystemConfig,
     realizations: int | None = None,
@@ -935,14 +934,12 @@ def run_correlation_experiment(
     Estimation always excludes the reference location (under ZF its SIR is
     unbounded; under MRT the analytic approximation targets cross-port
     pairs), so member mode estimates over ports 2..N and external mode over
-    the N selectable ports.  U <= 3 is refused: the SIR then has infinite
-    variance.  Each chunk contributes centred moments, merged in chunk
-    order by _merge_moments.
+    the N selectable ports.  N < 3, U <= 3 (the SIR then has infinite
+    variance) and a ZF port at the reference location are refused
+    (_check_correlation_config).  Each chunk contributes centred moments,
+    merged in chunk order by _merge_moments.
     """
-    if config.N < 3:
-        raise ValueError("correlation experiment needs N >= 3 ports")
-    if config.U <= 3:
-        raise ValueError(_CORRELATION_U_REFUSAL.format(U=config.U, L=config.L))
+    _check_correlation_config(config)
     mode = config.resolved_reference_mode()
     geometry = geometry_for_config(config)
     est_idx = np.arange(1, geometry.num_ports)
@@ -963,29 +960,23 @@ def run_correlation_experiment(
     sd = np.sqrt(np.diag(m2))
     matrix = m2 / np.outer(sd, sd)
     np.fill_diagonal(matrix, 1.0)
-    p = len(est_idx)
     meff = betaprime_params(config.scheme, config.M, config.U).a
-    overlay = np.empty((p, p))
-    for i in range(p):
-        for j in range(p):
-            overlay[i, j] = (
-                1.0 if i == j else rho_x_approx(
-                    geometry.mu[est_idx[i]], geometry.mu[est_idx[j]],
-                    meff, config.L,
-                )
-            )
-    off = ~np.eye(p, dtype=bool)
+    mu = geometry.mu[est_idx]
+    overlay = np.array([[rho_x_approx(a, b, meff, config.L) for b in mu] for a in mu])
+    np.fill_diagonal(overlay, 1.0)
+    off = ~np.eye(len(mu), dtype=bool)
     deviations = np.abs(matrix - overlay)
     return CorrelationExperimentResult(
         scheme=config.scheme,
         reference_mode=mode,
         ports=est_idx + 1,
-        empirical=CorrEstimate(ports=est_idx + 1, matrix=matrix,
-                               n_used=used, n_dropped=dropped),
+        matrix=matrix,
         overlay=overlay,
         deviations=deviations,
         max_abs_deviation=float(deviations[off].max()),
         realizations=n,
+        n_used=used,
+        n_dropped=dropped,
         resampled_count=resampled,
     )
 

@@ -125,6 +125,29 @@ class TestFig3:
         assert "N >= 3" in capsys.readouterr().err
         assert os.listdir(out) == []
 
+    @pytest.mark.parametrize("W", ["0", "1e-300"])
+    def test_zf_at_zero_aperture_refused_before_any_run(self, tmp_path,
+                                                        capsys, monkeypatch, W):
+        # At W = 0, or where every mu_k rounds to 1, every ZF SIR is
+        # infinite: fig3 refuses by name before its MRT run, and writes
+        # nothing.
+        monkeypatch.setattr(cli, "run_correlation_experiment",
+                            lambda *a, **k: pytest.fail("a run started"))
+        out = tmp_path / "f3w"
+        assert main(["fig3", "--W", W, "--realizations", "1000",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: correlation experiment under ZF needs "
+                              "every port off the reference location")
+        assert os.listdir(out) == []
+
+    def test_zero_aperture_runs_without_zf(self, tmp_path):
+        # With M < U no ZF run is made, so W = 0 is not refused.
+        out = tmp_path / "f3m"
+        assert main(["fig3", "--M", "3", "--W", "0", "--realizations", "1000",
+                     "--out", str(out)]) == 0
+        assert sorted(os.listdir(out)) == ["fig3_mrt.csv", "manifest.txt"]
+
     def test_pair_schema(self, tmp_path):
         out = str(tmp_path / "f3")
         assert main(["fig3", "--realizations", "4000", "--N", "4",
@@ -279,6 +302,21 @@ class TestSweep:
         assert main(["sweep", "--realizations", "1000", "--sweep-M", "2",
                      "--sweep-scheme", "ZF", "--out", out]) == 0
         assert not any(n.startswith("sweep_zf") for n in os.listdir(out))
+
+    def test_non_utf8_manifest_lists_nothing(self, tmp_path):
+        # A manifest.txt that is not UTF-8 text was not written by
+        # fama-lab: none of the files it lists is deleted, and the run
+        # goes on and replaces it.
+        out = tmp_path / "foreign"
+        out.mkdir()
+        (out / "keep.csv").write_text("not an output\n")
+        (out / "manifest.txt").write_bytes(
+            b"\xff\xfefama-lab run manifest\noutputs: keep.csv\n")
+        assert main(["fig5", "--realizations", "1000", "--out", str(out)]) == 0
+        assert (out / "keep.csv").read_text() == "not an output\n"
+        manifest = (out / "manifest.txt").read_text(encoding="utf-8")
+        assert manifest.startswith("fama-lab run manifest\n")
+        assert "outputs: fig5_mrt.csv, fig5_zf.csv\n" in manifest
 
     def test_rerun_removes_earlier_outputs(self, tmp_path):
         out = tmp_path / "rerun"
@@ -615,6 +653,12 @@ class TestErrors:
             err = capsys.readouterr().err
             assert err.startswith(f"config error: --config {str(path)!r}")
             assert not out.exists()
+        # So is one that is not UTF-8 text, here a UTF-16 byte-order mark.
+        p.write_bytes(b"\xff\xfeM = 8\n")
+        assert main(["fig2", "--config", str(p), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: --config {str(p)!r}: not UTF-8")
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["fig5", "validate"])
     def test_bad_worker_variable_refused_by_name(self, tmp_path, capsys,

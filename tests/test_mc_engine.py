@@ -22,8 +22,9 @@ from fama_lab.channel_geom import (
 from fama_lab.mc_engine import (
     CHUNK_SIZE,
     DEFAULT_GAMMA_GRID,
-    EmpiricalCdf,
     OutageExperimentResult,
+    _BASE_CDF,
+    _BASE_CDF_PHYSICAL,
     _BASE_OUTAGE_PHYSICAL,
     _STREAM_SPAN,
     _cgauss,
@@ -39,6 +40,7 @@ from fama_lab.mc_engine import (
     _run_chunked,
     _strided_max,
     _weights_for_scheme,
+    bin_samples,
     estimate_marginal_tail,
     ks_distance,
     marginal_model_sample,
@@ -49,6 +51,7 @@ from fama_lab.mc_engine import (
     run_outage_experiment,
     run_outage_group,
     surrogate_gain_sample,
+    wilson_half_width,
 )
 from fama_lab import mc_engine
 from fama_lab.randlin import RngStream
@@ -114,7 +117,7 @@ class TestSelectBestPort:
         # it is never above any single port's curve.
         sel, counts, _, sirs = _port_curves(SystemConfig(N=3, W=2.0, seed=20), 256)
         assert sel == (0, 1, 2)
-        assert np.array_equal(counts[0], EmpiricalCdf.bin_samples(
+        assert np.array_equal(counts[0], bin_samples(
             DEFAULT_GAMMA_GRID, sirs.max(axis=1)))
         assert np.all(counts[0] <= counts[1:].min(axis=0))
         assert np.any(counts[0] < counts[1:].min(axis=0))
@@ -186,7 +189,7 @@ class TestMarginalSampler:
         counts, _, _ = _chunk_outage_iid(RngStream(seed, 0), n, a, b, N,
                                          DEFAULT_GAMMA_GRID)
         assert np.array_equal(
-            counts, EmpiricalCdf.bin_samples(DEFAULT_GAMMA_GRID, best))
+            counts, bin_samples(DEFAULT_GAMMA_GRID, best))
 
 
 class TestSurrogateSampler:
@@ -240,25 +243,24 @@ class TestKsDistance:
         x = marginal_model_sample(RngStream(37, 0), BetaPrimeParams(8, 3),
                                   size=1_000_000)
         grid = DEFAULT_GAMMA_GRID
-        emp = EmpiricalCdf(grid, EmpiricalCdf.bin_samples(grid, x), len(x))
+        values = bin_samples(grid, x) / len(x)
         analytic = [betaprime_cdf(g, BetaPrimeParams(8, 3)) for g in grid]
-        assert ks_distance(emp, analytic) <= 0.003
+        assert ks_distance(values, analytic) <= 0.003
 
     def test_mismatched_laws_far(self):
         x = marginal_model_sample(RngStream(38, 0), BetaPrimeParams(8, 3),
                                   size=200_000)
         grid = DEFAULT_GAMMA_GRID
-        emp = EmpiricalCdf(grid, EmpiricalCdf.bin_samples(grid, x), len(x))
+        values = bin_samples(grid, x) / len(x)
         wrong = [betaprime_cdf(g, BetaPrimeParams(5, 3)) for g in grid]
-        assert ks_distance(emp, wrong) >= 0.15
+        assert ks_distance(values, wrong) >= 0.15
 
     def test_callable_form_and_shape_check(self):
-        grid = np.array([0.5, 1.0, 2.0])
-        emp = EmpiricalCdf(grid, np.array([1, 2, 4]), 4)
+        values = np.array([1, 2, 4]) / 4
         # The analytic CDF comes as its values on the grid only.
-        assert ks_distance(emp, np.full(3, 0.5)) == pytest.approx(0.5)
+        assert ks_distance(values, np.full(3, 0.5)) == pytest.approx(0.5)
         with pytest.raises(ValueError):
-            ks_distance(emp, np.array([0.1, 0.2]))
+            ks_distance(values, np.array([0.1, 0.2]))
 
 
 # Unequal large-scale gains of up to 8 users for the frame tests.
@@ -545,7 +547,7 @@ class TestPhysicalReference:
             cfg = SystemConfig(M=8, U=4, scheme=scheme, seed=12345, beta=beta)
             res = run_cdf_experiment(cfg, mode="physical_reference",
                                      realizations=20_000)
-            counts.append(res.empirical.counts)
+            counts.append(res.curves["empirical_physical_reference"][0])
         assert np.array_equal(counts[0], counts[1])
         assert np.array_equal(counts[0], counts[2])
 
@@ -618,7 +620,7 @@ def test_bin_samples_equals_bincount_form():
     gen.shuffle(x)
     slots = np.searchsorted(grid, x, side="left")
     expect = np.cumsum(np.bincount(slots, minlength=len(grid) + 1))[: len(grid)]
-    counts = EmpiricalCdf.bin_samples(grid, x)
+    counts = bin_samples(grid, x)
     assert counts.dtype == expect.dtype
     assert np.array_equal(counts, expect)
 
@@ -641,8 +643,8 @@ def _replayed_selection_outage(cfg, n):
         stream = RngStream(cfg.seed, _BASE_OUTAGE_PHYSICAL + start // CHUNK_SIZE)
         sirs = _chunk_ports_sir(stream, min(CHUNK_SIZE, n - start), cfg.M,
                                 cfg.U, cfg.scheme, cfg.beta, cfg.powers, mu)[0]
-        counts = counts + EmpiricalCdf.bin_samples(DEFAULT_GAMMA_GRID,
-                                                   sirs[:, sel].max(axis=1))
+        counts = counts + bin_samples(DEFAULT_GAMMA_GRID,
+                                      sirs[:, sel].max(axis=1))
     return counts / n
 
 
@@ -747,7 +749,7 @@ class TestOutageGroup:
                                            cfg.scheme, cfg.beta, cfg.powers,
                                            tuple(geometry_for_config(cfg).mu))
             assert resampled[k] == count
-            assert np.array_equal(counts[c], EmpiricalCdf.bin_samples(
+            assert np.array_equal(counts[c], bin_samples(
                 DEFAULT_GAMMA_GRID, sirs[:, j])), (k, j)
             assert inf_counts[c] == np.count_nonzero(~np.isfinite(sirs[:, j]))
         assert all(resampled[k] > 0 for k, cfg in enumerate(configs)
@@ -809,13 +811,43 @@ class TestExperiments:
                                 workers=1)
         r2 = run_cdf_experiment(cfg, mode="marginal", realizations=60_000,
                                 workers=2)
-        assert np.array_equal(r1.empirical.counts, r2.empirical.counts)
+        assert np.array_equal(r1.curves["empirical_marginal"][0],
+                              r2.curves["empirical_marginal"][0])
 
     def test_chunk_remainder(self):
         cfg = SystemConfig(M=8, U=4, seed=51)
         res = run_cdf_experiment(cfg, mode="marginal", realizations=16_384 + 77)
-        assert res.empirical.n == 16_384 + 77
-        assert res.empirical.counts[-1] <= res.empirical.n
+        assert res.realizations == 16_384 + 77
+        assert res.curves["empirical_marginal"][0][-1] <= 1.0
+
+    @pytest.mark.parametrize("mode", ["marginal", "physical_reference"])
+    def test_cdf_curve_map(self, mode):
+        # The map holds fig2's curve ids in its order: the analytic CDF,
+        # then the empirical CDF, the kernel's counts merged over the
+        # chunks and divided by n, with its Wilson half-width.
+        cfg = SystemConfig(M=8, U=4, scheme="ZF", seed=64)
+        grid = np.array([0.3, 1.0, 3.0])
+        n = CHUNK_SIZE + 77
+        res = run_cdf_experiment(cfg, mode=mode, gamma_grid=grid,
+                                 realizations=n)
+        assert list(res.curves) == ["analytic_cdf", f"empirical_{mode}"]
+        counts = 0
+        for i, size in enumerate((CHUNK_SIZE, 77)):
+            if mode == "marginal":
+                counts = counts + _chunk_outage_iid(
+                    RngStream(64, _BASE_CDF + i), size, 5, 3, 1, grid)[0]
+            else:
+                counts = counts + _chunk_physref(
+                    RngStream(64, _BASE_CDF_PHYSICAL + i), size, 8, 4, "ZF",
+                    cfg.beta, cfg.powers, grid)[0]
+        p, half_width = res.curves[f"empirical_{mode}"]
+        assert np.array_equal(p, counts / n)
+        assert np.array_equal(half_width, wilson_half_width(p, n))
+        analytic, none = res.curves["analytic_cdf"]
+        assert none is None
+        assert np.array_equal(analytic, [betaprime_cdf(g, BetaPrimeParams(5, 3))
+                                         for g in grid])
+        assert res.ks == ks_distance(p, analytic)
 
     def test_run_beyond_stream_namespace_refused(self):
         # SPAN + 1 chunks would draw chunk SPAN from the next namespace's
@@ -891,8 +923,8 @@ class TestExperiments:
         order = np.argsort(grid)
         sorted_run = run_cdf_experiment(cfg, gamma_grid=grid[order],
                                         realizations=4096)
-        assert np.array_equal(got.empirical.counts[order],
-                              sorted_run.empirical.counts)
+        assert np.array_equal(got.curves["empirical_marginal"][0][order],
+                              sorted_run.curves["empirical_marginal"][0])
 
     def test_outage_single_port_degenerate(self):
         cfg = SystemConfig(M=8, U=4, N=1, W=0.0, seed=52)
@@ -987,16 +1019,35 @@ class TestExperiments:
         raw = x.T @ x - len(x) * np.outer(x.mean(axis=0), x.mean(axis=0))
         assert not np.allclose(raw, dev.T @ dev, rtol=1e-3)
 
+    @pytest.mark.parametrize("mode, W", [
+        ("member", 0.0), ("external", 0.0), ("member", 1e-300)])
+    def test_zf_at_zero_aperture_refused_before_any_chunk(self, monkeypatch,
+                                                          mode, W):
+        # At W = 0, or where J0 rounds every mu_k to 1, every port is the
+        # reference location, whose interference ZF nulls: every SIR is
+        # infinite, and no pair is estimated.
+        calls = []
+        monkeypatch.setattr(mc_engine, "_run_chunked",
+                            lambda *a, **k: calls.append(a))
+        cfg = SystemConfig(M=8, U=4, N=4, W=W, scheme="ZF",
+                           reference_mode=mode, seed=58)
+        with pytest.raises(ValueError, match=(
+                "under ZF needs every port off the reference location, but "
+                f"at W={W:g} some have mu_k = 1")):
+            run_correlation_experiment(cfg, realizations=5_000)
+        assert calls == []
+
     def test_fully_correlated_ports_corr_one(self):
         cfg = SystemConfig(M=8, U=4, N=4, W=0.0, scheme="MRT", seed=58)
         res = run_correlation_experiment(cfg, realizations=5_000)
-        assert np.allclose(res.empirical.matrix, 1.0, atol=1e-9)
+        assert np.allclose(res.matrix, 1.0, atol=1e-9)
 
     def test_correlation_result_shape(self):
         cfg = SystemConfig(M=8, U=4, N=4, W=2.0, seed=56)
         res = run_correlation_experiment(cfg, realizations=20_000)
-        m = res.empirical.matrix
+        m = res.matrix
         assert list(res.ports) == [2, 3, 4]
+        assert res.n_used + res.n_dropped == res.realizations
         assert np.allclose(m, m.T)
         assert np.allclose(np.diag(m), 1.0)
         assert np.allclose(np.diag(res.overlay), 1.0)
@@ -1008,10 +1059,10 @@ class TestExperiments:
         cfg = SystemConfig(M=8, U=4, N=5, W=0.8, seed=57)
         sel, counts, inf_counts, sirs = _port_curves(cfg, 512)
         assert sirs.shape == (512, 5)
-        assert np.array_equal(counts[0], EmpiricalCdf.bin_samples(
+        assert np.array_equal(counts[0], bin_samples(
             DEFAULT_GAMMA_GRID, sirs[:, sel].max(axis=1)))
         for row, j in enumerate(sel, start=1):
-            assert np.array_equal(counts[row], EmpiricalCdf.bin_samples(
+            assert np.array_equal(counts[row], bin_samples(
                 DEFAULT_GAMMA_GRID, sirs[:, j]))
         assert np.all(inf_counts == 0)
 
