@@ -23,7 +23,10 @@ file whose digest differs between the two trees at the same worker count
 also exits 1: so every criterion reading is compared, not only the CSVs.
 A manifest.txt or validate_report.txt that differs is shown too: its
 differing lines, timings and `wall_seconds` removed, go to stderr as a
-unified diff without context.
+unified diff without context.  For a CSV that differs, stderr names each
+`curve_id` (the last column) whose rows differ and how many of its rows
+do, so a declared change to the random stream can be audited curve by
+curve.
 """
 
 from __future__ import annotations
@@ -77,7 +80,7 @@ def run_tree(src: Path, seed: int, workers: int, command: str, out: Path) -> Non
 def digests(out: Path) -> tuple[dict[str, str], dict[str, list[str]]]:
     """sha256 of each output, the manifest's without its wall_seconds line
     and the validate report's without its timings, and the lines of those
-    two as digested."""
+    two and of each CSV as digested."""
     found, texts = {}, {}
     for path in sorted(out.iterdir()):
         data = path.read_bytes()
@@ -87,15 +90,40 @@ def digests(out: Path) -> tuple[dict[str, str], dict[str, list[str]]]:
         elif path.name == "validate_report.txt":
             data = _REPORT_TIMINGS.sub(b"", data)
         found[path.name] = hashlib.sha256(data).hexdigest()
-        if path.name in _TEXT_OUTPUTS:
+        if path.name in _TEXT_OUTPUTS or path.name.endswith(".csv"):
             texts[path.name] = data.decode("utf-8", "replace").splitlines()
     return found, texts
 
 
+def differing_curves(old: list[str], new: list[str]) -> dict[str, int]:
+    """curve_id -> the number of its rows that differ between two versions
+    of one curve CSV: rows are matched by their position within the curve,
+    and a row present in one version only differs too."""
+    def by_curve(lines: list[str]) -> dict[str, list[str]]:
+        curves: dict[str, list[str]] = {}
+        for line in lines[1:]:
+            curves.setdefault(line.rsplit(",", 1)[-1], []).append(line)
+        return curves
+
+    old_curves, new_curves = by_curve(old), by_curve(new)
+    counts = {}
+    for curve in dict.fromkeys([*old_curves, *new_curves]):
+        a, b = old_curves.get(curve, []), new_curves.get(curve, [])
+        count = sum(x != y for x, y in zip(a, b)) + abs(len(a) - len(b))
+        if count:
+            counts[curve] = count
+    return counts
+
+
 def differing_lines(name: str, old_label: str, old: dict, new_label: str,
                     new: dict) -> str:
-    """The lines by which text output `name` differs between two runs, as
+    """How output `name` differs between two runs: the curve_ids of a CSV
+    whose rows differ, with their counts, or the lines of a text output as
     a unified diff without context; empty for any other output."""
+    if name.endswith(".csv"):
+        counts = differing_curves(old.get(name, []), new.get(name, []))
+        return "".join(f"\n  curve_id {curve}: {count} row(s) differ"
+                       for curve, count in counts.items())
     if name not in _TEXT_OUTPUTS:
         return ""
     diff = difflib.unified_diff(old.get(name, []), new.get(name, []),

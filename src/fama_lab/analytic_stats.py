@@ -173,7 +173,9 @@ def rho_u_approx(mu_k: float, mu_l: float, m_effective: int, L: int) -> float:
 
 
 def rho_x_approx(mu_k: float, mu_l: float, m_effective: int, L: int) -> float:
-    """Cross-port SIR correlation: rho_U attenuated by L / (L + M_eff + 1)."""
+    """Cross-port SIR correlation: rho_U attenuated by L / (L + M_eff + 1).
+    Its premise is mu_k, mu_l < 1: ports that coincide (mu = 1, as at W = 0)
+    have one SIR and correlate 1, where this reads 0.18 at M = 8, U = 4."""
     return rho_u_approx(mu_k, mu_l, m_effective, L) * L / (L + m_effective + 1.0)
 
 

@@ -17,7 +17,10 @@ R^H R, so no Gram is formed or factored (_frame_zf_beams).
 
 The frame kernel keeps R, its beams and the port vectors batch-last: its
 (n, r, U) arrays are views of (r, U, n) memory, so each matrix entry is one
-contiguous (n,) vector over the chunk.  Every pass touches the nonzero
+contiguous (n,) vector over the chunk.  Every draw lands in that memory
+as drawn, the innovations port-major, with no gather, conjugation or
+scaling pass: R's column scales and the port scales sigma_k absorb the
+sqrt(2) of _cgauss (_frame_sirs).  Every pass touches the nonzero
 triangle only: R and its MRT beams are upper-triangular, its ZF beams
 lower-triangular.  The ZF inverse (_lower_inverse) pushes each finished
 row into all later rows with one broadcast block multiply; the beam norms,
@@ -33,12 +36,12 @@ their draws (common random numbers).  None of the three changes R, and
 no precoder advances the chunk stream (a ZF redraw of an ill-conditioned
 R draws from a child of it), so a chunk draws R, then one innovation
 block for the largest port count, and builds every scheme's beams from R.
-A smaller count's innovations are the block's contiguous prefix, exactly
-what a draw of that size returns.  So every config reads exactly the
-draws of a run of its own.  W enters only through the port correlations
-mu_k, and only in frame row 0 and the scale sigma_k of the innovations:
-the projections of rows 1..r-1 onto the beams are summed once per
-(scheme, port count) and shared by its apertures (_frame_sirs).
+A smaller count p reads the block's first p-1 ports, exactly what a draw
+of that size returns, so every config reads the draws of its own run.
+W enters only through the port correlations mu_k, and only in frame row
+0 and the scale sigma_k of the innovations: the projections of rows
+1..r-1 onto the beams are summed once per (scheme, port count) and
+shared by its apertures (_frame_sirs).
 
 _chunk_outage_physical is the one place where a physical SIR is selected
 and binned.  It bins curves, each the largest SIR of one config over a set
@@ -294,11 +297,9 @@ def ks_distance(values, analytic_cdf) -> float:
 
 
 def _cgauss(gen: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    """CN(0, 1) entries: (re, im) normal pairs scaled by sqrt(1/2) in
-    place and viewed as complex, so no second chunk-sized array is made."""
-    z = gen.standard_normal(shape + (2,))
-    z *= np.sqrt(0.5)
-    return z.view(np.complex128)[..., 0]
+    """sqrt(2) CN(0, 1) entries: unscaled (re, im) standard-normal pairs
+    viewed as complex in place; callers fold sqrt(1/2) into their scales."""
+    return gen.standard_normal(shape + (2,)).view(np.complex128)[..., 0]
 
 
 def _reference_factor(gen, n: int, M: int, U: int, beta) -> np.ndarray:
@@ -308,23 +309,23 @@ def _reference_factor(gen, n: int, M: int, U: int, beta) -> np.ndarray:
     For i.i.d. CN(0, 1) columns the factor with a positive diagonal has
     independent entries (the complex Bartlett decomposition; Goodman, Ann.
     Math. Stat. 1963): |R_ii|^2 ~ Gamma(M - i, 1) on the diagonal, CN(0, 1)
-    above it and 0 below.  Column u is then scaled by sqrt(beta_u).  Draw
-    order: the r diagonal Gammas, then the entries above the diagonal, row
-    by row.  R is the (n, r, U) view of batch-last (r, U, n) memory, so
-    each entry R[:, i, u] is one contiguous (n,) vector.
+    above it and 0 below.  Column u is then scaled by sqrt(beta_u).  R is
+    the (n, r, U) view of batch-last (r, U, n) memory, and every draw lands
+    there in that order: the diagonal Gammas one row at a time, (n,) each,
+    then the entries above the diagonal as one block, (n,) per entry, whose
+    row blocks are R[i, i+1:], scaled by sqrt(beta / 2) (see _cgauss).
     """
     r = min(M, U)
     root_beta = np.sqrt(np.asarray(beta, dtype=float))
-    diag = np.arange(r)
     R = np.zeros((r, U, n), dtype=complex)
-    gains = gen.standard_gamma(M - diag, size=(n, r))
-    R[diag, diag] = (np.sqrt(gains) * root_beta[:r]).T
-    upper = _cgauss(gen, (n, r * U - r * (r + 1) // 2))
+    for i in range(r):
+        R[i, i] = np.sqrt(gen.standard_gamma(M - i, n)) * root_beta[i]
+    upper = _cgauss(gen, (r * U - r * (r + 1) // 2, n))
+    scale = root_beta[:, None] * math.sqrt(0.5)
     start = 0
     for i in range(r):
-        # Row i's entries above the diagonal, R[i, i+1:], are one block.
         block = slice(start, start + U - i - 1)
-        np.multiply(upper[:, block].T, root_beta[i + 1:, None], out=R[i, i + 1:])
+        np.multiply(upper[block], scale[i + 1:], out=R[i, i + 1:])
         start = block.stop
     return R.transpose(2, 0, 1)
 
@@ -463,14 +464,17 @@ def _frame_sirs(r0: np.ndarray, g: np.ndarray, F: np.ndarray, scheme: str,
     port count P), in the frame Q of the reference channels H = QR.
 
     r0 = Q^H h_{0,1} (n, r) is user 0's column of R, zero below R_00, g
-    (n, P-1, r) holds the frame innovations of ports 2..P and F = Q^H W
-    (n, r, U) the beams that `scheme` builds from R.  Port k is
-    z_k = Q^H h_{0,k} = mu_k r0 + sigma_k g_k, sigma_k = sqrt((1 - mu_k^2)
-    beta0), so z_k = w_k e_0 + sigma_k (0, g_k1, ..., g_k,r-1) with
-    w_k = mu_k R_00 + sigma_k g_k0, and
+    (P-1, r, n) the innovations of ports 2..P as _draw_frame draws them,
+    and F = Q^H W (n, r, U) the beams that `scheme` builds from R.  g_k is
+    read as sqrt(2) conj(Q^H x_k): the frame innovation Q^H x_k ~ CN(0, I_r)
+    is circularly symmetric and independent of R, so conj(g_k) / sqrt(2)
+    has its law, and no pass conjugates or scales g.  Port k is
+    z_k = Q^H h_{0,k} = mu_k r0 + sigma_k conj(g_k) with sigma_k =
+    sqrt((1 - mu_k^2) beta0 / 2), so z_k = w_k e_0 + sigma_k conj(0, g_k1,
+    ..., g_k,r-1) with w_k = mu_k R_00 + sigma_k conj(g_k0), and
 
         z_k^H f_u = conj(w_k) F_0u + sigma_k s_ku,
-        s_ku = sum_{j>=1} conj(g_kj) F_ju.
+        s_ku = sum_{j>=1} g_kj F_ju.
 
     The projections s_ku do not depend on the aperture, so each is summed
     once for all of `mus`, entry by entry over F's nonzero triangle only:
@@ -490,18 +494,17 @@ def _frame_sirs(r0: np.ndarray, g: np.ndarray, F: np.ndarray, scheme: str,
     """
     n, r = r0.shape
     U = F.shape[2]
-    ports = g.shape[1]
+    ports = g.shape[0]
     powers = np.asarray(powers, dtype=float)
     zf = scheme == "ZF"
     F = F.transpose(1, 2, 0)
     r00c = r0[:, 0].conj()
-    # conj(g), one contiguous (P-1, n) row per frame coordinate j.
-    rows = [np.conjugate(g[:, :, j].T, out=np.empty((ports, n), dtype=complex))
-            for j in range(r)]
+    # One (P-1, n) view per frame coordinate j, each row contiguous.
+    rows = [g[:, j] for j in range(r)]
     sigmas, rows0 = [], []
     for mu in mus:
         mu = np.asarray(mu, dtype=float)[1:, None]
-        sigma = np.sqrt(np.maximum(0.0, 1.0 - mu**2)) * math.sqrt(beta0)
+        sigma = np.sqrt(np.maximum(0.0, 1.0 - mu**2)) * math.sqrt(beta0 / 2.0)
         row0 = sigma * rows[0]
         row0 += mu * r00c
         sigmas.append(sigma)
@@ -554,20 +557,20 @@ def _frame_sirs(r0: np.ndarray, g: np.ndarray, F: np.ndarray, scheme: str,
 def _draw_frame(gen, n: int, M: int, U: int, schemes: tuple[str, ...], beta,
                 ports: int):
     """Everything of a port chunk that the aperture does not change: R (see
-    _reference_factor), the innovations g ~ CN(0, I_r), (n, ports-1, r), of
-    ports 2..ports, the law of Q^H x_k, and the beams F = Q^H W that each
-    MRT/ZF rule of `schemes` (distinct) builds from R.  Returns (g, frames),
-    frames one (F, resampled, R) per scheme, in order (_weights_for_scheme).
+    _reference_factor), the innovations g = _cgauss(gen, (ports-1, r, n))
+    of ports 2..ports, port-major, read as sqrt(2) conj(Q^H x_k)
+    (_frame_sirs), and the beams F = Q^H W that each MRT/ZF rule of
+    `schemes` (distinct) builds from R.  Returns (g, frames), frames one
+    (F, resampled, R) per scheme, in order (_weights_for_scheme).
 
     Draw order: R (diagonal Gammas, then the entries above the diagonal),
     then g.  The beams draw nothing from gen: ZF redraws come from a child
-    of it (_zf_weights).  So a smaller port count's innovations are the
-    contiguous prefix of g, exactly what a draw of that size returns
-    (standard_normal fills its output in order), and each scheme sees the
-    draws of a frame of its own.
+    of it (_zf_weights).  So a smaller port count p reads g[:p-1], exactly
+    what a draw of that size returns (standard_normal fills its output in
+    order), and each scheme sees the draws of a frame of its own.
     """
     R = _reference_factor(gen, n, M, U, beta)
-    g = _cgauss(gen, (n, ports - 1, R.shape[1]))
+    g = _cgauss(gen, (ports - 1, R.shape[1], n))
     redraw = partial(_reference_factor, M=M, U=U, beta=beta)
     return g, [_weights_for_scheme(gen, R, scheme, redraw) for scheme in schemes]
 
@@ -624,8 +627,9 @@ def _physref_sirs(gen, n: int, M: int, U: int, scheme: str, beta,
     powers = np.asarray(powers, dtype=float)
     desired = np.abs(R[:, 0, 0] * F[:, 0, 0]) ** 2
     if scheme == "MRT":
-        proj = np.einsum("nr,nru->nu", g[:, 0].conj(), F[:, :, 1:])
-        terms = np.abs(math.sqrt(beta0) * proj) ** 2
+        # g[0] reads as sqrt(2) conj(Q^H x): the scale is sqrt(beta0 / 2).
+        proj = np.einsum("rn,nru->nu", g[0], F[:, :, 1:])
+        terms = np.abs(math.sqrt(beta0 / 2.0) * proj) ** 2
     else:
         terms = beta0 * gen.standard_exponential((n, U - 1))
     return _sir(powers[0] * desired, (terms * powers[1:]).sum(axis=1)), resampled
@@ -654,8 +658,8 @@ def _chunk_outage_physical(
 
     R depends on neither the scheme, N nor W, so one frame draw
     (_draw_frame) serves the group: R, one innovation block for the
-    group's largest port count, whose contiguous prefix is a smaller
-    count's innovations, and each scheme's beams.  So every config sees
+    group's largest port count, whose first p-1 ports are a count p's
+    innovations, and each scheme's beams.  So every config sees
     exactly the draws of a chunk of its own.  The SIRs of one (scheme,
     port count) come from one _frame_sirs call, which shares the
     aperture-invariant projections; selection and binning run once per
@@ -664,8 +668,6 @@ def _chunk_outage_physical(
     unique = tuple(dict.fromkeys(schemes))
     g, frames = _draw_frame(stream.generator(), n, M, U, unique, beta,
                             max(len(mu) for mu in mus))
-    r = g.shape[2]
-    flat = g.reshape(-1)
     beta0 = float(np.asarray(beta)[0])
     grid = np.asarray(grid)
     counts = np.empty((len(curves), len(grid)), dtype=np.int64)
@@ -676,9 +678,8 @@ def _chunk_outage_physical(
         resampled[ks] = count
         for ports in dict.fromkeys(len(mus[k]) for k in ks):
             same = [k for k in ks if len(mus[k]) == ports]
-            g = flat[:n * (ports - 1) * r].reshape(n, ports - 1, r)
-            sirs = _frame_sirs(R[:, :, 0], g, F, scheme, beta0, powers,
-                               [mus[k] for k in same])
+            sirs = _frame_sirs(R[:, :, 0], g[:ports - 1], F, scheme, beta0,
+                               powers, [mus[k] for k in same])
             for k, x in zip(same, sirs):
                 for c, (config, sel_idx) in enumerate(curves):
                     if config != k:
@@ -1003,19 +1004,16 @@ def run_outage_group(
     frame draw per chunk: one result per config, in order, each equal to
     the config's own run_outage_experiment, on DEFAULT_GAMMA_GRID.
 
-    The chunk streams, R and the innovations do not depend on the scheme,
-    N or W, and no precoder advances a chunk stream (ZF redraws come from
-    a child of it).  So each chunk draws R and one innovation block for
-    the group, and every scheme builds its beams from that R
-    (_chunk_outage_physical).  Each config thus reads exactly the stream it
-    would use alone.  W enters only through mu_k = J0(2 pi d_k) in the
-    SIRs.  The reference mode, and with it the port count and the
-    selectable ports, is resolved per config: unset, it is member under MRT
-    and external under ZF.  The i.i.d. benchmark and the analytic envelope
-    depend only on the Beta-prime shapes (a, b) and the selectable port
-    count, so they run once per distinct (a, b, count), and the envelope's
-    F and SF once per (a, b) (outage_envelopes).  Configs that differ in
-    any other field are refused, by the field's name.
+    Each chunk draws one frame for the whole group (_chunk_outage_physical),
+    so each config reads exactly the stream it would use alone.  W enters
+    only through mu_k = J0(2 pi d_k) in the SIRs.  The reference mode, and
+    with it the port count and the selectable ports, is resolved per
+    config: unset, it is member under MRT and external under ZF.  The
+    i.i.d. benchmark and the analytic envelope depend only on the
+    Beta-prime shapes (a, b) and the selectable port count, so they run
+    once per distinct (a, b, count), and the envelope's F and SF once per
+    (a, b) (outage_envelopes).  Configs that differ in any other field are
+    refused, by the field's name.
 
     This is the one place that decides the curves of a result's map:
     empirical_correlated (the physical selection), empirical_iid (the

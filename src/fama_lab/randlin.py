@@ -4,10 +4,10 @@ A (seed, stream_id) pair keys its own SFC64 generator through numpy's
 SeedSequence, so chunked Monte-Carlo runs produce identical numbers
 regardless of how many workers consume the chunks: each chunk's stream is
 rebuilt from its pair wherever it runs.  Channels, beams and SIRs are drawn
-in batches by the chunk kernels of mc_engine; the per-port kernel draws, per
-realization, the triangular factor of the reference channels (r = min(M, U)
-Gammas and the CN(0, 1) entries above the diagonal) and then r-dimensional
-CN(0, I) innovations for ports 2..P.
+in batches by the chunk kernels of mc_engine.  A frame chunk draws, n each,
+batch-last: the r = min(M, U) diagonal Gammas of the reference channels'
+triangular factor row by row, the normals of its entries above the
+diagonal entry by entry, then the innovations of ports 2..P port by port.
 """
 
 from __future__ import annotations

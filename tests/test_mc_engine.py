@@ -266,6 +266,13 @@ class TestKsDistance:
 # Unequal large-scale gains of up to 8 users for the frame tests.
 _FRAME_BETA = (2.0, 0.5, 1.5, 1.0, 0.7, 1.2, 0.4, 2.5)
 
+
+def _as_drawn(x):
+    """CN(0, 1) frame innovations x (n, P-1, r) as _draw_frame returns
+    them: sqrt(2) conj(x), (P-1, r, n)."""
+    return np.sqrt(2) * np.conj(x).transpose(1, 2, 0)
+
+
 # (M, U, N, W, scheme, reference_mode, beta, powers) of the KS comparison.
 _KS_CONFIGS = [
     (8, 4, 8, 4.0, "MRT", "member", None, None),
@@ -298,7 +305,7 @@ class TestPortsKernel:
             Q = np.matmul(H, np.linalg.inv(R))
         else:
             Q, R = np.linalg.qr(H)
-        g = np.einsum("nmr,npm->npr", Q.conj(), e)
+        g = _as_drawn(np.einsum("nmr,npm->npr", Q.conj(), e))
         F, resampled, _ = _weights_for_scheme(
             RngStream(40, 0).generator(), R, scheme,
             partial(_reference_factor, M=M, U=U, beta=beta))
@@ -389,8 +396,9 @@ class TestPortsKernel:
         # The triangle-only projection of the redrawn row against a dense
         # matmul of the assembled ports with all U x U beam entries.
         mu = np.array([1.0, 0.8, 0.3, -0.2])
-        g = _cgauss(gen, (5, len(mu) - 1, U))
-        got = _frame_sirs(R_used[:, :, 0], g, W, "ZF", beta[0], powers, [mu])[0]
+        g = np.sqrt(0.5) * _cgauss(gen, (5, len(mu) - 1, U))
+        got = _frame_sirs(R_used[:, :, 0], _as_drawn(g), W, "ZF", beta[0],
+                          powers, [mu])[0]
         sigma = np.sqrt(1.0 - mu[1:] ** 2) * math.sqrt(beta[0])
         z = np.concatenate([R_used[:, None, :, 0],
                             mu[1:, None] * R_used[:, None, :, 0]
@@ -437,14 +445,15 @@ def _full_pass_sirs(r0, g, F, scheme, beta0, powers, mu):
     assembled in all r rows, mu_k r0 is added to every row, and each
     projection sums over F's nonzero triangle.  The same float operations,
     in the same order, as the frame kernel before it skipped r0's zero rows
-    and the reference port's zero projections."""
+    and the reference port's zero projections.  g is _draw_frame's
+    (P-1, r, n) draw, sqrt(2) conj of the innovations."""
     mu = np.asarray(mu, dtype=float)
     n, r = r0.shape
     U = F.shape[2]
-    sigma = np.sqrt(np.maximum(0.0, 1.0 - mu[1:] ** 2)) * math.sqrt(beta0)
+    sigma = np.sqrt(np.maximum(0.0, 1.0 - mu[1:] ** 2)) * math.sqrt(beta0 / 2.0)
     z = np.empty((len(mu), r, n), dtype=complex)
     z[0] = r0.T
-    np.multiply(sigma[:, None, None], g.transpose(1, 2, 0), out=z[1:])
+    np.multiply(sigma[:, None, None], np.conj(g), out=z[1:])
     z[1:] += mu[1:, None, None] * z[0]
     F = F.transpose(1, 2, 0)
     gains = np.empty((U, len(mu), n))
@@ -587,27 +596,55 @@ class TestPhysicalReference:
         assert peaks[0] == peaks[1]
 
 
-def test_cgauss_scales_the_draws_in_place():
-    # The scaled normals are the complex entries' own memory, and equal the
-    # product of the complex view and sqrt(1/2) bit for bit.
+def test_cgauss_views_the_draws_in_place():
+    # The (re, im) standard-normal pairs are the complex entries' own
+    # memory, unscaled: sqrt(2) CN(0, 1).
     z = _cgauss(RngStream(47, 0).generator(), (64, 3, 4))
     raw = RngStream(47, 0).generator().standard_normal((64, 3, 4, 2))
     assert z.shape == (64, 3, 4)
     assert z.base is not None and z.base.dtype == np.float64
-    assert np.array_equal(z, np.sqrt(0.5) * raw.view(np.complex128)[..., 0])
+    assert np.array_equal(z, raw.view(np.complex128)[..., 0])
+
+
+def test_cgauss_parts_are_independent_standard_normals():
+    # Real and imaginary parts are N(0, 1) each (KS), and so is their
+    # normalised sum and difference, as for independent parts only.
+    z = _cgauss(RngStream(49, 0).generator(), (50_000,))
+    parts = (z.real, z.imag, (z.real + z.imag) / math.sqrt(2.0),
+             (z.real - z.imag) / math.sqrt(2.0))
+    for part in parts:
+        assert stats.kstest(part, "norm").pvalue > 1e-3 / len(parts)
+    assert abs(np.corrcoef(z.real, z.imag)[0, 1]) < 4.0 / math.sqrt(len(z))
 
 
 @pytest.mark.parametrize("ports", [0, 1, 3, 6])
 def test_cgauss_smaller_draw_is_prefix_of_larger(ports):
-    # A frame group draws the innovations once, for its largest port count
-    # P, and serves a smaller count p < P - 1 from the contiguous prefix:
-    # that holds only while standard_normal fills its output in order.
+    # A frame group draws the innovations once, port-major, for its largest
+    # port count P, and serves p - 1 < P - 1 ports from the first p - 1
+    # port blocks: that holds only while standard_normal fills its output
+    # in order.
     n, P, r = 300, 8, 4
-    big = _cgauss(RngStream(48, 0).generator(), (n, P - 1, r))
-    small = _cgauss(RngStream(48, 0).generator(), (n, ports, r))
-    prefix = big.reshape(-1)[:n * ports * r].reshape(n, ports, r)
-    assert np.shares_memory(prefix, big) or ports == 0
-    assert np.array_equal(small, prefix)
+    big = _cgauss(RngStream(48, 0).generator(), (P - 1, r, n))
+    small = _cgauss(RngStream(48, 0).generator(), (ports, r, n))
+    assert np.shares_memory(big[:ports], big) or ports == 0
+    assert np.array_equal(small, big[:ports])
+
+
+@pytest.mark.parametrize("M, U", [(8, 4), (3, 5)])
+@pytest.mark.parametrize("ports", [1, 2, 4, 7])
+def test_draw_frame_smaller_port_count_is_prefix(M, U, ports):
+    # _draw_frame at p ports returns the first p - 1 ports of its draw at
+    # P ports, bit for bit, and the same R: a frame group's configs read
+    # exactly the draws of runs of their own.
+    P, beta = 8, _FRAME_BETA[:U]
+    big, [(_, _, R_big)] = _draw_frame(RngStream(48, M).generator(), 300, M,
+                                       U, ("MRT",), beta, P)
+    small, [(_, _, R)] = _draw_frame(RngStream(48, M).generator(), 300, M,
+                                     U, ("MRT",), beta, ports)
+    assert big.shape == (P - 1, min(M, U), 300)
+    assert small.shape == (ports - 1, min(M, U), 300)
+    assert np.array_equal(small, big[:ports - 1])
+    assert np.array_equal(R, R_big)
 
 
 def test_bin_samples_equals_bincount_form():

@@ -22,7 +22,8 @@ from physical_oracle import beams
 
 
 def _cg(seed, stream_id, shape):
-    return _cgauss(RngStream(seed, stream_id).generator(), shape)
+    """CN(0, 1) entries: _cgauss's sqrt(2) CN(0, 1) draw times sqrt(1/2)."""
+    return math.sqrt(0.5) * _cgauss(RngStream(seed, stream_id).generator(), shape)
 
 
 def _gamma(seed, shape, size):
