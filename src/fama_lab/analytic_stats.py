@@ -287,14 +287,22 @@ def asymptote_small_gamma(gamma: float, scheme: str, M: int, U: int) -> float:
 
 
 def asymptote_large_m(gamma: float, scheme: str, M: int, U: int) -> float:
-    """Large-M law M_eff^{L-1} gamma^{M_eff} / Gamma(L), valid for gamma < 1."""
+    """Large-M law at fixed 0 < gamma < 1: the leading binomial term
+
+        T = C(a+b-1, a) gamma^a (1+gamma)^{-(a+b-1)},  a = M_eff, b = L,
+
+    of F(gamma) = sum_{j=a}^{a+b-1} C(a+b-1, j) gamma^j (1+gamma)^{-(a+b-1)}.
+    Term j+1 over term j is at most q = (b-1) gamma / (a+1), so
+    T <= F <= T / (1 - q) wherever q < 1, and T / F -> 1 as M grows.
+    """
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"large-M expansion requires 0 < gamma < 1, got {gamma}")
     a = m_eff(scheme, M, U)
     L = U - 1
     if L < 1:
         raise ValueError("asymptote needs at least one interferer (U >= 2)")
-    return math.exp((L - 1.0) * math.log(a) - ln_gamma(L) + a * math.log(gamma))
+    n = a + L - 1
+    return math.exp(ln_binomial(n, a) + a * math.log(gamma) - n * math.log1p(gamma))
 
 
 def asymptote_tail(gamma: float, params: BetaPrimeParams) -> float:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specialfn import bessel_j0
+from .specialfn import BESSEL_J0_MAX_ARG, bessel_j0
 
 __all__ = [
     "SystemConfig",
@@ -104,6 +104,14 @@ class SystemConfig:
                 f"reference_mode must be one of {_REFERENCE_MODES}, got "
                 f"{self.reference_mode!r}"
             )
+        # The far port's displacement as geometry_for_config computes it
+        # (it may round above W): 2 pi times it is the largest J0 argument.
+        far = port_displacements(_location_count(self), self.W)[-1]
+        if 2.0 * math.pi * far > BESSEL_J0_MAX_ARG:
+            raise ValueError(
+                f"W must be at most BESSEL_J0_MAX_ARG / (2 pi) = "
+                f"{BESSEL_J0_MAX_ARG / (2.0 * math.pi):g} wavelengths, where the "
+                f"port correlation J0(2 pi W) leaves bessel_j0's domain; got {self.W}")
         if not _is_integer(self.seed):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
         self.seed = int(self.seed)
@@ -188,10 +196,13 @@ def geometry_for_config(config: SystemConfig) -> PortGeometry:
     external mode: N+1 uniform locations over [0, W]; location 1 (d=0) is the
     CSI reference and ports 2..N+1 are selectable.
     """
-    mode = config.resolved_reference_mode()
-    total = config.N if mode == "member" else config.N + 1
-    d = port_displacements(total, config.W)
+    d = port_displacements(_location_count(config), config.W)
     return PortGeometry(displacements=d, mu=mu_vector(d))
+
+
+def _location_count(config: SystemConfig) -> int:
+    """Port locations of the geometry: N, plus the reference in external mode."""
+    return config.N if config.resolved_reference_mode() == "member" else config.N + 1
 
 
 def selectable_port_indices(config: SystemConfig) -> np.ndarray:

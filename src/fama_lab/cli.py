@@ -32,7 +32,7 @@ from .analytic_stats import (
     betaprime_params,
     betaprime_sf,
 )
-from .channel_geom import SystemConfig
+from .channel_geom import SystemConfig, geometry_for_config
 from .mc_engine import (
     ProcessPoolExecutor,
     _check_correlation_config,
@@ -333,6 +333,12 @@ def run_fig3(config: SystemConfig, out_dir: str, workers: int,
             _check_correlation_config(cfg)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+    for cfg in configs:  # only MRT gets here with a port at mu_k = 1
+        if np.any(geometry_for_config(cfg).mu[1:] == 1.0):
+            raise ConfigError(
+                f"fig3 {cfg.scheme} needs every estimated port off the reference "
+                f"location, but at W={cfg.W:g} some have mu_k = 1, where the "
+                "analytic overlay rho_x_approx does not hold")
     for cfg in configs:
         res = run_correlation_experiment(cfg, workers=workers)
         rows = []

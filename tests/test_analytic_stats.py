@@ -1,9 +1,11 @@
 """Closed-form SIR statistics: Beta-prime laws, correlation approximations,
 outage envelopes, and asymptotes, checked against independent oracles."""
 
+import itertools
 import math
 from dataclasses import fields
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -274,17 +276,24 @@ class TestAsymptotes:
         val = asymptote_small_gamma(1e-6, "ZF", 4, 4)
         assert val == pytest.approx(3e-6, rel=1e-9)
 
-    def test_large_m_value_and_ratio(self):
-        assert asymptote_large_m(0.1, "MRT", 8, 4) == pytest.approx(3.2e-7, rel=1e-10)
-        ratio = asymptote_large_m(0.1, "MRT", 8, 4) / asymptote_small_gamma(
-            0.1, "MRT", 8, 4
-        )
-        assert ratio == pytest.approx(32.0 / 45.0, rel=1e-10)
-
-    def test_large_m_prefactor_unity_when_single_interferer(self):
-        assert asymptote_large_m(0.5, "MRT", 6, 2) == pytest.approx(
-            0.5**6, rel=1e-10
-        )
+    def test_large_m_bracket_against_mpmath(self):
+        # T <= F <= T / (1 - q), q = (b-1) gamma / (a+1) < 1, with F the
+        # exact binomial tail in 50-digit arithmetic; 1e-12 relative slack
+        # absorbs T's rounding (at b = 1, T = F).
+        points = itertools.product(("MRT", "ZF"), (8, 64, 256), (2, 4, 8),
+                                   (0.1, 0.5, 0.9))
+        with mp.workdps(50):
+            for point in points:
+                scheme, M, U, gamma = point
+                a, b = m_eff(scheme, M, U), U - 1
+                n, g = a + b - 1, mp.mpf(gamma)
+                F = mp.fsum(mp.binomial(n, j) * g**j
+                            for j in range(a, n + 1)) / (1 + g) ** n
+                T = asymptote_large_m(gamma, scheme, M, U)
+                assert T <= F * (1 + 1e-12), point
+                q = (b - 1) * gamma / (a + 1)
+                if q < 1.0:
+                    assert F * (1 - q) <= T * (1 + 1e-12), point
 
     def test_large_m_domain(self):
         with pytest.raises(ValueError):

@@ -16,6 +16,7 @@ from fama_lab.channel_geom import (
     selectable_port_indices,
 )
 from fama_lab.randlin import RngStream
+from fama_lab.specialfn import BESSEL_J0_MAX_ARG
 from physical_oracle import draw_physical, port_channels
 
 mp.mp.dps = 30
@@ -46,6 +47,8 @@ class TestSystemConfig:
             (dict(W=-1.0), "W"),
             (dict(W=nan), "W"),
             (dict(W=inf), "W"),
+            (dict(W=1e300), "BESSEL_J0_MAX_ARG"),
+            (dict(W=BESSEL_J0_MAX_ARG), "BESSEL_J0_MAX_ARG"),
             (dict(scheme="MMSE"), "scheme"),
             (dict(beta=(1.0, 1.0)), "beta"),
             (dict(beta=(nan, 1.0, 1.0, 1.0)), "beta"),
@@ -67,6 +70,28 @@ class TestSystemConfig:
         # An integral float is an integer.
         assert type(SystemConfig(M=8.0).M) is int
         assert type(SystemConfig(realizations=2500.0).realizations) is int
+
+    @pytest.mark.parametrize("mode, N", [("member", 2), ("member", 7),
+                                         ("member", 8), ("external", 1),
+                                         ("external", 7)])
+    def test_largest_accepted_aperture_builds_its_geometry(self, mode, N):
+        # The bound is on the geometry's last displacement, (n-1) (W/(n-1)),
+        # which may round above W.
+        def accepted(W):
+            try:
+                SystemConfig(N=N, W=W, reference_mode=mode)
+            except ValueError:
+                return False
+            return True
+
+        W = BESSEL_J0_MAX_ARG / (2.0 * math.pi)
+        while not accepted(W):
+            W = float(np.nextafter(W, 0.0))
+        while accepted(float(np.nextafter(W, math.inf))):
+            W = float(np.nextafter(W, math.inf))
+        geometry = geometry_for_config(SystemConfig(N=N, W=W, reference_mode=mode))
+        assert np.all(np.abs(geometry.mu) <= 1.0)
+        assert geometry.displacements[-1] == pytest.approx(W, rel=1e-15)
 
 
 class TestDisplacements:

@@ -68,6 +68,10 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="ZF requires M >= U"):
             parse_config(str(p))
 
+    def test_aperture_beyond_j0_domain_refused_by_name(self):
+        with pytest.raises(ConfigError, match="W must be at most"):
+            parse_config(None, {"W": 1e300})
+
     def test_zf_boundary_accepted(self):
         cfg = parse_config(None, {"scheme": "ZF", "M": 4, "U": 4})
         assert cfg.M == cfg.U == 4
@@ -141,12 +145,19 @@ class TestFig3:
                               "every port off the reference location")
         assert os.listdir(out) == []
 
-    def test_zero_aperture_runs_without_zf(self, tmp_path):
-        # With M < U no ZF run is made, so W = 0 is not refused.
+    @pytest.mark.parametrize("W", ["0", "1e-300"])
+    def test_mrt_at_zero_aperture_refused_before_any_run(self, tmp_path,
+                                                         capsys, monkeypatch, W):
+        # With M < U only MRT runs; its ports sit on the reference (mu_k = 1),
+        # outside the premise of the overlay rho_x_approx.
+        monkeypatch.setattr(cli, "run_correlation_experiment",
+                            lambda *a, **k: pytest.fail("a run started"))
         out = tmp_path / "f3m"
-        assert main(["fig3", "--M", "3", "--W", "0", "--realizations", "1000",
-                     "--out", str(out)]) == 0
-        assert sorted(os.listdir(out)) == ["fig3_mrt.csv", "manifest.txt"]
+        assert main(["fig3", "--M", "3", "--W", W, "--realizations", "1000",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: fig3 MRT needs every estimated port off the reference location")
+        assert os.listdir(out) == []
 
     def test_pair_schema(self, tmp_path):
         out = str(tmp_path / "f3")

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from fama_lab.specialfn import (
+    BESSEL_J0_MAX_ARG,
     bessel_j0,
     beta_fn,
     ln_binomial,
@@ -176,9 +177,19 @@ class TestBesselJ0:
             assert abs(bessel_j0(float(x)) - ref) <= 1e-10, x
 
     def test_domain(self):
-        for bad in (math.inf, -math.inf, math.nan):
-            with pytest.raises(ValueError):
+        beyond = float(np.nextafter(BESSEL_J0_MAX_ARG, math.inf))
+        for bad in (math.inf, -math.inf, math.nan, beyond, -beyond, 1e300):
+            with pytest.raises(ValueError, match="BESSEL_J0_MAX_ARG"):
                 bessel_j0(bad)
+
+    def test_mpmath_up_to_domain_limit(self):
+        # 1e-12 absolute at 240 points from 0 to the limit itself: the
+        # rule's rounding error grows like sqrt(x) 1e-16.
+        xs = np.concatenate([np.linspace(0.0, 10.0, 41),
+                             np.geomspace(10.0, BESSEL_J0_MAX_ARG, 199)])
+        for x in xs:
+            ref = float(mp.besselj(0, mp.mpf(float(x))))
+            assert abs(bessel_j0(float(x)) - ref) <= 1e-12, x
 
 
 class TestLnBinomial:
