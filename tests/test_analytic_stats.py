@@ -276,6 +276,19 @@ class TestAsymptotes:
         val = asymptote_small_gamma(1e-6, "ZF", 4, 4)
         assert val == pytest.approx(3e-6, rel=1e-9)
 
+    def test_large_m_value_and_ratio(self):
+        # T = C(10, 8) 0.1^8 1.1^-10: the small-gamma law times (1+g)^-(a+b-1)
+        T = asymptote_large_m(0.1, "MRT", 8, 4)
+        assert T == pytest.approx(45e-8 / 1.1**10, rel=1e-10)
+        ratio = T / asymptote_small_gamma(0.1, "MRT", 8, 4)
+        assert ratio == pytest.approx(1.1**-10, rel=1e-10)
+
+    def test_large_m_prefactor_unity_when_single_interferer(self):
+        # L = 1: C(a, a) = 1 and T = (g / (1+g))^a, which is F exactly
+        assert asymptote_large_m(0.5, "MRT", 6, 2) == pytest.approx(
+            (0.5 / 1.5) ** 6, rel=1e-10
+        )
+
     def test_large_m_bracket_against_mpmath(self):
         # T <= F <= T / (1 - q), q = (b-1) gamma / (a+1) < 1, with F the
         # exact binomial tail in 50-digit arithmetic; 1e-12 relative slack
