@@ -76,7 +76,7 @@ def criterion_01_cross_form_identity(seed: int = SUITE_SEED) -> tuple[bool, str]
 
 
 def criterion_02_marginal_goodness_of_fit(seed: int = SUITE_SEED) -> tuple[bool, str]:
-    """Gamma-ratio sampler KS <= 0.003 at n=1e6 for (8,3) and (5,3)."""
+    """Exact-law sampler KS <= 0.003 at n=1e6 for (8,3) and (5,3)."""
     spots_ok = (
         abs(betaprime_cdf(1.0, BetaPrimeParams(8, 3)) - 0.0546875) < 1e-12
         and abs(betaprime_cdf(1.0, BetaPrimeParams(5, 3)) - 29.0 / 128.0) < 1e-12

@@ -279,11 +279,13 @@ def _write_curve_csvs(files: list[tuple], out_dir: str,
 
 
 def write_pair_csv(path: str, rows: list[tuple]) -> None:
-    """Port-pair-indexed curve family: one row per (pair, curve)."""
+    """Port-pair-indexed curve family: one row per (pair, curve).  A
+    ci_low or ci_high of None is written as an empty field."""
     with _atomic_open(path) as fh:
         fh.write("port_k,port_l,value,ci_low,ci_high,curve_id\n")
         for k, l, value, ci_low, ci_high, curve_id in rows:
-            fh.write(f"{k},{l},{_fmt(value)},{_fmt(ci_low)},{_fmt(ci_high)},{curve_id}\n")
+            lo, hi = ("" if c is None else _fmt(c) for c in (ci_low, ci_high))
+            fh.write(f"{k},{l},{_fmt(value)},{lo},{hi},{curve_id}\n")
 
 
 def _scheme_configs(config: SystemConfig) -> Iterator[SystemConfig]:
@@ -346,8 +348,9 @@ def run_fig3(config: SystemConfig, out_dir: str, workers: int,
         for i in range(p):
             for j in range(i + 1, p):
                 k, l = int(res.ports[i]), int(res.ports[j])
-                v = res.matrix[i, j]
-                rows.append((k, l, v, v, v, "empirical_rho_x"))
+                # The estimate has no interval: its ci columns stay empty.
+                rows.append((k, l, res.matrix[i, j], None, None,
+                             "empirical_rho_x"))
                 o = res.overlay[i, j]
                 rows.append((k, l, o, o, o, "analytic_rho_x"))
         name = f"fig3_{cfg.scheme.lower()}.csv"

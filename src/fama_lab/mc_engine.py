@@ -50,7 +50,11 @@ selectable set; with per_port (criterion 6) a second job, on streams of
 its own, bins each config's selection curve and a singleton set per
 selectable port.  Every marginal count (the i.i.d. benchmark, fig2's and
 fig5's marginal CDFs, criterion 8's tail) comes from one kernel too,
-_chunk_outage_iid, with N = 1 for a single port.
+_chunk_outage_iid, with N = 1 for a single port.  Its draws
+(marginal_model_sample) are sums of min(a, b) exponentials, Renyi's
+representation of Beta(max(a, b), min(a, b)), up to _RENYI_MAX_TERMS terms
+and ratios of two Gammas beyond; neither reads betaprime_cdf, so the
+i.i.d. curve stays an independent check of the analytic F^N.
 The i.i.d. benchmark runs once per (shapes, selectable count); its chunk
 takes the largest of each realization's N draws as a running maximum over
 strided columns (_strided_max).  The analytic envelope evaluates F and SF
@@ -119,6 +123,13 @@ DEFAULT_MARGINAL_REALIZATIONS = 1_000_000
 # Two-sided 95% normal quantile of the empirical-curve confidence intervals.
 _Z95 = 1.959963984540054
 
+
+# Largest min(a, b) that marginal_model_sample draws as a sum of that many
+# exponentials rather than a ratio of two Gammas: their cost parity, as
+# scripts/sampler_cost.py measures it.  On a 2-core Xeon VM with numpy 2.4
+# the sum costs 0.30x the Gamma ratio at 1 term, 0.92-1.00x at 6 and
+# 1.06-1.34x at 7 (medians of 9-15 repeats, four runs).
+_RENYI_MAX_TERMS = 6
 
 _GRAM_TOLERANCE = 1e-12
 _MAX_RESAMPLE_ROUNDS = 100
@@ -236,12 +247,40 @@ class OutageExperimentResult:
 
 def marginal_model_sample(stream: RngStream, params: BetaPrimeParams,
                           size: int) -> np.ndarray:
-    """`size` exact Beta-prime(a, b) samples as a ratio of independent
-    Gammas."""
+    """`size` exact Beta-prime(a, b) samples.
+
+    With k = min(a, b) and m = max(a, b), Beta(m, k) is the product of the
+    independent Beta(m + i, 1), i < k, so its -log is T = sum_i E_i / (m + i)
+    with E_i ~ Exp(1) (Renyi's representation of uniform order statistics;
+    Devroye 1986, ch. IX).  Then expm1(T) ~ Beta-prime(k, m), and
+    X ~ Beta-prime(a, b) iff 1/X ~ Beta-prime(b, a), so X is expm1(T) for
+    a <= b and 1 / expm1(T) otherwise.  For k <= _RENYI_MAX_TERMS the k rows
+    of exponentials are drawn as standard_exponential((k, size)) fills them,
+    each added into T as it is drawn; a T of 0 gives X = 0, or for a > b an
+    infinite X, which is never counted.  Beyond that, k exponentials cost
+    more than two Gammas, and X is the Gamma ratio
+    standard_gamma(a) / standard_gamma(b).
+    """
     gen = stream.generator()
-    num = gen.standard_gamma(params.a, size)
-    den = gen.standard_gamma(params.b, size)
-    return num / den
+    a, b = int(params.a), int(params.b)
+    k, m = min(a, b), max(a, b)
+    if k > _RENYI_MAX_TERMS:
+        num = gen.standard_gamma(a, size)
+        den = gen.standard_gamma(b, size)
+        return num / den
+    t = gen.standard_exponential(size)
+    t /= m
+    if k > 1:
+        e = np.empty(size)
+        for i in range(1, k):
+            gen.standard_exponential(out=e)
+            e /= m + i
+            t += e
+    np.expm1(t, out=t)
+    if a > b:
+        with np.errstate(divide="ignore"):
+            np.divide(1.0, t, out=t)
+    return t
 
 
 def surrogate_gain_sample(stream: RngStream, mu, m_effective: int, L: int,
@@ -842,10 +881,11 @@ def run_cdf_experiment(
 ) -> CdfExperimentResult:
     """Empirical per-port SIR CDF with the analytic overlay and KS report.
 
-    marginal mode samples the exact Gamma-ratio law; physical_reference mode
-    simulates the reference-port SIR from the physical desired gain and
-    interference drawn independent of it (_physref_sirs), in the frame of
-    the reference channels under either scheme.
+    marginal mode samples the exact law (marginal_model_sample);
+    physical_reference mode simulates the reference-port SIR from the
+    physical desired gain and interference drawn independent of it
+    (_physref_sirs), in the frame of the reference channels under either
+    scheme.
     """
     if mode not in ("marginal", "physical_reference"):
         raise ValueError(f"unknown cdf experiment mode {mode!r}")
@@ -938,7 +978,11 @@ def run_correlation_experiment(
     the N selectable ports.  N < 3, U <= 3 (the SIR then has infinite
     variance) and a ZF port at the reference location are refused
     (_check_correlation_config).  Each chunk contributes centred moments,
-    merged in chunk order by _merge_moments.
+    merged in chunk order by _merge_moments.  The overlay rho_x_approx
+    holds for ports off the reference location only: a pair with
+    mu_k = 1 or mu_l = 1 (an MRT run at W = 0) gets a NaN overlay and
+    deviation, and max_abs_deviation is taken over the other pairs, NaN
+    if there are none.
     """
     _check_correlation_config(config)
     mode = config.resolved_reference_mode()
@@ -964,9 +1008,13 @@ def run_correlation_experiment(
     meff = betaprime_params(config.scheme, config.M, config.U).a
     mu = geometry.mu[est_idx]
     overlay = np.array([[rho_x_approx(a, b, meff, config.L) for b in mu] for a in mu])
+    # rho_x_approx's premise is mu_k, mu_l < 1: a pair with a port at the
+    # reference location gets no overlay, so no deviation either.
+    at_ref = mu == 1.0
+    overlay[at_ref[:, None] | at_ref[None, :]] = np.nan
     np.fill_diagonal(overlay, 1.0)
-    off = ~np.eye(len(mu), dtype=bool)
     deviations = np.abs(matrix - overlay)
+    held = deviations[~np.eye(len(mu), dtype=bool) & ~np.isnan(overlay)]
     return CorrelationExperimentResult(
         scheme=config.scheme,
         reference_mode=mode,
@@ -974,7 +1022,7 @@ def run_correlation_experiment(
         matrix=matrix,
         overlay=overlay,
         deviations=deviations,
-        max_abs_deviation=float(deviations[off].max()),
+        max_abs_deviation=float(held.max()) if held.size else math.nan,
         realizations=n,
         n_used=used,
         n_dropped=dropped,

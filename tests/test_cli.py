@@ -167,6 +167,14 @@ class TestFig3:
         assert header == PAIR_HEADER
         pairs = {(r[0], r[1]) for r in rows}
         assert pairs == {("2", "3"), ("2", "4"), ("3", "4")}
+        # The estimate has no interval, so its ci columns are empty; the
+        # overlay repeats its value, as every analytic curve does.
+        for _, _, value, ci_low, ci_high, curve_id in rows:
+            if curve_id == "empirical_rho_x":
+                assert (ci_low, ci_high) == ("", "")
+            else:
+                assert curve_id == "analytic_rho_x"
+                assert ci_low == ci_high == value
 
 
 class TestFig4:

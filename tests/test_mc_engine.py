@@ -5,7 +5,9 @@ import dataclasses
 import math
 import pickle
 import tracemalloc
+import warnings
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from fama_lab.mc_engine import (
     _BASE_CDF,
     _BASE_CDF_PHYSICAL,
     _BASE_OUTAGE_PHYSICAL,
+    _RENYI_MAX_TERMS,
     _STREAM_SPAN,
     _cgauss,
     _chunk_outage_iid,
@@ -171,6 +174,61 @@ class TestMarginalSampler:
         x = marginal_model_sample(RngStream(32, 0), BetaPrimeParams(5, 3),
                                   size=1_000_000)
         assert np.mean(x <= 1.0) == pytest.approx(29.0 / 128.0, abs=0.002)
+
+    # Shapes on both sides of the switch at min(a, b) = _RENYI_MAX_TERMS.
+    @pytest.mark.parametrize("a, b", [(1, 1), (8, 3), (3, 8), (4, 4), (1, 6),
+                                      (6, 9), (9, 7), (12, 12)])
+    def test_ks_against_exact_law(self, a, b):
+        # The one-sample KS statistic of n draws against betaprime_cdf, held
+        # to its 0.1% critical value 1.95 / sqrt(n), fixed before the run.
+        n = 20_000
+        params = BetaPrimeParams(a, b)
+        x = np.sort(marginal_model_sample(RngStream(39, 16 * a + b), params,
+                                          size=n))
+        cdf = np.array([betaprime_cdf(v, params) for v in x.tolist()])
+        i = np.arange(1, n + 1)
+        d = max(np.max(i / n - cdf), np.max(cdf - (i - 1) / n))
+        assert d <= 1.95 / math.sqrt(n)
+
+    @pytest.mark.parametrize("a, b", [(9, 7), (7, 7), (7, 40), (64, 8)])
+    def test_gamma_ratio_beyond_switch(self, a, b):
+        assert min(a, b) > _RENYI_MAX_TERMS
+        gen = RngStream(40, 3).generator()
+        ref = gen.standard_gamma(a, 1000) / gen.standard_gamma(b, 1000)
+        x = marginal_model_sample(RngStream(40, 3), BetaPrimeParams(a, b), 1000)
+        assert x.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("a, b", [(1, 1), (8, 3), (3, 8), (6, 6), (6, 1),
+                                      (1, 6), (40, 6)])
+    def test_exponential_sum_up_to_switch(self, a, b):
+        # -log Beta(m, k) = sum_i E_i / (m + i), and expm1 of it is
+        # Beta-prime(k, m): the rows of one (k, size) draw, summed in order.
+        k, m = min(a, b), max(a, b)
+        assert k <= _RENYI_MAX_TERMS
+        e = RngStream(41, 5).generator().standard_exponential((k, 1000))
+        t = e[0] / m
+        for i in range(1, k):
+            t = t + e[i] / (m + i)
+        ref = np.expm1(t) if a <= b else 1.0 / np.expm1(t)
+        x = marginal_model_sample(RngStream(41, 5), BetaPrimeParams(a, b), 1000)
+        assert x.tobytes() == ref.tobytes()
+
+    def test_zero_sum_is_infinite_and_never_counted(self):
+        # A sum of exponentials that are all 0 is Beta-prime 0, or inf for
+        # a > b, with no divide warning; bin_samples never counts inf.
+        def zeros(size=None, out=None):
+            if out is None:
+                return np.zeros(size)
+            out[:] = 0.0
+
+        stream = SimpleNamespace(generator=lambda: SimpleNamespace(
+            standard_exponential=zeros))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            low = marginal_model_sample(stream, BetaPrimeParams(3, 8), 4)
+            high = marginal_model_sample(stream, BetaPrimeParams(8, 3), 4)
+        assert np.all(low == 0.0) and np.all(high == np.inf)
+        assert not bin_samples(DEFAULT_GAMMA_GRID, high).any()
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(a=st.integers(min_value=1, max_value=64),
@@ -1078,6 +1136,27 @@ class TestExperiments:
         cfg = SystemConfig(M=8, U=4, N=4, W=0.0, scheme="MRT", seed=58)
         res = run_correlation_experiment(cfg, realizations=5_000)
         assert np.allclose(res.matrix, 1.0, atol=1e-9)
+
+    @pytest.mark.parametrize("W, outside", [
+        (0.0, [(0, 1), (0, 2), (1, 2)]),  # every port has mu = 1
+        (5e-9, [(0, 1), (0, 2)]),         # port 2 alone rounds to mu = 1
+    ])
+    def test_overlay_only_where_its_premise_holds(self, W, outside):
+        # rho_x_approx assumes mu_k, mu_l < 1: a pair with a port at mu = 1
+        # has no overlay and no deviation, and the largest deviation is
+        # taken over the other pairs, NaN if there are none.
+        cfg = SystemConfig(M=8, U=4, N=4, W=W, scheme="MRT", seed=58)
+        res = run_correlation_experiment(cfg, realizations=5_000)
+        nan = np.zeros((3, 3), dtype=bool)
+        for i, j in outside:
+            nan[i, j] = nan[j, i] = True
+        assert np.array_equal(np.isnan(res.overlay), nan)
+        assert np.array_equal(np.isnan(res.deviations), nan)
+        assert np.array_equal(np.diag(res.overlay), np.ones(3))
+        if W == 0.0:
+            assert math.isnan(res.max_abs_deviation)
+        else:
+            assert res.max_abs_deviation == res.deviations[1, 2]
 
     def test_correlation_result_shape(self):
         cfg = SystemConfig(M=8, U=4, N=4, W=2.0, seed=56)
