@@ -75,15 +75,23 @@ def criterion_01_cross_form_identity(seed: int = SUITE_SEED) -> tuple[bool, str]
     return worst <= 1e-10, f"max |cf - finite_sum| = {worst:.3e} (tol 1e-10)"
 
 
+# Criterion 2's ZF fit runs at seed + _ZF_FIT_SEED_OFFSET: the marginal
+# streams are keyed by (seed, chunk) alone, so at one seed the (8, 3) and
+# (5, 3) samplers would read the same exponentials and the two fits would
+# move together.  The MRT fit of no seed below the offset reads them.
+_ZF_FIT_SEED_OFFSET = 1 << 32
+
+
 def criterion_02_marginal_goodness_of_fit(seed: int = SUITE_SEED) -> tuple[bool, str]:
-    """Exact-law sampler KS <= 0.003 at n=1e6 for (8,3) and (5,3)."""
+    """Exact-law sampler KS <= 0.003 at n=1e6 for (8,3) and (5,3), the two
+    fits on streams of their own."""
     spots_ok = (
         abs(betaprime_cdf(1.0, BetaPrimeParams(8, 3)) - 0.0546875) < 1e-12
         and abs(betaprime_cdf(1.0, BetaPrimeParams(5, 3)) - 29.0 / 128.0) < 1e-12
     )
     ks = {}
-    for scheme in ("MRT", "ZF"):
-        cfg = SystemConfig(M=8, U=4, scheme=scheme, seed=seed)
+    for scheme, fit_seed in (("MRT", seed), ("ZF", seed + _ZF_FIT_SEED_OFFSET)):
+        cfg = SystemConfig(M=8, U=4, scheme=scheme, seed=fit_seed)
         res = run_cdf_experiment(cfg, mode="marginal", realizations=1_000_000)
         ks[scheme] = res.ks
     ok = spots_ok and all(v <= 0.003 for v in ks.values())

@@ -20,15 +20,19 @@ The frame kernel keeps R, its beams and the port vectors batch-last: its
 contiguous (n,) vector over the chunk.  Every draw lands in that memory
 as drawn, the innovations port-major, with no gather, conjugation or
 scaling pass: R's column scales and the port scales sigma_k absorb the
-sqrt(2) of _cgauss (_frame_sirs).  Every pass touches the nonzero
-triangle only: R and its MRT beams are upper-triangular, its ZF beams
-lower-triangular.  The ZF inverse (_lower_inverse) pushes each finished
-row into all later rows with one broadcast block multiply; the beam norms,
-the condition test and the normalisation (_frame_zf_beams) run row by row
-over the triangles; the port projections (_frame_sirs) are sums of such
-vectors, entry by entry.  No call is made per realization, and the one
-BLAS call of a chunk kernel is the correlation run's centred moment matrix
-dev.T @ dev (_chunk_corr_moments: fig3 and criterion 5).
+sqrt(2) of _cgauss (_frame_sirs).  The MRT beams are R's own columns,
+unnormalised and in R's memory: the beam w_u = h_u / ||h_u|| enters a SIR
+only through |h^H w_u|^2, so its norm becomes a per-realization power
+weight P_u / ||r_u||^2, from squared column norms taken once per chunk
+(_column_sq_norms).  Every pass touches the nonzero triangle only: R is
+upper-triangular, its ZF beams lower-triangular.  The ZF inverse
+(_lower_inverse) pushes each finished row into all later rows with one
+broadcast block multiply; the ZF beam norms, the condition test and the
+normalisation (_frame_zf_beams) run row by row over the triangles; the
+port projections (_frame_sirs) are sums of such vectors, entry by entry.
+No call is made per realization, and the one BLAS call of a chunk kernel
+is the correlation run's centred moment matrix dev.T @ dev
+(_chunk_corr_moments: fig3 and criterion 5).
 
 Outage runs of one (M, U) that differ only in the scheme, the port count
 N and the aperture W form a frame group (run_outage_group) and share
@@ -478,16 +482,36 @@ def _zf_weights(gen, R: np.ndarray, redraw) -> tuple[np.ndarray, int, np.ndarray
 
 def _weights_for_scheme(gen, H: np.ndarray, scheme: str,
                         redraw) -> tuple[np.ndarray, int, np.ndarray]:
-    """Unit-norm beams F = Q^H W (n, r, U) in the frame Q of the reference
-    channels, for their factor H = R (n, r, U) of _reference_factor, whose
-    sampler redraw(gen, count) serves the ZF resampling (see _zf_weights).
+    """Beams F = Q^H W (n, r, U) in the frame Q of the reference channels,
+    for their factor H = R (n, r, U) of _reference_factor, whose sampler
+    redraw(gen, count) serves the ZF resampling (see _zf_weights).
 
-    MRT normalises the columns of R.  Returns (F, resampled, R); only ZF
-    resamples, and then R is a new array.
+    The MRT beams are R's own columns, unnormalised: F is H itself, and the
+    SIRs weight each beam's power by its squared norm (_column_sq_norms,
+    _frame_sirs).  The ZF beams are unit-norm.  Returns (F, resampled, R);
+    only ZF resamples, and then R is a new array.
     """
     if scheme == "MRT":
-        return H / np.linalg.norm(H, axis=1, keepdims=True), 0, H
+        return H, 0, H
     return _zf_weights(gen, H, redraw)
+
+
+def _column_sq_norms(R: np.ndarray) -> np.ndarray:
+    """Squared column norms ||r_u||^2 (U, n) of the frame factor R (n, r, U).
+
+    Row j of R is zero left of its diagonal, so it adds to the columns
+    u >= j only, and each sum runs over R's nonzero triangle, rows
+    0..min(u, r-1), on the interleaved (re, im) floats of the batch-last
+    rows.
+    """
+    n, r, U = R.shape
+    Rf = np.ascontiguousarray(R.transpose(1, 2, 0)).view(float).reshape(r, U, n, 2)
+    sq = np.zeros((U, n, 2))
+    part = np.empty((U, n, 2))
+    for j in range(r):
+        np.multiply(Rf[j, j:], Rf[j, j:], out=part[:U - j])
+        sq[j:] += part[:U - j]
+    return sq[..., 0] + sq[..., 1]
 
 
 def _sir(num, den):
@@ -497,14 +521,19 @@ def _sir(num, den):
 
 
 def _frame_sirs(r0: np.ndarray, g: np.ndarray, F: np.ndarray, scheme: str,
-                beta0: float, powers, mus) -> list[np.ndarray]:
+                beta0: float, powers, mus, sq_norms=None) -> list[np.ndarray]:
     """User-0 SIR X_k = P_0 |z_k^H f_0|^2 / sum_{i>=1} P_i |z_k^H f_i|^2 at
     every port, (n, P), for each aperture's mu vector in `mus` (all of one
-    port count P), in the frame Q of the reference channels H = QR.
+    port count P), in the frame Q of the reference channels H = QR, for
+    unit-norm beams f_u.
 
     r0 = Q^H h_{0,1} (n, r) is user 0's column of R, zero below R_00, g
     (P-1, r, n) the innovations of ports 2..P as _draw_frame draws them,
-    and F = Q^H W (n, r, U) the beams that `scheme` builds from R.  g_k is
+    and F = Q^H W (n, r, U) the beams that `scheme` builds from R
+    (_weights_for_scheme).  Under MRT, F is R itself and f_u = r_u / ||r_u||,
+    so user u's term is P_u / ||r_u||^2 |z_k^H r_u|^2: an (n,) power weight
+    from the squared norms sq_norms (U, n) (_column_sq_norms, computed here
+    when not given), and f_0 = e_0, so the desired gain is |z_k0|^2.  g_k is
     read as sqrt(2) conj(Q^H x_k): the frame innovation Q^H x_k ~ CN(0, I_r)
     is circularly symmetric and independent of R, so conj(g_k) / sqrt(2)
     has its law, and no pass conjugates or scales g.  Port k is
@@ -517,12 +546,12 @@ def _frame_sirs(r0: np.ndarray, g: np.ndarray, F: np.ndarray, scheme: str,
 
     The projections s_ku do not depend on the aperture, so each is summed
     once for all of `mus`, entry by entry over F's nonzero triangle only:
-    rows j <= u under MRT, where F = R D^{-1} is upper-triangular, and rows
-    j >= u under ZF, where F = R^{-H} D^{-1} is lower-triangular.  An
-    aperture adds only its row conj(w_k) and its scalars sigma_k.  Under
-    ZF, F_0u = 0 for u >= 1, so user u's interference at port k is
-    sigma_k^2 |s_ku|^2 and the weighted sum over u >= 1 is shared too.  The
-    reference port's projections are R_00 F_0u, aperture-invariant.
+    rows j <= u under MRT, where F = R is upper-triangular, and rows j >= u
+    under ZF, where F = R^{-H} D^{-1} is lower-triangular.  An aperture adds
+    only its row conj(w_k) and its scalars sigma_k.  Under ZF, F_0u = 0 for
+    u >= 1, so user u's interference at port k is sigma_k^2 |s_ku|^2 and
+    the weighted sum over u >= 1 is shared too.  The reference port's
+    projections are R_00 F_0u, aperture-invariant, with the same weights.
 
     The work runs one beam u at a time on (P-1, n) arrays, batch-last, and
     makes no BLAS call.  No temporary spans all beams: glibc hands freed
@@ -536,6 +565,8 @@ def _frame_sirs(r0: np.ndarray, g: np.ndarray, F: np.ndarray, scheme: str,
     ports = g.shape[0]
     powers = np.asarray(powers, dtype=float)
     zf = scheme == "ZF"
+    if not zf and sq_norms is None:
+        sq_norms = _column_sq_norms(F)
     F = F.transpose(1, 2, 0)
     r00c = r0[:, 0].conj()
     # One (P-1, n) view per frame coordinate j, each row contiguous.
@@ -567,22 +598,28 @@ def _frame_sirs(r0: np.ndarray, g: np.ndarray, F: np.ndarray, scheme: str,
             gain *= powers[u]
             shared += gain
             continue
-        ref_u = F[0, u] * r00c
+        # MRT's f_0 = e_0: the desired projections are row 0 itself.
+        f0u = F[0, u] if zf or u else None
+        ref_u = r00c if f0u is None else f0u * r00c
         ref_u = np.square(ref_u.real) + np.square(ref_u.imag)
         if u:
-            ref_inter += powers[u] * ref_u
+            # Only MRT gets here with u >= 1: beam u is r_u, unnormalised.
+            weight = powers[u] / sq_norms[u]
+            ref_inter += weight * ref_u
         else:
             ref_desired = ref_u
         for k, (sigma, row0) in enumerate(zip(sigmas, rows0)):
-            np.multiply(F[0, u], row0, out=proj)
-            if len(js):
-                proj += np.multiply(s, sigma, out=term)
+            z = row0
+            if f0u is not None:
+                z = np.multiply(f0u, row0, out=proj)
+                if len(js):
+                    z += np.multiply(s, sigma, out=term)
             # The desired gains wait in the SIR rows until the end.
             out = sirs[k, 1:] if u == 0 else gain
-            np.square(proj.real, out=out)
-            out += np.square(proj.imag, out=square)
+            np.square(z.real, out=out)
+            out += np.square(z.imag, out=square)
             if u:
-                out *= powers[u]
+                out *= weight
                 interference[k] += out
     ref_sir = _sir(powers[0] * ref_desired, ref_inter)
     for x, sigma, inter in zip(sirs, sigmas, interference):
@@ -599,8 +636,9 @@ def _draw_frame(gen, n: int, M: int, U: int, schemes: tuple[str, ...], beta,
     _reference_factor), the innovations g = _cgauss(gen, (ports-1, r, n))
     of ports 2..ports, port-major, read as sqrt(2) conj(Q^H x_k)
     (_frame_sirs), and the beams F = Q^H W that each MRT/ZF rule of
-    `schemes` (distinct) builds from R.  Returns (g, frames), frames one
-    (F, resampled, R) per scheme, in order (_weights_for_scheme).
+    `schemes` (distinct) builds from R: under MRT, R itself.  Returns (g,
+    frames), frames one (F, resampled, R) per scheme, in order
+    (_weights_for_scheme).
 
     Draw order: R (diagonal Gammas, then the entries above the diagonal),
     then g.  The beams draw nothing from gen: ZF redraws come from a child
@@ -637,7 +675,9 @@ def _physref_sirs(gen, n: int, M: int, U: int, scheme: str, beta,
     is M-dimensional.
 
     The desired gain is the physical |h_{0,1}^H w_0|^2 = |R_00 F_00|^2;
-    under MRT that is ||h_{0,1}||^2 = R_00^2.  The interference imposes the
+    under MRT that is ||h_{0,1}||^2 = R_00^2, and the MRT beams F = R are
+    unnormalised, so each projection term is divided by the beam's squared
+    norm (_column_sq_norms).  The interference imposes the
     one independence the Beta-prime law takes when it divides the
     desired-gain law by the interference law:
 
@@ -664,12 +704,14 @@ def _physref_sirs(gen, n: int, M: int, U: int, scheme: str, beta,
                                          2 if scheme == "MRT" else 1)
     beta0 = float(np.asarray(beta)[0])
     powers = np.asarray(powers, dtype=float)
-    desired = np.abs(R[:, 0, 0] * F[:, 0, 0]) ** 2
     if scheme == "MRT":
+        desired = R[:, 0, 0].real ** 2
         # g[0] reads as sqrt(2) conj(Q^H x): the scale is sqrt(beta0 / 2).
         proj = np.einsum("rn,nru->nu", g[0], F[:, :, 1:])
         terms = np.abs(math.sqrt(beta0 / 2.0) * proj) ** 2
+        terms /= _column_sq_norms(F)[1:].T
     else:
+        desired = np.abs(R[:, 0, 0] * F[:, 0, 0]) ** 2
         terms = beta0 * gen.standard_exponential((n, U - 1))
     return _sir(powers[0] * desired, (terms * powers[1:]).sum(axis=1)), resampled
 
@@ -715,10 +757,12 @@ def _chunk_outage_physical(
     for scheme, (F, count, R) in zip(unique, frames):
         ks = [k for k, s in enumerate(schemes) if s == scheme]
         resampled[ks] = count
+        # The MRT beams' squared norms, once for all of its port counts.
+        sq_norms = _column_sq_norms(F) if scheme == "MRT" else None
         for ports in dict.fromkeys(len(mus[k]) for k in ks):
             same = [k for k in ks if len(mus[k]) == ports]
             sirs = _frame_sirs(R[:, :, 0], g[:ports - 1], F, scheme, beta0,
-                               powers, [mus[k] for k in same])
+                               powers, [mus[k] for k in same], sq_norms)
             for k, x in zip(same, sirs):
                 for c, (config, sel_idx) in enumerate(curves):
                     if config != k:

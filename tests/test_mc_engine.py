@@ -35,6 +35,7 @@ from fama_lab.mc_engine import (
     _chunk_outage_physical,
     _chunk_physref,
     _chunk_ports_sir,
+    _column_sq_norms,
     _draw_frame,
     _frame_sirs,
     _outage_physical_args,
@@ -347,7 +348,8 @@ _KS_CONFIGS = [
 class TestPortsKernel:
     @pytest.mark.parametrize("M, U, scheme", [(8, 4, "MRT"), (8, 4, "ZF"),
                                               (4, 4, "ZF"), (3, 5, "MRT"),
-                                              (16, 8, "ZF"), (4, 2, "MRT")])
+                                              (16, 8, "ZF"), (4, 2, "MRT"),
+                                              (1, 3, "MRT")])
     def test_frame_identity(self, M, U, scheme):
         # Given one physical draw (H, e), the frame of H = QR carries the
         # same SIRs: R = chol(H^H H)^H (a QR factor when M < U) and g = Q^H e.
@@ -504,10 +506,13 @@ def _full_pass_sirs(r0, g, F, scheme, beta0, powers, mu):
     projection sums over F's nonzero triangle.  The same float operations,
     in the same order, as the frame kernel before it skipped r0's zero rows
     and the reference port's zero projections.  g is _draw_frame's
-    (P-1, r, n) draw, sqrt(2) conj of the innovations."""
+    (P-1, r, n) draw, sqrt(2) conj of the innovations.  The MRT beams are
+    built here as R / ||r_u|| from the raw F = R that the kernel reads."""
     mu = np.asarray(mu, dtype=float)
     n, r = r0.shape
     U = F.shape[2]
+    if scheme == "MRT":
+        F = F / np.linalg.norm(F, axis=1, keepdims=True)
     sigma = np.sqrt(np.maximum(0.0, 1.0 - mu[1:] ** 2)) * math.sqrt(beta0 / 2.0)
     z = np.empty((len(mu), r, n), dtype=complex)
     z[0] = r0.T
@@ -587,7 +592,7 @@ class TestMrtReferenceFloor:
            mu=st.lists(st.floats(0.0, 1.0), max_size=4),
            seed=st.integers(min_value=0, max_value=2**32 - 1))
     def test_reference_sir_never_below_floor(self, M, gains, mu, seed):
-        # Under MRT the frame beams are F = R D^{-1}, so F_00 = 1 and, by
+        # Under MRT the unit-norm beams are F = R D^{-1}, so F_00 = 1 and, by
         # Cauchy-Schwarz, |F_0u| <= 1: the reference port's SIR
         # P_0 |F_00|^2 / sum_{u>=1} P_u |F_0u|^2 is at least
         # P_0 / sum_{u>=1} P_u, whatever M, U, beta and the powers.
@@ -703,6 +708,25 @@ def test_draw_frame_smaller_port_count_is_prefix(M, U, ports):
     assert small.shape == (ports - 1, min(M, U), 300)
     assert np.array_equal(small, big[:ports - 1])
     assert np.array_equal(R, R_big)
+
+
+def test_draw_frame_mrt_beams_are_the_factor():
+    # MRT makes no normalised copy: its beams are R's own memory.
+    _, [(F, resampled, R)] = _draw_frame(RngStream(49, 0).generator(), 300,
+                                         8, 4, ("MRT",), _FRAME_BETA[:4], 3)
+    assert resampled == 0
+    assert np.shares_memory(F, R) and np.array_equal(F, R)
+
+
+@pytest.mark.parametrize("M, U", [(8, 4), (3, 5), (1, 3), (4, 1), (1, 1)])
+def test_column_sq_norms_equal_dense_norms(M, U):
+    # The triangle-only sums against numpy's norms over every row, at
+    # r = U, r < U, r = 1 and U = 1.
+    R = _reference_factor(RngStream(50, M).generator(), 300, M, U,
+                          _FRAME_BETA[:U])
+    sq = _column_sq_norms(R)
+    assert sq.shape == (U, 300)
+    assert np.allclose(sq, np.linalg.norm(R, axis=1).T ** 2, rtol=1e-13, atol=0.0)
 
 
 def test_bin_samples_equals_bincount_form():

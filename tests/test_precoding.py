@@ -21,12 +21,17 @@ def _factor(seed, n, M, U):
     return _reference_factor(RngStream(seed, 0).generator(), n, M, U, (1.0,) * U)
 
 
+def _unit(F):
+    """F's columns normalised: the kernel's MRT beams are R's raw columns."""
+    return F / np.linalg.norm(F, axis=-2, keepdims=True)
+
+
 def _beams(R, scheme):
     """Unit-norm frame beams for one r x U factor R (an n = 1 batch)."""
     gen = RngStream(0, 0).generator()
     F, resampled, _ = _weights_for_scheme(gen, R[None], scheme, _sampler(*R.shape))
     assert resampled == 0
-    return F[0]
+    return _unit(F[0]) if scheme == "MRT" else F[0]
 
 
 class TestMrt:
@@ -44,7 +49,7 @@ class TestMrt:
         R = _factor(1, 50, 6, 3)
         F, _, _ = _weights_for_scheme(RngStream(1, 1).generator(), R, "MRT",
                                       _sampler(6, 3))
-        gains = np.einsum("nru,nru->nu", R.conj(), F)
+        gains = np.einsum("nru,nru->nu", R.conj(), _unit(F))
         assert np.allclose(gains.imag, 0.0, atol=1e-12)
         assert np.allclose(gains.real, np.linalg.norm(R, axis=1))
 
@@ -55,7 +60,7 @@ class TestZf:
         gen = RngStream(2, 1).generator()
         zf, _, _ = _weights_for_scheme(gen, R, "ZF", _sampler(5, 1))
         mrt, _, _ = _weights_for_scheme(gen, R, "MRT", _sampler(5, 1))
-        assert np.allclose(zf, mrt)
+        assert np.allclose(zf, _unit(mrt))
 
     def test_orthonormal_columns(self):
         R = np.eye(2, dtype=complex)
@@ -117,6 +122,8 @@ class TestGainLaws:
         R = _factor(seed, n, 8, 4)
         F, _, R = _weights_for_scheme(RngStream(seed, 1).generator(), R, scheme,
                                       _sampler(8, 4))
+        if scheme == "MRT":
+            F = _unit(F)
         return np.abs(np.einsum("nr,nr->n", R[:, :, 0].conj(), F[:, :, 0])) ** 2
 
     def test_zf_desired_gain_mean(self):
