@@ -8,7 +8,6 @@ from .analytic_stats import (
     asymptote_small_gamma,
     asymptote_tail,
     betaprime_cdf,
-    betaprime_cdf_finite_sum,
     betaprime_params,
     betaprime_pdf,
     betaprime_sf,
@@ -44,8 +43,6 @@ from .specialfn import (
     beta_fn,
     ln_binomial,
     ln_gamma,
-    ln_reg_inc_beta_tail,
-    reg_inc_beta,
 )
 
 __version__ = "0.1.0"

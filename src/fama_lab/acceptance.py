@@ -26,12 +26,14 @@ from .analytic_stats import (
     BetaPrimeParams,
     asymptote_small_gamma,
     betaprime_cdf,
-    betaprime_cdf_finite_sum,
+    betaprime_params,
     betaprime_sf,
     ln_betaprime_cdf,
+    outage_envelopes,
 )
-from .channel_geom import SystemConfig
+from .channel_geom import SystemConfig, selectable_port_indices
 from .mc_engine import (
+    DEFAULT_GAMMA_GRID,
     _chunk_ports_sir,
     _draw_frame,
     estimate_marginal_tail,
@@ -59,20 +61,31 @@ class CriterionResult:
     seconds: float
 
 
+def _incomplete_beta_quadrature(y: np.ndarray, a: int, b: int) -> np.ndarray:
+    """I_y(a, b) = int_0^y t^(a-1) (1-t)^(b-1) dt / B(a, b) at each y of an
+    array, by Gauss-Legendre on ceil((a+b-1)/2) nodes: exact up to rounding,
+    since the integrand is a polynomial of degree a+b-2.  B(a, b) =
+    (a-1)! (b-1)! / (a+b-1)! is the correctly rounded integer ratio.  The
+    reference criterion 1 holds the finite sum to."""
+    nodes, weights = np.polynomial.legendre.leggauss((a + b) // 2)
+    t = np.multiply.outer(y, nodes + 1.0) / 2.0
+    integral = y / 2.0 * ((t ** (a - 1) * (1.0 - t) ** (b - 1)) @ weights)
+    return integral / (math.factorial(a - 1) * math.factorial(b - 1)
+                       / math.factorial(a + b - 1))
+
+
 def criterion_01_cross_form_identity(seed: int = SUITE_SEED) -> tuple[bool, str]:
-    """Finite-sum CDF == incomplete-beta CDF to 1e-10 over the shape box."""
+    """Finite-sum CDF == the incomplete-beta integral by quadrature, to
+    1e-10 over the shape box."""
     grid = np.logspace(-3.0, 3.0, 200)
     worst = 0.0
     for a in range(1, 17):
         for b in range(1, 9):
-            params = BetaPrimeParams(a, b)
-            for g in grid:
-                diff = abs(
-                    betaprime_cdf(g, params)
-                    - betaprime_cdf_finite_sum(g, params)
-                )
-                worst = max(worst, diff)
-    return worst <= 1e-10, f"max |cf - finite_sum| = {worst:.3e} (tol 1e-10)"
+            diff = (betaprime_cdf(grid, BetaPrimeParams(a, b))
+                    - _incomplete_beta_quadrature(grid / (1.0 + grid), a, b))
+            worst = max(worst, float(np.max(np.abs(diff))))
+    return worst <= 1e-10, (f"max |finite sum - quadrature| = {worst:.3e} "
+                            "(tol 1e-10)")
 
 
 # Criterion 2's ZF fit runs at seed + _ZF_FIT_SEED_OFFSET: the marginal
@@ -326,14 +339,25 @@ def criterion_08_large_sir_tail(seed: int = SUITE_SEED) -> tuple[bool, str]:
 
 
 def criterion_09_large_n_regime(seed: int = SUITE_SEED) -> tuple[bool, str]:
-    """|exp(-N eps) - (1-eps)^N| <= N eps^2 / 2 + 1e-12 for N=8."""
-    n = 8
-    worst_margin = -math.inf
-    for eps in (1e-1, 1e-2, 1e-3):
-        diff = abs(math.exp(-n * eps) - (1.0 - eps) ** n)
-        bound = n * eps * eps / 2.0 + 1e-12
-        worst_margin = max(worst_margin, diff - bound)
-    return worst_margin <= 0.0, f"max (diff - bound) = {worst_margin:.3e}"
+    """|exp(-N eps) - (1-eps)^N| <= N eps^2 / 2 + 1e-12 on the lab's own
+    envelope: large_n_approx against iid_benchmark at every threshold of
+    DEFAULT_GAMMA_GRID, for the shape pairs and selectable counts fig4
+    writes at its defaults, with eps = 1 - F the envelope's SF."""
+    from .cli import _scheme_configs
+
+    parts = []
+    worst = 0.0
+    for cfg in _scheme_configs(SystemConfig()):
+        params = betaprime_params(cfg.scheme, cfg.M, cfg.U)
+        n = len(selectable_port_indices(cfg))
+        [env] = outage_envelopes(DEFAULT_GAMMA_GRID, params, (n,))
+        eps = 1.0 - env.single_port
+        used = float(np.max(np.abs(env.large_n_approx - env.iid_benchmark)
+                            / (n * eps * eps / 2.0 + 1e-12)))
+        worst = max(worst, used)
+        parts.append(f"{cfg.scheme}({params.a},{params.b}) N={n}: "
+                     f"{used:.4f} of the bound")
+    return worst <= 1.0, "; ".join(parts)
 
 
 def criterion_10_reproducibility(seed: int = SUITE_SEED) -> tuple[bool, str]:

@@ -4,7 +4,10 @@ approximations, selection outage bounds, and asymptotic laws.
 The per-port SIR under either precoder is Beta-prime distributed with shape
 pair (M_eff, L): M_eff = M under MRT, M - U + 1 under ZF, and L = U - 1
 interfering streams.  Everything downstream (outage envelopes, asymptotes,
-diversity orders) is driven by that pair.
+diversity orders) is driven by that pair.  Its CDF, SF and log-CDF are the
+paper's finite binomial sum, evaluated in log space over a grid of
+thresholds at once by one function (_betaprime_tails), which every
+analytic curve reads.
 """
 
 from __future__ import annotations
@@ -14,15 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specialfn import (
-    _reg_inc_beta,
-    beta_fn,
-    ln_beta,
-    ln_binomial,
-    ln_gamma,
-    ln_reg_inc_beta_tail,
-    reg_inc_beta,
-)
+from .specialfn import beta_fn, ln_beta, ln_binomial, ln_gamma
 
 __all__ = [
     "BetaPrimeParams",
@@ -33,7 +28,6 @@ __all__ = [
     "betaprime_cdf",
     "betaprime_sf",
     "ln_betaprime_cdf",
-    "betaprime_cdf_finite_sum",
     "rho_u_approx",
     "rho_x_approx",
     "outage_envelope",
@@ -95,67 +89,86 @@ def betaprime_pdf(x: float, params: BetaPrimeParams) -> float:
     )
 
 
-def betaprime_cdf(gamma: float, params: BetaPrimeParams) -> float:
-    """F(gamma) = I_{gamma/(1+gamma)}(a, b)."""
-    gamma = float(gamma)
-    if gamma < 0.0:
-        raise ValueError(f"threshold must be >= 0, got {gamma}")
-    if gamma == 0.0:
-        return 0.0
-    if math.isinf(gamma):
-        return 1.0
-    return reg_inc_beta(gamma / (1.0 + gamma), params.a, params.b)
+def _betaprime_tails(gamma, params: BetaPrimeParams):
+    """F, SF = 1 - F and ln F of Beta-prime(a, b) at each threshold of gamma
+    (a number or an array, each >= 0), flattened, and the mask of the
+    thresholds at which F is the smaller tail.
 
+    F is the paper's finite sum, the binomial tail
 
-def betaprime_sf(gamma: float, params: BetaPrimeParams) -> float:
-    """Survival function 1 - F(gamma), evaluated without cancellation.
+        F(gamma) = sum_{j=a}^{n} C(n, j) y^j (1-y)^{n-j},  n = a+b-1,
+        y = gamma / (1+gamma),
 
-    Uses the symmetry I_y(a,b) = 1 - I_{1-y}(b,a), so deep upper tails stay
-    accurate.
+    and ln F its log-sum-exp, finite far below double underflow.  Below
+    the switch y < (a+1)/(a+b+2) F is the smaller tail and SF = 1 - F;
+    above it SF = sum_{j<a} is summed the same way and F = 1 - SF, so F and
+    SF come from one evaluation.  Each threshold's values are elementwise
+    operations and a reduction over its own row of terms, so they do not
+    depend on the other thresholds of gamma.
     """
-    gamma = float(gamma)
-    if gamma < 0.0:
+    g = np.asarray(gamma, dtype=float).ravel()
+    if not np.all(g >= 0.0):
         raise ValueError(f"threshold must be >= 0, got {gamma}")
-    if gamma == 0.0:
-        return 1.0
-    if math.isinf(gamma):
-        return 0.0
-    return reg_inc_beta(1.0 / (1.0 + gamma), params.b, params.a)
-
-
-def ln_betaprime_cdf(gamma: float, params: BetaPrimeParams) -> float:
-    """ln F(gamma) in log space, usable far below double underflow."""
-    gamma = float(gamma)
-    if gamma < 0.0:
-        raise ValueError(f"threshold must be >= 0, got {gamma}")
-    if gamma == 0.0:
-        return -math.inf
-    return ln_reg_inc_beta_tail(gamma / (1.0 + gamma), params.a, params.b)
-
-
-def betaprime_cdf_finite_sum(gamma: float, params: BetaPrimeParams) -> float:
-    """Finite-sum CDF for integer shapes:
-
-        F(gamma) = 1 - (1+gamma)^{-(a+b-1)} sum_{j=0}^{a-1} C(a+b-1, j) gamma^j
-
-    Each term is assembled in log space so large shapes and thresholds do
-    not overflow.
-    """
-    gamma = float(gamma)
-    if gamma < 0.0:
-        raise ValueError(f"threshold must be >= 0, got {gamma}")
-    if gamma == 0.0:
-        return 0.0
     a, b = params.a, params.b
     n = a + b - 1
-    log_gamma_term = math.log(gamma)
-    log_one_plus = math.log1p(gamma)
-    log_terms = [
-        ln_binomial(n, j) + j * log_gamma_term - n * log_one_plus for j in range(a)
-    ]
-    peak = max(log_terms)
-    s = math.exp(peak) * math.fsum(math.exp(t - peak) for t in log_terms)
-    return 1.0 - min(s, 1.0)
+    inner = (g > 0.0) & (g < math.inf)
+    x = g[inner]
+    # ln y and ln(1-y), each free of cancellation on its side of 1.
+    ln_y = np.where(x < 1.0, np.log(x) - np.log1p(x),
+                    -np.log1p(1.0 / np.maximum(x, 1.0)))
+    ln_1my = -np.log1p(x)
+
+    def ln_sum(js, rows):
+        # ln C(n, j) is ln C(n, min(j, n-j)), a running sum of
+        # ln((n+1-i)/i) over i <= min(j, n-j).
+        ks = np.minimum(js, n - js)
+        i = np.arange(1.0, ks.max() + 1.0)
+        ln_c = np.concatenate(([0.0], np.cumsum(np.log((n + 1.0 - i) / i))))
+        terms = (ln_c[ks] + np.multiply.outer(ln_y[rows], js)
+                 + np.multiply.outer(ln_1my[rows], n - js))
+        peak = terms.max(axis=-1)
+        return peak + np.log(np.sum(np.exp(terms - peak[:, None]), axis=-1))
+
+    direct = x / (1.0 + x) < (a + 1.0) / (a + b + 2.0)
+    upper = ~direct
+    ln_f = ln_sum(np.arange(a, n + 1), slice(None))
+    f = np.exp(ln_f)
+    sf = 1.0 - f
+    sf[upper] = np.exp(ln_sum(np.arange(a), upper))
+    f[upper] = 1.0 - sf[upper]
+    # F(0) = 0, on the direct side, and F(inf) = 1.
+    zero = g == 0.0
+    out = [np.where(zero, 0.0, 1.0), np.where(zero, 1.0, 0.0),
+           np.where(zero, -math.inf, 0.0), zero]
+    for full, part in zip(out, (f, sf, ln_f, direct)):
+        full[inner] = part
+    return out
+
+
+def _like(gamma, values: np.ndarray):
+    """values in gamma's shape: a float for a number."""
+    if np.ndim(gamma) == 0:
+        return float(values[0])
+    return values.reshape(np.shape(gamma))
+
+
+def betaprime_cdf(gamma, params: BetaPrimeParams):
+    """F(gamma) = sum_{j=a}^{a+b-1} C(a+b-1, j) gamma^j (1+gamma)^{-(a+b-1)},
+    the paper's finite sum, at a threshold >= 0 (a float) or at each
+    threshold of an array (an array of its shape)."""
+    return _like(gamma, _betaprime_tails(gamma, params)[0])
+
+
+def betaprime_sf(gamma, params: BetaPrimeParams):
+    """Survival function 1 - F(gamma), summed directly where it is the
+    smaller tail, so deep upper tails stay accurate."""
+    return _like(gamma, _betaprime_tails(gamma, params)[1])
+
+
+def ln_betaprime_cdf(gamma, params: BetaPrimeParams):
+    """ln F(gamma) by log-sum-exp of the finite sum's terms, usable far
+    below double underflow."""
+    return _like(gamma, _betaprime_tails(gamma, params)[2])
 
 
 def rho_u_approx(mu_k: float, mu_l: float, m_effective: int, L: int) -> float:
@@ -212,11 +225,11 @@ def outage_envelope(gamma, params: BetaPrimeParams, N: int) -> OutageEnvelope:
     one-point case, with float fields).
 
     upper = F, iid_benchmark = F^N and lower = max(0, 1 - N SF), with F and
-    SF = 1 - F taken from one evaluation, so 0 <= lower <= iid_benchmark <=
-    upper holds exactly.  ln B(a, b) is computed once per call; the
-    incomplete Beta continued fraction, F^N and exp(-N SF) run per
-    threshold in scalar math, so a grid's values equal the one-point
-    calls bit for bit.
+    SF = 1 - F taken from one evaluation of the finite sum, so 0 <= lower
+    <= iid_benchmark <= upper holds exactly.  F^N and exp(-N SF) run per
+    threshold in scalar math, and F and SF of a threshold do not depend on
+    the rest of the grid, so a grid's values equal the one-point calls bit
+    for bit.
     """
     [envelope] = outage_envelopes(gamma, params, (N,))
     return envelope
@@ -225,8 +238,8 @@ def outage_envelope(gamma, params: BetaPrimeParams, N: int) -> OutageEnvelope:
 def outage_envelopes(gamma, params: BetaPrimeParams,
                      counts) -> list[OutageEnvelope]:
     """outage_envelope(gamma, params, N) for each port count N of counts, in
-    order and bit for bit, from one evaluation of F and SF per threshold:
-    the continued fraction does not depend on N, so only F^N,
+    order and bit for bit, from one evaluation of F and SF over the
+    thresholds: the finite sum does not depend on N, so only F^N,
     max(0, 1 - N SF) and exp(-N SF) run per count."""
     counts = list(counts)
     for N in counts:
@@ -235,26 +248,7 @@ def outage_envelopes(gamma, params: BetaPrimeParams,
     grid = np.asarray(gamma, dtype=float)
     if np.any(grid <= 0.0):
         raise ValueError(f"threshold must be > 0, got {gamma}")
-    # One evaluation of the smaller tail (the side reg_inc_beta evaluates
-    # directly) gives both F and SF = 1 - F, so the bounds cannot drift
-    # apart by the rounding of two separate evaluations.
-    a, b = float(params.a), float(params.b)
-    ln_b = ln_beta(a, b)
-    switch = (a + 1.0) / (a + b + 2.0)
-    size = grid.size
-    f, eps = np.empty(size), np.empty(size)
-    direct = np.empty(size, dtype=bool)
-    for i, g in enumerate(grid.ravel().tolist()):
-        # betaprime_cdf or betaprime_sf at g, sharing ln B.
-        y = g / (1.0 + g)
-        direct[i] = y < switch
-        if y < switch:
-            f_i = _reg_inc_beta(y, a, b, ln_b)
-            eps_i = 1.0 - f_i
-        else:
-            eps_i = _reg_inc_beta(1.0 / (1.0 + g), b, a, ln_b)
-            f_i = 1.0 - eps_i
-        f[i], eps[i] = f_i, eps_i
+    f, eps, _, direct = _betaprime_tails(grid, params)
     f_list, eps_list = f.tolist(), eps.tolist()
     envelopes = []
     for N in counts:
@@ -265,12 +259,8 @@ def outage_envelopes(gamma, params: BetaPrimeParams,
         # Bernoulli's inequality 1 - N SF <= F^N; the cap only absorbs
         # rounding where the two differ by less than it.
         lower = np.minimum(np.maximum(0.0, lower), iid)
-        fields = [grid.ravel(), f, f, lower, iid, large_n]
-        if grid.ndim == 0:
-            fields = [float(v[0]) for v in fields]
-        else:
-            fields = [v.reshape(grid.shape) for v in fields]
-        envelopes.append(OutageEnvelope(*fields))
+        envelopes.append(OutageEnvelope(*[
+            _like(grid, v) for v in (grid.ravel(), f, f, lower, iid, large_n)]))
     return envelopes
 
 

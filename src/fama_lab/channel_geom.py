@@ -40,7 +40,9 @@ _REFERENCE_MODES = ("member", "external")
 
 def _is_integer(value) -> bool:
     """An int, or a float with an integral value (so 8.0 passes, 8.5, nan
-    and inf do not)."""
+    and inf do not).  A bool is not an integer here: True is no count."""
+    if isinstance(value, bool):
+        return False
     return isinstance(value, numbers.Integral) or (
         isinstance(value, float) and value.is_integer())
 

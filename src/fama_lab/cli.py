@@ -403,7 +403,7 @@ def run_fig5(config: SystemConfig, out_dir: str, workers: int,
         sf = 1.0 - emp.curves["empirical_marginal"][0]
         curves = {
             "analytic_cdf": emp.curves["analytic_cdf"],
-            "analytic_sf": ([betaprime_sf(g, params) for g in grid], None),
+            "analytic_sf": (betaprime_sf(grid, params), None),
             "small_gamma_asymptote": (
                 [asymptote_small_gamma(g, cfg.scheme, cfg.M, cfg.U) for g in grid],
                 None),

@@ -89,7 +89,12 @@ from .analytic_stats import (
     outage_envelopes,
     rho_x_approx,
 )
-from .channel_geom import SystemConfig, geometry_for_config, selectable_port_indices
+from .channel_geom import (
+    SystemConfig,
+    _is_integer,
+    geometry_for_config,
+    selectable_port_indices,
+)
 from .randlin import RngStream
 
 __all__ = [
@@ -908,9 +913,15 @@ def _checked_thresholds(grid) -> np.ndarray:
 def _sample_size(realizations: int | None, config: SystemConfig,
                  default: int) -> int:
     """The realization count of a run: `realizations`, else the config's,
-    else `default`; refused below 1 before any chunk runs."""
+    else `default`, as an int.  Refused unless an integer >= 1, by
+    SystemConfig's rule (an integral float is its int), before any chunk
+    runs."""
     if realizations is None:
         realizations = config.realizations or default
+    if not _is_integer(realizations):
+        raise ValueError(
+            f"realizations must be an integer, got {realizations!r}")
+    realizations = int(realizations)
     if realizations < 1:
         raise ValueError(f"realizations must be >= 1, got {realizations}")
     return realizations
@@ -950,7 +961,7 @@ def run_cdf_experiment(
     [results] = _run_chunked([job], n, config.seed, workers)
     counts, inf_count, resampled = _merge_counts(results)
     p = counts / n
-    analytic = np.array([betaprime_cdf(g, params) for g in grid])
+    analytic = betaprime_cdf(grid, params)
     return CdfExperimentResult(
         scheme=config.scheme,
         mode=mode,

@@ -1,10 +1,10 @@
 """Scalar special functions used by every analytic curve in the library.
 
-Log-gamma (math.lgamma), the Beta function, the regularized incomplete
-Beta function I_y(a,b) by continued fraction (with a log-space companion
-for deep tails), the Bessel function J0 by Bessel's integral, and
-log-binomial coefficients.  All are scalar double-precision functions that
-raise ValueError on domain violations.
+Log-gamma (math.lgamma), the Beta function, the Bessel function J0 by
+Bessel's integral, and log-binomial coefficients.  All are scalar
+double-precision functions that raise ValueError on domain violations.
+The Beta-prime CDF, the regularized incomplete Beta function at integer
+shapes, is the paper's finite binomial sum (analytic_stats).
 """
 
 from __future__ import annotations
@@ -17,17 +17,10 @@ __all__ = [
     "ln_gamma",
     "beta_fn",
     "ln_beta",
-    "reg_inc_beta",
-    "ln_reg_inc_beta_tail",
     "bessel_j0",
     "BESSEL_J0_MAX_ARG",
     "ln_binomial",
 ]
-
-
-_FPMIN = 1e-300
-_CF_EPS = 1e-16
-_CF_MAX_ITER = 500
 
 
 def ln_gamma(x: float) -> float:
@@ -46,110 +39,6 @@ def ln_beta(a: float, b: float) -> float:
 def beta_fn(a: float, b: float) -> float:
     """Beta function B(a,b) for a, b > 0."""
     return math.exp(ln_beta(a, b))
-
-
-def _betacf(a: float, b: float, y: float) -> float:
-    """Continued fraction for the incomplete Beta function (modified Lentz)."""
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * y / qap
-    if abs(d) < _FPMIN:
-        d = _FPMIN
-    d = 1.0 / d
-    h = d
-    for m in range(1, _CF_MAX_ITER + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * y / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * y / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _CF_EPS:
-            return h
-    raise ArithmeticError(
-        f"incomplete beta continued fraction failed to converge (a={a}, b={b}, y={y})"
-    )
-
-
-def _check_inc_beta_args(y: float, a: float, b: float) -> tuple[float, float, float]:
-    y, a, b = float(y), float(a), float(b)
-    if not (math.isfinite(a) and math.isfinite(b)) or a <= 0.0 or b <= 0.0:
-        raise ValueError(f"incomplete beta requires a, b > 0, got a={a}, b={b}")
-    if not math.isfinite(y) or y < 0.0 or y > 1.0:
-        raise ValueError(f"incomplete beta requires y in [0, 1], got {y}")
-    return y, a, b
-
-
-def reg_inc_beta(y: float, a: float, b: float) -> float:
-    """Regularized incomplete Beta function I_y(a,b).
-
-    Continued-fraction evaluation with the symmetry switch at
-    y = (a+1)/(a+b+2), which keeps the fraction uniformly convergent.
-    """
-    y, a, b = _check_inc_beta_args(y, a, b)
-    return _reg_inc_beta(y, a, b, ln_beta(a, b))
-
-
-def _reg_inc_beta(y: float, a: float, b: float, ln_b: float) -> float:
-    """reg_inc_beta for checked float arguments, given ln_b = ln B(a, b).
-
-    ln B is symmetric, so one value serves I_y(a, b) and I_{1-y}(b, a).
-    """
-    if y == 0.0:
-        return 0.0
-    if y == 1.0:
-        return 1.0
-    ln_front = a * math.log(y) + b * math.log1p(-y) - ln_b
-    if y < (a + 1.0) / (a + b + 2.0):
-        return math.exp(ln_front) * _betacf(a, b, y) / a
-    return 1.0 - math.exp(ln_front) * _betacf(b, a, 1.0 - y) / b
-
-
-def _log1mexp(ln_p: float) -> float:
-    """log(1 - exp(ln_p)) for ln_p <= 0, stable near both ends."""
-    if ln_p > -1e-17:
-        # 1 - exp(ln_p) ~ -ln_p; below double resolution return -inf
-        return math.log(-ln_p) if ln_p < 0.0 else -math.inf
-    if ln_p > -0.6931471805599453:  # ln 2
-        return math.log(-math.expm1(ln_p))
-    return math.log1p(-math.exp(ln_p))
-
-
-def ln_reg_inc_beta_tail(y: float, a: float, b: float) -> float:
-    """ln I_y(a,b), usable far below the double-precision underflow limit.
-
-    The lower tail (y below the symmetry switch) is assembled entirely in
-    log space, so values like 1e-320 and smaller are representable.  On the
-    upper side the complement is evaluated first and folded back through
-    log1p.
-    """
-    y, a, b = _check_inc_beta_args(y, a, b)
-    if y == 0.0:
-        return -math.inf
-    if y == 1.0:
-        return 0.0
-    if y < (a + 1.0) / (a + b + 2.0):
-        ln_front = a * math.log(y) + b * math.log1p(-y) - ln_beta(a, b)
-        return ln_front + math.log(_betacf(a, b, y)) - math.log(a)
-    ln_front = b * math.log1p(-y) + a * math.log(y) - ln_beta(a, b)
-    ln_complement = ln_front + math.log(_betacf(b, a, 1.0 - y)) - math.log(b)
-    return _log1mexp(ln_complement)
 
 
 # The largest |x| bessel_j0 accepts; there its rule sums 1e6 samples.

@@ -18,10 +18,13 @@ of the physical curve are still reported.
 import json
 import re
 import tempfile
+from dataclasses import replace
 
+import mpmath as mp
 import numpy as np
 
 from fama_lab import acceptance, mc_engine
+from fama_lab.analytic_stats import outage_envelopes
 from fama_lab.acceptance import SUITE_SEED, run_criterion
 from fama_lab.channel_geom import SystemConfig
 from fama_lab.mc_engine import (
@@ -61,6 +64,35 @@ def test_overrun_budget_fails(monkeypatch):
     result = run_criterion(9, SUITE_SEED)
     assert result.passed is False
     assert re.search(r"; runtime [0-9.]+s \(< 0s\)$", result.detail)
+
+
+def test_quadrature_reference_against_mpmath():
+    # Criterion 1's reference, Gauss-Legendre on the defining integral,
+    # within 1e-13 relative of mpmath's I_y(a, b) over the shape box and a
+    # 50-point spread of y, deep lower tail included.
+    ys = np.concatenate([np.geomspace(1e-6, 0.5, 25),
+                         1.0 - np.geomspace(0.5, 1e-6, 25)])
+    worst = 0.0
+    with mp.workdps(30):
+        for a in range(1, 17):
+            for b in range(1, 9):
+                got = acceptance._incomplete_beta_quadrature(ys, a, b)
+                for y, g in zip(ys.tolist(), got.tolist()):
+                    ref = mp.betainc(a, b, 0, y, regularized=True)
+                    worst = max(worst, float(abs(g - ref) / ref))
+    assert worst <= 1e-13
+
+
+def test_large_n_regime_reads_the_envelope(monkeypatch):
+    # Criterion 9 holds the envelope's own large_n_approx to the bound: an
+    # envelope whose exp(-N eps) drifted by 1e-6 fails it.
+    def drifted(*args):
+        return [replace(env, large_n_approx=env.large_n_approx * (1.0 + 1e-6))
+                for env in outage_envelopes(*args)]
+
+    assert acceptance.criterion_09_large_n_regime()[0]
+    monkeypatch.setattr(acceptance, "outage_envelopes", drifted)
+    assert not acceptance.criterion_09_large_n_regime()[0]
 
 
 def test_reproducibility_leaves_nothing_behind(monkeypatch, tmp_path, capsys):

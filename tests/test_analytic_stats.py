@@ -19,7 +19,6 @@ from fama_lab.analytic_stats import (
     asymptote_small_gamma,
     asymptote_tail,
     betaprime_cdf,
-    betaprime_cdf_finite_sum,
     betaprime_params,
     betaprime_pdf,
     betaprime_sf,
@@ -31,6 +30,7 @@ from fama_lab.analytic_stats import (
     rho_u_approx,
     rho_x_approx,
 )
+from fama_lab.acceptance import _incomplete_beta_quadrature
 from fama_lab.mc_engine import DEFAULT_GAMMA_GRID
 
 
@@ -102,24 +102,24 @@ class TestCdf:
                 )
 
     def test_finite_sum_examples(self):
-        assert betaprime_cdf_finite_sum(1.0, BetaPrimeParams(2, 1)) == pytest.approx(
+        assert betaprime_cdf(1.0, BetaPrimeParams(2, 1)) == pytest.approx(
             0.25, abs=1e-12
         )
-        assert betaprime_cdf_finite_sum(1.0, BetaPrimeParams(8, 3)) == pytest.approx(
+        assert betaprime_cdf(1.0, BetaPrimeParams(8, 3)) == pytest.approx(
             0.0546875, abs=1e-12
         )
-        assert betaprime_cdf_finite_sum(0.0, BetaPrimeParams(4, 2)) == 0.0
+        assert betaprime_cdf(0.0, BetaPrimeParams(4, 2)) == 0.0
 
     def test_cross_form_identity_grid(self):
+        # The finite sum against the incomplete-beta integral by quadrature
+        # (criterion 1's reference), one threshold at a time.
         grid = np.logspace(-3, 3, 60)
         for a in (1, 3, 8, 16):
             for b in (1, 3, 8):
                 params = BetaPrimeParams(a, b)
-                for g in grid:
-                    assert abs(
-                        betaprime_cdf(float(g), params)
-                        - betaprime_cdf_finite_sum(float(g), params)
-                    ) <= 1e-10
+                ref = _incomplete_beta_quadrature(grid / (1.0 + grid), a, b)
+                for g, r in zip(grid.tolist(), ref.tolist()):
+                    assert abs(betaprime_cdf(g, params) - r) <= 1e-10
 
     def test_sf_complement(self):
         params = BetaPrimeParams(8, 3)
@@ -252,10 +252,15 @@ class TestOutageEnvelope:
                              env.large_n_approx[k]])
 
     def test_large_n_exponential_regime_bound(self):
-        n = 8
-        for eps in (1e-1, 1e-2, 1e-3):
-            diff = abs(math.exp(-n * eps) - (1.0 - eps) ** n)
-            assert diff <= n * eps * eps / 2.0 + 1e-12
+        # |exp(-N eps) - (1-eps)^N| <= N eps^2 / 2 on the envelope's own
+        # curves, eps = 1 - F; 1e-12 absorbs the rounding of the two.
+        for params in (BetaPrimeParams(8, 3), BetaPrimeParams(5, 3),
+                       BetaPrimeParams(1, 1), BetaPrimeParams(64, 15)):
+            for n, env in zip((1, 2, 8, 64), outage_envelopes(
+                    DEFAULT_GAMMA_GRID, params, (1, 2, 8, 64))):
+                eps = 1.0 - env.single_port
+                diff = np.abs(env.large_n_approx - env.iid_benchmark)
+                assert np.all(diff <= n * eps * eps / 2.0 + 1e-12)
 
 
 class TestAsymptotes:
@@ -380,9 +385,10 @@ class TestProperties:
     @_properties
     @given(a=_shapes, b=_shapes, gamma=_thresholds)
     def test_finite_sum_matches_incomplete_beta(self, a, b, gamma):
-        params = BetaPrimeParams(a, b)
-        assert betaprime_cdf_finite_sum(gamma, params) == pytest.approx(
-            betaprime_cdf(gamma, params), abs=1e-10)
+        # Against the incomplete-beta integral by quadrature.
+        y = np.array([gamma / (1.0 + gamma)])
+        assert betaprime_cdf(gamma, BetaPrimeParams(a, b)) == pytest.approx(
+            float(_incomplete_beta_quadrature(y, a, b)[0]), abs=1e-10)
 
     @_properties
     @given(a=_shapes, b=_shapes, gamma=_thresholds,

@@ -60,6 +60,7 @@ class TestSystemConfig:
             (dict(M=8.5), r"must be integers.*M=8\.5"),
             (dict(U=4.5), r"must be integers.*U=4\.5"),
             (dict(realizations=2500.5), "realizations"),
+            (dict(realizations=True), "realizations"),
             (dict(seed=1.5), "seed"),
             (dict(include_reference_in_selection="no"),
              "include_reference_in_selection"),

@@ -186,7 +186,7 @@ class TestMarginalSampler:
         params = BetaPrimeParams(a, b)
         x = np.sort(marginal_model_sample(RngStream(39, 16 * a + b), params,
                                           size=n))
-        cdf = np.array([betaprime_cdf(v, params) for v in x.tolist()])
+        cdf = betaprime_cdf(x, params)
         i = np.arange(1, n + 1)
         d = max(np.max(i / n - cdf), np.max(cdf - (i - 1) / n))
         assert d <= 1.95 / math.sqrt(n)
@@ -1011,16 +1011,20 @@ class TestExperiments:
                        realizations=2048)
         assert calls == []
 
-    @pytest.mark.parametrize("realizations", [0, -3])
-    @pytest.mark.parametrize("experiment", [
+    # Every experiment that takes a realization count, as
+    # experiment(config, realizations=...).
+    _sized = pytest.mark.parametrize("experiment", [
         partial(run_cdf_experiment, mode="marginal"),
         partial(run_cdf_experiment, mode="physical_reference"),
         lambda config, realizations: estimate_marginal_tail(config, 1.0,
                                                             realizations),
         run_correlation_experiment,
-        lambda config, realizations: run_outage_group([config],
-                                                      realizations=realizations),
+        lambda config, realizations: run_outage_group(
+            [config], realizations=realizations)[0],
     ], ids=["marginal", "physical_reference", "tail", "correlation", "outage"])
+
+    @pytest.mark.parametrize("realizations", [0, -3])
+    @_sized
     def test_non_positive_sample_size_refused_before_any_chunk(
             self, monkeypatch, experiment, realizations):
         # 0 used to run the default count, and a negative count an empty
@@ -1032,6 +1036,36 @@ class TestExperiments:
                            match=f"realizations must be >= 1, got {realizations}"):
             experiment(SystemConfig(M=4, U=4, N=3), realizations=realizations)
         assert calls == []
+
+    @pytest.mark.parametrize("realizations", [2500.5, True, math.nan, "2048"])
+    @_sized
+    def test_non_integer_sample_size_refused_before_any_chunk(
+            self, monkeypatch, experiment, realizations):
+        # 2500.5 used to fail inside the chunk plan, and True to run one
+        # realization; SystemConfig's rule refuses them by name.
+        calls = []
+        monkeypatch.setattr(mc_engine, "_run_chunked",
+                            lambda *a, **k: calls.append(a))
+        with pytest.raises(ValueError, match="realizations must be an integer"):
+            experiment(SystemConfig(M=4, U=4, N=3), realizations=realizations)
+        assert calls == []
+
+    @_sized
+    def test_integral_float_sample_size_runs_as_its_int(self, experiment):
+        # 2048.0 used to fail with a TypeError in the chunk plan.
+        cfg = SystemConfig(M=4, U=4, N=3, W=2.0, seed=5)
+        got = experiment(cfg, realizations=2048.0)
+        want = experiment(cfg, realizations=2048)
+        if isinstance(want, float):
+            assert got == want
+        else:
+            assert type(got.realizations) is int
+            assert got.realizations == want.realizations == 2048
+            if hasattr(want, "curves"):
+                for name, (values, _) in want.curves.items():
+                    assert np.array_equal(got.curves[name][0], values), name
+            else:
+                assert np.array_equal(got.matrix, want.matrix)
 
     def test_cdf_grid_may_be_unsorted(self):
         # The CDF bins by searchsorted over the sorted samples, so an

@@ -1,19 +1,25 @@
 """Special-function checks against independent high-precision oracles."""
 
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
 import pytest
 
+from fama_lab.analytic_stats import (
+    BetaPrimeParams,
+    betaprime_cdf,
+    betaprime_sf,
+    ln_betaprime_cdf,
+)
+from fama_lab.mc_engine import DEFAULT_GAMMA_GRID
 from fama_lab.specialfn import (
     BESSEL_J0_MAX_ARG,
     bessel_j0,
     beta_fn,
     ln_binomial,
     ln_gamma,
-    ln_reg_inc_beta_tail,
-    reg_inc_beta,
 )
 
 mp.mp.dps = 50
@@ -81,75 +87,128 @@ class TestBetaFn:
 
 
 class TestRegIncBeta:
+    """The regularized incomplete Beta function I_y(a, b) at integer shapes,
+    which the lab evaluates as the Beta-prime CDF at gamma = y / (1 - y):
+    the paper's finite sum, with its SF and log-CDF."""
+
+    @staticmethod
+    def _against_mpmath(a, b, gammas):
+        # The largest relative error of F against I_y(a, b) and of SF
+        # against I_{1-y}(b, a), y = gamma / (1 + gamma) from the float
+        # gamma, wherever the reference is a normal double.
+        params = BetaPrimeParams(a, b)
+        f, sf = betaprime_cdf(gammas, params), betaprime_sf(gammas, params)
+        worst = 0.0
+        for g, got_f, got_sf in zip(gammas.tolist(), f.tolist(), sf.tolist()):
+            g = mp.mpf(g)
+            for got, ref in ((got_f, mp.betainc(a, b, 0, g / (1 + g),
+                                                regularized=True)),
+                             (got_sf, mp.betainc(b, a, 0, 1 / (1 + g),
+                                                 regularized=True))):
+                if ref >= sys.float_info.min:
+                    worst = max(worst, float(abs(got - ref) / ref))
+        return worst
+
     def test_uniform_case(self):
         for y in (0.0, 0.3, 0.5, 0.77, 1.0):
-            assert reg_inc_beta(y, 1.0, 1.0) == pytest.approx(y, abs=1e-13)
+            gamma = math.inf if y == 1.0 else y / (1.0 - y)
+            assert betaprime_cdf(gamma, BetaPrimeParams(1, 1)) == pytest.approx(
+                y, abs=1e-13)
 
     def test_symmetric_midpoint(self):
-        assert reg_inc_beta(0.5, 2.0, 2.0) == pytest.approx(0.5, abs=1e-13)
+        assert betaprime_cdf(1.0, BetaPrimeParams(2, 2)) == pytest.approx(
+            0.5, abs=1e-13)
 
     def test_binomial_tail_value(self):
         # I_{1/2}(8,3) = (45 + 10 + 1) / 2^10
-        assert reg_inc_beta(0.5, 8.0, 3.0) == pytest.approx(56.0 / 1024.0, rel=1e-12)
+        assert betaprime_cdf(1.0, BetaPrimeParams(8, 3)) == pytest.approx(
+            56.0 / 1024.0, rel=1e-12)
 
     def test_extremes(self):
-        assert reg_inc_beta(0.0, 3.0, 4.0) == 0.0
-        assert reg_inc_beta(1.0, 3.0, 4.0) == 1.0
+        params = BetaPrimeParams(3, 4)
+        assert betaprime_cdf(0.0, params) == 0.0
+        assert betaprime_cdf(math.inf, params) == 1.0
+        assert betaprime_sf(0.0, params) == 1.0
+        assert betaprime_sf(math.inf, params) == 0.0
+        # The edges of an array are the edges of the one-point calls.
+        grid = np.array([[0.0, 1.0], [math.inf, 2.0]])
+        for fn in (betaprime_cdf, betaprime_sf, ln_betaprime_cdf):
+            got = fn(grid, params)
+            assert got.shape == grid.shape
+            assert got.tolist() == [[fn(g, params) for g in row]
+                                    for row in grid.tolist()]
 
     def test_reflection_property(self):
-        for a in (1.0, 2.5, 8.0, 16.0):
-            for b in (1.0, 3.0, 7.5):
-                for y in (1e-6, 0.02, 0.4, 0.5, 0.9, 1 - 1e-6):
-                    total = reg_inc_beta(y, a, b) + reg_inc_beta(1.0 - y, b, a)
-                    assert total == pytest.approx(1.0, abs=1e-12)
+        # 1/X is Beta-prime(b, a): I_y(a, b) = 1 - I_{1-y}(b, a), read as
+        # F(gamma; a, b) = SF(1/gamma; b, a).  The switch puts the two
+        # sides on different tails at most thresholds.
+        for a in (1, 2, 8, 16):
+            for b in (1, 3, 8):
+                for g in (1e-6, 0.02, 0.4, 1.0, 9.0, 1e6):
+                    assert betaprime_cdf(g, BetaPrimeParams(a, b)) == pytest.approx(
+                        betaprime_sf(1.0 / g, BetaPrimeParams(b, a)), abs=1e-12)
 
     def test_integer_finite_sum_identity(self):
         for a in (1, 2, 5, 8):
             for b in (1, 3, 8):
                 for y in np.linspace(1e-6, 1 - 1e-6, 23):
-                    assert reg_inc_beta(float(y), a, b) == pytest.approx(
-                        _binomial_tail(float(y), a, b), abs=1e-10
-                    )
+                    gamma = float(y) / (1.0 - float(y))
+                    assert betaprime_cdf(gamma, BetaPrimeParams(a, b)) == \
+                        pytest.approx(_binomial_tail(gamma / (1.0 + gamma), a, b),
+                                      abs=1e-12)
 
     def test_monotone_in_y(self):
-        ys = np.linspace(0, 1, 101)
-        vals = [reg_inc_beta(float(y), 5.0, 3.0) for y in ys]
-        assert all(v2 >= v1 for v1, v2 in zip(vals, vals[1:]))
+        vals = betaprime_cdf(np.logspace(-4, 4, 401), BetaPrimeParams(5, 3))
+        assert np.all(np.diff(vals) >= 0.0)
 
     def test_against_mpmath(self):
-        for a, b in ((1.5, 2.5), (8, 3), (16, 8), (3.3, 0.7)):
-            for y in (0.001, 0.2, 0.5, 0.8, 0.999):
-                ref = float(mp.betainc(a, b, 0, y, regularized=True))
-                got = reg_inc_beta(y, a, b)
-                assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)) + 1e-15
+        # Relative error <= 1e-11 over the shape box a <= 16, b <= 8 on the
+        # simulator's grid.
+        with mp.workdps(30):
+            worst = max(self._against_mpmath(a, b, DEFAULT_GAMMA_GRID)
+                        for a in range(1, 17) for b in range(1, 9))
+        assert worst <= 1e-11
+
+    @pytest.mark.parametrize("a, b", [(512, 8), (1024, 3), (64, 63), (5, 255),
+                                      (4096, 8)])
+    def test_against_mpmath_large_shapes(self, a, b):
+        # The same 1e-11 on every tenth threshold of the grid.
+        assert self._against_mpmath(a, b, DEFAULT_GAMMA_GRID[::10]) <= 1e-11
 
     def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            reg_inc_beta(-0.1, 2.0, 2.0)
-        with pytest.raises(ValueError):
-            reg_inc_beta(1.1, 2.0, 2.0)
-        with pytest.raises(ValueError):
-            reg_inc_beta(0.5, -1.0, 2.0)
+        params = BetaPrimeParams(2, 2)
+        for fn in (betaprime_cdf, betaprime_sf, ln_betaprime_cdf):
+            for bad in (-0.1, math.nan, -math.inf, np.array([1.0, -1.0])):
+                with pytest.raises(ValueError, match="threshold"):
+                    fn(bad, params)
+        for shapes in ((2.5, 3), (0, 2), (2, -1)):
+            with pytest.raises(ValueError, match="shape parameters"):
+                BetaPrimeParams(*shapes)
 
 
 class TestLnRegIncBetaTail:
+    """ln I_y(a, b) at integer shapes: ln_betaprime_cdf."""
+
     def test_matches_linear_range(self):
-        for y in (0.05, 0.3, 0.7):
-            ln_val = ln_reg_inc_beta_tail(y, 8.0, 3.0)
-            assert math.exp(ln_val) == pytest.approx(
-                reg_inc_beta(y, 8.0, 3.0), rel=1e-11
-            )
+        params = BetaPrimeParams(8, 3)
+        for g in (0.05, 0.3, 0.7, 2.3, 40.0):
+            assert math.exp(ln_betaprime_cdf(g, params)) == pytest.approx(
+                betaprime_cdf(g, params), rel=1e-13)
 
     def test_deep_tail_against_mpmath(self):
-        # Values far below double-precision range stay finite in log space.
-        for y, a, b in ((1e-4, 16.0, 8.0), (0.0025 / 1.0025, 8.0, 3.0),
-                        (1e-40, 8.0, 3.0)):
-            ref = float(mp.log(mp.betainc(a, b, 0, y, regularized=True)))
-            assert ln_reg_inc_beta_tail(y, a, b) == pytest.approx(ref, abs=1e-9)
+        # Values far below double-precision range stay finite in log space;
+        # y = 1e-40 puts F(8, 3) near 1e-318 and F(16, 8) near 1e-633.
+        for y, a, b in ((1e-4, 16, 8), (0.0025 / 1.0025, 8, 3),
+                        (1e-40, 8, 3), (1e-40, 16, 8)):
+            gamma = y / (1.0 - y)
+            g = mp.mpf(gamma)
+            ref = float(mp.log(mp.betainc(a, b, 0, g / (1 + g), regularized=True)))
+            assert ln_betaprime_cdf(gamma, BetaPrimeParams(a, b)) == pytest.approx(
+                ref, rel=1e-13)
 
     def test_boundaries(self):
-        assert ln_reg_inc_beta_tail(0.0, 2.0, 3.0) == -math.inf
-        assert ln_reg_inc_beta_tail(1.0, 2.0, 3.0) == 0.0
+        assert ln_betaprime_cdf(0.0, BetaPrimeParams(2, 3)) == -math.inf
+        assert ln_betaprime_cdf(math.inf, BetaPrimeParams(2, 3)) == 0.0
 
 
 class TestBesselJ0:
