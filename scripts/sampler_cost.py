@@ -17,6 +17,13 @@ faulting in fresh pages on every call.  Prints one line per k with the
 median ns per draw of each and their ratio, then the largest k up to
 which the exponential sum is never the dearer: the value for
 _RENYI_MAX_TERMS on this machine.
+
+The exponentials are inverted uniforms, -log(1 - U), scaled by a
+multiply.  On a 2-core Xeon VM (Python 3.11, numpy 2.4) two runs read the
+sum at 6.8-6.9 ns against 24.4-25.7 ns at k = 1 (0.27-0.28x), 36 ns
+against 37 ns at k = 8 (0.97-0.98x) and 1.08-1.11x at k = 9, so 8.  With
+numpy's ziggurat standard_exponential and a divide per term the parity
+sat at k = 6.
 """
 
 from __future__ import annotations

@@ -58,13 +58,19 @@ _chunk_outage_iid, with N = 1 for a single port.  Its draws
 (marginal_model_sample) are sums of min(a, b) exponentials, Renyi's
 representation of Beta(max(a, b), min(a, b)), up to _RENYI_MAX_TERMS terms
 and ratios of two Gammas beyond; neither reads betaprime_cdf, so the
-i.i.d. curve stays an independent check of the analytic F^N.
+i.i.d. curve stays an independent check of the analytic F^N.  Every
+exponential of the lab, these and the fig2 ZF reference's interference
+terms, is one inverted uniform -log(1 - U) from a vectorised log
+(_exponentials).
 The i.i.d. benchmark runs once per (shapes, selectable count); its chunk
 takes the largest of each realization's N draws as a running maximum over
-strided columns (_strided_max).  The analytic envelope evaluates F and SF
-once per shape pair and derives every selectable count's bounds from them
-(outage_envelopes).  One pool (_run_chunked) serves the physical and
-every i.i.d. job.  The pool machinery, concurrent.futures with
+strided columns (_strided_max).  On the exponential sum it takes that
+maximum, or the minimum when the draw is a reciprocal, on the sums
+themselves and transforms only the n winners: the transform is monotone,
+so the counts are the same bit for bit.  The analytic envelope evaluates
+F and SF once per shape pair and derives every selectable count's bounds
+from them (outage_envelopes).  One pool (_run_chunked) serves the
+physical and every i.i.d. job.  The pool machinery, concurrent.futures with
 multiprocessing, is imported when the first pool starts
 (ProcessPoolExecutor), so a run that starts no pool never loads it.  The
 sweep (cli.run_sweep) makes one frame group of each (M, U), and fig4 one
@@ -135,10 +141,11 @@ _Z95 = 1.959963984540054
 
 # Largest min(a, b) that marginal_model_sample draws as a sum of that many
 # exponentials rather than a ratio of two Gammas: their cost parity, as
-# scripts/sampler_cost.py measures it.  On a 2-core Xeon VM with numpy 2.4
-# the sum costs 0.30x the Gamma ratio at 1 term, 0.92-1.00x at 6 and
-# 1.06-1.34x at 7 (medians of 9-15 repeats, four runs).
-_RENYI_MAX_TERMS = 6
+# scripts/sampler_cost.py measures it.  On a 2-core Xeon VM with numpy 2.4,
+# with exponentials inverted from uniforms, the sum costs 0.27-0.28x the
+# Gamma ratio at 1 term, 0.97-0.98x at 8 and 1.08-1.11x at 9 (medians of
+# 15 repeats, two runs).
+_RENYI_MAX_TERMS = 8
 
 _GRAM_TOLERANCE = 1e-12
 _MAX_RESAMPLE_ROUNDS = 100
@@ -156,7 +163,8 @@ _BASE_PER_PORT = 6 * _STREAM_SPAN
 
 def resolve_workers(workers: int | None = None) -> int:
     """Worker count: FAMA_LAB_WORKERS caps explicit requests and supplies
-    the count when none is given (default 1)."""
+    the count when none is given (default 1).  A request is refused unless
+    an integer, by SystemConfig's rule (an integral float is its int)."""
     cap = os.environ.get("FAMA_LAB_WORKERS")
     try:
         cap_n = max(1, int(cap)) if cap else None
@@ -165,6 +173,8 @@ def resolve_workers(workers: int | None = None) -> int:
             f"FAMA_LAB_WORKERS must be an integer, got {cap!r}") from None
     if workers is None:
         return cap_n or 1
+    if not _is_integer(workers):
+        raise ValueError(f"workers must be an integer, got {workers!r}")
     requested = max(1, int(workers))
     return min(requested, cap_n) if cap_n else requested
 
@@ -254,6 +264,41 @@ class OutageExperimentResult:
 # Samplers and estimators
 
 
+def _exponentials(gen: np.random.Generator, shape) -> np.ndarray:
+    """Exp(1) draws of `shape` by inversion, 0 - log(1 - U) from gen.random
+    (Devroye 1986, ch. II): 1 - U is exact in float64 and never 0, and the
+    log runs as one vectorised ufunc over the whole block, cheaper than
+    numpy's ziggurat standard_exponential.  0 - rather than unary minus
+    keeps the draw of U = 0 at +0."""
+    e = gen.random(shape)
+    np.subtract(1.0, e, out=e)
+    np.log(e, out=e)
+    return np.subtract(0.0, e, out=e)
+
+
+def _renyi_sum(gen, k: int, m: int, size: int) -> np.ndarray:
+    """T = sum_{i<k} E_i / (m + i), (size,), -log of a Beta(m, k) draw, from
+    the k rows of one _exponentials((k, size)) block, added in row order.
+    Each row is scaled by the float 1 / (m + i): a multiply costs a third
+    of a vectorised divide."""
+    e = _exponentials(gen, (k, size))
+    t = np.multiply(e[0], 1.0 / m, out=e[0])
+    for i in range(1, k):
+        t += np.multiply(e[i], 1.0 / (m + i), out=e[i])
+    return t
+
+
+def _from_renyi(t: np.ndarray, a: int, b: int) -> np.ndarray:
+    """Beta-prime(a, b) from T (_renyi_sum), in place: expm1(T) for a <= b,
+    1 / expm1(T) otherwise.  A T of 0 gives 0, or for a > b an infinite
+    value, which is never counted, with no divide warning."""
+    np.expm1(t, out=t)
+    if a > b:
+        with np.errstate(divide="ignore"):
+            np.divide(1.0, t, out=t)
+    return t
+
+
 def marginal_model_sample(stream: RngStream, params: BetaPrimeParams,
                           size: int) -> np.ndarray:
     """`size` exact Beta-prime(a, b) samples.
@@ -263,33 +308,20 @@ def marginal_model_sample(stream: RngStream, params: BetaPrimeParams,
     with E_i ~ Exp(1) (Renyi's representation of uniform order statistics;
     Devroye 1986, ch. IX).  Then expm1(T) ~ Beta-prime(k, m), and
     X ~ Beta-prime(a, b) iff 1/X ~ Beta-prime(b, a), so X is expm1(T) for
-    a <= b and 1 / expm1(T) otherwise.  For k <= _RENYI_MAX_TERMS the k rows
-    of exponentials are drawn as standard_exponential((k, size)) fills them,
-    each added into T as it is drawn; a T of 0 gives X = 0, or for a > b an
-    infinite X, which is never counted.  Beyond that, k exponentials cost
-    more than two Gammas, and X is the Gamma ratio
-    standard_gamma(a) / standard_gamma(b).
+    a <= b and 1 / expm1(T) otherwise (_from_renyi).  For
+    k <= _RENYI_MAX_TERMS the E_i are the k rows of one (k, size) block of
+    inverted uniforms, -log(1 - U) (_exponentials), summed in row order
+    (_renyi_sum).  Beyond that, k exponentials cost more than two Gammas,
+    and X is the Gamma ratio standard_gamma(a) / standard_gamma(b).
     """
     gen = stream.generator()
     a, b = int(params.a), int(params.b)
-    k, m = min(a, b), max(a, b)
+    k = min(a, b)
     if k > _RENYI_MAX_TERMS:
         num = gen.standard_gamma(a, size)
         den = gen.standard_gamma(b, size)
         return num / den
-    t = gen.standard_exponential(size)
-    t /= m
-    if k > 1:
-        e = np.empty(size)
-        for i in range(1, k):
-            gen.standard_exponential(out=e)
-            e /= m + i
-            t += e
-    np.expm1(t, out=t)
-    if a > b:
-        with np.errstate(divide="ignore"):
-            np.divide(1.0, t, out=t)
-    return t
+    return _from_renyi(_renyi_sum(gen, k, max(a, b), size), a, b)
 
 
 def surrogate_gain_sample(stream: RngStream, mu, m_effective: int, L: int,
@@ -717,7 +749,7 @@ def _physref_sirs(gen, n: int, M: int, U: int, scheme: str, beta,
         terms /= _column_sq_norms(F)[1:].T
     else:
         desired = np.abs(R[:, 0, 0] * F[:, 0, 0]) ** 2
-        terms = beta0 * gen.standard_exponential((n, U - 1))
+        terms = beta0 * _exponentials(gen, (n, U - 1))
     return _sir(powers[0] * desired, (terms * powers[1:]).sum(axis=1)), resampled
 
 
@@ -784,18 +816,32 @@ def _chunk_outage_physical(
 def _chunk_outage_iid(stream, n, a, b, N, grid):
     """Counts of the largest of N independent Beta-prime(a, b) draws per
     realization at or below each grid threshold: (counts, 0, 0).  N = 1
-    bins the marginal law itself."""
-    x = marginal_model_sample(stream, BetaPrimeParams(a, b), size=n * N)
-    return bin_samples(np.asarray(grid), _strided_max(x, N)), 0, 0
+    bins the marginal law itself.
+
+    The draws are marginal_model_sample's.  On its exponential-sum path X
+    is monotone in T, increasing for a <= b and decreasing otherwise, and
+    expm1 and the reciprocal are monotone in float64 too, so the largest X
+    is the transform of the largest T (a <= b) or the smallest (a > b),
+    bit for bit: the transform runs on n values, not n N."""
+    k = min(a, b)
+    if k > _RENYI_MAX_TERMS:
+        x = marginal_model_sample(stream, BetaPrimeParams(a, b), size=n * N)
+        best = _strided_max(x, N)
+    else:
+        t = _renyi_sum(stream.generator(), k, max(a, b), n * N)
+        best = _from_renyi(_strided_max(t, N, np.maximum if a <= b
+                                        else np.minimum), a, b)
+    return bin_samples(np.asarray(grid), best), 0, 0
 
 
-def _strided_max(x: np.ndarray, N: int) -> np.ndarray:
+def _strided_max(x: np.ndarray, N: int, pick=np.maximum) -> np.ndarray:
     """x.reshape(-1, N).max(axis=1), as a running maximum over the N strided
     columns x[k::N]: numpy's reduction over a short last axis is slow, and
-    max is exact, so the result is the same bit for bit."""
+    max is exact, so the result is the same bit for bit.  pick=np.minimum
+    gives the row minimum the same way."""
     best = x[::N]
     for k in range(1, N):
-        best = np.maximum(best, x[k::N])
+        best = pick(best, x[k::N])
     return best
 
 
@@ -900,9 +946,12 @@ def _merge_counts(results) -> tuple[np.ndarray, int, int]:
 
 
 def _checked_thresholds(grid) -> np.ndarray:
-    """grid as an array, refused unless every threshold is finite and
-    >= 0, before anything is drawn."""
+    """grid as an array, refused unless it is a non-empty 1-D array of
+    thresholds that are finite and >= 0, before anything is drawn."""
     grid = np.asarray(grid)
+    if grid.ndim != 1 or grid.size == 0:
+        raise ValueError(
+            f"gamma grid must be a non-empty 1-D array, got shape {grid.shape}")
     bad = grid[~(np.isfinite(grid) & (grid >= 0.0))]
     if bad.size:
         raise ValueError(

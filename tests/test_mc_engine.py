@@ -191,7 +191,7 @@ class TestMarginalSampler:
         d = max(np.max(i / n - cdf), np.max(cdf - (i - 1) / n))
         assert d <= 1.95 / math.sqrt(n)
 
-    @pytest.mark.parametrize("a, b", [(9, 7), (7, 7), (7, 40), (64, 8)])
+    @pytest.mark.parametrize("a, b", [(11, 9), (9, 9), (9, 40), (64, 12)])
     def test_gamma_ratio_beyond_switch(self, a, b):
         assert min(a, b) > _RENYI_MAX_TERMS
         gen = RngStream(40, 3).generator()
@@ -200,36 +200,65 @@ class TestMarginalSampler:
         assert x.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("a, b", [(1, 1), (8, 3), (3, 8), (6, 6), (6, 1),
-                                      (1, 6), (40, 6)])
+                                      (1, 6), (40, 6), (9, 7), (7, 7), (7, 40),
+                                      (8, 8), (64, 8)])
     def test_exponential_sum_up_to_switch(self, a, b):
         # -log Beta(m, k) = sum_i E_i / (m + i), and expm1 of it is
-        # Beta-prime(k, m): the rows of one (k, size) draw, summed in order.
+        # Beta-prime(k, m): E_i is row i of one (k, size) block of
+        # -log(1 - U), the uniforms inverted, scaled by 1 / (m + i) and
+        # summed in order.
         k, m = min(a, b), max(a, b)
         assert k <= _RENYI_MAX_TERMS
-        e = RngStream(41, 5).generator().standard_exponential((k, 1000))
-        t = e[0] / m
+        e = -np.log(1.0 - RngStream(41, 5).generator().random((k, 1000)))
+        t = e[0] * (1.0 / m)
         for i in range(1, k):
-            t = t + e[i] / (m + i)
+            t = t + e[i] * (1.0 / (m + i))
         ref = np.expm1(t) if a <= b else 1.0 / np.expm1(t)
         x = marginal_model_sample(RngStream(41, 5), BetaPrimeParams(a, b), 1000)
         assert x.tobytes() == ref.tobytes()
 
     def test_zero_sum_is_infinite_and_never_counted(self):
-        # A sum of exponentials that are all 0 is Beta-prime 0, or inf for
-        # a > b, with no divide warning; bin_samples never counts inf.
-        def zeros(size=None, out=None):
-            if out is None:
-                return np.zeros(size)
-            out[:] = 0.0
-
+        # Uniforms that are all 0 invert to exponentials that are all +0:
+        # their sum is Beta-prime 0, or +inf for a > b, with no divide
+        # warning; bin_samples never counts inf.
         stream = SimpleNamespace(generator=lambda: SimpleNamespace(
-            standard_exponential=zeros))
+            random=np.zeros))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             low = marginal_model_sample(stream, BetaPrimeParams(3, 8), 4)
             high = marginal_model_sample(stream, BetaPrimeParams(8, 3), 4)
         assert np.all(low == 0.0) and np.all(high == np.inf)
         assert not bin_samples(DEFAULT_GAMMA_GRID, high).any()
+
+    # Both orientations of the exponential sum, and the Gamma ratio.
+    @pytest.mark.parametrize("a, b, N", [(9, 7, 2), (8, 3, 8), (1, 3, 8),
+                                         (3, 1, 2), (12, 15, 3)])
+    def test_iid_chunk_against_exact_max_law(self, a, b, N):
+        # The largest of N draws has CDF F^N.  The chunk's CDF on the grid
+        # is held to the one-sample KS 0.1% critical value 1.95 / sqrt(n),
+        # fixed before the run; the sup over a grid is at most the sup
+        # over the line, so the bound is conservative.
+        n = 20_000
+        params = BetaPrimeParams(a, b)
+        counts, _, _ = _chunk_outage_iid(RngStream(42, 8 * a + b), n, a, b,
+                                         N, DEFAULT_GAMMA_GRID)
+        exact = betaprime_cdf(DEFAULT_GAMMA_GRID, params) ** N
+        assert np.max(np.abs(counts / n - exact)) <= 1.95 / math.sqrt(n)
+
+    def test_transform_is_monotone_in_float64(self):
+        # The i.i.d. chunk transforms only the largest (or smallest) sum,
+        # which equals the largest draw only if expm1 never decreases and
+        # its reciprocal never increases, float by float: checked over
+        # sorted sums from 0 to 60, each beside both float neighbours.
+        t = np.sort(RngStream(43, 0).generator().exponential(6.0, 200_000))
+        t = np.concatenate(([0.0], t[t < 60.0]))
+        t = np.sort(np.concatenate((t, np.nextafter(t, -1.0)[1:],
+                                    np.nextafter(t, np.inf))))
+        x = np.expm1(t)
+        assert np.all(x[1:] >= x[:-1])
+        with np.errstate(divide="ignore", over="ignore"):
+            y = 1.0 / x
+        assert np.all(y[1:] <= y[:-1])
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(a=st.integers(min_value=1, max_value=64),
@@ -1011,6 +1040,21 @@ class TestExperiments:
                        realizations=2048)
         assert calls == []
 
+    @pytest.mark.parametrize("mode", ["marginal", "physical_reference"])
+    @pytest.mark.parametrize("grid", [[], [[0.5, 1.0]]], ids=["empty", "2-D"])
+    def test_degenerate_gamma_grid_refused_before_any_chunk(self, monkeypatch,
+                                                            mode, grid):
+        # An empty grid used to fail in numpy's KS reduction after the run,
+        # and a 2-D one to run and report a KS; both are refused by name
+        # before any chunk runs.
+        calls = []
+        monkeypatch.setattr(mc_engine, "_run_chunked",
+                            lambda *a, **k: calls.append(a))
+        with pytest.raises(ValueError, match="gamma grid must be a non-empty 1-D"):
+            run_cdf_experiment(SystemConfig(M=4, U=2, N=2), mode=mode,
+                               gamma_grid=grid, realizations=2048)
+        assert calls == []
+
     # Every experiment that takes a realization count, as
     # experiment(config, realizations=...).
     _sized = pytest.mark.parametrize("experiment", [
@@ -1251,3 +1295,27 @@ class TestResolveWorkers:
         monkeypatch.setenv("FAMA_LAB_WORKERS", "2")
         assert resolve_workers(8) == 2
         assert resolve_workers(None) == 2
+
+    @pytest.mark.parametrize("workers", [2.5, True, "3", math.nan, math.inf])
+    def test_non_integer_request_refused(self, monkeypatch, workers):
+        # 2.5 used to start a 2-worker pool, True to run on 1 worker, "3"
+        # on 3, and NaN to fail in int(); SystemConfig's integer rule
+        # refuses them by name.
+        monkeypatch.delenv("FAMA_LAB_WORKERS", raising=False)
+        with pytest.raises(ValueError, match="workers must be an integer"):
+            resolve_workers(workers)
+
+    def test_integral_float_request_is_its_int(self, monkeypatch):
+        monkeypatch.delenv("FAMA_LAB_WORKERS", raising=False)
+        got = resolve_workers(3.0)
+        assert type(got) is int and got == 3
+        assert resolve_workers(np.int64(2)) == 2
+
+    def test_non_integer_request_refused_before_any_chunk(self, monkeypatch):
+        monkeypatch.delenv("FAMA_LAB_WORKERS", raising=False)
+        calls = []
+        monkeypatch.setattr(mc_engine, "_run_chunked",
+                            lambda *a, **k: calls.append(a))
+        with pytest.raises(ValueError, match="workers must be an integer"):
+            run_outage_experiment(SystemConfig(M=4, U=2, N=2), 2048, workers=2.5)
+        assert calls == []
