@@ -20,7 +20,18 @@ stage, one line each:
 
 Each stage's time is its own: a wrapper around the module-level function
 records its duration less that of the wrapped functions it calls, so the
-first five lines add up to the chunk.  A function the package on PYTHONPATH
+first five lines add up to the chunk.
+
+--inner K runs the chunk nested, K rows per channel draw (default: the
+config's own K, mc_engine._inner_draws).  Three more lines then give the
+costs that the nesting rule's constants (_FRAME_MS, _ROWS_MS) are fitted
+to, in ms per CHUNK_SIZE of each, and their ratio beside the cost model's:
+
+    c_R             R and beams per frame drawn
+    c_in            innovations, SIRs, select and bin per row
+
+At K = 1 they split the chunk itself; at K = 4 a chunk of --rows rows
+draws --rows / 4 frames.  A function the package on PYTHONPATH
 lacks is not wrapped, so another tree's src/ can be timed the same way.
 The defaults are the outage_mrt_wide benchmark workload's config (MRT, M=8,
 U=4, N=8, W=4, member mode); outage_zf_gram's is
@@ -90,12 +101,21 @@ def main() -> None:
     parser.add_argument("--chunks", type=int, default=100, help="timed chunks")
     parser.add_argument("--warmup", type=int, default=5, help="untimed chunks first")
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--inner", type=int,
+                        help="rows per channel draw (default: the config's own)")
     args = parser.parse_args()
 
     cfg = SystemConfig(M=args.M, U=args.U, N=args.N, W=args.W, scheme=args.scheme)
     selectable = tuple(selectable_port_indices(cfg))
     grid = mc_engine.DEFAULT_GAMMA_GRID
     call = (args.rows, *mc_engine._outage_physical_args([cfg], [(0, selectable)], grid))
+    # A tree without nested draws runs every chunk at K = 1.
+    nested = hasattr(mc_engine, "_inner_draws")
+    inner = args.inner or (mc_engine._inner_draws(cfg) if nested else 1)
+    if nested:
+        call = call[:-1] + (inner,)
+    elif inner != 1:
+        parser.error("--inner: this tree's mc_engine has no nested draws")
     params = betaprime_params(cfg.scheme, cfg.M, cfg.U)
     iid_call = (args.rows, params.a, params.b, len(selectable), grid)
 
@@ -123,9 +143,24 @@ def main() -> None:
             per_stage["iid chunk"].append(iid_s)
 
     print(f"{cfg.scheme} M={cfg.M} U={cfg.U} N={cfg.N} W={cfg.W:g} "
-          f"rows={args.rows}: median ms per chunk over {args.chunks} chunks")
-    for stage, seconds in per_stage.items():
-        print(f"  {stage:<15} {1e3 * statistics.median(seconds):7.3f}")
+          f"rows={args.rows} inner={inner}: median ms per chunk over "
+          f"{args.chunks} chunks")
+    ms = {stage: 1e3 * statistics.median(seconds)
+          for stage, seconds in per_stage.items()}
+    for stage, value in ms.items():
+        print(f"  {stage:<15} {value:7.3f}")
+    if not nested:
+        return
+    # Both per CHUNK_SIZE: of frames for c_R, of rows for c_in.
+    frames = -(-args.rows // inner)
+    c_r = (ms["R"] + ms["beams"]) * mc_engine.CHUNK_SIZE / frames
+    c_in = ((ms["innovations"] + ms["SIRs"] + ms["select and bin"])
+            * mc_engine.CHUNK_SIZE / args.rows)
+    ratio = mc_engine._nest_ratio(cfg.U, mc_engine.geometry_for_config(cfg).num_ports)
+    print(f"  {'c_R':<15} {c_r:7.3f}")
+    print(f"  {'c_in':<15} {c_in:7.3f}")
+    print(f"  c_R / c_in {c_r / c_in:.2f}, model {ratio:.2f}; nested at "
+          f">= {mc_engine._NEST_MIN_RATIO:g} under ZF in external mode")
 
 
 if __name__ == "__main__":

@@ -9,7 +9,6 @@ from .analytic_stats import (
     asymptote_tail,
     betaprime_cdf,
     betaprime_params,
-    betaprime_pdf,
     betaprime_sf,
     diversity_orders,
     m_eff,

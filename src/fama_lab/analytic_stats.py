@@ -17,14 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specialfn import beta_fn, ln_beta, ln_binomial, ln_gamma
+from .specialfn import ln_beta, ln_binomial, ln_gamma
 
 __all__ = [
     "BetaPrimeParams",
     "OutageEnvelope",
     "m_eff",
     "betaprime_params",
-    "betaprime_pdf",
     "betaprime_cdf",
     "betaprime_sf",
     "ln_betaprime_cdf",
@@ -71,22 +70,6 @@ def betaprime_params(scheme: str, M: int, U: int) -> BetaPrimeParams:
     if U < 2:
         raise ValueError(f"need U >= 2 interfering-user setup, got U={U}")
     return BetaPrimeParams(a=m_eff(scheme, M, U), b=U - 1)
-
-
-def betaprime_pdf(x: float, params: BetaPrimeParams) -> float:
-    """Density x^{a-1} (1+x)^{-(a+b)} / B(a,b) for x > 0."""
-    x = float(x)
-    if x < 0.0:
-        raise ValueError(f"pdf argument must be >= 0, got {x}")
-    a, b = params.a, params.b
-    if x == 0.0:
-        if a > 1:
-            return 0.0
-        if a == 1:
-            return 1.0 / beta_fn(a, b)
-    return math.exp(
-        (a - 1.0) * math.log(x) - (a + b) * math.log1p(x) - ln_beta(a, b)
-    )
 
 
 def _betaprime_tails(gamma, params: BetaPrimeParams):

@@ -384,9 +384,11 @@ def run_fig4(config: SystemConfig, out_dir: str, workers: int,
 
 
 def _outage_rows(tag: str, res) -> list[tuple]:
-    """The five manifest rows of one outage result, fig4's and the
-    sweep's."""
+    """The six manifest rows of one outage result, fig4's and the sweep's:
+    inner_draws is the rows per channel draw, so the physical rows came
+    from realizations / inner_draws channel draws, rounded up per chunk."""
     return [(tag, "realizations", res.realizations),
+            (tag, "inner_draws", res.inner_draws),
             (tag, "reference_mode", res.reference_mode),
             (tag, "selection_ports", res.selection_ports.tolist()),
             (tag, "resampled", res.resampled_count),

@@ -47,6 +47,16 @@ W enters only through the port correlations mu_k, and only in frame row
 1..r-1 onto the beams are summed once per (scheme, port count) and
 shared by its apertures (_frame_sirs).
 
+Where a frame draw costs at least twice the rows it serves (ZF in external
+mode at large U, by a stated cost model: _inner_draws), a config's rows are
+nested: each chunk draws R and the beams for ceil(n / K) clusters and K
+innovation blocks, K-major (row k C + c reads frame c), so every frame
+entry is one (C,) vector that broadcasts over the blocks.  Its curves are
+binned as exact integer moment sums per cluster (_bin_clusters), and the
+Wilson interval is taken at the clusters' Kish effective size
+(_outage_curve), the one half-width of every outage curve: at K = 1 it is
+the plain interval, and every K = 1 config keeps its draws.
+
 _chunk_outage_physical is the one place where a physical SIR is selected
 and binned.  It bins curves, each the largest SIR of one config over a set
 of port indices: an outage run asks for one curve per config, its
@@ -147,6 +157,33 @@ _Z95 = 1.959963984540054
 # 15 repeats, two runs).
 _RENYI_MAX_TERMS = 8
 
+# Nested frame draws (_inner_draws): a nested config draws R and its beams
+# once per cluster of _NESTED_INNER rows, each row with port innovations of
+# its own.  The rule reads a cost model of one CHUNK_SIZE-row ZF chunk in
+# external mode, in ms: a frame draw (R and the beams) costs
+# c_R = _FRAME_MS . (U, U^2, U^3), the rows it serves (innovations, SIRs,
+# select and bin) c_in = _ROWS_MS . ((P-1) U, (P-1) U^2, U, 1) at P ports.
+# Least squares on scripts/chunk_stages.py --inner 1 over U = 2, 3, 4, 5,
+# 6, 8, 12, 16 and N = P - 1 = 1, 2, 4, 8 (2-core Xeon VM, numpy 2.4, the
+# fastest of 3 runs of 25 chunks each) fits every c_R within 7% and c_in
+# within 16%.  Measured c_R / c_in (model): 1.79 (1.78) at U = 4, N = 1;
+# 1.19 (1.12) at U = 4, N = 2; 1.73 (1.58) at U = 6, N = 2; 2.22 (2.09) at
+# U = 8, N = 2; 1.16 (1.14) at U = 8, N = 4; 2.66 (2.44) at U = 16, N = 4.
+# At K = 4 a row then costs c_R / 4 + c_in against c_R + c_in, and the
+# design effect 1 + 3 rho was at most 1.5 where measured (rho the share of
+# the outage variance that R carries, 0.17 at P_out 0.5 at U = 8).  A frame
+# that costs at least _NEST_MIN_RATIO times its rows keeps a precision
+# gain of at least (2 + 1) / (2 / 4 + 1) / 1.5 = 1.33x even there; a
+# cheaper frame is not worth a stream of its own (at U = 4, N = 2 the gain
+# would be 1.13x at that design effect).  The model and the measurements
+# agree on every (U, N) above, and no config with U <= 4 is nested.  K = 8
+# read a design effect of 2.2 at P_out 0.5 against 1.5 at K = 4, so the
+# smaller K is taken.
+_NESTED_INNER = 4
+_FRAME_MS = (0.107, 0.0131, 0.00262)
+_ROWS_MS = (0.0565, 0.00246, 0.0117, 0.139)
+_NEST_MIN_RATIO = 2.0
+
 _GRAM_TOLERANCE = 1e-12
 _MAX_RESAMPLE_ROUNDS = 100
 
@@ -159,31 +196,40 @@ _BASE_CORRELATION = 3 * _STREAM_SPAN
 _BASE_TAIL = 4 * _STREAM_SPAN
 _BASE_CDF_PHYSICAL = 5 * _STREAM_SPAN
 _BASE_PER_PORT = 6 * _STREAM_SPAN
+# The outage and per-port jobs of nested configs (_inner_draws > 1).
+_BASE_OUTAGE_NESTED = 7 * _STREAM_SPAN
+_BASE_PER_PORT_NESTED = 8 * _STREAM_SPAN
 
 
 def resolve_workers(workers: int | None = None) -> int:
     """Worker count: FAMA_LAB_WORKERS caps explicit requests and supplies
-    the count when none is given (default 1).  A request is refused unless
-    an integer, by SystemConfig's rule (an integral float is its int)."""
+    the count when none is given (default 1).  A request, and the
+    variable's value, is refused by name unless an integer >= 1, by
+    SystemConfig's rule (an integral float is its int)."""
     cap = os.environ.get("FAMA_LAB_WORKERS")
     try:
-        cap_n = max(1, int(cap)) if cap else None
+        cap_n = int(cap) if cap else None
     except ValueError:
         raise ValueError(
             f"FAMA_LAB_WORKERS must be an integer, got {cap!r}") from None
+    if cap_n is not None and cap_n < 1:
+        raise ValueError(f"FAMA_LAB_WORKERS must be >= 1, got {cap!r}")
     if workers is None:
         return cap_n or 1
     if not _is_integer(workers):
         raise ValueError(f"workers must be an integer, got {workers!r}")
-    requested = max(1, int(workers))
+    requested = int(workers)
+    if requested < 1:
+        raise ValueError(f"workers must be >= 1, got {workers!r}")
     return min(requested, cap_n) if cap_n else requested
 
 
-def wilson_half_width(p, n: int):
+def wilson_half_width(p, n):
     """Half-length of the Wilson score interval for a binomial proportion.
 
     z / (1 + z^2/n) * sqrt(p (1 - p) / n + z^2 / (4 n^2)) for the observed
-    proportion p of n trials.  Unlike the Wald half-width z sqrt(p (1-p) / n)
+    proportion p of n trials; n may be an array of (effective) sizes, one
+    per p (_outage_curve).  Unlike the Wald half-width z sqrt(p (1-p) / n)
     it is never zero: at p in {0, 1} it equals z^2 / (2 (n + z^2)).
     """
     p = np.asarray(p, dtype=float)
@@ -239,8 +285,15 @@ class OutageExperimentResult:
 
     curves maps each curve_id to (values, half-width), in the order every
     outage CSV writes them: the half-length of the 95% Wilson score
-    interval of an empirical curve (wilson_half_width), None for an
-    analytic one.  run_outage_group decides the curves.
+    interval of an empirical curve, None for an analytic one.
+    run_outage_group decides the curves.
+
+    realizations counts rows.  With inner_draws K > 1 (_inner_draws) the
+    physical rows come in clusters of K that share one channel draw, R
+    and its beams, so they came from ceil(rows / K) per chunk channel
+    draws, and the physical curves' Wilson interval is taken at the
+    clusters' Kish effective size, between the cluster and the row count
+    (_outage_curve).  At K = 1 that size is the row count.
     """
 
     scheme: str
@@ -251,6 +304,7 @@ class OutageExperimentResult:
     selection_ports: np.ndarray = field(default_factory=lambda: np.array([]))
     infinite_count: int = 0
     resampled_count: int = 0
+    inner_draws: int = 1
 
     # The benchmark's outage workload reads these four; they stay until it
     # reads the map (ROADMAP item 1).
@@ -564,13 +618,19 @@ def _frame_sirs(r0: np.ndarray, g: np.ndarray, F: np.ndarray, scheme: str,
     port count P), in the frame Q of the reference channels H = QR, for
     unit-norm beams f_u.
 
-    r0 = Q^H h_{0,1} (n, r) is user 0's column of R, zero below R_00, g
+    r0 = Q^H h_{0,1} (C, r) is user 0's column of R, zero below R_00, g
     (P-1, r, n) the innovations of ports 2..P as _draw_frame draws them,
-    and F = Q^H W (n, r, U) the beams that `scheme` builds from R
-    (_weights_for_scheme).  Under MRT, F is R itself and f_u = r_u / ||r_u||,
-    so user u's term is P_u / ||r_u||^2 |z_k^H r_u|^2: an (n,) power weight
-    from the squared norms sq_norms (U, n) (_column_sq_norms, computed here
-    when not given), and f_0 = e_0, so the desired gain is |z_k0|^2.  g_k is
+    and F = Q^H W (C, r, U) the beams that `scheme` builds from R
+    (_weights_for_scheme), for C = n / K frames: row k C + c of the n
+    rows reads frame c, so each frame serves K rows (K = 1 unless nested,
+    _inner_draws).  Every frame entry is one (C,) vector that broadcasts
+    over the K blocks of the innovations, so the SIRs are, bit for bit,
+    those of a call with each frame repeated K times.
+
+    Under MRT, F is R itself and f_u = r_u / ||r_u||, so user u's term is
+    P_u / ||r_u||^2 |z_k^H r_u|^2: a (C,) power weight from the squared
+    norms sq_norms (U, C) (_column_sq_norms, computed here when not
+    given), and f_0 = e_0, so the desired gain is |z_k0|^2.  g_k is
     read as sqrt(2) conj(Q^H x_k): the frame innovation Q^H x_k ~ CN(0, I_r)
     is circularly symmetric and independent of R, so conj(g_k) / sqrt(2)
     has its law, and no pass conjugates or scales g.  Port k is
@@ -590,38 +650,40 @@ def _frame_sirs(r0: np.ndarray, g: np.ndarray, F: np.ndarray, scheme: str,
     the weighted sum over u >= 1 is shared too.  The reference port's
     projections are R_00 F_0u, aperture-invariant, with the same weights.
 
-    The work runs one beam u at a time on (P-1, n) arrays, batch-last, and
+    The work runs one beam u at a time on (P-1, K, C) arrays, batch-last, and
     makes no BLAS call.  No temporary spans all beams: glibc hands freed
     chunk-sized arrays back to the OS, and every chunk would fault them in
     again.  The SIRs of one mu vector do not depend on the others in
     `mus`: they are the same, bit for bit, as a call with that vector
     alone.
     """
-    n, r = r0.shape
+    C, r = r0.shape
     U = F.shape[2]
-    ports = g.shape[0]
+    ports, _, n = g.shape
+    # Nested, (P-1, K, C) blocks; otherwise (P-1, n), one frame per row.
+    block = (ports, n // C, C) if n > C else (ports, n)
     powers = np.asarray(powers, dtype=float)
     zf = scheme == "ZF"
     if not zf and sq_norms is None:
         sq_norms = _column_sq_norms(F)
     F = F.transpose(1, 2, 0)
     r00c = r0[:, 0].conj()
-    # One (P-1, n) view per frame coordinate j, each row contiguous.
-    rows = [g[:, j] for j in range(r)]
+    # One block view per frame coordinate j, each row contiguous.
+    rows = [g[:, j].reshape(block) for j in range(r)]
     sigmas, rows0 = [], []
     for mu in mus:
-        mu = np.asarray(mu, dtype=float)[1:, None]
+        mu = np.asarray(mu, dtype=float)[1:].reshape((-1,) + (1,) * (len(block) - 1))
         sigma = np.sqrt(np.maximum(0.0, 1.0 - mu**2)) * math.sqrt(beta0 / 2.0)
         row0 = sigma * rows[0]
         row0 += mu * r00c
         sigmas.append(sigma)
         rows0.append(row0)
-    sirs = np.empty((len(mus), ports + 1, n))
-    interference = np.zeros((len(mus), ports, n))
-    shared = np.zeros((ports, n))
-    ref_inter = np.zeros(n)
-    s, term, proj = (np.empty((ports, n), dtype=complex) for _ in range(3))
-    gain, square = np.empty((ports, n)), np.empty((ports, n))
+    sirs = np.empty((len(mus), ports + 1) + block[1:])
+    interference = np.zeros((len(mus),) + block)
+    shared = np.zeros(block)
+    ref_inter = np.zeros(C)
+    s, term, proj = (np.empty(block, dtype=complex) for _ in range(3))
+    gain, square = np.empty(block), np.empty(block)
     for u in range(U):
         js = range(max(u, 1), r) if zf else range(1, min(u + 1, r))
         if len(js):
@@ -664,18 +726,20 @@ def _frame_sirs(r0: np.ndarray, g: np.ndarray, F: np.ndarray, scheme: str,
         if zf:
             inter += sigma**2 * shared
         x[1:] = _sir(powers[0] * x[1:], inter)
-    return [x.T for x in sirs]
+    return [x.reshape(ports + 1, n).T for x in sirs]
 
 
 def _draw_frame(gen, n: int, M: int, U: int, schemes: tuple[str, ...], beta,
-                ports: int):
+                ports: int, inner: int = 1):
     """Everything of a port chunk that the aperture does not change: R (see
-    _reference_factor), the innovations g = _cgauss(gen, (ports-1, r, n))
-    of ports 2..ports, port-major, read as sqrt(2) conj(Q^H x_k)
-    (_frame_sirs), and the beams F = Q^H W that each MRT/ZF rule of
-    `schemes` (distinct) builds from R: under MRT, R itself.  Returns (g,
-    frames), frames one (F, resampled, R) per scheme, in order
-    (_weights_for_scheme).
+    _reference_factor) for C = ceil(n / inner) frames, the innovations
+    g = _cgauss(gen, (ports-1, r, inner C)) of ports 2..ports, port-major,
+    read as sqrt(2) conj(Q^H x_k) (_frame_sirs), and the beams F = Q^H W
+    that each MRT/ZF rule of `schemes` (distinct) builds from R: under MRT,
+    R itself.  Returns (g, frames), frames one (F, resampled, R) per
+    scheme, in order (_weights_for_scheme).  Innovation row k C + c reads
+    frame c: `inner` blocks of C rows, each frame serving one row of every
+    block; at inner = 1 each of the n rows has a frame of its own.
 
     Draw order: R (diagonal Gammas, then the entries above the diagonal),
     then g.  The beams draw nothing from gen: ZF redraws come from a child
@@ -683,8 +747,9 @@ def _draw_frame(gen, n: int, M: int, U: int, schemes: tuple[str, ...], beta,
     what a draw of that size returns (standard_normal fills its output in
     order), and each scheme sees the draws of a frame of its own.
     """
-    R = _reference_factor(gen, n, M, U, beta)
-    g = _cgauss(gen, (ports - 1, R.shape[1], n))
+    clusters = -(-n // inner)
+    R = _reference_factor(gen, clusters, M, U, beta)
+    g = _cgauss(gen, (ports - 1, R.shape[1], inner * clusters))
     redraw = partial(_reference_factor, M=M, U=U, beta=beta)
     return g, [_weights_for_scheme(gen, R, scheme, redraw) for scheme in schemes]
 
@@ -724,9 +789,12 @@ def _physref_sirs(gen, n: int, M: int, U: int, scheme: str, beta,
       g = Q^H x ~ CN(0, I_r).  The cross-beam dependence of the terms stays
       physical, so the KS report measures exactly the residual of that
       independence.  The fully self-consistent reference-port SIR (one
-      channel in numerator and denominator) sits near KS 0.09 from the
-      Beta-prime law at M=8, U=4 and is not what the distribution claim
-      describes.
+      channel in numerator and denominator, the member-mode column 0 of
+      _frame_sirs) is not what the distribution claim describes: its
+      ||h_0||^2 cancels, and X_ref = P_0 / sum_u P_u B_u with B_u =
+      |R_0u|^2 / ||r_u||^2 i.i.d. Beta(1, M - 1) (the first coordinate of
+      an isotropic unit vector), whose law lies 0.087 in sup-distance
+      from Beta-prime(8, 3) at M=8, U=4.
     - ZF: the co-user beams null the reference port exactly, so each
       interferer contributes |x^H v|^2 for a fresh channel sqrt(beta_0) x
       and a fresh isotropic unit direction v: exactly beta_0 Exp(1), L
@@ -763,16 +831,16 @@ def _chunk_physref(stream: RngStream, n: int, M: int, U: int, scheme: str,
 
 
 def _chunk_outage_physical(
-    stream, n, M, U, schemes, beta, powers, mus, curves, grid
+    stream, n, M, U, schemes, beta, powers, mus, curves, grid, inner=1
 ):
-    """Selection outage counts of one chunk for every curve of a frame
-    group: ((C, grid) counts and (C,) infinite counts, one per curve, and
-    (K,) resample counts, one per config) for the K configs' schemes
-    `schemes` and mu vectors `mus`.  Curve c of `curves` is a pair (k,
-    ports): the largest SIR of config k over the port indices `ports`, so a
-    config's selectable set gives its selection curve and a singleton (j,)
-    the CDF of port j alone.  This is the one place where a physical SIR is
-    selected and binned.
+    """Selection outage moment sums of one chunk for every curve of a frame
+    group: ((C, grid) counts and (C,) infinite counts, one per curve, (K,)
+    resample counts, one per config, and (C, grid) squares, one per curve)
+    for the K configs' schemes `schemes` and mu vectors `mus`.  Curve c of
+    `curves` is a pair (k, ports): the largest SIR of config k over the
+    port indices `ports`, so a config's selectable set gives its selection
+    curve and a singleton (j,) the CDF of port j alone.  This is the one
+    place where a physical SIR is selected and binned.
 
     R depends on neither the scheme, N nor W, so one frame draw
     (_draw_frame) serves the group: R, one innovation block for the
@@ -782,13 +850,26 @@ def _chunk_outage_physical(
     port count) come from one _frame_sirs call, which shares the
     aperture-invariant projections; selection and binning run once per
     curve, and adding curves changes no other curve's counts.
+
+    With inner = K > 1 the n rows are clusters of K that share one frame:
+    _draw_frame draws ceil(n / K) frames and K innovation blocks, and a
+    curve's counts and squares are sum_c t_c and sum_c t_c^2, t_c(gamma)
+    the rows of cluster c in outage at gamma (_bin_clusters).  When K does
+    not divide n, the last cluster keeps its first n - (ceil(n / K) - 1) K
+    rows; the rest of its block rows are drawn and never counted.  At
+    K = 1 each row is its own cluster and the squares are the counts.
     """
     unique = tuple(dict.fromkeys(schemes))
     g, frames = _draw_frame(stream.generator(), n, M, U, unique, beta,
-                            max(len(mu) for mu in mus))
+                            max(len(mu) for mu in mus), inner)
     beta0 = float(np.asarray(beta)[0])
     grid = np.asarray(grid)
+    clusters = -(-n // inner)
+    # Rows k C + C - 1 of the last cluster beyond the chunk's n rows.
+    dropped = (np.arange(n - (clusters - 1) * inner, inner) * clusters
+               + clusters - 1)
     counts = np.empty((len(curves), len(grid)), dtype=np.int64)
+    squares = np.empty_like(counts) if inner > 1 else counts
     inf_counts = np.empty(len(curves), dtype=np.int64)
     resampled = np.empty(len(mus), dtype=np.int64)
     for scheme, (F, count, R) in zip(unique, frames):
@@ -808,9 +889,29 @@ def _chunk_outage_physical(
                     sel = x.T[np.asarray(sel_idx, dtype=int)]
                     inf_counts[c] = np.count_nonzero(~np.isfinite(sel))
                     # Outage counts: INFINITE selections are never in outage
-                    # and naturally land beyond the grid.
-                    counts[c] = bin_samples(grid, sel.max(axis=0))
-    return counts, inf_counts, resampled
+                    # and naturally land beyond the grid, as do dropped rows.
+                    best = sel.max(axis=0)
+                    if inner == 1:
+                        # One row per cluster: the squares are the counts.
+                        counts[c] = bin_samples(grid, best)
+                        continue
+                    inf_counts[c] -= np.count_nonzero(~np.isfinite(sel[:, dropped]))
+                    best[dropped] = np.inf
+                    counts[c], squares[c] = _bin_clusters(
+                        grid, best.reshape(inner, clusters))
+    return counts, inf_counts, resampled, squares
+
+
+def _bin_clusters(grid: np.ndarray, values: np.ndarray):
+    """(counts, squares) of the clusters values[:, c] of a (K, C) array:
+    with t_c(gamma) the values of cluster c at or below gamma, counts =
+    sum_c t_c and squares = sum_c t_c^2, exact integers.  If count_j is
+    the number of clusters whose j-th smallest value is <= gamma (j
+    1-based), then t_c is the number of ranks j it is counted at, so
+    sum_j count_j = sum_c t_c and, since t^2 is the sum of the first t
+    odd numbers, sum_j (2j - 1) count_j = sum_c t_c^2."""
+    ranked = [bin_samples(grid, row) for row in np.sort(values, axis=0)]
+    return sum(ranked), sum((2 * j + 1) * count for j, count in enumerate(ranked))
 
 
 def _chunk_outage_iid(stream, n, a, b, N, grid):
@@ -939,6 +1040,33 @@ def _merge_counts(results) -> tuple[np.ndarray, int, int]:
     inf_count = sum(r[1] for r in results)
     resampled = sum(r[2] for r in results)
     return counts, inf_count, resampled
+
+
+def _outage_curve(counts, squares, rows: int, clusters: int):
+    """(p, half-width) of an outage curve from its moment sums merged over
+    the chunks: counts = sum_c t_c and squares = sum_c t_c^2 over the
+    clusters of rows that share a channel draw (_bin_clusters), t_c the
+    cluster's rows in outage.  p = counts / rows, and the half-width is
+    wilson_half_width at the Kish effective size n_eff = p (1 - p) / v,
+    v = C s_t^2 / rows^2 the variance of p estimated from the spread s_t^2
+    of the C cluster totals (Kish, Survey Sampling, 1965), so that
+
+        n_eff = counts (rows - counts) (C - 1) / (C squares - counts^2),
+
+    clamped to [C, rows]: no narrower than rows independent trials, no
+    wider than C.  Where the clusters show no spread, n_eff is C.  At one
+    row per cluster (C = rows, squares = counts) n_eff is rows, and the
+    half-width is wilson_half_width(p, rows) bit for bit."""
+    counts = np.asarray(counts)
+    # Exact in int64: every term is at most rows^2, and a run is refused
+    # beyond _STREAM_SPAN chunks (_run_chunked).
+    spread = clusters * np.asarray(squares) - counts * counts
+    n_eff = np.full(counts.shape, float(clusters))
+    seen = spread > 0
+    n_eff[seen] = (counts[seen] * (rows - counts[seen]).astype(float)
+                   * (clusters - 1) / spread[seen])
+    p = counts / rows
+    return p, wilson_half_width(p, np.clip(n_eff, clusters, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -1134,14 +1262,41 @@ def run_correlation_experiment(
     )
 
 
-def _outage_physical_args(configs: list[SystemConfig], curves, grid) -> tuple:
+def _outage_physical_args(configs: list[SystemConfig], curves, grid,
+                          inner: int = 1) -> tuple:
     """The arguments of _chunk_outage_physical after (stream, n) for a frame
-    group `configs` (one (M, U), as run_outage_group checks) and its
-    `curves`, (config index, port indices) pairs."""
+    group `configs` (one (M, U), as run_outage_group checks), its
+    `curves`, (config index, port indices) pairs, and its rows per channel
+    draw `inner`."""
     first = configs[0]
     return (first.M, first.U, tuple(cfg.scheme for cfg in configs), first.beta,
             first.powers, tuple(tuple(geometry_for_config(cfg).mu) for cfg in configs),
-            tuple(curves), grid)
+            tuple(curves), grid, inner)
+
+
+def _inner_draws(config: SystemConfig) -> int:
+    """Rows per channel draw K of config's physical outage rows:
+    _NESTED_INNER under ZF in external mode where the cost model
+    (_FRAME_MS, _ROWS_MS) prices a frame draw at no less than
+    _NEST_MIN_RATIO times the rows it serves, else 1.  It reads the
+    scheme, the resolved reference mode, U and the port count P only.
+    MRT and member mode are never nested: an MRT frame builds no beams,
+    and in member mode its reference port carries most of the variance
+    that R does; under ZF in member mode the reference
+    port is selectable and never in outage."""
+    if config.scheme != "ZF" or config.resolved_reference_mode() != "external":
+        return 1
+    # External mode: the reference location and N selectable ports.
+    ports = config.N + 1
+    return _NESTED_INNER if _nest_ratio(config.U, ports) >= _NEST_MIN_RATIO else 1
+
+
+def _nest_ratio(U: int, ports: int) -> float:
+    """c_R / c_in of the cost model (_FRAME_MS, _ROWS_MS) at U users and
+    `ports` ports."""
+    frame = np.dot(_FRAME_MS, (U, U**2, U**3))
+    rows = np.dot(_ROWS_MS, ((ports - 1) * U, (ports - 1) * U**2, U, 1))
+    return float(frame / rows)
 
 
 def run_outage_group(
@@ -1167,14 +1322,20 @@ def run_outage_group(
     (a, b) (outage_envelopes).  Configs that differ in any other field are
     refused, by the field's name.
 
+    Configs with K = _inner_draws(config) > 1 are nested: their rows come
+    in clusters of K that share one channel draw.  They form a physical
+    job of their own, on the stream base _BASE_OUTAGE_NESTED, so the
+    K = 1 configs keep their job and every draw of it.
+
     This is the one place that decides the curves of a result's map:
     empirical_correlated (the physical selection), empirical_iid (the
     largest of N i.i.d. marginal draws) and the analytic upper_bound,
     lower_bound, iid_benchmark, large_n_approx and single_port, the last
-    six one object per (a, b, count).  per_port adds a physical job on the
-    stream base _BASE_PER_PORT, and to each map port_<k>, the CDF of
-    selectable geometry port k (1-based), and port_selection, both binned
-    from that job's draws.
+    six one object per (a, b, count).  per_port adds physical jobs on the
+    stream bases _BASE_PER_PORT and _BASE_PER_PORT_NESTED, and to each
+    map port_<k>, the CDF of selectable geometry port k (1-based), and
+    port_selection, both binned from those jobs' draws.  Every empirical
+    curve is one _outage_curve of its merged moment sums.
     """
     configs = list(configs)
     if not configs:
@@ -1191,14 +1352,43 @@ def run_outage_group(
     sel_idxs = [tuple(selectable_port_indices(cfg)) for cfg in configs]
     keys = [(betaprime_params(cfg.scheme, cfg.M, cfg.U), len(sel))
             for cfg, sel in zip(configs, sel_idxs)]
+    inners = [_inner_draws(cfg) for cfg in configs]
     n = _sample_size(realizations, first, DEFAULT_PHYSICAL_REALIZATIONS)
     workers = resolve_workers(workers)
     iid_keys = list(dict.fromkeys(keys))
+
+    def physical_jobs(curves, base, nested_base):
+        """One _chunk_outage_physical job per inner-draw count K of the
+        (config, ports) `curves`: (job, K, its configs, its curves)."""
+        split = []
+        for inner in dict.fromkeys(inners):
+            ks = [k for k, K in enumerate(inners) if K == inner]
+            cs = [c for c, (k, _) in enumerate(curves) if inners[k] == inner]
+            args = _outage_physical_args(
+                [configs[k] for k in ks],
+                [(ks.index(curves[c][0]), curves[c][1]) for c in cs], grid, inner)
+            split.append(((_chunk_outage_physical, args,
+                           base if inner == 1 else nested_base), inner, ks, cs))
+        return split
+
+    def merge(split, runs, curves_out, resampled_out):
+        for (_, inner, ks, cs), run in zip(split, runs):
+            counts, inf_counts, resampled = _merge_counts(run)
+            squares = sum(r[3] for r in run)
+            # Each chunk draws ceil(rows / K) channels.
+            clusters = sum(-(-size // inner)
+                           for _, size in _iter_chunks(n, CHUNK_SIZE))
+            for i, c in enumerate(cs):
+                curves_out[c] = (_outage_curve(counts[i], squares[i], n, clusters),
+                                 int(inf_counts[i]))
+            for i, k in enumerate(ks):
+                resampled_out[k] = int(resampled[i])
+
     # One pool runs the physical chunks, the i.i.d. chunks of every
     # (shapes, selectable count) and, on request, the per-port chunks.
-    jobs = [(_chunk_outage_physical,
-             _outage_physical_args(configs, enumerate(sel_idxs), grid),
-             _BASE_OUTAGE_PHYSICAL)]
+    selection = physical_jobs(list(enumerate(sel_idxs)), _BASE_OUTAGE_PHYSICAL,
+                              _BASE_OUTAGE_NESTED)
+    jobs = [job for job, *_ in selection]
     jobs += [(_chunk_outage_iid, (params.a, params.b, selectable, grid),
               _BASE_OUTAGE_IID) for params, selectable in iid_keys]
     if per_port:
@@ -1208,11 +1398,14 @@ def run_outage_group(
                        for k, sel in enumerate(sel_idxs) for j in sel]
         port_curves += [(k, sel, "port_selection")
                         for k, sel in enumerate(sel_idxs)]
-        jobs.append((_chunk_outage_physical, _outage_physical_args(
-            configs, [(k, ports) for k, ports, _ in port_curves], grid),
-            _BASE_PER_PORT))
-    phys, *runs = _run_chunked(jobs, n, first.seed, workers)
-    counts, inf_counts, resampled = _merge_counts(phys)
+        per_port_split = physical_jobs(
+            [(k, ports) for k, ports, _ in port_curves], _BASE_PER_PORT,
+            _BASE_PER_PORT_NESTED)
+        jobs += [job for job, *_ in per_port_split]
+    runs = _run_chunked(jobs, n, first.seed, workers)
+    estimates, resampled = [None] * len(configs), [0] * len(configs)
+    merge(selection, runs[:len(selection)], estimates, resampled)
+    runs = runs[len(selection):]
     # The curves that depend on the shapes and the selectable count alone;
     # F and SF are evaluated once per shape pair.
     by_shapes = {}
@@ -1225,10 +1418,10 @@ def run_outage_group(
             envelopes[params, selectable] = env
     shared = {}
     for (params, selectable), iid_run in zip(iid_keys, runs):
-        p_iid = _merge_counts(iid_run)[0] / n
+        counts = _merge_counts(iid_run)[0]
         env = envelopes[params, selectable]
         shared[params, selectable] = {
-            "empirical_iid": (p_iid, wilson_half_width(p_iid, n)),
+            "empirical_iid": _outage_curve(counts, counts, n, n),
             "upper_bound": (env.upper, None),
             "lower_bound": (env.lower, None),
             "iid_benchmark": (env.iid_benchmark, None),
@@ -1237,19 +1430,21 @@ def run_outage_group(
         }
     results = []
     for k, (cfg, sel_idx) in enumerate(zip(configs, sel_idxs)):
-        p_corr = counts[k] / n
-        curves = {"empirical_correlated": (p_corr, wilson_half_width(p_corr, n))}
+        curve, inf_count = estimates[k]
+        curves = {"empirical_correlated": curve}
         curves.update(shared[keys[k]])
         results.append(OutageExperimentResult(
             scheme=cfg.scheme, reference_mode=cfg.resolved_reference_mode(),
             gamma_grid=grid, curves=curves, realizations=n,
             selection_ports=np.asarray(sel_idx) + 1,
-            infinite_count=int(inf_counts[k]),
-            resampled_count=int(resampled[k])))
+            infinite_count=inf_count, resampled_count=resampled[k],
+            inner_draws=inners[k]))
     if per_port:
-        cdfs = _merge_counts(runs[-1])[0] / n
-        for cdf, (k, _, name) in zip(cdfs, port_curves):
-            results[k].curves[name] = (cdf, wilson_half_width(cdf, n))
+        port_estimates = [None] * len(port_curves)
+        merge(per_port_split, runs[len(iid_keys):], port_estimates,
+              [0] * len(configs))
+        for (curve, _), (k, _, name) in zip(port_estimates, port_curves):
+            results[k].curves[name] = curve
     return results
 
 

@@ -20,7 +20,6 @@ from fama_lab.analytic_stats import (
     asymptote_tail,
     betaprime_cdf,
     betaprime_params,
-    betaprime_pdf,
     betaprime_sf,
     diversity_orders,
     ln_betaprime_cdf,
@@ -56,35 +55,20 @@ class TestMeff:
         assert betaprime_params("ZF", 8, 4) == BetaPrimeParams(5, 3)
 
 
-class TestPdf:
-    def test_uniform_ratio_case(self):
-        assert betaprime_pdf(1.0, BetaPrimeParams(1, 1)) == pytest.approx(0.25)
-
-    def test_direct_substitution(self):
-        # (1; 2,1): 1 * 2^-3 / B(2,1) with B(2,1) = 1/2
-        assert betaprime_pdf(1.0, BetaPrimeParams(2, 1)) == pytest.approx(0.25)
-
-    def test_normalization_by_quadrature(self):
-        for a, b in ((1, 1), (8, 3), (5, 3)):
-            val, err = integrate.quad(
-                lambda x: betaprime_pdf(x, BetaPrimeParams(a, b)),
-                0.0, np.inf, limit=200,
-            )
-            assert val == pytest.approx(1.0, abs=1e-8)
-
-    def test_cdf_is_pdf_integral(self):
-        params = BetaPrimeParams(5, 3)
-        val, _ = integrate.quad(lambda x: betaprime_pdf(x, params), 0.0, 2.0)
-        assert betaprime_cdf(2.0, params) == pytest.approx(val, abs=1e-10)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            betaprime_pdf(-0.5, BetaPrimeParams(2, 2))
-
-
 class TestCdf:
     def test_uniform_ratio(self):
         assert betaprime_cdf(1.0, BetaPrimeParams(1, 1)) == pytest.approx(0.5)
+
+    def test_cdf_is_density_integral(self):
+        # The density x^(a-1) (1+x)^-(a+b) / B(a, b), integrated by
+        # quadrature.
+        a, b = 5, 3
+        ln_beta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+        val, _ = integrate.quad(
+            lambda x: x ** (a - 1) * (1.0 + x) ** -(a + b) / math.exp(ln_beta),
+            0.0, 2.0)
+        assert betaprime_cdf(2.0, BetaPrimeParams(a, b)) == pytest.approx(
+            val, abs=1e-10)
 
     def test_spot_values(self):
         assert betaprime_cdf(1.0, BetaPrimeParams(8, 3)) == pytest.approx(

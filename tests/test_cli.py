@@ -404,6 +404,26 @@ class TestSweepPool:
         assert len(blobs[1]) == 4
         assert blobs[1] == blobs[2] == blobs[3]
 
+    def test_nested_fig4_bytes_independent_of_workers(self, tmp_path,
+                                                      monkeypatch):
+        # At U = 8, N = 2 fig4's ZF config is nested and its MRT config is
+        # not; both CSVs are the same at 1, 2 and 8 workers, and the
+        # manifest says how many rows each channel draw served.
+        blobs = {}
+        for workers in (1, 2, 8):
+            monkeypatch.setenv("FAMA_LAB_WORKERS", str(workers))
+            out = tmp_path / f"w{workers}"
+            assert main(["fig4", "--M", "8", "--U", "8", "--N", "2",
+                         "--realizations", str(3 * 2048 + 5), "--seed", "9",
+                         "--out", str(out)]) == 0
+            blobs[workers] = {n: (out / n).read_bytes()
+                              for n in sorted(os.listdir(out)) if n.endswith(".csv")}
+            manifest = (out / "manifest.txt").read_text().splitlines()
+            assert "experiment.fig4_mrt.inner_draws: 1" in manifest
+            assert "experiment.fig4_zf.inner_draws: 4" in manifest
+        assert sorted(blobs[1]) == ["fig4_mrt.csv", "fig4_zf.csv"]
+        assert blobs[1] == blobs[2] == blobs[8]
+
     def test_groups_submitted_largest_first(self, tmp_path, monkeypatch):
         # The U = 4 groups of the benchmark grid go to the pool first; the
         # two groups of each U have equal estimates and keep grid order.
@@ -496,10 +516,10 @@ class TestSweepPool:
             [name + ".csv" for name in grid] + ["manifest.txt"])
         manifest = (out / "manifest.txt").read_text().splitlines()
         assert f"outputs: {', '.join(name + '.csv' for name in grid)}" in manifest
-        # fig4's five rows per point, in grid order.
+        # fig4's six rows per point, in grid order.
         assert [line for line in manifest if line.startswith("experiment.")] == [
             f"experiment.{name}.{row}" for name, N in points for row in (
-                "realizations: 1000", "reference_mode: member",
+                "realizations: 1000", "inner_draws: 1", "reference_mode: member",
                 f"selection_ports: {list(range(1, N + 1))}",
                 "resampled: 0", "infinite: 0")]
 
@@ -679,15 +699,16 @@ class TestErrors:
         assert err.startswith(f"config error: --config {str(p)!r}: not UTF-8")
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-2"])
     @pytest.mark.parametrize("command", ["fig5", "validate"])
     def test_bad_worker_variable_refused_by_name(self, tmp_path, capsys,
-                                                 monkeypatch, command):
-        monkeypatch.setenv("FAMA_LAB_WORKERS", "abc")
+                                                 monkeypatch, command, value):
+        monkeypatch.setenv("FAMA_LAB_WORKERS", value)
         out = tmp_path / command
         assert main([command, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: FAMA_LAB_WORKERS")
-        assert "'abc'" in err
+        assert f"'{value}'" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command, under", [

@@ -27,9 +27,12 @@ from fama_lab.mc_engine import (
     OutageExperimentResult,
     _BASE_CDF,
     _BASE_CDF_PHYSICAL,
+    _BASE_OUTAGE_NESTED,
     _BASE_OUTAGE_PHYSICAL,
+    _NESTED_INNER,
     _RENYI_MAX_TERMS,
     _STREAM_SPAN,
+    _bin_clusters,
     _cgauss,
     _chunk_outage_iid,
     _chunk_outage_physical,
@@ -38,6 +41,8 @@ from fama_lab.mc_engine import (
     _column_sq_norms,
     _draw_frame,
     _frame_sirs,
+    _inner_draws,
+    _outage_curve,
     _outage_physical_args,
     _physref_sirs,
     _reference_factor,
@@ -104,7 +109,7 @@ def _port_curves(cfg, n, stream_id=0):
     per-port SIRs of the same stream (_chunk_ports_sir), (n, P)."""
     sel = tuple(selectable_port_indices(cfg))
     curves = [(0, sel)] + [(0, (j,)) for j in sel]
-    counts, inf_counts, _ = _chunk_outage_physical(
+    counts, inf_counts, _, _ = _chunk_outage_physical(
         RngStream(cfg.seed, stream_id), n,
         *_outage_physical_args([cfg], curves, DEFAULT_GAMMA_GRID))
     sirs = _chunk_ports_sir(RngStream(cfg.seed, stream_id), n, cfg.M, cfg.U,
@@ -781,27 +786,62 @@ _CURVE_IDS = ["empirical_correlated", "empirical_iid", "upper_bound",
 
 def _replayed_selection_outage(cfg, n):
     """The physical selection curve of cfg's outage run rebuilt chunk by
-    chunk from _chunk_ports_sir, which draws R and then the innovations of
-    cfg's own port count from the chunk stream, and any ZF redraws from a
-    child of it."""
+    chunk: at K = 1 from _chunk_ports_sir, which draws R and then the
+    innovations of cfg's own port count from the chunk stream, and any ZF
+    redraws from a child of it; nested, from _nested_replay on the nested
+    stream base."""
+    K = _inner_draws(cfg)
+    base = _BASE_OUTAGE_PHYSICAL if K == 1 else _BASE_OUTAGE_NESTED
     sel = selectable_port_indices(cfg)
     mu = tuple(geometry_for_config(cfg).mu)
     counts = 0
     for start in range(0, n, CHUNK_SIZE):
-        stream = RngStream(cfg.seed, _BASE_OUTAGE_PHYSICAL + start // CHUNK_SIZE)
-        sirs = _chunk_ports_sir(stream, min(CHUNK_SIZE, n - start), cfg.M,
-                                cfg.U, cfg.scheme, cfg.beta, cfg.powers, mu)[0]
+        stream = RngStream(cfg.seed, base + start // CHUNK_SIZE)
+        rows = min(CHUNK_SIZE, n - start)
+        if K > 1:
+            counts = counts + _nested_replay(cfg, stream, rows, K)[0]
+            continue
+        sirs = _chunk_ports_sir(stream, rows, cfg.M, cfg.U, cfg.scheme,
+                                cfg.beta, cfg.powers, mu)[0]
         counts = counts + bin_samples(DEFAULT_GAMMA_GRID,
                                       sirs[:, sel].max(axis=1))
     return counts / n
 
 
+def _nested_replay(cfg, stream, n, K):
+    """cfg's selection counts sum_c t_c, squares sum_c t_c^2 and infinite
+    count on one nested chunk of n rows, by brute force: R and the beams
+    drawn for C = ceil(n / K) clusters and then K C innovation rows, as
+    the chunk stream gives them; each cluster's frame repeated K times
+    (row k C + c reads frame c) and passed to _frame_sirs as K C rows of
+    their own; and t_c, the cluster's kept rows in outage, summed
+    directly.  The last cluster keeps its first n - (C - 1) K rows."""
+    gen = stream.generator()
+    C = -(-n // K)
+    mu = tuple(geometry_for_config(cfg).mu)
+    R = _reference_factor(gen, C, cfg.M, cfg.U, cfg.beta)
+    g = _cgauss(gen, (len(mu) - 1, R.shape[1], K * C))
+    redraw = partial(_reference_factor, M=cfg.M, U=cfg.U, beta=cfg.beta)
+    F, _, R = _weights_for_scheme(gen, R, cfg.scheme, redraw)
+    R, F = np.concatenate([R] * K), np.concatenate([F] * K)
+    sirs = _frame_sirs(R[:, :, 0], g, F, cfg.scheme, cfg.beta[0], cfg.powers,
+                       [mu])[0]
+    sel = sirs[:, selectable_port_indices(cfg)].reshape(K, C, -1)
+    keep = np.ones((K, C), dtype=bool)
+    keep[n - (C - 1) * K:, C - 1] = False
+    in_outage = sel.max(axis=2)[..., None] <= DEFAULT_GAMMA_GRID
+    t = (in_outage & keep[..., None]).sum(axis=0)
+    return (t.sum(axis=0), (t * t).sum(axis=0),
+            np.count_nonzero(~np.isfinite(sel[keep])))
+
+
 class TestOutageGroup:
-    @pytest.mark.parametrize("scheme, mode, tolerance", [
-        ("MRT", "member", None), ("ZF", "external", None),
-        ("ZF", "external", 1.0 / 40.0), ("MRT,ZF", None, None),
-        ("MRT,ZF", None, 1.0 / 40.0)])
-    def test_equals_per_config_runs(self, monkeypatch, scheme, mode, tolerance):
+    @pytest.mark.parametrize("scheme, mode, tolerance, U", [
+        ("MRT", "member", None, 4), ("ZF", "external", None, 4),
+        ("ZF", "external", 1.0 / 40.0, 4), ("MRT,ZF", None, None, 4),
+        ("MRT,ZF", None, 1.0 / 40.0, 4), ("MRT,ZF", None, 1.0 / 5000.0, 8)])
+    def test_equals_per_config_runs(self, monkeypatch, scheme, mode, tolerance,
+                                    U):
         # The group shares one draw of R and one innovation draw per chunk,
         # serves every port count from a prefix of the innovations and
         # builds each scheme's beams from R; each result equals the
@@ -809,13 +849,18 @@ class TestOutageGroup:
         # 40, ZF redraws a share of R in every chunk from a child of the
         # chunk stream, so the innovations after those redraws are pinned
         # too.  "MRT,ZF" leaves the reference mode unset: member under MRT
-        # (P = N) and external under ZF (P = N + 1).
+        # (P = N) and external under ZF (P = N + 1).  At U = 8 the ZF
+        # configs with N = 2 are nested and the rest are not, so the group
+        # runs a nested job beside the plain one; the limit of 5000 redraws
+        # about a tenth of the ZF rows there.
         if tolerance is not None:
             monkeypatch.setattr(mc_engine, "_GRAM_TOLERANCE", tolerance)
-        configs = [SystemConfig(M=8, U=4, N=N, W=W, scheme=s,
+        configs = [SystemConfig(M=8, U=U, N=N, W=W, scheme=s,
                                 reference_mode=mode, seed=61)
                    for s in scheme.split(",")
                    for N in (2, 4, 8) for W in (0.0, 0.25, 4.0)]
+        assert {_inner_draws(cfg) for cfg in configs} == (
+            {1, _NESTED_INNER} if U == 8 else {1})
         group = run_outage_group(configs, realizations=5_000)
         assert len(group) == len(configs)
         for cfg, res in zip(configs, group):
@@ -835,7 +880,9 @@ class TestOutageGroup:
                 else:
                     assert np.array_equal(a, b), (cfg.N, cfg.W, name)
             # A lone run takes the same group path, so the draws are also
-            # checked against _chunk_ports_sir, which draws for one config.
+            # checked against _chunk_ports_sir, which draws for one config,
+            # or the nested replay.
+            assert res.inner_draws == _inner_draws(cfg)
             assert np.array_equal(res.correlated,
                                   _replayed_selection_outage(cfg, 5_000))
         # The apertures and the port counts differ, so their selection
@@ -859,7 +906,7 @@ class TestOutageGroup:
         configs = [SystemConfig(M=8, U=4, N=N, W=0.5, scheme=s, seed=64)
                    for s in ("MRT", "ZF") for N in (2, 5)]
         curves = enumerate(tuple(selectable_port_indices(cfg)) for cfg in configs)
-        _, _, resampled = _chunk_outage_physical(
+        _, _, resampled, _ = _chunk_outage_physical(
             RngStream(64, 0), 1024,
             *_outage_physical_args(configs, curves, DEFAULT_GAMMA_GRID))
         assert resampled[2] > 0 and resampled[3] > 0
@@ -886,7 +933,7 @@ class TestOutageGroup:
                 RngStream(63, 5), n,
                 *_outage_physical_args(configs, curves, DEFAULT_GAMMA_GRID))
 
-        counts, inf_counts, resampled = kernel(list(enumerate(sels)) + ports)
+        counts, inf_counts, resampled, _ = kernel(list(enumerate(sels)) + ports)
         alone = kernel(enumerate(sels))
         assert np.array_equal(counts[:len(configs)], alone[0])
         assert np.array_equal(inf_counts[:len(configs)], alone[1])
@@ -950,6 +997,217 @@ class TestOutageGroup:
                 assert a.curves[curve_id] is b.curves[curve_id]
             assert a.curves["empirical_correlated"] is not b.curves[
                 "empirical_correlated"]
+
+
+def _nested_group(seed):
+    """ZF configs of one (M, U) = (8, 8) frame group that the rule nests."""
+    configs = [SystemConfig(M=8, U=8, N=N, W=W, scheme="ZF", seed=seed)
+               for N, W in ((2, 0.25), (1, 0.5), (2, 4.0))]
+    assert {_inner_draws(cfg) for cfg in configs} == {_NESTED_INNER}
+    return configs
+
+
+class TestNestedDraws:
+    @pytest.mark.parametrize("n", [1024, 1023, 1021, 5, 3])
+    def test_chunk_equals_brute_force_replay(self, monkeypatch, n):
+        # A nested chunk's counts, squares and infinite counts equal, as
+        # exact integers, a replay that repeats each cluster's R and beams
+        # K times and sums t_c and t_c^2 directly, for each config of a
+        # group of port counts and apertures.  n = 1023, 1021, 5 and 3 leave
+        # the last cluster 3, 1, 1 and 3 of its K rows.  The condition
+        # limit of 5000 makes ZF redraw about a tenth of the frames from a
+        # child of the chunk stream.
+        monkeypatch.setattr(mc_engine, "_GRAM_TOLERANCE", 1.0 / 5000.0)
+        configs = _nested_group(67)
+        curves = list(enumerate(tuple(selectable_port_indices(cfg))
+                                for cfg in configs))
+        counts, inf_counts, resampled, squares = _chunk_outage_physical(
+            RngStream(67, 3), n, *_outage_physical_args(
+                configs, curves, DEFAULT_GAMMA_GRID, _NESTED_INNER))
+        for k, cfg in enumerate(configs):
+            t1, t2, inf = _nested_replay(cfg, RngStream(67, 3), n, _NESTED_INNER)
+            assert np.array_equal(counts[k], t1), (n, k)
+            assert np.array_equal(squares[k], t2), (n, k)
+            assert inf_counts[k] == inf
+        if n > 1000:
+            assert resampled[0] > 0
+            assert np.any(squares[0] > counts[0])
+
+    def test_clusters_bin_as_moment_sums(self):
+        # Sorted per cluster, count_j at rank j gives sum_c t_c and
+        # sum_c t_c^2, infinite and tied values included.
+        rng = np.random.default_rng(68)
+        grid = np.array([0.0, 0.5, 1.0, 2.0, 9.0])
+        for K in (1, 2, 4, 8):
+            values = rng.choice([0.0, 0.5, 0.7, 1.0, 3.0, np.inf], size=(K, 37))
+            t = (values[..., None] <= grid).sum(axis=0)
+            counts, squares = _bin_clusters(grid, values)
+            assert np.array_equal(counts, t.sum(axis=0))
+            assert np.array_equal(squares, (t * t).sum(axis=0))
+
+    def test_interval_at_one_row_per_cluster_is_wilson(self):
+        # At K = 1 the squares are the counts, and the half-width is
+        # wilson_half_width(p, n) bit for bit, at p = 0 and 1 too.
+        n = 20_000
+        counts = np.array([0, 1, 2, 17, 199, 5000, 10_000, 19_999, n])
+        p, half = _outage_curve(counts, counts, n, n)
+        assert np.array_equal(p, counts / n)
+        assert np.array_equal(half, wilson_half_width(counts / n, n))
+
+    def test_interval_effective_size(self):
+        # C = 4 clusters of K = 2 rows.  Totals (2, 0, 1, 1): counts 4,
+        # squares 6, spread C squares - counts^2 = 8, so n_eff =
+        # 4 (8 - 4) 3 / 8 = 6.  Totals (2, 2, 0, 0): spread 16, n_eff 3,
+        # clamped up to the cluster count 4.  Totals (1, 1, 1, 1): no
+        # spread, so n_eff is the cluster count.  Totals (0, 0, 0, 0): p = 0
+        # at the cluster count.
+        counts = np.array([4, 4, 4, 0])
+        squares = np.array([6, 8, 4, 0])
+        p, half = _outage_curve(counts, squares, 8, 4)
+        assert np.array_equal(p, [0.5, 0.5, 0.5, 0.0])
+        assert half[0] == wilson_half_width(0.5, 6.0)
+        assert half[1] == half[2] == wilson_half_width(0.5, 4.0)
+        assert half[3] == wilson_half_width(0.0, 4.0)
+
+    def test_run_is_merged_chunk_moments(self):
+        # A nested run of n = 2 CHUNK_SIZE + 7 rows, a ragged last chunk
+        # and cluster, is the sum of its chunks on the nested stream base;
+        # its interval is _outage_curve at C = 2 CHUNK_SIZE / K + 2.
+        cfg = _nested_group(69)[0]
+        n = 2 * CHUNK_SIZE + 7
+        res = run_outage_experiment(cfg, realizations=n)
+        assert res.realizations == n and res.inner_draws == _NESTED_INNER
+        args = _outage_physical_args(
+            [cfg], [(0, tuple(selectable_port_indices(cfg)))],
+            DEFAULT_GAMMA_GRID, _NESTED_INNER)
+        parts = [_chunk_outage_physical(RngStream(69, _BASE_OUTAGE_NESTED + i),
+                                        size, *args)
+                 for i, size in enumerate((CHUNK_SIZE, CHUNK_SIZE, 7))]
+        counts = sum(part[0][0] for part in parts)
+        squares = sum(part[3][0] for part in parts)
+        clusters = 2 * CHUNK_SIZE // _NESTED_INNER + 2
+        p, half = _outage_curve(counts, squares, n, clusters)
+        assert np.array_equal(res.correlated, p)
+        assert np.array_equal(res.correlated_ci, half)
+        assert res.infinite_count == sum(part[1][0] for part in parts)
+        # The clusters share R, so the interval is wider than the rows'
+        # own Wilson interval wherever p is off 0 and 1.
+        inside = (p > 0.0) & (p < 1.0)
+        assert np.all(half[inside] >= wilson_half_width(p, n)[inside])
+        assert np.any(half[inside] > wilson_half_width(p, n)[inside])
+
+    def test_per_port_job_nested_on_its_own_base(self):
+        # A nested config's per-port curves come from a nested job on
+        # _BASE_PER_PORT_NESTED: each is _outage_curve of that job's merged
+        # chunk moments, and port_selection is binned from the same draws
+        # as the port CDFs, never below any of them.
+        cfg = _nested_group(74)[0]
+        n = CHUNK_SIZE + 9
+        res = run_outage_group([cfg], realizations=n, per_port=True)[0]
+        sel = tuple(selectable_port_indices(cfg))
+        curves = [(0, (j,)) for j in sel] + [(0, sel)]
+        args = _outage_physical_args([cfg], curves, DEFAULT_GAMMA_GRID,
+                                     _NESTED_INNER)
+        parts = [_chunk_outage_physical(
+            RngStream(74, mc_engine._BASE_PER_PORT_NESTED + i), size, *args)
+            for i, size in enumerate((CHUNK_SIZE, 9))]
+        counts = sum(part[0] for part in parts)
+        squares = sum(part[3] for part in parts)
+        names = [f"port_{j + 1}" for j in sel] + ["port_selection"]
+        for c, name in enumerate(names):
+            p, half = _outage_curve(counts[c], squares[c], n,
+                                    CHUNK_SIZE // _NESTED_INNER + 3)
+            assert np.array_equal(res.curves[name][0], p), name
+            assert np.array_equal(res.curves[name][1], half), name
+            assert np.all(res.curves["port_selection"][0] <= p)
+        assert not np.array_equal(res.curves["port_selection"][0],
+                                  res.correlated)
+
+    def test_moments_independent_of_workers(self, monkeypatch):
+        monkeypatch.delenv("FAMA_LAB_WORKERS", raising=False)
+        cfg = _nested_group(70)[0]
+        runs = [run_outage_experiment(cfg, realizations=3 * CHUNK_SIZE + 5,
+                                      workers=w) for w in (1, 2, 8)]
+        for res in runs[1:]:
+            for curve_id, (values, half) in runs[0].curves.items():
+                other = res.curves[curve_id]
+                assert np.array_equal(values, other[0])
+                assert (half is None and other[1] is None) or np.array_equal(
+                    half, other[1])
+            assert res.infinite_count == runs[0].infinite_count
+
+    @pytest.mark.parametrize("M, U, N, W, scheme, mode, total, at_100", [
+        (8, 4, 8, 4.0, "MRT", "member", 341010, 18),
+        (8, 4, 2, 0.25, "ZF", "external", 313901, 153),
+        (8, 4, 1, 0.5, "ZF", "external", 471020, 3244),
+        (16, 8, 4, 0.25, "ZF", "external", 243850, 0),
+        (16, 8, 2, 0.25, "MRT", "external", 376788, 290)])
+    def test_unnested_configs_keep_their_streams(self, M, U, N, W, scheme,
+                                                 mode, total, at_100):
+        # K = 1 configs, MRT, member mode and ZF where a frame costs less
+        # than twice its rows, keep the draws they had before nesting: the
+        # selection counts, pinned here as their sum over the grid and
+        # their value at grid point 100, and the plain Wilson interval.
+        cfg = SystemConfig(M=M, U=U, N=N, W=W, scheme=scheme,
+                           reference_mode=mode, seed=71)
+        assert _inner_draws(cfg) == 1
+        n = 4096 + 9
+        res = run_outage_experiment(cfg, realizations=n)
+        counts = np.rint(res.correlated * n).astype(np.int64)
+        assert (int(counts.sum()), int(counts[100])) == (total, at_100)
+        assert res.inner_draws == 1
+        assert np.array_equal(res.correlated_ci,
+                              wilson_half_width(res.correlated, n))
+
+    def test_rule_nests_only_costly_zf_frames(self):
+        # Never MRT or member mode, and never at U <= 4; outage_zf_gram's
+        # config (U = 8, N = 2) is nested, U = 8 at N = 4 is not.
+        for U in range(2, 17):
+            for N in (1, 2, 4, 8):
+                for scheme, mode in (("MRT", "member"), ("MRT", "external"),
+                                     ("ZF", "member"), ("ZF", "external")):
+                    K = _inner_draws(SystemConfig(M=2 * U, U=U, N=N,
+                                                  scheme=scheme,
+                                                  reference_mode=mode))
+                    assert K in (1, _NESTED_INNER)
+                    if scheme == "MRT" or mode == "member" or U <= 4:
+                        assert K == 1, (U, N, scheme, mode)
+        zf = partial(SystemConfig, scheme="ZF", reference_mode="external")
+        assert _inner_draws(zf(M=16, U=8, N=2, W=0.25)) == _NESTED_INNER
+        assert _inner_draws(zf(M=16, U=16, N=4)) == _NESTED_INNER
+        assert _inner_draws(zf(M=16, U=8, N=4)) == 1
+        assert _inner_draws(zf(M=12, U=6, N=2)) == 1
+
+    def test_interval_coverage(self):
+        # Stated before it was run: over the grid points whose reference
+        # outage lies in [0.005, 0.995], the nested interval's pointwise
+        # 95% coverage averages at least 0.93.  U = 8 ZF in external mode
+        # (K = 4) at M = 8; 400 runs of one 2 048-row chunk (512 clusters),
+        # each on a stream of its own, against a reference of 200 K = 1
+        # chunks (409 600 rows).  The rows' own Wilson interval, blind to
+        # the shared R, must cover visibly less (below 0.92), or the check
+        # could not tell the two apart.
+        cfg = SystemConfig(M=8, U=8, N=2, W=0.25, scheme="ZF", seed=72)
+        assert _inner_draws(cfg) == _NESTED_INNER
+        curves = [(0, tuple(selectable_port_indices(cfg)))]
+        plain = _outage_physical_args([cfg], curves, DEFAULT_GAMMA_GRID)
+        nested = plain[:-1] + (_NESTED_INNER,)
+        reference = sum(_chunk_outage_physical(RngStream(72, i), CHUNK_SIZE,
+                                               *plain)[0][0]
+                        for i in range(200)) / (200 * CHUNK_SIZE)
+        clusters = CHUNK_SIZE // _NESTED_INNER
+        covered, naive = 0, 0
+        for i in range(400):
+            counts, _, _, squares = _chunk_outage_physical(
+                RngStream(73, i), CHUNK_SIZE, *nested)
+            p, half = _outage_curve(counts[0], squares[0], CHUNK_SIZE, clusters)
+            covered = covered + (np.abs(p - reference) <= half)
+            naive = naive + (np.abs(p - reference) <=
+                             wilson_half_width(p, CHUNK_SIZE))
+        points = (reference >= 0.005) & (reference <= 0.995)
+        assert points.sum() >= 50
+        assert np.mean(covered[points] / 400) >= 0.93
+        assert np.mean(naive[points] / 400) < 0.92
 
 
 class TestExperiments:
@@ -1303,6 +1561,24 @@ class TestResolveWorkers:
         # refuses them by name.
         monkeypatch.delenv("FAMA_LAB_WORKERS", raising=False)
         with pytest.raises(ValueError, match="workers must be an integer"):
+            resolve_workers(workers)
+
+    @pytest.mark.parametrize("workers", [0, -3, 0.0])
+    def test_request_below_one_refused_by_name(self, monkeypatch, workers):
+        # 0 and -3 used to run on 1 worker without a word.
+        monkeypatch.delenv("FAMA_LAB_WORKERS", raising=False)
+        with pytest.raises(ValueError,
+                           match=f"workers must be >= 1, got {workers!r}"):
+            resolve_workers(workers)
+
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    @pytest.mark.parametrize("workers", [None, 4])
+    def test_variable_below_one_refused_by_name(self, monkeypatch, value,
+                                                workers):
+        # FAMA_LAB_WORKERS=-2 used to cap every request at 1 without a word.
+        monkeypatch.setenv("FAMA_LAB_WORKERS", value)
+        with pytest.raises(ValueError,
+                           match=f"FAMA_LAB_WORKERS must be >= 1, got '{value}'"):
             resolve_workers(workers)
 
     def test_integral_float_request_is_its_int(self, monkeypatch):
